@@ -136,26 +136,20 @@ def _product_mean(space: ProductSpace, wp: WeightedPoints, cfg: BarycenterConfig
 def _tree_mean(tree: MetricTree, wp: WeightedPoints) -> Point:
     # On each edge, every squared distance is (s - c_i)^2 for a constant
     # c_i, so F restricted to the edge is one quadratic in the offset s.
-    best = None
-    for idx, e in enumerate(tree.edges):
-        centers = []
-        for p in wp.points:
-            loc = p.payload
-            if loc.edge == idx:
-                centers.append(loc.offset)
-            else:
-                da = tree.distance_to_vertex(loc, e.a)
-                db = tree.distance_to_vertex(loc, e.b)
-                centers.append(-da if da <= db else e.length + db)
-        s_star = math.fsum(w * c for w, c in zip(wp.weights, centers))
-        s_star = min(max(s_star, 0.0), e.length)
-        value = math.fsum(
-            w * (s_star - c) ** 2 for w, c in zip(wp.weights, centers)
-        )
-        if best is None or value < best[0]:
-            best = (value, idx, s_star)
-    _, idx, s_star = best
-    return Point(tree, tree._canonical(idx, s_star))
+    # Rows are points, columns edges; argmin keeps the first minimal edge.
+    locs = [p.payload for p in wp.points]
+    w = np.array(wp.weights)
+    dist = tree._vertex_distances(locs)
+    da = dist[:, tree._ends[:, 0]]
+    db = dist[:, tree._ends[:, 1]]
+    lengths = tree._lengths
+    centers = np.where(da <= db, -da, lengths + db)
+    for i, loc in enumerate(locs):
+        centers[i, loc.edge] = loc.offset
+    s_star = np.clip(w @ centers, 0.0, lengths)
+    values = w @ (s_star - centers) ** 2
+    idx = int(np.argmin(values))
+    return Point(tree, tree._canonical(idx, float(s_star[idx])))
 
 
 def _hyperboloid_mean(space: Hyperboloid, wp: WeightedPoints, cfg: BarycenterConfig) -> Point:

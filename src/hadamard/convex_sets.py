@@ -250,10 +250,12 @@ class Subtree(ConvexSet):
 
     The set consists of the chosen vertices together with every full edge
     joining two of them.  An exterior point projects to its gate: the
-    subtree vertex nearest to it.
+    subtree vertex nearest to it.  With the tree rooted, that is the
+    subtree's top vertex for a point outside the top's descendants, and
+    otherwise the first member on the way up from the point.
     """
 
-    __slots__ = ("vertex_set", "edge_set", "vertex_order")
+    __slots__ = ("vertex_set", "edge_set", "vertex_order", "_members", "_top")
 
     def __init__(self, tree: MetricTree, vertices, name: str = "subtree"):
         if not isinstance(tree, MetricTree):
@@ -262,30 +264,26 @@ class Subtree(ConvexSet):
         names = [str(v) for v in vertices]
         if not names:
             raise ConstructionError("subtree vertex set is empty")
-        unknown = [v for v in names if v not in tree._incident]
+        unknown = [v for v in names if v not in tree._index]
         if unknown:
             raise ConstructionError(f"unknown vertices: {unknown}")
         vset = frozenset(names)
-        eset = frozenset(
-            i for i, e in enumerate(tree.edges) if e.a in vset and e.b in vset
-        )
-        # connectivity of the induced subgraph
-        order = sorted(vset)
-        reached = {order[0]}
-        frontier = [order[0]]
-        while frontier:
-            u = frontier.pop()
-            for v, idx in tree._adj[u]:
-                if idx in eset and v not in reached:
-                    reached.add(v)
-                    frontier.append(v)
-        if reached != vset:
+        members = frozenset(tree._index[v] for v in vset)
+        # A vertex set of a tree induces one component per member whose
+        # parent lies outside the set.
+        parent = tree._parent
+        tops = [v for v in members if parent[v] not in members]
+        if len(tops) != 1:
             raise ConstructionError(
                 f"vertex set {sorted(vset)} does not induce a connected subtree"
             )
+        top = tops[0]
+        eset = frozenset(tree._parent_edge[v] for v in members if v != top)
         object.__setattr__(self, "vertex_set", vset)
         object.__setattr__(self, "edge_set", eset)
-        object.__setattr__(self, "vertex_order", tuple(order))
+        object.__setattr__(self, "vertex_order", tuple(sorted(vset)))
+        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_top", top)
 
     def project(self, x: Point) -> Point:
         self._check_point(x)
@@ -296,14 +294,14 @@ class Subtree(ConvexSet):
         v = tree.location_vertex(loc)
         if v is not None and v in self.vertex_set:
             return x
-        best_v = None
-        best_d = math.inf
-        for w in self.vertex_order:
-            d = tree.distance_to_vertex(loc, w)
-            if d < best_d:
-                best_d = d
-                best_v = w
-        return tree.vertex_point(best_v)
+        c = tree._child[loc.edge]
+        top = self._top
+        if not top <= c <= tree._last[top]:
+            return tree.vertex_point(tree._names[top])
+        members, parent = self._members, tree._parent
+        while c not in members:
+            c = parent[c]
+        return tree.vertex_point(tree._names[c])
 
     def contains(self, x: Point, tol: float | None = None) -> bool:
         self._check_point(x)

@@ -110,7 +110,13 @@ class Point:
         )
 
     def __hash__(self):
-        return hash(self.space.describe())
+        # Consistent with __eq__: equal spaces describe themselves alike,
+        # equal coordinate arrays give equal tuples (-0.0 hashes as 0.0),
+        # tree locations are frozen and product payloads are point pairs.
+        payload = self.payload
+        if isinstance(payload, np.ndarray):
+            payload = tuple(payload.tolist())
+        return hash((self.space.describe(), payload))
 
     def __repr__(self):
         return f"Point({self.space.describe()}, {self.space.format_payload(self.payload)})"

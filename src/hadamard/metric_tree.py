@@ -5,12 +5,23 @@ canonical so that equality is well defined: an offset at (or within
 snapping distance of) an endpoint is rewritten to a designated vertex
 form, namely the smallest incident edge index with the offset measured
 from that edge's first vertex.
+
+Internally the tree is rooted at its first vertex and its vertices are
+numbered in depth-first preorder, so every subtree is the contiguous id
+range ``[v, last[v]]`` and every ancestor has a smaller id than its
+descendants.  Each vertex keeps its parent, parent edge and root distance
+``r``.  A point on an edge is described by the edge's lower (child)
+vertex ``c`` and its own root distance; two points with lowest common
+ancestor ``l = lca(c_p, c_q)`` lie ``r_p + r_q - 2 min(r_p, r_q, r[l])``
+apart.  The LCA is one range-minimum query over the parent ids in
+preorder, answered in O(1) from a sparse table (Bender and Farach-Colton,
+"The LCA problem revisited", LATIN 2000): for ids u < v, the smallest
+parent id found among ids u+1..v is the LCA's id.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,14 +35,14 @@ __all__ = ["TreeEdge", "TreeLocation", "MetricTree", "parse_edge_list"]
 _SNAP = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeEdge:
     a: str
     b: str
     length: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreeLocation:
     """Canonical payload: index of the carrying edge plus arc-length offset."""
 
@@ -42,93 +53,207 @@ class TreeLocation:
 class MetricTree(SpaceModel):
     """A connected acyclic graph with positive edge lengths as a geodesic space.
 
-    Geodesics follow the unique vertex path between the carrying edges;
-    all vertex-to-vertex distances are precomputed at construction.
+    Construction is one iterative depth-first traversal plus a sparse
+    table, O(V log V) in time and memory.  Distances cost one O(1) LCA
+    query; geodesics walk parent pointers, so they cost time proportional
+    to the number of edges on the path.
     """
 
-    __slots__ = ("vertices", "edges", "_adj", "_edge_of", "_vdist", "_incident")
+    __slots__ = (
+        "vertices", "edges", "_index", "_names", "_parent", "_parent_edge", "_last",
+        "_r", "_home", "_child", "_base", "_sign", "_rows", "_r_arr", "_table",
+        "_log2", "_ends", "_lengths",
+    )
 
     def __init__(self, edges, vertices=None, tolerances: ToleranceConfig | None = None):
         super().__init__(tolerances)
         edge_objs = []
-        seen_order: list[str] = []
-        seen = set()
+        names: list[str] = []
         for spec in edges:
             if isinstance(spec, TreeEdge):
                 a, b, length = spec.a, spec.b, spec.length
             else:
                 a, b, length = spec
-            a, b = str(a), str(b)
-            length = float(length)
+            a, b, length = str(a), str(b), float(length)
             if a == b:
                 raise ConstructionError(f"self-loop at vertex '{a}'")
-            if not (math.isfinite(length) and length > 0):
+            if not 0.0 < length < math.inf:
                 raise ConstructionError(f"edge ({a}, {b}) has nonpositive length {length}")
             edge_objs.append(TreeEdge(a, b, length))
-            for v in (a, b):
-                if v not in seen:
-                    seen.add(v)
-                    seen_order.append(v)
+            names += a, b
         if not edge_objs:
             raise ConstructionError("a metric tree needs at least one edge")
+        seen_order = list(dict.fromkeys(names))
         if vertices is None:
             vertex_list = seen_order
         else:
             vertex_list = [str(v) for v in vertices]
             if len(set(vertex_list)) != len(vertex_list):
                 raise ConstructionError("duplicate vertex ids")
-            missing = seen - set(vertex_list)
+            missing = set(seen_order) - set(vertex_list)
             if missing:
                 raise ConstructionError(f"edges reference undeclared vertices: {sorted(missing)}")
 
         object.__setattr__(self, "vertices", tuple(vertex_list))
         object.__setattr__(self, "edges", tuple(edge_objs))
 
-        adj: dict[str, list[tuple[str, int]]] = {v: [] for v in vertex_list}
-        edge_of: dict[tuple[str, str], int] = {}
-        incident: dict[str, int] = {}
-        for idx, e in enumerate(edge_objs):
-            adj[e.a].append((e.b, idx))
-            adj[e.b].append((e.a, idx))
-            if (e.a, e.b) in edge_of or (e.b, e.a) in edge_of:
-                raise ConstructionError(f"parallel edge between '{e.a}' and '{e.b}'")
-            edge_of[(e.a, e.b)] = idx
-            edge_of[(e.b, e.a)] = idx
-            for v in (e.a, e.b):
-                if v not in incident or idx < incident[v]:
-                    incident[v] = idx
-        object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "_edge_of", edge_of)
-        object.__setattr__(self, "_incident", incident)
+        n, m = len(vertex_list), len(edge_objs)
+        declared = dict(zip(vertex_list, range(n)))
+        ids = np.array(list(map(declared.__getitem__, names)), dtype=np.int64)
+        ia, ib = ids[0::2], ids[1::2]
+        lengths = np.array([e.length for e in edge_objs])
+        keys = np.minimum(ia, ib) * n + np.maximum(ia, ib)
+        by_key = np.argsort(keys, kind="stable")
+        repeats = by_key[1:][keys[by_key[1:]] == keys[by_key[:-1]]]
+        if repeats.size:
+            e = edge_objs[int(repeats.min())]
+            raise ConstructionError(f"parallel edge between '{e.a}' and '{e.b}'")
+        if m != n - 1:
+            raise ConstructionError(f"{n} vertices and {m} edges cannot form a tree")
 
-        if len(edge_objs) != len(vertex_list) - 1:
-            raise ConstructionError(
-                f"{len(vertex_list)} vertices and {len(edge_objs)} edges cannot form a tree"
-            )
-        vdist = {root: self._bfs_lengths(root) for root in vertex_list}
-        if any(len(row) != len(vertex_list) for row in vdist.values()):
+        # Adjacency in compressed rows: the neighbours of u are entries
+        # start[u] to start[u + 1] - 1.
+        tail = np.concatenate([ia, ib])
+        by_tail = np.argsort(tail, kind="stable")
+        start = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(tail, minlength=n), out=start[1:])
+        neighbour = np.concatenate([ib, ia])[by_tail].tolist()
+
+        # Iterative depth-first traversal from vertices[0]: the pop order
+        # is a preorder, because a popped vertex's children are pushed on
+        # top of everything still waiting.  up[v] >= 0 marks v as reached.
+        up = [-1] * n
+        up[0] = 0
+        order = []
+        stack = [0]
+        bounds = start.tolist()
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            for v in neighbour[bounds[u]:bounds[u + 1]]:
+                if up[v] < 0:
+                    up[v] = u
+                    stack.append(v)
+        if len(order) != n:
             raise ConstructionError("edge graph is not connected")
-        object.__setattr__(self, "_vdist", vdist)
 
-    def _bfs_lengths(self, root: str) -> dict[str, float]:
-        dist = {root: 0.0}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, idx in self._adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + self.edges[idx].length
-                    queue.append(v)
-        return dist
+        # Relabel by preorder: ancestors get smaller ids than descendants.
+        # Each edge's child is the endpoint reached through it.
+        up = np.array(up)
+        b_is_child = up[ib] == ia
+        order = np.array(order)
+        pre = np.empty(n, dtype=np.int64)
+        pre[order] = np.arange(n)
+        child = pre[np.where(b_is_child, ib, ia)]
+        parent_edge_arr = np.zeros(n, dtype=np.int64)
+        parent_edge_arr[child] = np.arange(m)
+        parent_arr = pre[up[order]]
+        parent_arr[0] = -1
+        parent = parent_arr.tolist()
+        climb = lengths[parent_edge_arr].tolist()
+        r = [0.0] * n
+        for v in range(1, n):
+            r[v] = r[parent[v]] + climb[v]
+        last = list(range(n))
+        for v in range(n - 1, 0, -1):
+            if last[v] > last[parent[v]]:
+                last[parent[v]] = last[v]
+        r_arr = np.array(r)
+
+        ends = np.stack([pre[ia], pre[ib]], axis=1)
+        # A point at offset s on edge e has root distance
+        # base[e] + sign[e] * s, where base[e] is the root distance of e.a.
+        base = r_arr[ends[:, 0]]
+        sign = np.where(b_is_child, 1.0, -1.0)
+        # the canonical vertex form lives on the smallest incident edge
+        home = np.minimum.reduceat(by_tail % m, start[:-1])
+
+        # Sparse table over the parent ids in preorder: row k holds the
+        # minimum of 2**k consecutive entries, padded to full width.
+        levels = max(1, (n - 1).bit_length())
+        table = np.zeros((levels, n), dtype=np.int32)
+        table[0, 1:] = parent_arr[1:]
+        for k in range(1, levels):
+            h = 1 << (k - 1)
+            np.minimum(table[k - 1, :n - h], table[k - 1, h:], out=table[k, :n - h])
+        table.setflags(write=False)
+        log2 = np.zeros(n, dtype=np.int64)
+        for k in range(1, levels):
+            log2[1 << k:] += 1
+
+        setattr_ = object.__setattr__
+        setattr_(self, "_index", dict(zip(vertex_list, pre.tolist())))
+        setattr_(self, "_names", [vertex_list[u] for u in order.tolist()])
+        setattr_(self, "_parent", parent)
+        setattr_(self, "_parent_edge", parent_edge_arr.tolist())
+        setattr_(self, "_last", last)
+        setattr_(self, "_r", r)
+        setattr_(self, "_home", home[order].tolist())
+        setattr_(self, "_child", child.tolist())
+        setattr_(self, "_base", base.tolist())
+        setattr_(self, "_sign", sign.tolist())
+        setattr_(self, "_rows", [memoryview(row) for row in table])
+        setattr_(self, "_r_arr", r_arr)
+        setattr_(self, "_table", table)
+        setattr_(self, "_log2", log2)
+        setattr_(self, "_ends", ends)
+        setattr_(self, "_lengths", lengths)
+
+    # -- rooted structure --------------------------------------------
+
+    def _lca(self, u: int, v: int) -> int:
+        """Lowest common ancestor of two preorder ids, in O(1)."""
+        if u == v:
+            return u
+        if u > v:
+            u, v = v, u
+        u += 1
+        k = (v - u + 1).bit_length() - 1
+        row = self._rows[k]
+        a = row[u]
+        b = row[v - (1 << k) + 1]
+        return a if a < b else b
+
+    def _lca_many(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Elementwise LCA of two broadcastable arrays of preorder ids."""
+        lo = np.minimum(u, v)
+        hi = np.maximum(u, v)
+        span = hi - lo
+        k = self._log2[span]
+        start = np.minimum(lo + 1, hi)
+        m = np.minimum(self._table[k, start], self._table[k, hi - (1 << k) + 1])
+        return np.where(span == 0, lo, m)
+
+    def _anchor(self, loc: TreeLocation) -> tuple[int, float]:
+        """The child vertex of the carrying edge and the point's root distance."""
+        e = loc.edge
+        return self._child[e], self._base[e] + self._sign[e] * loc.offset
+
+    def _locate(self, c: int, rho: float) -> TreeLocation:
+        """The point at root distance ``rho`` on the ancestor chain of ``c``."""
+        r, parent = self._r, self._parent
+        p = parent[c]
+        while p > 0 and r[p] > rho:
+            c, p = p, parent[p]
+        idx = self._parent_edge[c]
+        return self._canonical(idx, (rho - self._base[idx]) * self._sign[idx])
+
+    def _vertex_distances(self, locs) -> np.ndarray:
+        """Distances from each location (rows) to every vertex (columns by preorder id)."""
+        frames = [self._anchor(loc) for loc in locs]
+        c = np.array([f[0] for f in frames])[:, None]
+        rp = np.array([f[1] for f in frames])[:, None]
+        meet = self._r_arr[self._lca_many(c, np.arange(len(self.vertices)))]
+        return rp + self._r_arr - 2.0 * np.minimum(rp, meet)
 
     # -- location helpers --------------------------------------------
 
     def vertex_location(self, name: str) -> TreeLocation:
         """Canonical location of a named vertex."""
         name = str(name)
-        if name not in self._incident:
+        if name not in self._index:
             raise InvalidPointError(f"unknown vertex '{name}'")
-        idx = self._incident[name]
+        idx = self._home[self._index[name]]
         e = self.edges[idx]
         return TreeLocation(idx, 0.0 if e.a == name else e.length)
 
@@ -176,89 +301,60 @@ class MetricTree(SpaceModel):
             )
         return self._canonical(edge, offset)
 
-    def _endpoint_offsets(self, loc: TreeLocation) -> tuple[tuple[str, float], tuple[str, float]]:
-        e = self.edges[loc.edge]
-        return (e.a, loc.offset), (e.b, e.length - loc.offset)
-
     def payload_distance(self, a: TreeLocation, b: TreeLocation) -> float:
         if a.edge == b.edge:
             return abs(a.offset - b.offset)
-        best = math.inf
-        for u, off_u in self._endpoint_offsets(a):
-            du = self._vdist[u]
-            for v, off_v in self._endpoint_offsets(b):
-                cand = off_u + du[v] + off_v
-                if cand < best:
-                    best = cand
-        return best
+        base, sign = self._base, self._sign
+        ea, eb = a.edge, b.edge
+        ra = base[ea] + sign[ea] * a.offset
+        rb = base[eb] + sign[eb] * b.offset
+        meet = self._r[self._lca(self._child[ea], self._child[eb])]
+        if ra < meet:
+            meet = ra
+        if rb < meet:
+            meet = rb
+        return ra + rb - 2.0 * meet
 
     def vertex_distance(self, u: str, v: str) -> float:
-        return self._vdist[str(u)][str(v)]
+        i, j = self._index[str(u)], self._index[str(v)]
+        r = self._r
+        return r[i] + r[j] - 2.0 * r[self._lca(i, j)]
 
     def distance_to_vertex(self, loc: TreeLocation, v: str) -> float:
-        (ua, off_a), (ub, off_b) = self._endpoint_offsets(loc)
-        return min(off_a + self._vdist[ua][v], off_b + self._vdist[ub][v])
+        c, rp = self._anchor(loc)
+        j = self._index[v]
+        r = self._r
+        return rp + r[j] - 2.0 * min(rp, r[self._lca(c, j)])
 
     def vertex_path(self, u: str, v: str) -> list[str]:
         """Unique vertex path from u to v, inclusive."""
-        if u == v:
-            return [u]
-        parent: dict[str, str] = {u: u}
-        queue = deque([u])
-        while queue:
-            w = queue.popleft()
-            if w == v:
-                break
-            for x, _ in self._adj[w]:
-                if x not in parent:
-                    parent[x] = w
-                    queue.append(x)
-        path = [v]
-        while path[-1] != u:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
-
-    def _route_segments(self, a: TreeLocation, b: TreeLocation):
-        """Directed (edge, from_offset, to_offset) segments of the geodesic a -> b."""
-        best = None
-        for u, off_u in self._endpoint_offsets(a):
-            du = self._vdist[u]
-            for v, off_v in self._endpoint_offsets(b):
-                cand = off_u + du[v] + off_v
-                if best is None or cand < best[0]:
-                    best = (cand, u, v, off_u, off_v)
-        _, u, v, off_u, off_v = best
-        segments = []
-        ea, eb = self.edges[a.edge], self.edges[b.edge]
-        if off_u > 0.0:
-            segments.append((a.edge, a.offset, 0.0 if u == ea.a else ea.length))
-        path = self.vertex_path(u, v)
-        for p, q in zip(path, path[1:]):
-            idx = self._edge_of[(p, q)]
-            e = self.edges[idx]
-            segments.append((idx, 0.0, e.length) if e.a == p else (idx, e.length, 0.0))
-        if off_v > 0.0:
-            segments.append((b.edge, eb.length if v == eb.b else 0.0, b.offset))
-        return segments
+        i, j = self._index[str(u)], self._index[str(v)]
+        top = self._lca(i, j)
+        parent = self._parent
+        rising, falling = [i], [j]
+        while rising[-1] != top:
+            rising.append(parent[rising[-1]])
+        while falling[-1] != top:
+            falling.append(parent[falling[-1]])
+        names = self._names
+        return [names[w] for w in rising] + [names[w] for w in reversed(falling[:-1])]
 
     def payload_interpolate(self, a: TreeLocation, b: TreeLocation, t: float):
-        total = self.payload_distance(a, b)
-        target = t * total
         if a.edge == b.edge:
             step = b.offset - a.offset
             sign = 1.0 if step >= 0 else -1.0
-            return self._canonical(a.edge, a.offset + sign * target)
-        remaining = target
-        for edge, start, stop in self._route_segments(a, b):
-            seg_len = abs(stop - start)
-            if seg_len <= 0.0:
-                continue
-            if remaining <= seg_len:
-                sign = 1.0 if stop >= start else -1.0
-                return self._canonical(edge, start + sign * remaining)
-            remaining -= seg_len
-        return b
+            return self._canonical(a.edge, a.offset + sign * (t * abs(step)))
+        # The geodesic climbs from a to the meeting point at root distance
+        # ``meet`` and descends to b; walk up from whichever end the
+        # target's side belongs to.
+        ca, ra = self._anchor(a)
+        cb, rb = self._anchor(b)
+        meet = min(ra, rb, self._r[self._lca(ca, cb)])
+        total = ra + rb - 2.0 * meet
+        target = t * total
+        if target <= ra - meet:
+            return self._locate(ca, ra - target)
+        return self._locate(cb, rb - (total - target))
 
     def sample_payload(self, rng: np.random.Generator):
         idx = int(rng.integers(0, len(self.edges)))

@@ -1,6 +1,7 @@
 """Distances, geodesics, the metric pairing, and the curvature defect."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -280,3 +281,24 @@ class TestToleranceConfig:
     def test_hyperboloid_needs_positive_dim(self):
         with pytest.raises(ConstructionError):
             Hyperboloid(0)
+
+
+class TestPointHash:
+    def test_equal_points_hash_equal(self, all_models, rng):
+        for space in all_models.values():
+            for _ in range(20):
+                p = space.sample(rng)
+                twin = space.point(p.payload)
+                assert twin == p
+                assert hash(twin) == hash(p)
+
+    def test_signed_zero_and_canonical_forms_hash_equal(self, e2, tripod):
+        assert hash(e2.point([0.0, -0.0])) == hash(e2.point([0.0, 0.0]))
+        assert hash(tripod.edge_point(1, 0.0)) == hash(tripod.vertex_point("o"))
+
+    def test_distinct_points_fill_a_set_quickly(self, all_models, rng):
+        for space in all_models.values():
+            points = [space.sample(rng) for _ in range(3000)]
+            start = time.perf_counter()
+            assert len(set(points)) == 3000
+            assert time.perf_counter() - start < 0.5
