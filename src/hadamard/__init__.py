@@ -30,7 +30,6 @@ from .geometry import (
     cat0_defect,
     comparison_triangle,
     distance,
-    geodesic,
     geodesic_point,
     minkowski,
     quasilinearization,
@@ -55,7 +54,6 @@ from .convex_sets import (
     HyperbolicHalfspace,
     ProductSet,
     Subtree,
-    project,
     projection_defect,
 )
 from .operators import (
@@ -68,7 +66,6 @@ from .operators import (
     Pointwise,
     Projection,
     alpha_firm_defect,
-    apply,
     certify_alpha_firm,
     combination_alpha,
     composition_alpha,
@@ -103,7 +100,6 @@ from .certifier import (
     reevaluate_witness,
     run_check,
     run_suite,
-    sample_point,
     space_suite,
 )
 from .scenario import Scenario, parse_scenario, point_spec, serialize_scenario

@@ -86,7 +86,6 @@ class WeightedPoints:
 class BarycenterConfig:
     sweep_limit: int = 200
     step_tol: float = 1e-10
-    objective_tol: float = 1e-12
 
     def __post_init__(self):
         if self.sweep_limit < 1:

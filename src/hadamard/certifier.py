@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -33,9 +34,9 @@ from .operators import (
     Composition,
     ConvexCombination,
     Projection,
-    discrepancy,
-    fold_composition_alpha,
+    alpha_firm_defect,
     combination_alpha,
+    fold_composition_alpha,
     quasi_firm_defect,
 )
 
@@ -54,7 +55,6 @@ __all__ = [
     "CheckSpec",
     "CheckResult",
     "CertificateReport",
-    "sample_point",
     "run_check",
     "run_suite",
     "reevaluate_witness",
@@ -90,17 +90,6 @@ CHECK_KINDS = (
 # looser tolerance; everything else uses the model's own.
 _BARYCENTER_BOUND_KINDS = {COMBINATION_THEOREM, VARIANCE_INEQ}
 _BARYCENTER_TOL = 1e-6
-
-
-def sample_point(space: SpaceModel, rng: np.random.Generator) -> Point:
-    """Seeded sample satisfying the space's point invariants.
-
-    Euclidean models draw standard normal coordinates, the hyperboloid
-    maps a normal tangent vector at the apex through the exponential
-    map, trees pick a uniform edge then a uniform offset, and products
-    sample factor-wise.
-    """
-    return space.sample(rng)
 
 
 @dataclass(frozen=True)
@@ -206,105 +195,118 @@ def _combination_subjects(spec: CheckSpec):
     return combo, combination_alpha(alphas)
 
 
-def _fejer_defect(spec: CheckSpec, x0: Point) -> float:
-    sets = _payload(spec, "sets")
-    witness = _payload(spec, "witness")
-    rule = spec.payload.get("rule", StopRule(max_iter=200))
-    algorithm = spec.payload.get("algorithm", "cyclic")
-    if algorithm == "cyclic":
-        trace = cyclic_projections(sets, x0, rule, witness=witness)
-    elif algorithm == "averaged":
-        trace = averaged_projections(sets, x0, rule, witness=witness)
-    else:
-        raise CheckSpecError(f"unknown fejer algorithm '{algorithm}'")
-    worst = min(trace.fejer_gaps) if trace.fejer_gaps else 0.0
-    attach_shadows(trace, approximate_shadows(trace, sets), approximate=True)
-    return min(worst, shadow_cauchy_worst_defect(trace))
+def _defect(spec: CheckSpec):
+    """The check's defect as a function of one witness tuple.
 
-
-def _evaluate(spec: CheckSpec, rng: np.random.Generator):
-    """Yield (defect, witness_inputs) pairs, one per sample."""
-    space = spec.space
+    Nonnegative (up to the check's tolerance) wherever the sampled
+    inequality holds; ``_draws`` yields the tuples it is evaluated at.
+    """
     kind = spec.kind
     if kind == CAT0:
-        for _ in range(spec.samples):
+        return cat0_defect
+    if kind == CAUCHY_SCHWARZ:
+        return lambda x, z, y, w: (
+            distance(x, z) * distance(y, w) - abs(quasilinearization(x, z, y, w)))
+    if kind == PROJECTION_FIRM:
+        return partial(alpha_firm_defect, Projection(_payload(spec, "set")), 0.5)
+    if kind == PROJECTION_INEQ:
+        return partial(projection_defect, _payload(spec, "set"))
+    if kind == QUASI_FIRM:
+        return partial(quasi_firm_defect, _payload(spec, "op"), _payload(spec, "alpha"))
+    if kind == COMPOSITION_THEOREM:
+        return partial(quasi_firm_defect, *_op_and_alphas(spec))
+    if kind == COMBINATION_THEOREM:
+        return partial(quasi_firm_defect, *_combination_subjects(spec))
+    if kind == FIX_CONVEXITY:
+        c = _payload(spec, "set")
+
+        def fix_defect(y1, y2):
+            mid = geodesic_point(y1, y2, 0.5)
+            return -distance(c.project(mid), mid)
+        return fix_defect
+    if kind == VARIANCE_INEQ:
+        # One mean per drawn instance: its challengers share the points tuple.
+        solved = [None, None, None, None]
+
+        def variance(pts, weights, y):
+            if solved[0] is not pts or solved[1] is not weights:
+                wp = WeightedPoints(pts, weights)
+                solved[:] = pts, weights, wp, frechet_mean(wp)
+            return variance_defect(solved[2], solved[3], y)
+        return variance
+    if kind == FEJER_RUN:
+        sets = _payload(spec, "sets")
+        witness = _payload(spec, "witness")
+        rule = spec.payload.get("rule", StopRule(max_iter=200))
+        algorithm = spec.payload.get("algorithm", "cyclic")
+        runs = {"cyclic": cyclic_projections, "averaged": averaged_projections}
+        if algorithm not in runs:
+            raise CheckSpecError(f"unknown fejer algorithm '{algorithm}'")
+
+        def fejer(x0):
+            trace = runs[algorithm](sets, x0, rule, witness=witness)
+            worst = min(trace.fejer_gaps) if trace.fejer_gaps else 0.0
+            attach_shadows(trace, approximate_shadows(trace, sets), approximate=True)
+            return min(worst, shadow_cauchy_worst_defect(trace))
+        return fejer
+    raise CheckSpecError(f"unknown check kind '{kind}'")  # pragma: no cover
+
+
+def _draws(spec: CheckSpec, rng: np.random.Generator):
+    """Yield the check's witness tuples, consuming ``rng`` in a fixed order."""
+    space = spec.space
+    kind = spec.kind
+    samples = range(spec.samples)
+    if kind == CAT0:
+        for _ in samples:
             x, y, z = (space.sample(rng) for _ in range(3))
-            t = float(rng.uniform())
-            yield cat0_defect(x, y, z, t), (x, y, z, t)
+            yield x, y, z, float(rng.uniform())
     elif kind == CAUCHY_SCHWARZ:
-        for _ in range(spec.samples):
-            x, z, y, w = (space.sample(rng) for _ in range(4))
-            defect = distance(x, z) * distance(y, w) - abs(quasilinearization(x, z, y, w))
-            yield defect, (x, z, y, w)
+        for _ in samples:
+            yield tuple(space.sample(rng) for _ in range(4))
     elif kind == PROJECTION_FIRM:
-        op = Projection(_payload(spec, "set"))
-        for _ in range(spec.samples):
-            x, y = space.sample(rng), space.sample(rng)
-            defect = discrepancy(op, x, y) - distance(op.apply(x), op.apply(y)) ** 2
-            yield defect, (x, y)
+        for _ in samples:
+            yield space.sample(rng), space.sample(rng)
     elif kind == PROJECTION_INEQ:
         c = _payload(spec, "set")
-        for _ in range(spec.samples):
-            x = space.sample(rng)
-            y = c.project(space.sample(rng))
-            yield projection_defect(c, x, y), (x, y)
-    elif kind == QUASI_FIRM:
-        op = _payload(spec, "op")
-        alpha = _payload(spec, "alpha")
-        fixed = _payload(spec, "fixed_points")
-        for _ in range(spec.samples):
+        for _ in samples:
+            yield space.sample(rng), c.project(space.sample(rng))
+    elif kind in (QUASI_FIRM, COMPOSITION_THEOREM, COMBINATION_THEOREM):
+        fixed = (_payload(spec, "fixed_points") if kind == QUASI_FIRM
+                 else [_payload(spec, "witness")])
+        for _ in samples:
             x = space.sample(rng)
             for y in fixed:
-                yield quasi_firm_defect(op, alpha, x, y), (x, y)
-    elif kind == COMPOSITION_THEOREM:
-        composed, alpha = _op_and_alphas(spec)
-        witness = _payload(spec, "witness")
-        for _ in range(spec.samples):
-            x = space.sample(rng)
-            yield quasi_firm_defect(composed, alpha, x, witness), (x, witness)
-    elif kind == COMBINATION_THEOREM:
-        combo, alpha = _combination_subjects(spec)
-        witness = _payload(spec, "witness")
-        for _ in range(spec.samples):
-            x = space.sample(rng)
-            yield quasi_firm_defect(combo, alpha, x, witness), (x, witness)
+                yield x, y
     elif kind == FIX_CONVEXITY:
         c = _payload(spec, "set")
-        op = Projection(c)
-        for _ in range(spec.samples):
-            y1 = c.project(space.sample(rng))
-            y2 = c.project(space.sample(rng))
-            mid = geodesic_point(y1, y2, 0.5)
-            yield -distance(op.apply(mid), mid), (y1, y2)
+        for _ in samples:
+            yield c.project(space.sample(rng)), c.project(space.sample(rng))
     elif kind == VARIANCE_INEQ:
         size = spec.payload.get("instance_size", 4)
         challengers = spec.payload.get("challengers", 50)
-        for _ in range(spec.samples):
-            pts = [space.sample(rng) for _ in range(size)]
+        for _ in samples:
+            pts = tuple(space.sample(rng) for _ in range(size))
             raw = rng.uniform(0.05, 1.0, size)
             weights = tuple(float(v) for v in raw / raw.sum())
-            wp = WeightedPoints(pts, weights)
-            mean = frechet_mean(wp)
             for _ in range(challengers):
-                y = space.sample(rng)
-                yield variance_defect(wp, mean, y), (tuple(pts), weights, y)
+                yield pts, weights, space.sample(rng)
     elif kind == FEJER_RUN:
         fixed_x0 = spec.payload.get("x0")
-        for _ in range(spec.samples):
-            x0 = fixed_x0 if fixed_x0 is not None else space.sample(rng)
-            yield _fejer_defect(spec, x0), (x0,)
-    else:  # pragma: no cover - guarded by CheckSpec validation
-        raise CheckSpecError(f"unknown check kind '{kind}'")
+        for _ in samples:
+            yield (fixed_x0 if fixed_x0 is not None else space.sample(rng),)
 
 
 def run_check(spec: CheckSpec) -> CheckResult:
     """Evaluate one check; the result records the worst sampled defect."""
+    defect = _defect(spec)
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     worst = math.inf
     worst_witness: tuple = ()
-    for defect, witness in _evaluate(spec, rng):
-        if defect < worst:
-            worst = defect
+    for witness in _draws(spec, rng):
+        value = defect(*witness)
+        if value < worst:
+            worst = value
             worst_witness = witness
     return CheckResult(
         kind=spec.kind,
@@ -324,44 +326,7 @@ def reevaluate_witness(spec: CheckSpec, witness: tuple) -> float:
     Reproduces the recorded worst defect exactly, since every check's
     defect is a deterministic function of its inputs.
     """
-    kind = spec.kind
-    if kind == CAT0:
-        x, y, z, t = witness
-        return cat0_defect(x, y, z, t)
-    if kind == CAUCHY_SCHWARZ:
-        x, z, y, w = witness
-        return distance(x, z) * distance(y, w) - abs(quasilinearization(x, z, y, w))
-    if kind == PROJECTION_FIRM:
-        op = Projection(_payload(spec, "set"))
-        x, y = witness
-        return discrepancy(op, x, y) - distance(op.apply(x), op.apply(y)) ** 2
-    if kind == PROJECTION_INEQ:
-        x, y = witness
-        return projection_defect(_payload(spec, "set"), x, y)
-    if kind == QUASI_FIRM:
-        x, y = witness
-        return quasi_firm_defect(_payload(spec, "op"), _payload(spec, "alpha"), x, y)
-    if kind == COMPOSITION_THEOREM:
-        composed, alpha = _op_and_alphas(spec)
-        x, y = witness
-        return quasi_firm_defect(composed, alpha, x, y)
-    if kind == COMBINATION_THEOREM:
-        combo, alpha = _combination_subjects(spec)
-        x, y = witness
-        return quasi_firm_defect(combo, alpha, x, y)
-    if kind == FIX_CONVEXITY:
-        c = _payload(spec, "set")
-        y1, y2 = witness
-        mid = geodesic_point(y1, y2, 0.5)
-        return -distance(c.project(mid), mid)
-    if kind == VARIANCE_INEQ:
-        pts, weights, y = witness
-        wp = WeightedPoints(pts, weights)
-        return variance_defect(wp, frechet_mean(wp), y)
-    if kind == FEJER_RUN:
-        (x0,) = witness
-        return _fejer_defect(spec, x0)
-    raise CheckSpecError(f"unknown check kind '{kind}'")
+    return _defect(spec)(*witness)
 
 
 def run_suite(specs, suite_seed: int | None = None) -> CertificateReport:

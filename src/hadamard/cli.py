@@ -43,6 +43,9 @@ EXIT_IO = 5
 # the inner solves grow quadratically in the trace length.
 _SHADOW_LIMIT = 400
 
+# The scenario algorithm each subcommand accepts; ``run`` takes any.
+_COMMAND_ALGORITHM = {"run": None, "certify": "certify", "mean": "barycenter"}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -69,7 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_scenario(path: str):
+def _load_scenario(path: str, algorithm: str | None):
+    """Read and parse a scenario, requiring ``algorithm`` unless it is None."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -77,10 +81,15 @@ def _load_scenario(path: str):
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return None, EXIT_IO
     try:
-        return parse_scenario(text), EXIT_OK
+        scenario = parse_scenario(text)
     except ScenarioError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return None, EXIT_PARSE
+    if algorithm is not None and scenario.algorithm != algorithm:
+        print(f"error: scenario algorithm is '{scenario.algorithm}', expected '{algorithm}'",
+              file=sys.stderr)
+        return None, EXIT_PARSE
+    return scenario, EXIT_OK
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -119,13 +128,6 @@ def run_scenario(scenario: Scenario, step_tol: float | None = None) -> int:
     if scenario.algorithm == "barycenter":
         return _run_mean(scenario, step_tol)
     return _run_trace(scenario)
-
-
-def _cmd_run(args) -> int:
-    scenario, status = _load_scenario(args.scenario)
-    if scenario is None:
-        return status
-    return run_scenario(_apply_overrides(scenario, args), step_tol=args.tol)
 
 
 def _run_trace(scenario: Scenario) -> int:
@@ -192,17 +194,6 @@ def _run_certify(scenario: Scenario) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_certify(args) -> int:
-    scenario, status = _load_scenario(args.scenario)
-    if scenario is None:
-        return status
-    if scenario.algorithm != "certify":
-        print(f"error: scenario algorithm is '{scenario.algorithm}', expected 'certify'",
-              file=sys.stderr)
-        return EXIT_PARSE
-    return _run_certify(_apply_overrides(scenario, args))
-
-
 def _run_mean(scenario: Scenario, step_tol: float | None = None) -> int:
     weights = scenario.weights
     if weights is None:
@@ -235,27 +226,15 @@ def _run_mean(scenario: Scenario, step_tol: float | None = None) -> int:
     return EXIT_OK
 
 
-def _cmd_mean(args) -> int:
-    scenario, status = _load_scenario(args.scenario)
-    if scenario is None:
-        return status
-    if scenario.algorithm != "barycenter":
-        print(f"error: scenario algorithm is '{scenario.algorithm}', expected 'barycenter'",
-              file=sys.stderr)
-        return EXIT_PARSE
-    return _run_mean(_apply_overrides(scenario, args), step_tol=args.tol)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "version":
         print(f"hadamard {__version__}")
         return EXIT_OK
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "certify":
-        return _cmd_certify(args)
-    return _cmd_mean(args)
+    scenario, status = _load_scenario(args.scenario, _COMMAND_ALGORITHM[args.command])
+    if scenario is None:
+        return status
+    return run_scenario(_apply_overrides(scenario, args), step_tol=args.tol)
 
 
 if __name__ == "__main__":

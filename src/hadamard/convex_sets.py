@@ -34,7 +34,6 @@ __all__ = [
     "GeodesicBall",
     "Subtree",
     "ProductSet",
-    "project",
     "projection_defect",
 ]
 
@@ -86,17 +85,21 @@ class EuclideanHalfspace(ConvexSet):
     """{x : <normal, x> <= offset} in a Euclidean model."""
 
     __slots__ = ("normal", "offset", "_norm_sq")
+    # Members have gap <normal, x> - offset in [_lowest_gap, 0].
+    kind = "halfspace"
+    _relation = "<="
+    _lowest_gap = -math.inf
 
-    def __init__(self, space: Euclidean, normal, offset: float, name: str = "halfspace"):
+    def __init__(self, space: Euclidean, normal, offset: float, name: str | None = None):
         if not isinstance(space, Euclidean):
-            raise ConstructionError("EuclideanHalfspace requires a Euclidean space")
-        super().__init__(space, name)
+            raise ConstructionError(f"{type(self).__name__} requires a Euclidean space")
+        super().__init__(space, self.kind if name is None else name)
         arr = np.array(normal, dtype=float)
         if arr.shape != (space.dim,):
             raise ConstructionError(f"normal must have {space.dim} coordinates")
         norm_sq = float(arr @ arr)
         if norm_sq <= 0 or not math.isfinite(norm_sq):
-            raise ConstructionError("halfspace normal must be nonzero and finite")
+            raise ConstructionError(f"{self.kind} normal must be nonzero and finite")
         arr.setflags(write=False)
         object.__setattr__(self, "normal", arr)
         object.__setattr__(self, "offset", float(offset))
@@ -105,7 +108,7 @@ class EuclideanHalfspace(ConvexSet):
     def project(self, x: Point) -> Point:
         self._check_point(x)
         gap = float(self.normal @ x.payload) - self.offset
-        if gap <= 0.0:
+        if self._lowest_gap <= gap <= 0.0:
             return x
         return Point(self.space, self.space.validate_payload(
             x.payload - (gap / self._norm_sq) * self.normal))
@@ -114,56 +117,24 @@ class EuclideanHalfspace(ConvexSet):
         self._check_point(x)
         tol = self.space.tolerances.eq_tol if tol is None else tol
         gap = float(self.normal @ x.payload) - self.offset
-        return gap <= tol * math.sqrt(self._norm_sq)
+        bound = tol * math.sqrt(self._norm_sq)
+        return self._lowest_gap - bound <= gap <= bound
 
     def _eq_key(self):
         return (tuple(self.normal), self.offset)
 
     def describe(self) -> str:
         coeffs = ", ".join(f"{v:g}" for v in self.normal)
-        return f"halfspace <({coeffs}), x> <= {self.offset:g}"
+        return f"{self.kind} <({coeffs}), x> {self._relation} {self.offset:g}"
 
 
-class EuclideanHyperplane(ConvexSet):
+class EuclideanHyperplane(EuclideanHalfspace):
     """{x : <normal, x> = offset}: an affine hyperplane (a line in the plane)."""
 
-    __slots__ = ("normal", "offset", "_norm_sq")
-
-    def __init__(self, space: Euclidean, normal, offset: float, name: str = "hyperplane"):
-        if not isinstance(space, Euclidean):
-            raise ConstructionError("EuclideanHyperplane requires a Euclidean space")
-        super().__init__(space, name)
-        arr = np.array(normal, dtype=float)
-        if arr.shape != (space.dim,):
-            raise ConstructionError(f"normal must have {space.dim} coordinates")
-        norm_sq = float(arr @ arr)
-        if norm_sq <= 0 or not math.isfinite(norm_sq):
-            raise ConstructionError("hyperplane normal must be nonzero and finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "normal", arr)
-        object.__setattr__(self, "offset", float(offset))
-        object.__setattr__(self, "_norm_sq", norm_sq)
-
-    def project(self, x: Point) -> Point:
-        self._check_point(x)
-        gap = float(self.normal @ x.payload) - self.offset
-        if gap == 0.0:
-            return x
-        return Point(self.space, self.space.validate_payload(
-            x.payload - (gap / self._norm_sq) * self.normal))
-
-    def contains(self, x: Point, tol: float | None = None) -> bool:
-        self._check_point(x)
-        tol = self.space.tolerances.eq_tol if tol is None else tol
-        gap = abs(float(self.normal @ x.payload) - self.offset)
-        return gap <= tol * math.sqrt(self._norm_sq)
-
-    def _eq_key(self):
-        return (tuple(self.normal), self.offset)
-
-    def describe(self) -> str:
-        coeffs = ", ".join(f"{v:g}" for v in self.normal)
-        return f"hyperplane <({coeffs}), x> = {self.offset:g}"
+    __slots__ = ()
+    kind = "hyperplane"
+    _relation = "="
+    _lowest_gap = 0.0
 
 
 class HyperbolicHalfspace(ConvexSet):
@@ -352,11 +323,6 @@ class ProductSet(ConvexSet):
 
     def describe(self) -> str:
         return f"product({self.left.describe()}, {self.right.describe()})"
-
-
-def project(c: ConvexSet, x: Point) -> Point:
-    """Nearest point of the closed convex set ``c`` to ``x``."""
-    return c.project(x)
 
 
 def projection_defect(c: ConvexSet, x: Point, y: Point) -> float:

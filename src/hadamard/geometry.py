@@ -42,7 +42,6 @@ __all__ = [
     "minkowski",
     "distance",
     "geodesic_point",
-    "geodesic",
     "quasilinearization",
     "cat0_defect",
     "comparison_triangle",
@@ -60,21 +59,17 @@ class ToleranceConfig:
 
     ``eq_tol`` guards equality and inequality checks in flat and tree
     models, ``on_manifold`` bounds how far a hyperboloid payload may drift
-    off the sheet, ``hyperbolic_tol`` loosens inequality checks where
-    arcosh conditioning near 1 dominates, and ``max_barycenter_sweeps``
-    caps iterative mean solvers.
+    off the sheet, and ``hyperbolic_tol`` loosens inequality checks where
+    arcosh conditioning near 1 dominates.
     """
 
     eq_tol: float = 1e-9
     on_manifold: float = 1e-10
     hyperbolic_tol: float = 1e-7
-    max_barycenter_sweeps: int = 200
 
     def __post_init__(self):
         if self.eq_tol <= 0 or self.on_manifold <= 0 or self.hyperbolic_tol <= 0:
             raise ConstructionError("tolerances must be positive")
-        if self.max_barycenter_sweeps < 1:
-            raise ConstructionError("max_barycenter_sweeps must be >= 1")
 
 
 def _readonly(values) -> np.ndarray:
@@ -318,9 +313,18 @@ class Hyperboloid(SpaceModel):
         if r < 1e-300:
             out[0] = 1.0
             return Point(self, _readonly(out))
-        out[0] = math.cosh(r)
-        out[1:] = (math.sinh(r) / r) * v
-        return Point(self, self._renormalize(out))
+        # Far from the apex cosh and sinh overflow, or their squares cancel
+        # so that the sheet constraint has nothing left to normalize.
+        try:
+            out[0] = math.cosh(r)
+            out[1:] = (math.sinh(r) / r) * v
+            norm_sq = -minkowski(out, out)
+        except OverflowError:
+            norm_sq = math.nan
+        if not norm_sq > 0.0:
+            raise InvalidPointError(
+                f"exponential map at radius {r:g} is not representable in floating point")
+        return Point(self, _readonly(out / math.sqrt(norm_sq)))
 
     def sample_payload(self, rng):
         return self.exp_from_base(rng.standard_normal(self.dim)).payload
@@ -473,10 +477,6 @@ class GeodesicSegment:
 
     def __repr__(self):
         return f"GeodesicSegment({self.start!r} -> {self.end!r}, length={self.length:g})"
-
-
-def geodesic(p: Point, q: Point) -> GeodesicSegment:
-    return GeodesicSegment(p, q)
 
 
 def quasilinearization(x: Point, z: Point, y: Point, w: Point) -> float:

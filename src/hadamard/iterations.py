@@ -162,10 +162,11 @@ def _check_witness_fixed(op: Operator, witness: Point) -> None:
 def fixed_point_iterate(
     op: Operator, x0: Point, rule: StopRule, witness: Point | None = None
 ) -> IterationTrace:
-    """Iterate x_n = T x_{n-1} until the step stalls or the cap is hit.
+    """Iterate x_n = T x_{n-1} until the step is small or the cap is hit.
 
-    The run is declared converged when d(x_n, x_{n+1}) <= stall_tol.
-    Residuals record d(x_n, T x_n).
+    The step d(x_{n-1}, x_n) is x_{n-1}'s residual d(x, Tx), so the run
+    is declared converged at the first step of at most
+    max(residual_tol, stall_tol).  Residuals record d(x_n, T x_n).
     """
     if witness is not None:
         check_same_space(x0, witness)
@@ -173,12 +174,13 @@ def fixed_point_iterate(
     points = [x0]
     steps: list[float] = []
     stop_reason = MAX_ITER
+    target = max(rule.residual_tol, rule.stall_tol)
     for _ in range(rule.max_iter):
         nxt = op.apply(points[-1])
         step = distance(points[-1], nxt)
         points.append(nxt)
         steps.append(step)
-        if step <= rule.stall_tol:
+        if step <= target:
             stop_reason = CONVERGED
             break
     residuals = steps + [distance(points[-1], op.apply(points[-1]))]

@@ -34,7 +34,6 @@ __all__ = [
     "ConvexCombination",
     "Pointwise",
     "AlphaCertificate",
-    "apply",
     "discrepancy",
     "alpha_firm_defect",
     "quasi_firm_defect",
@@ -217,10 +216,6 @@ class Pointwise(Operator):
     @property
     def name(self) -> str:
         return self._name
-
-
-def apply(op: Operator, x: Point) -> Point:
-    return op.apply(x)
 
 
 def discrepancy(op: Operator, x: Point, y: Point) -> float:

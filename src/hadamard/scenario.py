@@ -23,7 +23,8 @@ Vectors are comma-separated reals; tree points read ``vertex,NAME`` or
 ``edge,INDEX,OFFSET``; hyperboloid points are ambient coordinates or
 ``exp:`` plus tangent coordinates at the apex; product points join the
 factor specs with ``;``.  Unknown sections or keys are hard errors, as
-are unresolved set references and weight lists that do not sum to 1.
+are repeated keys, unresolved set references and weight lists that do
+not sum to 1.
 """
 
 from __future__ import annotations
@@ -82,11 +83,8 @@ class _Section:
         self.line_no = line_no
         self.items: list[tuple[str, str, int]] = []
 
-    def keys(self):
-        return [k for k, _, _ in self.items]
-
-    def get(self, key: str, line_hint=True):
-        hits = [(v, ln) for k, v, ln in self.items if k == key]
+    def get(self, key: str):
+        hits = self.get_all(key)
         if not hits:
             return None
         if len(hits) > 1:
@@ -101,6 +99,25 @@ class _Section:
         if hit is None:
             raise ScenarioError("missing mandatory key", line_no=self.line_no, key=key)
         return hit
+
+    def only(self, allowed) -> None:
+        for k, _, ln in self.items:
+            if k not in allowed:
+                raise ScenarioError("unknown key", line_no=ln, key=k)
+
+    def factors(self, what: str, kind_ln: int) -> tuple[_Section, _Section]:
+        """Split a product's ``left.``/``right.`` keys into two sub-sections."""
+        left, right = _Section(self.header, self.line_no), _Section(self.header, self.line_no)
+        for key, value, ln in self.items:
+            if key.startswith("left."):
+                left.items.append((key[5:], value, ln))
+            elif key.startswith("right."):
+                right.items.append((key[6:], value, ln))
+            elif key != "kind":
+                raise ScenarioError("unknown key", line_no=ln, key=key)
+        if not left.items or not right.items:
+            raise ScenarioError(f"{what} needs left.* and right.* keys", line_no=kind_ln)
+        return left, right
 
 
 def _split_document(text: str) -> list[_Section]:
@@ -150,62 +167,33 @@ def _float(value: str, line_no: int, key: str) -> float:
 # ---------------------------------------------------------------------
 
 
-def _partition_prefixed(items, line_no, allowed_plain):
-    """Split section items into plain keys and left./right. sub-items."""
-    plain, left, right = [], [], []
-    for key, value, ln in items:
-        if key.startswith("left."):
-            left.append((key[5:], value, ln))
-        elif key.startswith("right."):
-            right.append((key[6:], value, ln))
-        elif key in allowed_plain:
-            plain.append((key, value, ln))
-        else:
-            raise ScenarioError("unknown key", line_no=ln, key=key)
-    return plain, left, right
-
-
-def _build_space(items, line_no) -> SpaceModel:
-    kinds = [(v, ln) for k, v, ln in items if k == "kind"]
-    if not kinds:
-        raise ScenarioError("missing mandatory key", line_no=line_no, key="kind")
-    kind, kind_ln = kinds[0]
+def _build_space(sec: _Section) -> SpaceModel:
+    kind, kind_ln = sec.require("kind")
     if kind == "euclidean" or kind == "hyperboloid":
-        allowed = {"kind", "dim"}
-        for k, v, ln in items:
-            if k not in allowed:
-                raise ScenarioError("unknown key", line_no=ln, key=k)
-        dims = [(v, ln) for k, v, ln in items if k == "dim"]
-        if not dims:
-            raise ScenarioError("missing mandatory key", line_no=line_no, key="dim")
-        dim = _int(dims[0][0], dims[0][1], "dim")
+        sec.only({"kind", "dim"})
+        dim_v, dim_ln = sec.require("dim")
+        dim = _int(dim_v, dim_ln, "dim")
         try:
             return Euclidean(dim) if kind == "euclidean" else Hyperboloid(dim)
         except ConstructionError as exc:
-            raise ScenarioError(str(exc), line_no=dims[0][1], key="dim")
+            raise ScenarioError(str(exc), line_no=dim_ln, key="dim")
     if kind == "tree":
+        sec.only({"kind", "edge"})
         edges = []
-        for k, v, ln in items:
-            if k == "kind":
-                continue
-            if k != "edge":
-                raise ScenarioError("unknown key", line_no=ln, key=k)
+        for v, ln in sec.get_all("edge"):
             parts = [p.strip() for p in v.split(",")]
             if len(parts) != 3:
-                raise ScenarioError(f"expected 'A,B,length', got {v!r}", line_no=ln, key=k)
-            edges.append((parts[0], parts[1], _float(parts[2], ln, k)))
+                raise ScenarioError(f"expected 'A,B,length', got {v!r}", line_no=ln, key="edge")
+            edges.append((parts[0], parts[1], _float(parts[2], ln, "edge")))
         if not edges:
-            raise ScenarioError("tree needs at least one 'edge' line", line_no=line_no)
+            raise ScenarioError("tree needs at least one 'edge' line", line_no=sec.line_no)
         try:
             return MetricTree(edges)
         except ConstructionError as exc:
-            raise ScenarioError(str(exc), line_no=line_no)
+            raise ScenarioError(str(exc), line_no=sec.line_no)
     if kind == "product":
-        plain, left, right = _partition_prefixed(items, line_no, {"kind"})
-        if not left or not right:
-            raise ScenarioError("product space needs left.* and right.* keys",
-                                line_no=kind_ln)
-        return ProductSpace(_build_space(left, line_no), _build_space(right, line_no))
+        left, right = sec.factors("product space", kind_ln)
+        return ProductSpace(_build_space(left), _build_space(right))
     raise ScenarioError(f"unknown space kind {kind!r}", line_no=kind_ln, key="kind")
 
 
@@ -286,57 +274,39 @@ def point_spec(point: Point) -> str:
 # ---------------------------------------------------------------------
 
 
-def _build_set(space: SpaceModel, name: str, items, line_no) -> ConvexSet:
-    kinds = [(v, ln) for k, v, ln in items if k == "kind"]
-    if not kinds:
-        raise ScenarioError("missing mandatory key", line_no=line_no, key="kind")
-    kind, kind_ln = kinds[0]
-
-    def only(allowed):
-        for k, v, ln in items:
-            if k not in allowed:
-                raise ScenarioError("unknown key", line_no=ln, key=k)
-
-    def require(key):
-        hits = [(v, ln) for k, v, ln in items if k == key]
-        if not hits:
-            raise ScenarioError("missing mandatory key", line_no=line_no, key=key)
-        return hits[0]
-
+def _build_set(space: SpaceModel, name: str, sec: _Section) -> ConvexSet:
+    kind, kind_ln = sec.require("kind")
     try:
         if kind == "halfspace" or kind == "hyperplane":
-            only({"kind", "normal", "offset"})
-            normal_v, normal_ln = require("normal")
-            offset_v, offset_ln = require("offset")
+            sec.only({"kind", "normal", "offset"})
+            normal_v, normal_ln = sec.require("normal")
+            offset_v, offset_ln = sec.require("offset")
             cls = EuclideanHalfspace if kind == "halfspace" else EuclideanHyperplane
             return cls(space, _floats(normal_v, normal_ln, "normal"),
                        _float(offset_v, offset_ln, "offset"), name=name)
         if kind == "hyperbolic-halfspace":
-            only({"kind", "normal"})
-            normal_v, normal_ln = require("normal")
+            sec.only({"kind", "normal"})
+            normal_v, normal_ln = sec.require("normal")
             return HyperbolicHalfspace(space, _floats(normal_v, normal_ln, "normal"),
                                        name=name)
         if kind == "ball":
-            only({"kind", "center", "radius"})
-            center_v, center_ln = require("center")
-            radius_v, radius_ln = require("radius")
+            sec.only({"kind", "center", "radius"})
+            center_v, center_ln = sec.require("center")
+            radius_v, radius_ln = sec.require("radius")
             return GeodesicBall(parse_point_spec(space, center_v, center_ln, "center"),
                                 _float(radius_v, radius_ln, "radius"), name=name)
         if kind == "subtree":
-            only({"kind", "vertices"})
-            verts_v, verts_ln = require("vertices")
+            sec.only({"kind", "vertices"})
+            verts_v, _ = sec.require("vertices")
             return Subtree(space, [v.strip() for v in verts_v.split(",")], name=name)
         if kind == "product":
             if not isinstance(space, ProductSpace):
                 raise ScenarioError("product set needs a product space",
                                     line_no=kind_ln, key="kind")
-            plain, left, right = _partition_prefixed(items, line_no, {"kind"})
-            if not left or not right:
-                raise ScenarioError("product set needs left.* and right.* keys",
-                                    line_no=kind_ln)
+            left, right = sec.factors("product set", kind_ln)
             return ProductSet(space,
-                              _build_set(space.left, f"{name}.left", left, line_no),
-                              _build_set(space.right, f"{name}.right", right, line_no),
+                              _build_set(space.left, f"{name}.left", left),
+                              _build_set(space.right, f"{name}.right", right),
                               name=name)
     except ConstructionError as exc:
         raise ScenarioError(str(exc), line_no=kind_ln)
@@ -384,7 +354,7 @@ def parse_scenario(text: str) -> Scenario:
     if len(run_sections) != 1:
         raise ScenarioError(f"need exactly one [run] section, found {len(run_sections)}")
 
-    space = _build_space(space_sections[0].items, space_sections[0].line_no)
+    space = _build_space(space_sections[0])
 
     sets: dict[str, ConvexSet] = {}
     for sec in set_sections:
@@ -393,7 +363,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError("set section needs a name: [set NAME]", line_no=sec.line_no)
         if name in sets:
             raise ScenarioError(f"duplicate set name '{name}'", line_no=sec.line_no)
-        sets[name] = _build_set(space, name, sec.items, sec.line_no)
+        sets[name] = _build_set(space, name, sec)
 
     run = run_sections[0]
     algorithm_v, algorithm_ln = run.require("algorithm")
@@ -401,9 +371,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"unknown algorithm {algorithm_v!r}",
                             line_no=algorithm_ln, key="algorithm")
     allowed = _RUN_KEYS[algorithm_v]
-    for k, v, ln in run.items:
-        if k not in allowed:
-            raise ScenarioError("unknown key", line_no=ln, key=k)
+    run.only(allowed)
 
     output_v, _ = run.require("output")
     scenario = Scenario(space=space, sets=sets, algorithm=algorithm_v,
@@ -513,13 +481,9 @@ def _space_lines(space: SpaceModel, prefix: str = "") -> list[str]:
 
 
 def _set_lines(c: ConvexSet, prefix: str = "") -> list[str]:
-    if isinstance(c, EuclideanHalfspace):
+    if isinstance(c, EuclideanHalfspace):  # hyperplanes included
         normal = ",".join(f"{v:.17g}" for v in c.normal)
-        return [f"{prefix}kind = halfspace", f"{prefix}normal = {normal}",
-                f"{prefix}offset = {c.offset:.17g}"]
-    if isinstance(c, EuclideanHyperplane):
-        normal = ",".join(f"{v:.17g}" for v in c.normal)
-        return [f"{prefix}kind = hyperplane", f"{prefix}normal = {normal}",
+        return [f"{prefix}kind = {c.kind}", f"{prefix}normal = {normal}",
                 f"{prefix}offset = {c.offset:.17g}"]
     if isinstance(c, HyperbolicHalfspace):
         normal = ",".join(f"{v:.17g}" for v in c.normal)

@@ -68,6 +68,33 @@ output = {out}
 """
 
 
+# Alternating projections onto two lines 0.1 rad apart: each composed
+# step shrinks by about cos(0.1)^2, so a 1e-8 target needs ~1800 steps.
+FIXEDPOINT_DOC = """
+[space]
+kind = euclidean
+dim = 2
+
+[set L1]
+kind = hyperplane
+normal = 0,1
+offset = 0
+
+[set L2]
+kind = hyperplane
+normal = -0.099833416646828155,0.99500416527802582
+offset = 0
+
+[run]
+algorithm = fixedpoint
+sets = L1,L2
+x0 = 1,1
+witness = 0,0
+max_iter = 300
+{tol}output = {out}
+"""
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -122,6 +149,25 @@ class TestRun:
         scenario = parse_scenario(CYCLIC_DOC.format(out=out))
         assert run_scenario(scenario) == 0
         assert out.exists()
+
+
+class TestFixedPoint:
+    def test_residual_tol_stops_run(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        doc = FIXEDPOINT_DOC.format(tol="residual_tol = 0.5\n", out=out)
+        assert main(["run", write(tmp_path, "f.scn", doc)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert 2 <= len(rows) <= 10
+        assert float(rows[-1].split(",")[1]) <= 0.5
+        assert "converged" in capsys.readouterr().out
+
+    def test_tol_flag_overrides_default(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        scn = write(tmp_path, "f.scn", FIXEDPOINT_DOC.format(tol="", out=out))
+        assert main(["run", scn]) == 3
+        assert len(out.read_text().splitlines()) == 302
+        assert main(["run", scn, "--tol", "0.5"]) == 0
+        assert len(out.read_text().splitlines()) <= 11
 
 
 class TestCertify:
@@ -180,6 +226,15 @@ class TestMean:
         out = tmp_path / "x.csv"
         scn = write(tmp_path, "s.scn", CYCLIC_DOC.format(out=out))
         assert main(["mean", scn]) == 2
+
+    @pytest.mark.parametrize("radius", [20, 30])
+    def test_point_far_out_on_hyperboloid_is_parse_error(self, tmp_path, capsys, radius):
+        out = tmp_path / "mean.csv"
+        doc = (f"[space]\nkind = hyperboloid\ndim = 2\n\n[run]\nalgorithm = barycenter\n"
+               f"point = exp:{radius},0\noutput = {out}\n")
+        assert main(["mean", write(tmp_path, "m.scn", doc)]) == 2
+        assert not out.exists()
+        assert "exponential map" in capsys.readouterr().err
 
 
 class TestVersion:

@@ -18,7 +18,6 @@ from hadamard import (
     discrepancy,
     geodesic_point,
     minkowski,
-    project,
     projection_defect,
 )
 from hadamard.errors import ConstructionError
@@ -160,18 +159,18 @@ class TestProjectionProperties:
                 tol = 5e-8 if c.space.involves_hyperboloid else 1e-9
                 for _ in range(100):
                     x = c.space.sample(rng)
-                    px = project(c, x)
+                    px = c.project(x)
                     assert c.contains(px, tol=1e-8)
-                    assert distance(project(c, px), px) <= tol
+                    assert distance(c.project(px), px) <= tol
 
     def test_minimizes_distance_among_members(self, families, rng):
         for sets in families.values():
             for c in sets:
                 tol = c.space.defect_tolerance
                 x = c.space.sample(rng)
-                px = project(c, x)
+                px = c.project(x)
                 for _ in range(200):
-                    member = project(c, c.space.sample(rng))
+                    member = c.project(c.space.sample(rng))
                     assert distance(x, px) <= distance(x, member) + tol
 
     def test_firmness(self, families, rng):
@@ -191,7 +190,7 @@ class TestProjectionProperties:
                 tol = c.space.defect_tolerance
                 for _ in range(500):
                     x = c.space.sample(rng)
-                    y = project(c, c.space.sample(rng))
+                    y = c.project(c.space.sample(rng))
                     assert projection_defect(c, x, y) >= -tol
 
 

@@ -18,7 +18,6 @@ from hadamard import (
     cat0_defect,
     comparison_triangle,
     distance,
-    geodesic,
     geodesic_point,
     quasilinearization,
 )
@@ -107,7 +106,7 @@ class TestGeodesicSegment:
         for space in all_models.values():
             tol = max(space.defect_tolerance, 1e-9)
             p, q = space.sample(rng), space.sample(rng)
-            seg = geodesic(p, q)
+            seg = GeodesicSegment(p, q)
             assert seg.length == pytest.approx(distance(p, q))
             assert seg.at(0.0) is p and seg.at(1.0) is q
             for _ in range(25):
@@ -257,13 +256,10 @@ class TestToleranceConfig:
         assert cfg.eq_tol == 1e-9
         assert cfg.on_manifold == 1e-10
         assert cfg.hyperbolic_tol == 1e-7
-        assert cfg.max_barycenter_sweeps == 200
 
     def test_positivity_enforced(self):
         with pytest.raises(ConstructionError):
             ToleranceConfig(eq_tol=0.0)
-        with pytest.raises(ConstructionError):
-            ToleranceConfig(max_barycenter_sweeps=0)
 
     def test_defect_tolerance_tracks_hyperbolic_factors(self, e2, h2, tripod):
         assert e2.defect_tolerance == 1e-9
@@ -281,6 +277,18 @@ class TestToleranceConfig:
     def test_hyperboloid_needs_positive_dim(self):
         with pytest.raises(ConstructionError):
             Hyperboloid(0)
+
+
+class TestExpFromBase:
+    @pytest.mark.parametrize("tangent", [[20.0, 0.0], [0.0, -20.0], [30.0, 0.0],
+                                         [18.0, 24.0], [1000.0, 0.0]])
+    def test_unrepresentable_radius_raises(self, h2, tangent):
+        with pytest.raises(InvalidPointError, match="exponential map"):
+            h2.exp_from_base(tangent)
+
+    def test_moderate_radius_stays_on_sheet(self, h2):
+        p = h2.exp_from_base([3.0, -4.0])
+        assert distance(h2.base_point(), p) == pytest.approx(5.0, rel=1e-12)
 
 
 class TestPointHash:

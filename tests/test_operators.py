@@ -16,7 +16,6 @@ from hadamard import (
     Projection,
     Subtree,
     alpha_firm_defect,
-    apply,
     certify_alpha_firm,
     combination_alpha,
     composition_alpha,
@@ -55,7 +54,7 @@ class TestApply:
         assert Constant(c).apply(e2.point([0, 0])) is c
 
     def test_projection_drops_coordinate(self, e2, half_v):
-        y = apply(Projection(half_v), e2.point([1, 1]))
+        y = Projection(half_v).apply(e2.point([1, 1]))
         assert np.allclose(y.payload, [1, 0])
 
     def test_composition_applies_right_to_left(self, e2, half_v):

@@ -1,5 +1,7 @@
 """Scenario parsing, validation errors, and round-trip serialization."""
 
+from pathlib import Path
+
 import pytest
 
 from hadamard import (
@@ -10,6 +12,8 @@ from hadamard import (
     serialize_scenario,
 )
 from hadamard.scenario import parse_point_spec, point_spec
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 CYCLIC_DOC = """
 [space]
@@ -183,10 +187,51 @@ class TestValidationErrors:
             parse_scenario(doc)
 
 
+def repeat_line(doc: str, line: str, again: str) -> tuple[str, int]:
+    """Insert ``again`` after the first ``line``; return the text and its line number."""
+    lines = doc.splitlines()
+    at = lines.index(line) + 1
+    lines.insert(at, again)
+    return "\n".join(lines) + "\n", at + 1
+
+
+class TestRepeatedKeys:
+    """A key given twice is an error in every section, at its second line."""
+
+    @pytest.mark.parametrize("doc, line, again, key", [
+        (CYCLIC_DOC, "dim = 2", "dim = 3", "dim"),
+        (CYCLIC_DOC, "kind = euclidean", "kind = hyperboloid", "kind"),
+        (CYCLIC_DOC, "kind = halfspace", "kind = hyperplane", "kind"),
+        (CYCLIC_DOC, "normal = 0,1", "normal = 1,0", "normal"),
+        (CYCLIC_DOC, "offset = 0", "offset = 1", "offset"),
+        (PRODUCT_DOC, "left.kind = euclidean", "left.kind = euclidean", "kind"),
+        (PRODUCT_DOC, "left.dim = 2", "left.dim = 3", "dim"),
+        (PRODUCT_DOC, "left.kind = halfspace", "left.kind = hyperplane", "kind"),
+        (PRODUCT_DOC, "left.normal = 0,1", "left.normal = 1,0", "normal"),
+        (PRODUCT_DOC, "left.offset = 0", "left.offset = 2", "offset"),
+    ], ids=["space-dim", "space-kind", "set-kind", "set-normal", "set-offset",
+            "product-space-kind", "product-space-dim", "product-set-kind",
+            "product-set-normal", "product-set-offset"])
+    def test_repeat_is_reported_at_second_occurrence(self, doc, line, again, key):
+        text, line_no = repeat_line(doc, line, again)
+        with pytest.raises(ScenarioError, match="key repeats 2 times") as err:
+            parse_scenario(text)
+        assert err.value.line_no == line_no
+        assert err.value.key == key
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("doc", [CYCLIC_DOC, TREE_CERTIFY_DOC, PRODUCT_DOC, MEAN_DOC])
     def test_parse_serialize_parse_is_identity(self, doc):
         first = parse_scenario(doc)
+        text = serialize_scenario(first)
+        second = parse_scenario(text)
+        assert second == first
+        assert serialize_scenario(second) == text
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scn")), ids=lambda p: p.name)
+    def test_shipped_scenarios_round_trip(self, path):
+        first = parse_scenario(path.read_text(encoding="utf-8"))
         text = serialize_scenario(first)
         second = parse_scenario(text)
         assert second == first
