@@ -26,7 +26,6 @@ from .geometry import (
     Point,
     ProductSpace,
     SpaceModel,
-    ToleranceConfig,
     cat0_defect,
     comparison_triangle,
     distance,

@@ -237,8 +237,8 @@ def _defect(spec: CheckSpec):
     if kind == FEJER_RUN:
         sets = _payload(spec, "sets")
         witness = _payload(spec, "witness")
-        rule = spec.payload.get("rule", StopRule(max_iter=200))
-        algorithm = spec.payload.get("algorithm", "cyclic")
+        rule = _payload(spec, "rule")
+        algorithm = _payload(spec, "algorithm")
         runs = {"cyclic": cyclic_projections, "averaged": averaged_projections}
         if algorithm not in runs:
             raise CheckSpecError(f"unknown fejer algorithm '{algorithm}'")
@@ -292,9 +292,8 @@ def _draws(spec: CheckSpec, rng: np.random.Generator):
             for _ in range(challengers):
                 yield pts, weights, space.sample(rng)
     elif kind == FEJER_RUN:
-        fixed_x0 = spec.payload.get("x0")
         for _ in samples:
-            yield (fixed_x0 if fixed_x0 is not None else space.sample(rng),)
+            yield (space.sample(rng),)
 
 
 def run_check(spec: CheckSpec) -> CheckResult:
@@ -350,9 +349,18 @@ def run_suite(specs, suite_seed: int | None = None) -> CertificateReport:
     )
 
 
-def _child_seeds(suite_seed: int, count: int) -> list[int]:
-    state = np.random.SeedSequence(suite_seed).generate_state(count, dtype=np.uint64)
-    return [int(v) for v in state]
+def _seeded_specs(rows, suite_seed: int) -> list[CheckSpec]:
+    """One spec per (kind, space, samples, payload, label) row, seeded in order.
+
+    Each row's seed is a child of ``suite_seed``, so adding a row never
+    changes the seeds of the rows before it.
+    """
+    seeds = np.random.SeedSequence(suite_seed).generate_state(len(rows), dtype=np.uint64)
+    return [
+        CheckSpec(kind=kind, space=space, samples=n, seed=int(child),
+                  payload=payload or {}, label=label)
+        for (kind, space, n, payload, label), child in zip(rows, seeds)
+    ]
 
 
 def space_suite(
@@ -372,11 +380,10 @@ def space_suite(
     combination, and Fejer checks.  A claimed constant adds one
     quasi-firm check for the named set's projection at that constant.
     """
-    specs: list[CheckSpec] = []
+    rows = []
 
     def add(kind, n, payload=None, label=""):
-        specs.append(CheckSpec(kind=kind, space=space, samples=n, seed=0,
-                               payload=payload or {}, label=label))
+        rows.append((kind, space, n, payload, label))
 
     add(CAT0, samples)
     add(CAUCHY_SCHWARZ, samples)
@@ -413,12 +420,7 @@ def space_suite(
             {"op": Projection(sets[claim_set]), "alpha": claim_alpha,
              "fixed_points": [witness]},
             f"claimed-{claim_set}")
-    seeds = _child_seeds(seed, len(specs))
-    return [
-        CheckSpec(kind=s.kind, space=s.space, samples=s.samples,
-                  seed=seeds[i], payload=s.payload, label=s.label)
-        for i, s in enumerate(specs)
-    ]
+    return _seeded_specs(rows, seed)
 
 
 def default_suite(seed: int = 0, samples: int = 1000) -> list[CheckSpec]:
@@ -470,13 +472,10 @@ def default_suite(seed: int = 0, samples: int = 1000) -> list[CheckSpec]:
     branch = Subtree(caterpillar, ["v1", "v2", "v4"], name="branch")
     prod_set = ProductSet(product, half_v, leg_a, name="halfspace-x-leg")
 
-    specs: list[CheckSpec] = []
+    rows = []
 
     def add(kind, space, n, payload=None, label=""):
-        specs.append(
-            CheckSpec(kind=kind, space=space, samples=n, seed=0,
-                      payload=payload or {}, label=label)
-        )
+        rows.append((kind, space, n, payload, label))
 
     for space, label in [
         (e3, "euclidean3"),
@@ -560,9 +559,4 @@ def default_suite(seed: int = 0, samples: int = 1000) -> list[CheckSpec]:
          "rule": StopRule(max_iter=200)},
         "cyclic-subtrees")
 
-    seeds = _child_seeds(seed, len(specs))
-    return [
-        CheckSpec(kind=s.kind, space=s.space, samples=s.samples,
-                  seed=seeds[i], payload=s.payload, label=s.label)
-        for i, s in enumerate(specs)
-    ]
+    return _seeded_specs(rows, seed)

@@ -29,7 +29,7 @@ from .iterations import (
     technical_condition_gaps,
 )
 from .operators import Composition, Projection
-from .scenario import Scenario, parse_scenario, point_spec
+from .scenario import _RUN_KEYS, Scenario, parse_scenario, point_spec
 
 __all__ = ["main", "run_scenario"]
 
@@ -45,6 +45,11 @@ _SHADOW_LIMIT = 400
 
 # The scenario algorithm each subcommand accepts; ``run`` takes any.
 _COMMAND_ALGORITHM = {"run": None, "certify": "certify", "mean": "barycenter"}
+
+# Each override flag, its argument name and the [run] key it overrides.
+# ``--tol`` is also the barycenter's step tolerance, which has no key.
+_FLAG_KEYS = (("--seed", "seed", "seed"), ("--max-iter", "max_iter", "max_iter"),
+              ("--tol", "tol", "residual_tol"))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,12 +67,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="path to the scenario file")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed")
+                       help="override the scenario seed (certify)")
         p.add_argument("--max-iter", type=int, default=None,
-                       help="override the scenario iteration cap")
+                       help="override the iteration cap (cyclic, averaged, fixedpoint)")
         p.add_argument("--tol", type=float, default=None,
-                       help="override the residual tolerance (run) or "
-                            "step tolerance (mean)")
+                       help="override the residual tolerance (cyclic, averaged, "
+                            "fixedpoint) or the step tolerance (barycenter)")
     sub.add_parser("version", help="print the package version")
     return parser
 
@@ -90,6 +95,15 @@ def _load_scenario(path: str, algorithm: str | None):
               file=sys.stderr)
         return None, EXIT_PARSE
     return scenario, EXIT_OK
+
+
+def _unused_flag(algorithm: str, args) -> str | None:
+    """The first flag given that the scenario's algorithm does not read."""
+    for flag, attr, key in _FLAG_KEYS:
+        reads = key in _RUN_KEYS[algorithm] or (attr == "tol" and algorithm == "barycenter")
+        if getattr(args, attr) is not None and not reads:
+            return flag
+    return None
 
 
 def _apply_overrides(scenario: Scenario, args) -> Scenario:
@@ -234,6 +248,11 @@ def main(argv=None) -> int:
     scenario, status = _load_scenario(args.scenario, _COMMAND_ALGORITHM[args.command])
     if scenario is None:
         return status
+    flag = _unused_flag(scenario.algorithm, args)
+    if flag is not None:
+        print(f"error: {flag} does not apply to algorithm '{scenario.algorithm}'",
+              file=sys.stderr)
+        return EXIT_PARSE
     return run_scenario(_apply_overrides(scenario, args), step_tol=args.tol)
 
 

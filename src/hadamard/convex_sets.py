@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError, SpaceMismatchError
 from .geometry import (
+    EQ_TOL,
     Euclidean,
     Hyperboloid,
     Point,
@@ -60,7 +61,7 @@ class ConvexSet:
     def project(self, x: Point) -> Point:
         raise NotImplementedError
 
-    def contains(self, x: Point, tol: float | None = None) -> bool:
+    def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -113,9 +114,8 @@ class EuclideanHalfspace(ConvexSet):
         return Point(self.space, self.space.validate_payload(
             x.payload - (gap / self._norm_sq) * self.normal))
 
-    def contains(self, x: Point, tol: float | None = None) -> bool:
+    def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
         self._check_point(x)
-        tol = self.space.tolerances.eq_tol if tol is None else tol
         gap = float(self.normal @ x.payload) - self.offset
         bound = tol * math.sqrt(self._norm_sq)
         return self._lowest_gap - bound <= gap <= bound
@@ -171,9 +171,8 @@ class HyperbolicHalfspace(ConvexSet):
         scale = math.sqrt(-minkowski(w, w))
         return Point(self.space, self.space.validate_payload(w / scale))
 
-    def contains(self, x: Point, tol: float | None = None) -> bool:
+    def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
         self._check_point(x)
-        tol = self.space.tolerances.eq_tol if tol is None else tol
         return minkowski(self.normal, x.payload) <= tol
 
     def _eq_key(self):
@@ -204,9 +203,8 @@ class GeodesicBall(ConvexSet):
             return x
         return geodesic_point(self.center, x, self.radius / d)
 
-    def contains(self, x: Point, tol: float | None = None) -> bool:
+    def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
         self._check_point(x)
-        tol = self.space.tolerances.eq_tol if tol is None else tol
         return distance(self.center, x) <= self.radius + tol
 
     def _eq_key(self):
@@ -274,7 +272,7 @@ class Subtree(ConvexSet):
             c = parent[c]
         return tree.vertex_point(tree._names[c])
 
-    def contains(self, x: Point, tol: float | None = None) -> bool:
+    def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
         self._check_point(x)
         tree: MetricTree = self.space
         loc = x.payload
@@ -283,7 +281,6 @@ class Subtree(ConvexSet):
         v = tree.location_vertex(loc)
         if v is not None and v in self.vertex_set:
             return True
-        tol = self.space.tolerances.eq_tol if tol is None else tol
         return distance(x, self.project(x)) <= tol
 
     def _eq_key(self):
@@ -313,7 +310,7 @@ class ProductSet(ConvexSet):
         pl, pr = x.payload
         return Point(self.space, (self.left.project(pl), self.right.project(pr)))
 
-    def contains(self, x: Point, tol: float | None = None) -> bool:
+    def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
         self._check_point(x)
         pl, pr = x.payload
         return self.left.contains(pl, tol) and self.right.contains(pr, tol)

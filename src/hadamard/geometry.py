@@ -19,7 +19,6 @@ immutable after construction and every operation is pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .errors import (
 )
 
 __all__ = [
-    "ToleranceConfig",
     "SpaceModel",
     "Point",
     "GeodesicSegment",
@@ -52,24 +50,12 @@ __all__ = [
 # sinh(theta) is too close to 0 to divide by.
 _TINY_ANGLE = 1e-8
 
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical tolerances attached to a space model.
-
-    ``eq_tol`` guards equality and inequality checks in flat and tree
-    models, ``on_manifold`` bounds how far a hyperboloid payload may drift
-    off the sheet, and ``hyperbolic_tol`` loosens inequality checks where
-    arcosh conditioning near 1 dominates.
-    """
-
-    eq_tol: float = 1e-9
-    on_manifold: float = 1e-10
-    hyperbolic_tol: float = 1e-7
-
-    def __post_init__(self):
-        if self.eq_tol <= 0 or self.on_manifold <= 0 or self.hyperbolic_tol <= 0:
-            raise ConstructionError("tolerances must be positive")
+# Equality and inequality checks in flat and tree models.
+EQ_TOL = 1e-9
+# How far a hyperboloid payload may drift off the sheet.
+ON_MANIFOLD_TOL = 1e-10
+# Inequality checks where arcosh conditioning near 1 dominates.
+HYPERBOLIC_TOL = 1e-7
 
 
 def _readonly(values) -> np.ndarray:
@@ -123,14 +109,10 @@ class SpaceModel:
     Subclasses implement distance, geodesic interpolation, payload
     validation, and seeded sampling on raw payloads; the ``Point``-level
     API wraps those.  Structural equality (``==``) identifies spaces that
-    were constructed separately but describe the same model, tolerances
-    aside.
+    were constructed separately but describe the same model.
     """
 
-    __slots__ = ("tolerances",)
-
-    def __init__(self, tolerances: ToleranceConfig | None = None):
-        object.__setattr__(self, "tolerances", tolerances or ToleranceConfig())
+    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -175,9 +157,7 @@ class SpaceModel:
     @property
     def defect_tolerance(self) -> float:
         """Tolerance for inequality defects evaluated in this model."""
-        if self.involves_hyperboloid:
-            return self.tolerances.hyperbolic_tol
-        return self.tolerances.eq_tol
+        return HYPERBOLIC_TOL if self.involves_hyperboloid else EQ_TOL
 
     def __repr__(self):
         return self.describe()
@@ -188,10 +168,9 @@ class Euclidean(SpaceModel):
 
     __slots__ = ("dim",)
 
-    def __init__(self, dim: int, tolerances: ToleranceConfig | None = None):
+    def __init__(self, dim: int):
         if int(dim) != dim or dim < 1:
             raise ConstructionError("Euclidean dimension must be a positive integer")
-        super().__init__(tolerances)
         object.__setattr__(self, "dim", int(dim))
 
     def validate_payload(self, payload):
@@ -245,10 +224,9 @@ class Hyperboloid(SpaceModel):
 
     __slots__ = ("dim",)
 
-    def __init__(self, dim: int, tolerances: ToleranceConfig | None = None):
+    def __init__(self, dim: int):
         if int(dim) != dim or dim < 1:
             raise ConstructionError("Hyperboloid dimension must be a positive integer")
-        super().__init__(tolerances)
         object.__setattr__(self, "dim", int(dim))
 
     @property
@@ -270,7 +248,7 @@ class Hyperboloid(SpaceModel):
         if not np.all(np.isfinite(arr)):
             raise InvalidPointError("coordinates must be finite")
         gap = abs(minkowski(arr, arr) + 1.0)
-        if gap > self.tolerances.on_manifold:
+        if gap > ON_MANIFOLD_TOL:
             raise InvalidPointError(
                 f"point is off the sheet: |m(v,v)+1| = {gap:.3e}"
             )
@@ -313,14 +291,18 @@ class Hyperboloid(SpaceModel):
         if r < 1e-300:
             out[0] = 1.0
             return Point(self, _readonly(out))
-        # Far from the apex cosh and sinh overflow, or their squares cancel
-        # so that the sheet constraint has nothing left to normalize.
+        # Far from the apex cosh overflows, or its square does (a scalar
+        # test, so no array product overflows), or the squares cancel so
+        # that the sheet constraint has nothing left to normalize.
         try:
-            out[0] = math.cosh(r)
+            c = math.cosh(r)
+        except OverflowError:
+            c = math.inf
+        norm_sq = math.nan
+        if c * c < math.inf:
+            out[0] = c
             out[1:] = (math.sinh(r) / r) * v
             norm_sq = -minkowski(out, out)
-        except OverflowError:
-            norm_sq = math.nan
         if not norm_sq > 0.0:
             raise InvalidPointError(
                 f"exponential map at radius {r:g} is not representable in floating point")
@@ -354,11 +336,9 @@ class ProductSpace(SpaceModel):
 
     __slots__ = ("left", "right")
 
-    def __init__(self, left: SpaceModel, right: SpaceModel,
-                 tolerances: ToleranceConfig | None = None):
+    def __init__(self, left: SpaceModel, right: SpaceModel):
         if not isinstance(left, SpaceModel) or not isinstance(right, SpaceModel):
             raise ConstructionError("product factors must be space models")
-        super().__init__(tolerances)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
@@ -514,26 +494,26 @@ def cat0_defect(x: Point, y: Point, z: Point, t: float) -> float:
 
 
 def comparison_triangle(
-    d_xy: float, d_yz: float, d_zx: float, tol: float = 1e-9
+    d_xy: float, d_yz: float, d_zx: float
 ) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
     """Planar triangle realizing three pairwise distances, in canonical pose.
 
     The first vertex sits at the origin, the second on the nonnegative
     horizontal axis, and the third has nonnegative vertical coordinate.
-    Raises if the lengths violate the triangle inequality beyond ``tol``.
+    Raises if the lengths violate the triangle inequality beyond ``EQ_TOL``.
     """
     sides = (d_xy, d_yz, d_zx)
-    if any(s < -tol for s in sides):
+    if any(s < -EQ_TOL for s in sides):
         raise InfeasibleTriangleError(f"negative side length in {sides}")
     if (
-        d_xy > d_yz + d_zx + tol
-        or d_yz > d_zx + d_xy + tol
-        or d_zx > d_xy + d_yz + tol
+        d_xy > d_yz + d_zx + EQ_TOL
+        or d_yz > d_zx + d_xy + EQ_TOL
+        or d_zx > d_xy + d_yz + EQ_TOL
     ):
         raise InfeasibleTriangleError(
             f"side lengths {sides} violate the triangle inequality"
         )
-    if d_xy <= tol:
+    if d_xy <= EQ_TOL:
         # degenerate base: x and y coincide
         return ((0.0, 0.0), (float(d_xy), 0.0), (float(d_zx), 0.0))
     zx = (d_xy**2 + d_zx**2 - d_yz**2) / (2.0 * d_xy)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .barycenter import BarycenterConfig, WeightedPoints, frechet_mean
+from .barycenter import WeightedPoints, frechet_mean
 from .convex_sets import ConvexSet
 from .errors import (
     ConstructionError,
@@ -23,8 +23,8 @@ from .errors import (
     DomainError,
     NotAFixedPointError,
 )
-from .geometry import Point, check_same_space, distance, geodesic_point
-from .operators import Operator
+from .geometry import EQ_TOL, Point, check_same_space, distance, geodesic_point
+from .operators import ConvexCombination, Operator, Projection
 
 __all__ = [
     "StopRule",
@@ -102,10 +102,9 @@ class IterationTrace:
     def final_residual(self) -> float:
         return self.residuals[-1]
 
-    def fejer_violations(self, tol: float | None = None) -> int:
+    def fejer_violations(self, tol: float = EQ_TOL) -> int:
         if self.fejer_gaps is None:
             return 0
-        tol = self.points[0].space.tolerances.eq_tol if tol is None else tol
         return sum(1 for g in self.fejer_gaps if g < -tol)
 
     def shadow_distances(self) -> list[float] | None:
@@ -151,12 +150,11 @@ def _finalize(points, residuals, steps, stop_reason, witness) -> IterationTrace:
     return trace
 
 
-def _check_witness_fixed(op: Operator, witness: Point) -> None:
-    moved = distance(op.apply(witness), witness)
-    if moved > witness.space.tolerances.eq_tol:
-        raise NotAFixedPointError(
-            f"witness is moved by {moved:.3e} under {op.name}"
-        )
+def _check_witness_fixed(ops, witness: Point) -> None:
+    for op in ops:
+        moved = distance(op.apply(witness), witness)
+        if moved > EQ_TOL:
+            raise NotAFixedPointError(f"witness is moved by {moved:.3e} under {op.name}")
 
 
 def fixed_point_iterate(
@@ -170,7 +168,7 @@ def fixed_point_iterate(
     """
     if witness is not None:
         check_same_space(x0, witness)
-        _check_witness_fixed(op, witness)
+        _check_witness_fixed([op], witness)
     points = [x0]
     steps: list[float] = []
     stop_reason = MAX_ITER
@@ -191,26 +189,8 @@ def _set_residual(sets, x: Point) -> float:
     return max(distance(x, c.project(x)) for c in sets)
 
 
-def _check_witness_in_sets(sets, witness: Point) -> None:
-    for c in sets:
-        moved = distance(c.project(witness), witness)
-        if moved > witness.space.tolerances.eq_tol:
-            raise NotAFixedPointError(
-                f"witness is {moved:.3e} away from set '{c.name}'"
-            )
-
-
-def cyclic_projections(
-    sets, x0: Point, rule: StopRule, witness: Point | None = None
-) -> IterationTrace:
-    """Project onto the sets in cyclic order: x_n = P_{1 + (n-1 mod N)} x_{n-1}.
-
-    One iterate is a single projection, so iterate nN equals n
-    applications of the composed operator P_N ... P_1.  Converged means
-    the residual max_i d(x_n, C_i) reached ``rule.residual_tol``;
-    stalled means a full cycle moved the iterate by at most
-    ``rule.stall_tol`` without reaching the residual target.
-    """
+def _run_sets(sets, x0: Point, witness: Point | None) -> list[ConvexSet]:
+    """The sets of a projection run, checked against x0 and the witness."""
     sets = list(sets)
     if not sets:
         raise DomainError("need at least one set")
@@ -219,83 +199,76 @@ def cyclic_projections(
             raise DomainError(f"set '{c.name}' lives in a different space")
     if witness is not None:
         check_same_space(x0, witness)
-        _check_witness_in_sets(sets, witness)
-    n_sets = len(sets)
-    points = [x0]
-    residuals = [_set_residual(sets, x0)]
-    steps: list[float] = []
-    stop_reason = MAX_ITER
-    if residuals[0] <= rule.residual_tol:
-        stop_reason = CONVERGED
-        return _finalize(points, residuals, steps, stop_reason, witness)
-    for n in range(1, rule.max_iter + 1):
-        nxt = sets[(n - 1) % n_sets].project(points[-1])
-        steps.append(distance(points[-1], nxt))
-        points.append(nxt)
-        residuals.append(_set_residual(sets, nxt))
-        if residuals[-1] <= rule.residual_tol:
-            stop_reason = CONVERGED
-            break
-        if n % n_sets == 0 and n >= n_sets:
-            if distance(points[-1], points[-1 - n_sets]) <= rule.stall_tol:
-                stop_reason = STALLED
-                break
-    return _finalize(points, residuals, steps, stop_reason, witness)
+        _check_witness_fixed([Projection(c) for c in sets], witness)
+    return sets
 
 
-def averaged_projections(
-    sets,
-    x0: Point,
-    rule: StopRule,
-    weights=None,
-    cfg: BarycenterConfig | None = None,
-    witness: Point | None = None,
-) -> IterationTrace:
-    """Iterate the barycenter of the projections: x_n = mean_i w_i P_i x_{n-1}.
+def _projection_run(sets, maps, x0: Point, rule: StopRule,
+                    witness: Point | None) -> IterationTrace:
+    """Iterate x_n = maps[(n-1) mod K] x_{n-1}, recording set residuals.
 
-    Weights default to uniform 1/N.  Converged/stalled semantics match
-    :func:`cyclic_projections`, with one iterate being one full averaged
-    application.  A barycenter solve failure aborts the run with the
-    iteration index attached.
+    Converged means the residual max_i d(x_n, C_i) reached
+    ``rule.residual_tol``; stalled means a full cycle of the K maps moved
+    the iterate by at most ``rule.stall_tol``.
     """
-    sets = list(sets)
-    if not sets:
-        raise DomainError("need at least one set")
-    if weights is None:
-        weights = [1.0 / len(sets)] * len(sets)
-    weights = [float(w) for w in weights]
-    if len(weights) != len(sets):
-        raise DomainError(f"{len(sets)} sets but {len(weights)} weights")
-    cfg = cfg or BarycenterConfig()
-    if witness is not None:
-        check_same_space(x0, witness)
-        _check_witness_in_sets(sets, witness)
     points = [x0]
     residuals = [_set_residual(sets, x0)]
     steps: list[float] = []
     stop_reason = MAX_ITER
     if residuals[0] <= rule.residual_tol:
         return _finalize(points, residuals, steps, CONVERGED, witness)
+    k = len(maps)
     for n in range(1, rule.max_iter + 1):
-        images = [c.project(points[-1]) for c in sets]
         try:
-            nxt = frechet_mean(WeightedPoints(images, weights), cfg)
+            nxt = maps[(n - 1) % k](points[-1])
         except ConvergenceFailureError as exc:
-            raise ConvergenceFailureError(
-                f"barycenter failed at iteration {n}: {exc}",
-                last_point=exc.last_point,
-                objective=exc.objective,
-            ) from exc
+            raise ConvergenceFailureError(f"iteration {n} failed: {exc}",
+                                          last_point=exc.last_point,
+                                          objective=exc.objective) from exc
         steps.append(distance(points[-1], nxt))
         points.append(nxt)
         residuals.append(_set_residual(sets, nxt))
         if residuals[-1] <= rule.residual_tol:
             stop_reason = CONVERGED
             break
-        if steps[-1] <= rule.stall_tol:
-            stop_reason = STALLED
-            break
+        if n % k == 0:
+            # With one map the cycle's displacement is the step just taken.
+            moved = steps[-1] if k == 1 else distance(points[-1], points[-1 - k])
+            if moved <= rule.stall_tol:
+                stop_reason = STALLED
+                break
     return _finalize(points, residuals, steps, stop_reason, witness)
+
+
+def cyclic_projections(
+    sets, x0: Point, rule: StopRule, witness: Point | None = None
+) -> IterationTrace:
+    """Project onto the sets in cyclic order: x_n = P_{1 + (n-1 mod N)} x_{n-1}.
+
+    One iterate is a single projection, so iterate nN equals n
+    applications of the composed operator P_N ... P_1, and a full cycle
+    is N iterates.
+    """
+    sets = _run_sets(sets, x0, witness)
+    return _projection_run(sets, [c.project for c in sets], x0, rule, witness)
+
+
+def averaged_projections(
+    sets, x0: Point, rule: StopRule, weights=None, witness: Point | None = None
+) -> IterationTrace:
+    """Iterate the barycenter of the projections: x_n = mean_i w_i P_i x_{n-1}.
+
+    Weights default to uniform 1/N.  One iterate is one application of
+    the convex combination, which is also a full cycle.  A barycenter
+    solve failure aborts the run with the iteration index attached.
+    """
+    sets = _run_sets(sets, x0, witness)
+    if weights is None:
+        weights = [1.0 / len(sets)] * len(sets)
+    if len(weights) != len(sets):
+        raise DomainError(f"{len(sets)} sets but {len(weights)} weights")
+    combo = ConvexCombination(weights, [Projection(c) for c in sets])
+    return _projection_run(sets, [combo.apply], x0, rule, witness)
 
 
 def shadow_sequence(trace: IterationTrace, c: ConvexSet) -> list[Point]:
@@ -306,16 +279,14 @@ def shadow_sequence(trace: IterationTrace, c: ConvexSet) -> list[Point]:
     return [c.project(x) for x in trace.points]
 
 
-def approximate_shadows(
-    trace: IterationTrace, sets, residual: float = 1e-10, max_iter: int = 100000
-) -> list[Point]:
+def approximate_shadows(trace: IterationTrace, sets) -> list[Point]:
     """Shadows onto the intersection of the sets via an inner cyclic solve.
 
     Used when no closed-form descriptor of the intersection exists; each
     iterate is projected by running cyclic projections from it until the
-    inner residual drops below ``residual``.
+    inner residual drops below 1e-10, for at most 100 000 projections.
     """
-    inner_rule = StopRule(max_iter=max_iter, residual_tol=residual)
+    inner_rule = StopRule(max_iter=100000, residual_tol=1e-10)
     shadows = []
     for x in trace.points:
         inner = cyclic_projections(sets, x, inner_rule)
@@ -356,11 +327,11 @@ def shadow_cauchy_worst_defect(trace: IterationTrace) -> float:
     return worst if worst is not math.inf else 0.0
 
 
-def project_to_segment(p: Point, q: Point, z: Point, tol: float = 1e-12) -> Point:
+def project_to_segment(p: Point, q: Point, z: Point) -> Point:
     """Nearest point to z on the geodesic segment [p, q].
 
     t -> d(gamma(t), z) is convex, so a golden-section search on [0, 1]
-    localizes the minimizer to parameter accuracy ``tol``.
+    localizes the minimizer to parameter accuracy 1e-12.
     """
     check_same_space(p, q, z)
     if distance(p, q) == 0.0:
@@ -371,7 +342,7 @@ def project_to_segment(p: Point, q: Point, z: Point, tol: float = 1e-12) -> Poin
     t2 = lo + inv_phi * (hi - lo)
     f1 = distance(geodesic_point(p, q, t1), z)
     f2 = distance(geodesic_point(p, q, t2), z)
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         if f1 <= f2:
             hi, t2, f2 = t2, t1, f1
             t1 = hi - inv_phi * (hi - lo)
@@ -383,12 +354,12 @@ def project_to_segment(p: Point, q: Point, z: Point, tol: float = 1e-12) -> Poin
     return geodesic_point(p, q, 0.5 * (lo + hi))
 
 
-def technical_condition_gaps(trace: IterationTrace, targets=None, probe_count: int = 8) -> list[float]:
+def technical_condition_gaps(trace: IterationTrace) -> list[float]:
     """Monitored strong-convergence gaps along probe geodesics.
 
     For probe geodesics gamma from the estimated limit (the last shadow)
-    to points of the limit set (by default a subsample of the shadows
-    plus the witness), reports per iterate the largest value of
+    to points of the limit set (a subsample of about eight shadows plus
+    the witness), reports per iterate the largest value of
     d(x_n, P_gamma sh_n) - d(x_n, sh_n).  These gaps are nonnegative and
     their decay toward the end of a run supports strong convergence of
     the shadows; they are reported only and never gate termination.
@@ -397,11 +368,9 @@ def technical_condition_gaps(trace: IterationTrace, targets=None, probe_count: i
         raise DomainError("trace has no shadows attached")
     pts, sh = trace.points, trace.shadows
     anchor = sh[-1]
-    if targets is None:
-        stride = max(1, len(sh) // probe_count)
-        targets = list(sh[::stride])
-        if trace.witness is not None and not trace.witness_is_proxy:
-            targets.append(trace.witness)
+    targets = list(sh[::max(1, len(sh) // 8)])
+    if trace.witness is not None and not trace.witness_is_proxy:
+        targets.append(trace.witness)
     probes = [t for t in targets if distance(anchor, t) > 0.0]
     gaps = []
     for x, s in zip(pts, sh):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, EdgeListError, InvalidPointError
-from .geometry import Point, SpaceModel, ToleranceConfig
+from .geometry import Point, SpaceModel
 
 __all__ = ["TreeEdge", "TreeLocation", "MetricTree", "parse_edge_list"]
 
@@ -65,8 +65,7 @@ class MetricTree(SpaceModel):
         "_log2", "_ends", "_lengths",
     )
 
-    def __init__(self, edges, vertices=None, tolerances: ToleranceConfig | None = None):
-        super().__init__(tolerances)
+    def __init__(self, edges):
         edge_objs = []
         names: list[str] = []
         for spec in edges:
@@ -83,16 +82,7 @@ class MetricTree(SpaceModel):
             names += a, b
         if not edge_objs:
             raise ConstructionError("a metric tree needs at least one edge")
-        seen_order = list(dict.fromkeys(names))
-        if vertices is None:
-            vertex_list = seen_order
-        else:
-            vertex_list = [str(v) for v in vertices]
-            if len(set(vertex_list)) != len(vertex_list):
-                raise ConstructionError("duplicate vertex ids")
-            missing = set(seen_order) - set(vertex_list)
-            if missing:
-                raise ConstructionError(f"edges reference undeclared vertices: {sorted(missing)}")
+        vertex_list = list(dict.fromkeys(names))
 
         object.__setattr__(self, "vertices", tuple(vertex_list))
         object.__setattr__(self, "edges", tuple(edge_objs))
@@ -384,7 +374,7 @@ class MetricTree(SpaceModel):
         return hash(("tree", self.vertices, self.edges))
 
 
-def parse_edge_list(text: str, tolerances: ToleranceConfig | None = None) -> MetricTree:
+def parse_edge_list(text: str) -> MetricTree:
     """Build a metric tree from plain text, one edge per line.
 
     Each nonblank line must read "vertexA vertexB length" with arbitrary
@@ -410,6 +400,6 @@ def parse_edge_list(text: str, tolerances: ToleranceConfig | None = None) -> Met
     if not edges:
         raise EdgeListError(0, "edge list is empty")
     try:
-        return MetricTree(edges, tolerances=tolerances)
+        return MetricTree(edges)
     except ConstructionError as exc:
         raise ConstructionError(f"edge list does not describe a tree: {exc}") from exc

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycenter import BarycenterConfig, WeightedPoints, frechet_mean
+from .barycenter import WeightedPoints, frechet_mean
 from .convex_sets import ConvexSet
 from .errors import ConstructionError, DomainError, NotAFixedPointError, SpaceMismatchError
-from .geometry import Point, SpaceModel, check_same_space, distance, geodesic_point, quasilinearization
+from .geometry import (EQ_TOL, Point, SpaceModel, check_same_space, distance, geodesic_point,
+                       quasilinearization)
 
 __all__ = [
     "Operator",
@@ -58,17 +59,10 @@ def _check_alpha(alpha: float, label: str = "alpha") -> float:
 class Operator:
     """Base class for operator descriptors.
 
-    Descriptors are immutable; ``apply`` is deterministic and pure.  An
-    optional ``claimed_alpha`` records the constant the caller believes
-    certifies the operator as alpha-firmly nonexpansive.
+    Descriptors are immutable; ``apply`` is deterministic and pure.
     """
 
-    __slots__ = ("claimed_alpha",)
-
-    def __init__(self, claimed_alpha: float | None = None):
-        if claimed_alpha is not None:
-            claimed_alpha = _check_alpha(claimed_alpha, "claimed_alpha")
-        object.__setattr__(self, "claimed_alpha", claimed_alpha)
+    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -101,8 +95,7 @@ class Identity(Operator):
 class Constant(Operator):
     __slots__ = ("value",)
 
-    def __init__(self, value: Point, claimed_alpha: float | None = None):
-        super().__init__(claimed_alpha)
+    def __init__(self, value: Point):
         object.__setattr__(self, "value", value)
 
     def apply(self, x: Point) -> Point:
@@ -119,8 +112,7 @@ class Projection(Operator):
 
     __slots__ = ("set",)
 
-    def __init__(self, convex_set: ConvexSet, claimed_alpha: float | None = 0.5):
-        super().__init__(claimed_alpha)
+    def __init__(self, convex_set: ConvexSet):
         object.__setattr__(self, "set", convex_set)
 
     def apply(self, x: Point) -> Point:
@@ -140,8 +132,7 @@ class Composition(Operator):
 
     __slots__ = ("factors",)
 
-    def __init__(self, factors, claimed_alpha: float | None = None):
-        super().__init__(claimed_alpha)
+    def __init__(self, factors):
         factors = tuple(factors)
         if not factors:
             raise ConstructionError("composition needs at least one factor")
@@ -164,11 +155,9 @@ class ConvexCombination(Operator):
     the images, i.e. the minimizer of sum_i w_i d(y, T_i x)^2.
     """
 
-    __slots__ = ("weights", "operators", "mean_config")
+    __slots__ = ("weights", "operators")
 
-    def __init__(self, weights, operators, claimed_alpha: float | None = None,
-                 mean_config: BarycenterConfig | None = None):
-        super().__init__(claimed_alpha)
+    def __init__(self, weights, operators):
         weights = tuple(float(w) for w in weights)
         operators = tuple(operators)
         if len(weights) != len(operators) or not operators:
@@ -179,11 +168,10 @@ class ConvexCombination(Operator):
             raise ConstructionError(f"weights must sum to 1, got {math.fsum(weights)!r}")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "operators", operators)
-        object.__setattr__(self, "mean_config", mean_config or BarycenterConfig())
 
     def apply(self, x: Point) -> Point:
         images = [op.apply(x) for op in self.operators]
-        return frechet_mean(WeightedPoints(images, self.weights), self.mean_config)
+        return frechet_mean(WeightedPoints(images, self.weights))
 
     @property
     def name(self) -> str:
@@ -201,8 +189,7 @@ class Pointwise(Operator):
 
     __slots__ = ("fn", "_name")
 
-    def __init__(self, name: str, fn, claimed_alpha: float | None = None):
-        super().__init__(claimed_alpha)
+    def __init__(self, name: str, fn):
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "_name", str(name))
 
@@ -257,7 +244,7 @@ def quasi_firm_defect(op: Operator, alpha: float, x: Point, y: Point) -> float:
     alpha = _check_alpha(alpha)
     check_same_space(x, y)
     ty = op.apply(y)
-    if distance(ty, y) > y.space.tolerances.eq_tol:
+    if distance(ty, y) > EQ_TOL:
         raise NotAFixedPointError(
             f"{op.name} moves the supplied point by {distance(ty, y):.3e}"
         )
@@ -405,7 +392,6 @@ def certify_alpha_firm(
     samples: int,
     seed: int,
     fixed_points=None,
-    tolerance: float | None = None,
 ) -> AlphaCertificate:
     """Sample the alpha-firm inequality and record the worst defect.
 
@@ -416,7 +402,6 @@ def certify_alpha_firm(
     alpha = _check_alpha(alpha)
     if samples < 1:
         raise DomainError("samples must be >= 1")
-    tolerance = space.defect_tolerance if tolerance is None else tolerance
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     worst = math.inf
     if fixed_points is None:
@@ -443,5 +428,5 @@ def certify_alpha_firm(
         samples=samples,
         seed=seed,
         worst_defect=worst,
-        tolerance=tolerance,
+        tolerance=space.defect_tolerance,
     )

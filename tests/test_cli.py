@@ -237,6 +237,30 @@ class TestMean:
         assert "exponential map" in capsys.readouterr().err
 
 
+class TestUnusedFlags:
+    @pytest.mark.parametrize("command, doc, flags, named", [
+        ("certify", CERTIFY_DOC, ["--max-iter", "1", "--tol", "0.5"], "--max-iter"),
+        ("run", CYCLIC_DOC, ["--seed", "5"], "--seed"),
+        ("mean", MEAN_DOC, ["--seed", "3"], "--seed"),
+        ("mean", MEAN_DOC, ["--max-iter", "2"], "--max-iter"),
+    ], ids=["certify-max-iter-tol", "cyclic-seed", "mean-seed", "mean-max-iter"])
+    def test_flag_the_algorithm_ignores_is_rejected(self, tmp_path, capsys,
+                                                     command, doc, flags, named):
+        out = tmp_path / "out.csv"
+        scn = write(tmp_path, "s.scn", doc.format(out=out))
+        assert main([command, scn, *flags]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert named in err
+        assert parse_scenario(doc.format(out=out)).algorithm in err
+
+    def test_tol_applies_to_mean(self, tmp_path, capsys):
+        out = tmp_path / "mean.csv"
+        scn = write(tmp_path, "m.scn", MEAN_DOC.format(out=out))
+        assert main(["mean", scn, "--tol", "1e-9"]) == 0
+        assert out.exists()
+
+
 class TestVersion:
     def test_prints_version(self, capsys):
         assert main(["version"]) == 0

@@ -2,6 +2,7 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,13 +15,13 @@ from hadamard import (
     InvalidPointError,
     ProductSpace,
     SpaceMismatchError,
-    ToleranceConfig,
     cat0_defect,
     comparison_triangle,
     distance,
     geodesic_point,
     quasilinearization,
 )
+from hadamard import geometry
 from hadamard.errors import ConstructionError
 
 
@@ -252,14 +253,9 @@ class TestProductSpace:
 
 class TestToleranceConfig:
     def test_defaults(self):
-        cfg = ToleranceConfig()
-        assert cfg.eq_tol == 1e-9
-        assert cfg.on_manifold == 1e-10
-        assert cfg.hyperbolic_tol == 1e-7
-
-    def test_positivity_enforced(self):
-        with pytest.raises(ConstructionError):
-            ToleranceConfig(eq_tol=0.0)
+        assert geometry.EQ_TOL == 1e-9
+        assert geometry.ON_MANIFOLD_TOL == 1e-10
+        assert geometry.HYPERBOLIC_TOL == 1e-7
 
     def test_defect_tolerance_tracks_hyperbolic_factors(self, e2, h2, tripod):
         assert e2.defect_tolerance == 1e-9
@@ -289,6 +285,21 @@ class TestExpFromBase:
     def test_moderate_radius_stays_on_sheet(self, h2):
         p = h2.exp_from_base([3.0, -4.0])
         assert distance(h2.base_point(), p) == pytest.approx(5.0, rel=1e-12)
+
+    @pytest.mark.parametrize("radius", [356.0, 400.0, 700.0])
+    def test_square_overflow_raises_without_warnings(self, h2, radius):
+        # cosh is finite here but its square is not; no array product may
+        # overflow on the way to the error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidPointError, match="exponential map"):
+                h2.exp_from_base([0.6 * radius, 0.8 * radius])
+
+    def test_radius_five_payload_unchanged(self, h2):
+        v = np.array([3.0, -4.0])
+        out = np.concatenate([[math.cosh(5.0)], (math.sinh(5.0) / 5.0) * v])
+        expected = out / math.sqrt(-geometry.minkowski(out, out))
+        assert np.array_equal(h2.exp_from_base(v).payload, expected)
 
 
 class TestPointHash:

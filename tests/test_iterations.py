@@ -203,6 +203,23 @@ class TestAveragedProjections:
         assert trace.iterations == 0
         assert trace.stop_reason == "converged"
 
+    def test_weights_checked_even_from_inside(self, e2, quadrant_sets):
+        with pytest.raises(ConstructionError):
+            averaged_projections(quadrant_sets, e2.point([-1, -1]),
+                                 StopRule(max_iter=5), weights=[0.7, 0.7])
+
+    def test_set_from_another_space_rejected(self, e2, e3):
+        ball = GeodesicBall(e3.point([0, 0, 0]), 1.0, name="ball-e3")
+        with pytest.raises(DomainError):
+            averaged_projections([ball], e2.point([0, 0]), StopRule(max_iter=5))
+
+    def test_disjoint_lines_stall(self, e2):
+        lines = [EuclideanHyperplane(e2, [0, 1], 0.0, name="y=0"),
+                 EuclideanHyperplane(e2, [0, 1], 1.0, name="y=1")]
+        trace = averaged_projections(lines, e2.point([0.3, 0.4]), StopRule(max_iter=200))
+        assert trace.stop_reason == "stalled"
+        assert trace.final_residual == pytest.approx(0.5)
+
 
 class TestFejerDiagnostics:
     def test_gaps_nonnegative_with_witness(self, e2, quadrant_sets, rng):

@@ -62,10 +62,6 @@ class TestConstruction:
         with pytest.raises(ConstructionError):
             MetricTree([("a", "b", 0.0)])
 
-    def test_undeclared_vertex_rejected(self):
-        with pytest.raises(ConstructionError):
-            MetricTree([("a", "b", 1)], vertices=["a"])
-
     def test_needs_an_edge(self):
         with pytest.raises(ConstructionError):
             MetricTree([])

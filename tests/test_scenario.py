@@ -221,7 +221,9 @@ class TestRepeatedKeys:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("doc", [CYCLIC_DOC, TREE_CERTIFY_DOC, PRODUCT_DOC, MEAN_DOC])
+    @pytest.mark.parametrize("doc", [CYCLIC_DOC, TREE_CERTIFY_DOC, PRODUCT_DOC, MEAN_DOC],
+                             ids=["euclidean-cyclic", "tree-certify", "product-averaged",
+                                  "hyperboloid-barycenter"])
     def test_parse_serialize_parse_is_identity(self, doc):
         first = parse_scenario(doc)
         text = serialize_scenario(first)
