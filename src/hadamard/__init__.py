@@ -21,7 +21,6 @@ from .errors import (
 )
 from .geometry import (
     Euclidean,
-    GeodesicSegment,
     Hyperboloid,
     Point,
     ProductSpace,

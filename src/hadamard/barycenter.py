@@ -35,13 +35,13 @@ from .geometry import (
     check_same_space,
     distance,
     geodesic_point,
-    minkowski,
 )
 from .metric_tree import MetricTree
 
 __all__ = [
     "WeightedPoints",
     "BarycenterConfig",
+    "convex_weights",
     "frechet_objective",
     "frechet_mean",
     "variance_defect",
@@ -51,6 +51,17 @@ __all__ = [
 _WEIGHT_SUM_TOL = 1e-12
 
 
+def convex_weights(weights) -> tuple[float, ...]:
+    """The weights as floats, checked nonnegative and summing to 1."""
+    weights = tuple(float(w) for w in weights)
+    if any(w < 0.0 for w in weights):
+        raise ConstructionError("weights must be nonnegative")
+    total = math.fsum(weights)
+    if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+        raise ConstructionError(f"weights must sum to 1, got {total!r}")
+    return weights
+
+
 class WeightedPoints:
     """A nonempty list of points in one space with convex weights."""
 
@@ -58,18 +69,14 @@ class WeightedPoints:
 
     def __init__(self, points, weights):
         points = tuple(points)
-        weights = tuple(float(w) for w in weights)
+        weights = tuple(weights)
         if not points:
             raise ConstructionError("need at least one point")
         if len(points) != len(weights):
             raise ConstructionError(
                 f"{len(points)} points but {len(weights)} weights"
             )
-        if any(w < 0.0 for w in weights):
-            raise ConstructionError("weights must be nonnegative")
-        total = math.fsum(weights)
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            raise ConstructionError(f"weights must sum to 1, got {total!r}")
+        weights = convex_weights(weights)
         space = check_same_space(*points)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "weights", weights)
@@ -159,17 +166,14 @@ def _hyperboloid_mean(space: Hyperboloid, wp: WeightedPoints, cfg: BarycenterCon
     payloads = [p.payload for p in wp.points]
     weights = wp.weights
 
-    def normalize(v):
-        return v / math.sqrt(-minkowski(v, v))
-
-    current = normalize(sum(w * q for w, q in zip(weights, payloads)))
+    current = space.normalize(sum(w * q for w, q in zip(weights, payloads)))
     for _ in range(cfg.sweep_limit):
         acc = np.zeros(space.dim + 1)
         for w, q in zip(weights, payloads):
             theta = space.payload_distance(current, q)
             coeff = 1.0 if theta < 1e-8 else theta / math.sinh(theta)
             acc += (w * coeff) * q
-        candidate = normalize(acc)
+        candidate = space.normalize(acc)
         # ambient gap: the geodesic metric cannot resolve steps below
         # ~1.5e-8, while the ambient norm bounds it near the sheet
         step = float(np.linalg.norm(current - candidate))

@@ -1,7 +1,8 @@
 """Scenario-driven command line: run projection algorithms, certify, average.
 
-Exit codes: 0 success, 2 scenario parse/validation error, 3 convergence
-failure, 4 failed certifier check, 5 I/O error.
+Exit codes: 0 success, 2 scenario parse/validation error or any other
+library error, 3 convergence failure, 4 failed certifier check, 5 I/O
+error.
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ from dataclasses import replace
 from . import __version__
 from .barycenter import BarycenterConfig, WeightedPoints, frechet_mean, frechet_objective
 from .certifier import run_suite, space_suite
-from .errors import (
-    CheckSpecError,
-    ConvergenceFailureError,
-    HadamardError,
-    ScenarioError,
-)
+from .errors import ConvergenceFailureError, HadamardError, ScenarioError
 from .iterations import (
     CONVERGED,
     approximate_shadows,
@@ -134,36 +130,34 @@ def run_scenario(scenario: Scenario, step_tol: float | None = None) -> int:
     Dispatches on the scenario's algorithm, writes the trace CSV, the
     certifier report CSV, or the barycenter CSV to the scenario's
     output path, and returns the process exit status (0 on
-    convergence/pass, 3 on convergence failure, 4 on a failed check,
-    5 on I/O trouble).
+    convergence/pass, 2 on any other library error, 3 on convergence
+    failure, 4 on a failed check, 5 on I/O trouble).
     """
-    if scenario.algorithm == "certify":
-        return _run_certify(scenario)
-    if scenario.algorithm == "barycenter":
-        return _run_mean(scenario, step_tol)
-    return _run_trace(scenario)
-
-
-def _run_trace(scenario: Scenario) -> int:
-    run_sets = [scenario.sets[n] for n in scenario.run_sets]
     try:
-        if scenario.algorithm == "cyclic":
-            trace = cyclic_projections(run_sets, scenario.x0, scenario.stop,
-                                       witness=scenario.witness)
-        elif scenario.algorithm == "averaged":
-            trace = averaged_projections(run_sets, scenario.x0, scenario.stop,
-                                         weights=scenario.weights,
-                                         witness=scenario.witness)
-        else:  # fixedpoint: compose the projections, first listed applied first
-            op = Composition(tuple(reversed([Projection(c) for c in run_sets])))
-            trace = fixed_point_iterate(op, scenario.x0, scenario.stop,
-                                        witness=scenario.witness)
+        if scenario.algorithm == "certify":
+            return _run_certify(scenario)
+        if scenario.algorithm == "barycenter":
+            return _run_mean(scenario, step_tol)
+        return _run_trace(scenario)
     except ConvergenceFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except HadamardError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+
+
+def _run_trace(scenario: Scenario) -> int:
+    run_sets = [scenario.sets[n] for n in scenario.run_sets]
+    if scenario.algorithm == "cyclic":
+        trace = cyclic_projections(run_sets, scenario.x0, scenario.stop,
+                                   witness=scenario.witness)
+    elif scenario.algorithm == "averaged":
+        trace = averaged_projections(run_sets, scenario.x0, scenario.stop,
+                                     weights=scenario.weights, witness=scenario.witness)
+    else:  # fixedpoint: compose the projections, first listed applied first
+        op = Composition(tuple(reversed([Projection(c) for c in run_sets])))
+        trace = fixed_point_iterate(op, scenario.x0, scenario.stop, witness=scenario.witness)
 
     gap_note = ""
     if scenario.algorithm != "fixedpoint" and len(trace.points) <= _SHADOW_LIMIT:
@@ -190,16 +184,12 @@ def _run_trace(scenario: Scenario) -> int:
 
 
 def _run_certify(scenario: Scenario) -> int:
-    try:
-        specs = space_suite(
-            scenario.space, scenario.sets, scenario.witness,
-            scenario.samples, scenario.seed,
-            claim_alpha=scenario.claim_alpha, claim_set=scenario.claim_set,
-        )
-        report = run_suite(specs, suite_seed=scenario.seed)
-    except CheckSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    specs = space_suite(
+        scenario.space, scenario.sets, scenario.witness,
+        scenario.samples, scenario.seed,
+        claim_alpha=scenario.claim_alpha, claim_set=scenario.claim_set,
+    )
+    report = run_suite(specs, suite_seed=scenario.seed)
     status = _write(scenario.output_path, report.to_csv)
     if status != EXIT_OK:
         return status
@@ -214,15 +204,8 @@ def _run_mean(scenario: Scenario, step_tol: float | None = None) -> int:
         n = len(scenario.mean_points)
         weights = [1.0 / n] * n
     cfg = BarycenterConfig() if step_tol is None else BarycenterConfig(step_tol=step_tol)
-    try:
-        wp = WeightedPoints(scenario.mean_points, weights)
-        mean = frechet_mean(wp, cfg)
-    except ConvergenceFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except HadamardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    wp = WeightedPoints(scenario.mean_points, weights)
+    mean = frechet_mean(wp, cfg)
     objective = frechet_objective(wp, mean)
 
     def writer(fh):

@@ -111,8 +111,7 @@ class EuclideanHalfspace(ConvexSet):
         gap = float(self.normal @ x.payload) - self.offset
         if self._lowest_gap <= gap <= 0.0:
             return x
-        return Point(self.space, self.space.validate_payload(
-            x.payload - (gap / self._norm_sq) * self.normal))
+        return self.space.point(x.payload - (gap / self._norm_sq) * self.normal)
 
     def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
         self._check_point(x)
@@ -124,8 +123,8 @@ class EuclideanHalfspace(ConvexSet):
         return (tuple(self.normal), self.offset)
 
     def describe(self) -> str:
-        coeffs = ", ".join(f"{v:g}" for v in self.normal)
-        return f"{self.kind} <({coeffs}), x> {self._relation} {self.offset:g}"
+        normal = self.space.format_payload(self.normal)
+        return f"{self.kind} <{normal}, x> {self._relation} {self.offset:g}"
 
 
 class EuclideanHyperplane(EuclideanHalfspace):
@@ -167,9 +166,7 @@ class HyperbolicHalfspace(ConvexSet):
         s = minkowski(self.normal, x.payload)
         if s <= 0.0:
             return x
-        w = x.payload - s * self.normal
-        scale = math.sqrt(-minkowski(w, w))
-        return Point(self.space, self.space.validate_payload(w / scale))
+        return self.space.point(self.space.normalize(x.payload - s * self.normal))
 
     def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
         self._check_point(x)
@@ -179,8 +176,7 @@ class HyperbolicHalfspace(ConvexSet):
         return tuple(self.normal)
 
     def describe(self) -> str:
-        coeffs = ", ".join(f"{v:g}" for v in self.normal)
-        return f"hyperbolic halfspace m(({coeffs}), x) <= 0"
+        return f"hyperbolic halfspace m({self.space.format_payload(self.normal)}, x) <= 0"
 
 
 class GeodesicBall(ConvexSet):
@@ -273,14 +269,6 @@ class Subtree(ConvexSet):
         return tree.vertex_point(tree._names[c])
 
     def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
-        self._check_point(x)
-        tree: MetricTree = self.space
-        loc = x.payload
-        if loc.edge in self.edge_set:
-            return True
-        v = tree.location_vertex(loc)
-        if v is not None and v in self.vertex_set:
-            return True
         return distance(x, self.project(x)) <= tol
 
     def _eq_key(self):

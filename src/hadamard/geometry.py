@@ -32,8 +32,8 @@ from .errors import (
 
 __all__ = [
     "SpaceModel",
+    "CoordinateSpace",
     "Point",
-    "GeodesicSegment",
     "Euclidean",
     "Hyperboloid",
     "ProductSpace",
@@ -163,25 +163,50 @@ class SpaceModel:
         return self.describe()
 
 
-class Euclidean(SpaceModel):
-    """Flat n-dimensional space with the usual metric."""
+class CoordinateSpace(SpaceModel):
+    """A model whose payloads are read-only float arrays of one length.
+
+    ``_extra`` counts the coordinates beyond ``dim``: none in flat space,
+    the ambient time coordinate on the hyperboloid.
+    """
 
     __slots__ = ("dim",)
+    _extra = 0
 
     def __init__(self, dim: int):
         if int(dim) != dim or dim < 1:
-            raise ConstructionError("Euclidean dimension must be a positive integer")
+            raise ConstructionError(f"{type(self).__name__} dimension must be a positive integer")
         object.__setattr__(self, "dim", int(dim))
 
     def validate_payload(self, payload):
         arr = _readonly(payload)
-        if arr.shape != (self.dim,):
-            raise InvalidPointError(
-                f"expected {self.dim} coordinates, got shape {arr.shape}"
-            )
+        n = self.dim + self._extra
+        if arr.shape != (n,):
+            raise InvalidPointError(f"expected {n} coordinates, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise InvalidPointError("coordinates must be finite")
         return arr
+
+    def payloads_equal(self, a, b) -> bool:
+        return bool(np.array_equal(a, b))
+
+    def format_payload(self, payload) -> str:
+        return "(" + ", ".join(f"{v:g}" for v in payload) + ")"
+
+    def describe(self) -> str:
+        return f"{type(self).__name__}({self.dim})"
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.dim == self.dim
+
+    def __hash__(self):
+        return hash((type(self).__name__, self.dim))
+
+
+class Euclidean(CoordinateSpace):
+    """Flat n-dimensional space with the usual metric."""
+
+    __slots__ = ()
 
     def payload_distance(self, a, b) -> float:
         return float(np.linalg.norm(a - b))
@@ -192,28 +217,13 @@ class Euclidean(SpaceModel):
     def sample_payload(self, rng):
         return _readonly(rng.standard_normal(self.dim))
 
-    def payloads_equal(self, a, b) -> bool:
-        return bool(np.array_equal(a, b))
-
-    def format_payload(self, payload) -> str:
-        return "(" + ", ".join(f"{v:g}" for v in payload) + ")"
-
-    def describe(self) -> str:
-        return f"Euclidean({self.dim})"
-
-    def __eq__(self, other):
-        return isinstance(other, Euclidean) and other.dim == self.dim
-
-    def __hash__(self):
-        return hash(("euclidean", self.dim))
-
 
 def minkowski(u, v) -> float:
     """Lorentzian pairing -u0*v0 + sum_{i>=1} ui*vi on ambient vectors."""
     return float(np.dot(u[1:], v[1:]) - u[0] * v[0])
 
 
-class Hyperboloid(SpaceModel):
+class Hyperboloid(CoordinateSpace):
     """Hyperbolic n-space on the upper sheet of ``m(v, v) = -1``.
 
     Distance is ``arcosh(-m(u, v))``; geodesics follow
@@ -222,12 +232,8 @@ class Hyperboloid(SpaceModel):
     onto the sheet to control drift.
     """
 
-    __slots__ = ("dim",)
-
-    def __init__(self, dim: int):
-        if int(dim) != dim or dim < 1:
-            raise ConstructionError("Hyperboloid dimension must be a positive integer")
-        object.__setattr__(self, "dim", int(dim))
+    __slots__ = ()
+    _extra = 1
 
     @property
     def involves_hyperboloid(self) -> bool:
@@ -240,13 +246,7 @@ class Hyperboloid(SpaceModel):
         return Point(self, _readonly(v))
 
     def validate_payload(self, payload):
-        arr = _readonly(payload)
-        if arr.shape != (self.dim + 1,):
-            raise InvalidPointError(
-                f"expected {self.dim + 1} ambient coordinates, got shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise InvalidPointError("coordinates must be finite")
+        arr = super().validate_payload(payload)
         gap = abs(minkowski(arr, arr) + 1.0)
         if gap > ON_MANIFOLD_TOL:
             raise InvalidPointError(
@@ -256,12 +256,12 @@ class Hyperboloid(SpaceModel):
             raise InvalidPointError("point must lie on the upper sheet (v[0] > 0)")
         return arr
 
-    def _renormalize(self, v: np.ndarray) -> np.ndarray:
-        scale = math.sqrt(-minkowski(v, v))
-        w = v / scale
-        if w[0] < 0:
-            w = -w
-        return _readonly(w)
+    @staticmethod
+    def normalize(v: np.ndarray) -> np.ndarray:
+        """The timelike ambient vector v scaled onto its sheet: v / sqrt(-m(v, v))."""
+        w = v / math.sqrt(-minkowski(v, v))
+        w.setflags(write=False)
+        return w
 
     def payload_distance(self, a, b) -> float:
         # arcosh resolves nothing below ~1.5e-8, so identical payloads
@@ -278,8 +278,9 @@ class Hyperboloid(SpaceModel):
         if theta < _TINY_ANGLE:
             return a
         s = math.sinh(theta)
+        # Both coefficients are >= 0, so w stays on the upper sheet's side.
         w = (math.sinh((1.0 - t) * theta) * a + math.sinh(t * theta) * b) / s
-        return self._renormalize(w)
+        return self.normalize(w)
 
     def exp_from_base(self, tangent) -> Point:
         """Exponential map at the apex of a tangent vector in R^dim."""
@@ -287,44 +288,28 @@ class Hyperboloid(SpaceModel):
         if v.shape != (self.dim,):
             raise InvalidPointError(f"tangent vector must have {self.dim} coordinates")
         r = float(np.linalg.norm(v))
-        out = np.zeros(self.dim + 1)
         if r < 1e-300:
-            out[0] = 1.0
-            return Point(self, _readonly(out))
-        # Far from the apex cosh overflows, or its square does (a scalar
-        # test, so no array product overflows), or the squares cancel so
-        # that the sheet constraint has nothing left to normalize.
+            return self.base_point()
+        # Far from the apex cosh or its square overflows (tested on the
+        # scalar, so no array product does), or -m(out, out) = cosh^2 - sinh^2
+        # rounds off 1 and dividing by it moves the point by half the gap.
         try:
             c = math.cosh(r)
         except OverflowError:
             c = math.inf
+        out = np.zeros(self.dim + 1)
         norm_sq = math.nan
         if c * c < math.inf:
             out[0] = c
             out[1:] = (math.sinh(r) / r) * v
             norm_sq = -minkowski(out, out)
-        if not norm_sq > 0.0:
+        if not abs(norm_sq - 1.0) <= 2.0 * HYPERBOLIC_TOL:
             raise InvalidPointError(
                 f"exponential map at radius {r:g} is not representable in floating point")
         return Point(self, _readonly(out / math.sqrt(norm_sq)))
 
     def sample_payload(self, rng):
         return self.exp_from_base(rng.standard_normal(self.dim)).payload
-
-    def payloads_equal(self, a, b) -> bool:
-        return bool(np.array_equal(a, b))
-
-    def format_payload(self, payload) -> str:
-        return "(" + ", ".join(f"{v:g}" for v in payload) + ")"
-
-    def describe(self) -> str:
-        return f"Hyperboloid({self.dim})"
-
-    def __eq__(self, other):
-        return isinstance(other, Hyperboloid) and other.dim == self.dim
-
-    def __hash__(self):
-        return hash(("hyperboloid", self.dim))
 
 
 class ProductSpace(SpaceModel):
@@ -351,19 +336,14 @@ class ProductSpace(SpaceModel):
             pl, pr = payload
         except (TypeError, ValueError):
             raise InvalidPointError("product payload must be a (left, right) pair")
-        if isinstance(pl, Point):
-            if pl.space != self.left:
-                raise InvalidPointError("left component belongs to a different space")
-            pl = Point(self.left, self.left.validate_payload(pl.payload))
-        else:
-            pl = self.left.point(pl)
-        if isinstance(pr, Point):
-            if pr.space != self.right:
-                raise InvalidPointError("right component belongs to a different space")
-            pr = Point(self.right, self.right.validate_payload(pr.payload))
-        else:
-            pr = self.right.point(pr)
-        return (pl, pr)
+        factors = []
+        for side, space, p in (("left", self.left, pl), ("right", self.right, pr)):
+            if isinstance(p, Point):
+                if p.space != space:
+                    raise InvalidPointError(f"{side} component belongs to a different space")
+                p = p.payload
+            factors.append(space.point(p))
+        return tuple(factors)
 
     def payload_distance(self, a, b) -> float:
         dl = self.left.payload_distance(a[0].payload, b[0].payload)
@@ -433,30 +413,6 @@ def geodesic_point(p: Point, q: Point, t: float) -> Point:
     if t == 1.0:
         return q
     return Point(space, space.payload_interpolate(p.payload, q.payload, t))
-
-
-class GeodesicSegment:
-    """The constant-speed geodesic from ``start`` to ``end``.
-
-    ``at(t)`` evaluates the segment; ``d(at(t1), at(t2)) = |t1-t2|*length``.
-    """
-
-    __slots__ = ("start", "end", "length")
-
-    def __init__(self, start: Point, end: Point):
-        check_same_space(start, end)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        object.__setattr__(self, "length", distance(start, end))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GeodesicSegment is immutable")
-
-    def at(self, t: float) -> Point:
-        return geodesic_point(self.start, self.end, t)
-
-    def __repr__(self):
-        return f"GeodesicSegment({self.start!r} -> {self.end!r}, length={self.length:g})"
 
 
 def quasilinearization(x: Point, z: Point, y: Point, w: Point) -> float:

@@ -359,10 +359,11 @@ def technical_condition_gaps(trace: IterationTrace) -> list[float]:
 
     For probe geodesics gamma from the estimated limit (the last shadow)
     to points of the limit set (a subsample of about eight shadows plus
-    the witness), reports per iterate the largest value of
-    d(x_n, P_gamma sh_n) - d(x_n, sh_n).  These gaps are nonnegative and
-    their decay toward the end of a run supports strong convergence of
-    the shadows; they are reported only and never gate termination.
+    the witness) more than ``EQ_TOL`` away, reports per iterate the
+    largest value of d(x_n, P_gamma sh_n) - d(x_n, sh_n).  These gaps are
+    nonnegative and their decay toward the end of a run supports strong
+    convergence of the shadows; they are reported only and never gate
+    termination.
     """
     if trace.shadows is None:
         raise DomainError("trace has no shadows attached")
@@ -371,7 +372,9 @@ def technical_condition_gaps(trace: IterationTrace) -> list[float]:
     targets = list(sh[::max(1, len(sh) // 8)])
     if trace.witness is not None and not trace.witness_is_proxy:
         targets.append(trace.witness)
-    probes = [t for t in targets if distance(anchor, t) > 0.0]
+    # A probe no longer than EQ_TOL moves the gap by at most its length,
+    # while its segment search costs as much as a long probe's.
+    probes = [t for t in targets if distance(anchor, t) > EQ_TOL]
     gaps = []
     for x, s in zip(pts, sh):
         base = distance(x, s)

@@ -310,12 +310,6 @@ class MetricTree(SpaceModel):
         r = self._r
         return r[i] + r[j] - 2.0 * r[self._lca(i, j)]
 
-    def distance_to_vertex(self, loc: TreeLocation, v: str) -> float:
-        c, rp = self._anchor(loc)
-        j = self._index[v]
-        r = self._r
-        return rp + r[j] - 2.0 * min(rp, r[self._lca(c, j)])
-
     def vertex_path(self, u: str, v: str) -> list[str]:
         """Unique vertex path from u to v, inclusive."""
         i, j = self._index[str(u)], self._index[str(v)]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycenter import WeightedPoints, frechet_mean
+from .barycenter import WeightedPoints, convex_weights, frechet_mean
 from .convex_sets import ConvexSet
 from .errors import ConstructionError, DomainError, NotAFixedPointError, SpaceMismatchError
 from .geometry import (EQ_TOL, Point, SpaceModel, check_same_space, distance, geodesic_point,
@@ -69,9 +69,6 @@ class Operator:
 
     def apply(self, x: Point) -> Point:
         raise NotImplementedError
-
-    def __call__(self, x: Point) -> Point:
-        return self.apply(x)
 
     @property
     def name(self) -> str:
@@ -158,15 +155,11 @@ class ConvexCombination(Operator):
     __slots__ = ("weights", "operators")
 
     def __init__(self, weights, operators):
-        weights = tuple(float(w) for w in weights)
+        weights = tuple(weights)
         operators = tuple(operators)
         if len(weights) != len(operators) or not operators:
             raise ConstructionError("need matching, nonempty weights and operators")
-        if any(w < 0.0 for w in weights):
-            raise ConstructionError("weights must be nonnegative")
-        if abs(math.fsum(weights) - 1.0) > 1e-12:
-            raise ConstructionError(f"weights must sum to 1, got {math.fsum(weights)!r}")
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", convex_weights(weights))
         object.__setattr__(self, "operators", operators)
 
     def apply(self, x: Point) -> Point:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .barycenter import convex_weights
 from .convex_sets import (
     ConvexSet,
     EuclideanHalfspace,
@@ -331,12 +332,10 @@ _RUN_KEYS = {
 
 
 def _parse_weights(value: str, line_no: int) -> list[float]:
-    weights = _floats(value, line_no, "weights")
-    if any(w < 0 for w in weights):
-        raise ScenarioError("weights must be nonnegative", line_no=line_no, key="weights")
-    if abs(sum(weights) - 1.0) > 1e-12:
-        raise ScenarioError("weights must sum to 1", line_no=line_no, key="weights")
-    return weights
+    try:
+        return list(convex_weights(_floats(value, line_no, "weights")))
+    except ConstructionError as exc:
+        raise ScenarioError(str(exc), line_no=line_no, key="weights")
 
 
 def parse_scenario(text: str) -> Scenario:

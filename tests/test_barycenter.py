@@ -8,12 +8,16 @@ import pytest
 from hadamard import (
     BarycenterConfig,
     ConvergenceFailureError,
+    ConvexCombination,
+    Identity,
+    ScenarioError,
     WeightedPoints,
     distance,
     frechet_mean,
     frechet_objective,
     geodesic_point,
     inductive_mean_sweeps,
+    parse_scenario,
     variance_defect,
 )
 from hadamard.errors import ConstructionError, SpaceMismatchError
@@ -217,3 +221,21 @@ class TestInductiveSweeps:
     def test_config_validation(self):
         with pytest.raises(ConstructionError):
             BarycenterConfig(sweep_limit=0)
+
+
+class TestConvexWeights:
+    @pytest.mark.parametrize("weights", [[0.7, 0.7], [-0.5, 1.5]])
+    def test_one_message_for_points_operators_and_scenarios(self, e2, weights):
+        with pytest.raises(ConstructionError) as points_err:
+            WeightedPoints([e2.point([0, 0]), e2.point([1, 0])], weights)
+        with pytest.raises(ConstructionError) as combo_err:
+            ConvexCombination(weights, [Identity(), Identity()])
+        doc = ("[space]\nkind = euclidean\ndim = 2\n\n[run]\nalgorithm = barycenter\n"
+               "point = 0,0\npoint = 1,0\n"
+               f"weights = {weights[0]},{weights[1]}\noutput = mean.csv\n")
+        with pytest.raises(ScenarioError) as scenario_err:
+            parse_scenario(doc)
+        message = str(points_err.value)
+        assert message.startswith("weights must")
+        assert str(combo_err.value) == message
+        assert str(scenario_err.value) == f"line 9, key 'weights': {message}"

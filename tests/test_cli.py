@@ -210,6 +210,22 @@ class TestCertify:
         scn = write(tmp_path, "s.scn", CYCLIC_DOC.format(out=out))
         assert main(["certify", scn]) == 2
 
+    def test_claim_set_without_witness_is_error(self, tmp_path, capsys):
+        doc = CERTIFY_DOC.replace(
+            "witness = vertex,o",
+            "witness = vertex,a\nclaim_alpha = 0.5\nclaim_set = LB",
+        )
+        out = tmp_path / "report.csv"
+        scn = write(tmp_path, "c.scn", doc.format(out=out))
+        assert main(["certify", scn]) == 2
+        assert not out.exists()
+        assert "error: P[LB] moves the supplied point" in capsys.readouterr().err
+
+    def test_unwritable_output_is_io_error(self, tmp_path, capsys):
+        scn = write(tmp_path, "c.scn", CERTIFY_DOC.format(out="/nonexistent-dir/report.csv"))
+        assert main(["certify", scn]) == 5
+        assert "cannot write" in capsys.readouterr().err
+
 
 class TestMean:
     def test_tripod_mean(self, tmp_path, capsys):
@@ -226,6 +242,11 @@ class TestMean:
         out = tmp_path / "x.csv"
         scn = write(tmp_path, "s.scn", CYCLIC_DOC.format(out=out))
         assert main(["mean", scn]) == 2
+
+    def test_unwritable_output_is_io_error(self, tmp_path, capsys):
+        scn = write(tmp_path, "m.scn", MEAN_DOC.format(out="/nonexistent-dir/mean.csv"))
+        assert main(["mean", scn]) == 5
+        assert "cannot write" in capsys.readouterr().err
 
     @pytest.mark.parametrize("radius", [20, 30])
     def test_point_far_out_on_hyperboloid_is_parse_error(self, tmp_path, capsys, radius):

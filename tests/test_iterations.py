@@ -14,6 +14,7 @@ from hadamard import (
     EuclideanHyperplane,
     GeodesicBall,
     Identity,
+    IterationTrace,
     NotAFixedPointError,
     Projection,
     StopRule,
@@ -31,6 +32,7 @@ from hadamard import (
     technical_condition_gaps,
 )
 from hadamard.errors import ConstructionError
+from hadamard.geometry import EQ_TOL
 
 
 @pytest.fixture
@@ -292,6 +294,27 @@ class TestTechnicalGaps:
         gaps = technical_condition_gaps(trace)
         assert all(g >= -1e-12 for g in gaps)
         assert gaps[-1] <= 1e-6
+
+    def test_spread_shadows_keep_every_probe(self, e2):
+        # Shadows pairwise more than EQ_TOL apart: dropping probes of
+        # length <= EQ_TOL drops none, so the gaps equal those of the rule
+        # that kept every probe of positive length.
+        points = [e2.point([0.1 * n, 1.0 + 0.5 * n]) for n in range(12)]
+        trace = IterationTrace(points=points, residuals=[1.0] * 12, steps=[0.5] * 11,
+                               stop_reason="maxiter", witness=e2.point([-1.0, 0.0]))
+        below = EuclideanHalfspace(e2, [0.3, 1.0], 0.0)
+        sh = attach_shadows(trace, shadow_sequence(trace, below), False).shadows
+        assert min(distance(a, b) for i, a in enumerate(sh) for b in sh[i + 1:]) > EQ_TOL
+        anchor = sh[-1]
+        targets = list(sh[::max(1, len(sh) // 8)]) + [trace.witness]
+        probes = [t for t in targets if distance(anchor, t) > 0.0]
+        expected = []
+        for x, s in zip(points, sh):
+            worst = 0.0
+            for t in probes:
+                worst = max(worst, distance(x, project_to_segment(anchor, t, s)) - distance(x, s))
+            expected.append(worst)
+        assert technical_condition_gaps(trace) == expected
 
 
 class TestAsymptoticCenter:
