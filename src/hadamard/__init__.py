@@ -37,7 +37,6 @@ from .metric_tree import MetricTree, TreeEdge, TreeLocation, parse_edge_list
 __version__ = "0.1.0"
 
 from .barycenter import (
-    BarycenterConfig,
     WeightedPoints,
     frechet_mean,
     frechet_objective,
@@ -55,7 +54,6 @@ from .convex_sets import (
     projection_defect,
 )
 from .operators import (
-    AlphaCertificate,
     Composition,
     Constant,
     ConvexCombination,
@@ -64,7 +62,6 @@ from .operators import (
     Pointwise,
     Projection,
     alpha_firm_defect,
-    certify_alpha_firm,
     combination_alpha,
     composition_alpha,
     composition_condition_defect,

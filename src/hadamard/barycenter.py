@@ -22,11 +22,10 @@ iteration around; the tests use it as an independent cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, ConvergenceFailureError, SpaceMismatchError
+from .errors import ConstructionError, ConvergenceFailureError, DomainError, SpaceMismatchError
 from .geometry import (
     Euclidean,
     Hyperboloid,
@@ -40,7 +39,6 @@ from .metric_tree import MetricTree
 
 __all__ = [
     "WeightedPoints",
-    "BarycenterConfig",
     "convex_weights",
     "frechet_objective",
     "frechet_mean",
@@ -49,6 +47,11 @@ __all__ = [
 ]
 
 _WEIGHT_SUM_TOL = 1e-12
+
+# Sweep cap and default step tolerance of the iterative solvers; the
+# hyperboloid iteration contracts linearly and stabilizes well within it.
+_SWEEP_LIMIT = 200
+_STEP_TOL = 1e-10
 
 
 def convex_weights(weights) -> tuple[float, ...]:
@@ -89,14 +92,9 @@ class WeightedPoints:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class BarycenterConfig:
-    sweep_limit: int = 200
-    step_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.sweep_limit < 1:
-            raise ConstructionError("sweep_limit must be >= 1")
+def _check_step_tol(step_tol: float) -> None:
+    if not 0.0 <= step_tol < math.inf:
+        raise DomainError(f"step_tol must be finite and >= 0, got {step_tol}")
 
 
 def frechet_objective(wp: WeightedPoints, x: Point) -> float:
@@ -133,10 +131,10 @@ def _euclidean_mean(space: Euclidean, wp: WeightedPoints) -> Point:
     return space.point(acc)
 
 
-def _product_mean(space: ProductSpace, wp: WeightedPoints, cfg: BarycenterConfig) -> Point:
+def _product_mean(space: ProductSpace, wp: WeightedPoints, step_tol: float) -> Point:
     lefts = WeightedPoints([p.payload[0] for p in wp.points], wp.weights)
     rights = WeightedPoints([p.payload[1] for p in wp.points], wp.weights)
-    return Point(space, (frechet_mean(lefts, cfg), frechet_mean(rights, cfg)))
+    return Point(space, (frechet_mean(lefts, step_tol), frechet_mean(rights, step_tol)))
 
 
 def _tree_mean(tree: MetricTree, wp: WeightedPoints) -> Point:
@@ -158,7 +156,7 @@ def _tree_mean(tree: MetricTree, wp: WeightedPoints) -> Point:
     return Point(tree, tree._canonical(idx, float(s_star[idx])))
 
 
-def _hyperboloid_mean(space: Hyperboloid, wp: WeightedPoints, cfg: BarycenterConfig) -> Point:
+def _hyperboloid_mean(space: Hyperboloid, wp: WeightedPoints, step_tol: float) -> Point:
     # Fixed point of the stationarity condition: the mean satisfies
     # x = normalize(sum_i w_i (theta_i / sinh theta_i) x_i) with
     # theta_i = d(x, x_i).  The map contracts near the mean, so plain
@@ -167,7 +165,7 @@ def _hyperboloid_mean(space: Hyperboloid, wp: WeightedPoints, cfg: BarycenterCon
     weights = wp.weights
 
     current = space.normalize(sum(w * q for w, q in zip(weights, payloads)))
-    for _ in range(cfg.sweep_limit):
+    for _ in range(_SWEEP_LIMIT):
         acc = np.zeros(space.dim + 1)
         for w, q in zip(weights, payloads):
             theta = space.payload_distance(current, q)
@@ -178,26 +176,27 @@ def _hyperboloid_mean(space: Hyperboloid, wp: WeightedPoints, cfg: BarycenterCon
         # ~1.5e-8, while the ambient norm bounds it near the sheet
         step = float(np.linalg.norm(current - candidate))
         current = candidate
-        if step <= cfg.step_tol:
+        if step <= step_tol:
             return space.point(current)
     objective = math.fsum(
         w * space.payload_distance(current, q) ** 2 for w, q in zip(weights, payloads)
     )
     raise ConvergenceFailureError(
-        f"hyperboloid mean did not stabilize in {cfg.sweep_limit} iterations",
+        f"hyperboloid mean did not stabilize in {_SWEEP_LIMIT} iterations",
         last_point=space.point(current),
         objective=objective,
     )
 
 
-def frechet_mean(wp: WeightedPoints, cfg: BarycenterConfig | None = None) -> Point:
+def frechet_mean(wp: WeightedPoints, step_tol: float = _STEP_TOL) -> Point:
     """The weighted barycenter w_1 x_1 (+) ... (+) w_n x_n.
 
-    Zero-weight points are ignored.  Raises ``ConvergenceFailureError``
-    (carrying the last iterate and objective) if an iterative model
-    solver exhausts ``cfg.sweep_limit`` without stabilizing.
+    Zero-weight points are ignored.  An iterative model solver stops
+    once a step moves the iterate by at most ``step_tol`` and raises
+    ``ConvergenceFailureError`` (carrying the last iterate and
+    objective) if it has not after 200 steps.
     """
-    cfg = cfg or BarycenterConfig()
+    _check_step_tol(step_tol)
     wp = _drop_zero_weights(wp)
     if len(wp) == 1:
         return wp.points[0]
@@ -208,12 +207,12 @@ def frechet_mean(wp: WeightedPoints, cfg: BarycenterConfig | None = None) -> Poi
     if isinstance(space, Euclidean):
         return _euclidean_mean(space, wp)
     if isinstance(space, ProductSpace):
-        return _product_mean(space, wp, cfg)
+        return _product_mean(space, wp, step_tol)
     if isinstance(space, MetricTree):
         return _tree_mean(space, wp)
     if isinstance(space, Hyperboloid):
-        return _hyperboloid_mean(space, wp, cfg)
-    return inductive_mean_sweeps(wp, cfg)
+        return _hyperboloid_mean(space, wp, step_tol)
+    return inductive_mean_sweeps(wp, _SWEEP_LIMIT, step_tol)
 
 
 def _next_sweep(weights, counts, visits_done, sweep_size):
@@ -233,16 +232,19 @@ def _next_sweep(weights, counts, visits_done, sweep_size):
     return order
 
 
-def inductive_mean_sweeps(wp: WeightedPoints, cfg: BarycenterConfig | None = None) -> Point:
+def inductive_mean_sweeps(wp: WeightedPoints, sweeps: int = _SWEEP_LIMIT,
+                          step_tol: float = _STEP_TOL) -> Point:
     """Interpolation-only reference iteration for the weighted mean.
 
     Visits the points in a fixed weight-proportional schedule, pulling a
     running point toward visit k's target by 1/(k+1).  Converges like
     1/k, so it is a coarse reference rather than a production solver;
     the best sweep endpoint by objective is returned once the sweep
-    endpoints stabilize or the sweep budget runs out.
+    endpoints move by at most ``step_tol`` or ``sweeps`` sweeps are done.
     """
-    cfg = cfg or BarycenterConfig()
+    if sweeps < 1:
+        raise ConstructionError("sweeps must be >= 1")
+    _check_step_tol(step_tol)
     wp = _drop_zero_weights(wp)
     if len(wp) == 1:
         return wp.points[0]
@@ -254,14 +256,14 @@ def inductive_mean_sweeps(wp: WeightedPoints, cfg: BarycenterConfig | None = Non
     best_f = frechet_objective(wp, current)
     prev_end = current
     k = 0
-    for _ in range(cfg.sweep_limit):
+    for _ in range(sweeps):
         for i in _next_sweep(wp.weights, counts, k, n):
             k += 1
             current = geodesic_point(current, wp.points[i], 1.0 / (k + 1))
         f = frechet_objective(wp, current)
         if f < best_f:
             best, best_f = current, f
-        if distance(prev_end, current) <= cfg.step_tol:
+        if distance(prev_end, current) <= step_tol:
             return best
         prev_end = current
     return best

@@ -108,6 +108,8 @@ class CheckSpec:
             raise CheckSpecError(f"unknown check kind '{self.kind}'")
         if self.samples < 1:
             raise CheckSpecError("samples must be >= 1")
+        if self.seed < 0:
+            raise CheckSpecError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def tolerance(self) -> float:
@@ -208,7 +210,9 @@ def _defect(spec: CheckSpec):
         return lambda x, z, y, w: (
             distance(x, z) * distance(y, w) - abs(quasilinearization(x, z, y, w)))
     if kind == PROJECTION_FIRM:
-        return partial(alpha_firm_defect, Projection(_payload(spec, "set")), 0.5)
+        # P_C at alpha 1/2 for a "set", or any "op" at an optional "alpha"
+        op = spec.payload["op"] if "op" in spec.payload else Projection(_payload(spec, "set"))
+        return partial(alpha_firm_defect, op, spec.payload.get("alpha", 0.5))
     if kind == PROJECTION_INEQ:
         return partial(projection_defect, _payload(spec, "set"))
     if kind == QUASI_FIRM:
@@ -355,6 +359,8 @@ def _seeded_specs(rows, suite_seed: int) -> list[CheckSpec]:
     Each row's seed is a child of ``suite_seed``, so adding a row never
     changes the seeds of the rows before it.
     """
+    if suite_seed < 0:
+        raise CheckSpecError(f"seed must be >= 0, got {suite_seed}")
     seeds = np.random.SeedSequence(suite_seed).generate_state(len(rows), dtype=np.uint64)
     return [
         CheckSpec(kind=kind, space=space, samples=n, seed=int(child),
@@ -375,11 +381,15 @@ def space_suite(
     """Checks for one user-declared space and its named sets.
 
     Always samples the curvature and Cauchy-Schwarz inequalities plus
-    the variance bound; each set contributes projection checks; a
-    witness inside the sets unlocks the quasi-firm, composition,
-    combination, and Fejer checks.  A claimed constant adds one
-    quasi-firm check for the named set's projection at that constant.
+    the variance bound; each set contributes projection checks.  A
+    witness must lie in every declared set; it adds the quasi-firm
+    checks and, with two or more sets, the composition, combination and
+    Fejer checks.  A claimed constant adds one quasi-firm check for the
+    named set's projection at that constant.
     """
+    missed = [n for n, c in sets.items() if witness is not None and not c.contains(witness)]
+    if missed:
+        raise CheckSpecError(f"witness lies outside the declared set(s) {', '.join(missed)}")
     rows = []
 
     def add(kind, n, payload=None, label=""):
@@ -393,22 +403,21 @@ def space_suite(
         add(PROJECTION_INEQ, max(1, samples // 2), {"set": c}, name)
         add(FIX_CONVEXITY, max(1, samples // 4), {"set": c}, name)
     if witness is not None:
-        fixed_sets = {n: c for n, c in sets.items() if c.contains(witness)}
-        for name, c in fixed_sets.items():
+        for name, c in sets.items():
             add(QUASI_FIRM, max(1, samples // 2),
                 {"op": Projection(c), "alpha": 0.5, "fixed_points": [witness]},
                 name)
-        if len(fixed_sets) >= 2:
-            factors = [(Projection(c), 0.5) for c in fixed_sets.values()]
+        if len(sets) >= 2:
+            factors = [(Projection(c), 0.5) for c in sets.values()]
             add(COMPOSITION_THEOREM, max(1, samples // 2),
                 {"factors": factors, "witness": witness}, "declared-sets")
-            n = len(fixed_sets)
+            n = len(sets)
             add(COMBINATION_THEOREM, max(1, samples // 4),
-                {"ops": [Projection(c) for c in fixed_sets.values()],
+                {"ops": [Projection(c) for c in sets.values()],
                  "alphas": [0.5] * n, "weights": [1.0 / n] * n,
                  "witness": witness}, "declared-sets")
             add(FEJER_RUN, 2,
-                {"algorithm": "cyclic", "sets": list(fixed_sets.values()),
+                {"algorithm": "cyclic", "sets": list(sets.values()),
                  "witness": witness, "rule": StopRule(max_iter=500)},
                 "declared-sets")
     if claim_alpha is not None:

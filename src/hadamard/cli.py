@@ -12,7 +12,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .barycenter import BarycenterConfig, WeightedPoints, frechet_mean, frechet_objective
+from .barycenter import WeightedPoints, frechet_mean, frechet_objective
 from .certifier import run_suite, space_suite
 from .errors import ConvergenceFailureError, HadamardError, ScenarioError
 from .iterations import (
@@ -139,12 +139,14 @@ def run_scenario(scenario: Scenario, step_tol: float | None = None) -> int:
         if scenario.algorithm == "barycenter":
             return _run_mean(scenario, step_tol)
         return _run_trace(scenario)
-    except ConvergenceFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
     except HadamardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error_exit(exc)
+
+
+def _error_exit(exc: HadamardError) -> int:
+    """Print a library error; 3 for a convergence failure, else 2."""
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_CONVERGENCE if isinstance(exc, ConvergenceFailureError) else EXIT_PARSE
 
 
 def _run_trace(scenario: Scenario) -> int:
@@ -203,9 +205,8 @@ def _run_mean(scenario: Scenario, step_tol: float | None = None) -> int:
     if weights is None:
         n = len(scenario.mean_points)
         weights = [1.0 / n] * n
-    cfg = BarycenterConfig() if step_tol is None else BarycenterConfig(step_tol=step_tol)
     wp = WeightedPoints(scenario.mean_points, weights)
-    mean = frechet_mean(wp, cfg)
+    mean = frechet_mean(wp) if step_tol is None else frechet_mean(wp, step_tol)
     objective = frechet_objective(wp, mean)
 
     def writer(fh):
@@ -236,7 +237,11 @@ def main(argv=None) -> int:
         print(f"error: {flag} does not apply to algorithm '{scenario.algorithm}'",
               file=sys.stderr)
         return EXIT_PARSE
-    return run_scenario(_apply_overrides(scenario, args), step_tol=args.tol)
+    try:
+        scenario = _apply_overrides(scenario, args)
+    except HadamardError as exc:
+        return _error_exit(exc)
+    return run_scenario(scenario, step_tol=args.tol)
 
 
 if __name__ == "__main__":

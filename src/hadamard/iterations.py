@@ -58,6 +58,10 @@ class StopRule:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ConstructionError("max_iter must be >= 1")
+        for name in ("residual_tol", "stall_tol"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ConstructionError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass

@@ -8,23 +8,19 @@ product <x - y, Tx - Ty>.  T is alpha-firmly nonexpansive when
 
 for some a in (0, 1); the "quasi" variant only requires this against
 fixed points y of T.  This module provides the defect forms of these
-inequalities (nonnegative where the inequality holds), the constant
-calculus for compositions and convex combinations, and sampling-based
-certificates.
+inequalities (nonnegative where the inequality holds) and the constant
+calculus for compositions and convex combinations; ``hadamard.certifier``
+samples the defects.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .barycenter import WeightedPoints, convex_weights, frechet_mean
 from .convex_sets import ConvexSet
 from .errors import ConstructionError, DomainError, NotAFixedPointError, SpaceMismatchError
-from .geometry import (EQ_TOL, Point, SpaceModel, check_same_space, distance, geodesic_point,
-                       quasilinearization)
+from .geometry import EQ_TOL, Point, check_same_space, distance, geodesic_point, quasilinearization
 
 __all__ = [
     "Operator",
@@ -34,7 +30,6 @@ __all__ = [
     "Composition",
     "ConvexCombination",
     "Pointwise",
-    "AlphaCertificate",
     "discrepancy",
     "alpha_firm_defect",
     "quasi_firm_defect",
@@ -45,7 +40,6 @@ __all__ = [
     "lmuv_values",
     "composition_condition_defect",
     "phi_profile_defects",
-    "certify_alpha_firm",
 ]
 
 
@@ -345,81 +339,3 @@ def phi_profile_defects(op: Operator, x: Point, y: Point, grid: int = 16) -> lis
         for t in ts
     ]
     return [phi[k] - phi[k + 1] for k in range(grid)]
-
-
-@dataclass(frozen=True)
-class AlphaCertificate:
-    """Outcome of sampling the alpha-firm inequality for one operator.
-
-    ``scope`` is "full" when arbitrary pairs were sampled and "quasi"
-    when sampled points were tested against supplied fixed points.  The
-    certificate passes when the worst sampled defect clears -tolerance.
-    """
-
-    op_name: str
-    alpha: float
-    scope: str
-    fixed_points: tuple[Point, ...]
-    samples: int
-    seed: int
-    worst_defect: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.worst_defect >= -self.tolerance
-
-    def report_line(self) -> str:
-        return (
-            f"{self.op_name} alpha={self.alpha:g} scope={self.scope} "
-            f"samples={self.samples} seed={self.seed} "
-            f"worst_defect={self.worst_defect:.17g} "
-            f"{'PASS' if self.passed else 'FAIL'}"
-        )
-
-
-def certify_alpha_firm(
-    op: Operator,
-    alpha: float,
-    space: SpaceModel,
-    samples: int,
-    seed: int,
-    fixed_points=None,
-) -> AlphaCertificate:
-    """Sample the alpha-firm inequality and record the worst defect.
-
-    With ``fixed_points`` given, each sampled point is tested against
-    each supplied fixed point (quasi scope); otherwise independent pairs
-    are drawn.  Deterministic given the seed.
-    """
-    alpha = _check_alpha(alpha)
-    if samples < 1:
-        raise DomainError("samples must be >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    worst = math.inf
-    if fixed_points is None:
-        for _ in range(samples):
-            x = space.sample(rng)
-            y = space.sample(rng)
-            worst = min(worst, alpha_firm_defect(op, alpha, x, y))
-        scope = "full"
-        fixed = ()
-    else:
-        fixed = tuple(fixed_points)
-        if not fixed:
-            raise DomainError("quasi scope needs at least one fixed point")
-        for _ in range(samples):
-            x = space.sample(rng)
-            for y in fixed:
-                worst = min(worst, quasi_firm_defect(op, alpha, x, y))
-        scope = "quasi"
-    return AlphaCertificate(
-        op_name=op.name,
-        alpha=alpha,
-        scope=scope,
-        fixed_points=fixed,
-        samples=samples,
-        seed=seed,
-        worst_defect=worst,
-        tolerance=space.defect_tolerance,
-    )

@@ -388,19 +388,17 @@ def parse_scenario(text: str) -> Scenario:
         scenario.run_sets = names
         x0_v, x0_ln = run.require("x0")
         scenario.x0 = parse_point_spec(space, x0_v, x0_ln, "x0")
-        max_iter_v, max_iter_ln = run.require("max_iter")
-        residual = run.get("residual_tol")
-        stall = run.get("stall_tol")
-        try:
-            scenario.stop = StopRule(
-                max_iter=_int(max_iter_v, max_iter_ln, "max_iter"),
-                residual_tol=(_float(*residual, "residual_tol") if residual
-                              else StopRule.__dataclass_fields__["residual_tol"].default),
-                stall_tol=(_float(*stall, "stall_tol") if stall
-                           else StopRule.__dataclass_fields__["stall_tol"].default),
-            )
-        except ConstructionError as exc:
-            raise ScenarioError(str(exc), line_no=max_iter_ln, key="max_iter")
+        # Adding one key at a time pins a StopRule error on that key's line.
+        stop = {}
+        for key, parse in (("max_iter", _int), ("residual_tol", _float), ("stall_tol", _float)):
+            hit = run.require(key) if key == "max_iter" else run.get(key)
+            if hit is None:
+                continue
+            stop[key] = parse(*hit, key)
+            try:
+                scenario.stop = StopRule(**stop)
+            except ConstructionError as exc:
+                raise ScenarioError(str(exc), line_no=hit[1], key=key)
         if algorithm_v == "averaged":
             weights = run.get("weights")
             if weights is not None:
@@ -418,6 +416,8 @@ def parse_scenario(text: str) -> Scenario:
         seed = run.get("seed")
         if seed is not None:
             scenario.seed = _int(*seed, "seed")
+            if scenario.seed < 0:
+                raise ScenarioError("seed must be >= 0", line_no=seed[1], key="seed")
         claim_alpha = run.get("claim_alpha")
         claim_set = run.get("claim_set")
         if (claim_alpha is None) != (claim_set is None):

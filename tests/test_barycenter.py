@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from hadamard import (
-    BarycenterConfig,
     ConvergenceFailureError,
     ConvexCombination,
+    DomainError,
     Identity,
     ScenarioError,
     WeightedPoints,
@@ -20,6 +20,7 @@ from hadamard import (
     parse_scenario,
     variance_defect,
 )
+from hadamard import barycenter
 from hadamard.errors import ConstructionError, SpaceMismatchError
 
 
@@ -123,7 +124,7 @@ class TestFrechetMean:
         for _ in range(5):
             wp = random_instance(h2, rng, 4)
             fast = frechet_mean(wp)
-            slow = inductive_mean_sweeps(wp, BarycenterConfig(sweep_limit=2000))
+            slow = inductive_mean_sweeps(wp, sweeps=2000)
             assert distance(fast, slow) <= 5e-2
             assert frechet_objective(wp, fast) <= frechet_objective(wp, slow) + 1e-9
 
@@ -131,7 +132,7 @@ class TestFrechetMean:
         for _ in range(5):
             wp = random_instance(caterpillar, rng, 5)
             fast = frechet_mean(wp)
-            slow = inductive_mean_sweeps(wp, BarycenterConfig(sweep_limit=2000))
+            slow = inductive_mean_sweeps(wp, sweeps=2000)
             assert frechet_objective(wp, fast) <= frechet_objective(wp, slow) + 1e-9
 
     def test_zero_weight_invariance(self, all_models, rng):
@@ -171,11 +172,11 @@ class TestFrechetMean:
                 rhs = sum(wi * distance(ai, bi) for wi, ai, bi in zip(w, a, b))
                 assert lhs <= rhs + 1e-8
 
-    def test_sweep_limit_failure_carries_state(self, h2, rng):
+    def test_sweep_limit_failure_carries_state(self, h2, rng, monkeypatch):
+        monkeypatch.setattr(barycenter, "_SWEEP_LIMIT", 1)
         wp = random_instance(h2, rng, 5)
-        cfg = BarycenterConfig(sweep_limit=1, step_tol=1e-16)
         with pytest.raises(ConvergenceFailureError) as err:
-            frechet_mean(wp, cfg)
+            frechet_mean(wp, step_tol=1e-16)
         assert err.value.last_point is not None
         assert err.value.objective is not None
 
@@ -210,7 +211,7 @@ class TestVarianceDefect:
 class TestInductiveSweeps:
     def test_euclidean_coarse_convergence(self, e2, rng):
         wp = random_instance(e2, rng, 3)
-        ref = inductive_mean_sweeps(wp, BarycenterConfig(sweep_limit=2000))
+        ref = inductive_mean_sweeps(wp, sweeps=2000)
         exact = frechet_mean(wp)
         assert distance(ref, exact) <= 5e-2
 
@@ -218,9 +219,19 @@ class TestInductiveSweeps:
         p = e2.point([1, 1])
         assert inductive_mean_sweeps(WeightedPoints([p], [1.0])) is p
 
-    def test_config_validation(self):
+    def test_config_validation(self, e2, rng):
+        wp = random_instance(e2, rng, 3)
         with pytest.raises(ConstructionError):
-            BarycenterConfig(sweep_limit=0)
+            inductive_mean_sweeps(wp, sweeps=0)
+        for bad in (-1e-12, math.nan, math.inf):
+            with pytest.raises(DomainError, match="step_tol"):
+                inductive_mean_sweeps(wp, step_tol=bad)
+            with pytest.raises(DomainError, match="step_tol"):
+                frechet_mean(wp, step_tol=bad)
+
+    def test_zero_step_tol_is_legal(self, e2, rng):
+        wp = random_instance(e2, rng, 3)
+        assert frechet_mean(wp, step_tol=0.0) == frechet_mean(wp)
 
 
 class TestConvexWeights:

@@ -109,6 +109,14 @@ class TestRunCheck:
         with pytest.raises(CheckSpecError):
             CheckSpec(kind=CAT0, space=e2, samples=0, seed=0)
 
+    def test_negative_seed_rejected(self, e2):
+        with pytest.raises(CheckSpecError, match="seed must be >= 0"):
+            CheckSpec(kind=CAT0, space=e2, samples=10, seed=-1)
+        with pytest.raises(CheckSpecError, match="seed must be >= 0"):
+            default_suite(seed=-1, samples=10)
+        with pytest.raises(CheckSpecError, match="seed must be >= 0"):
+            space_suite(e2, {}, None, samples=10, seed=-1)
+
 
 class TestTolerances:
     def test_model_based(self, e3, h2):
@@ -192,6 +200,15 @@ class TestSpaceSuite:
         assert FEJER_RUN in kinds
         report = run_suite(specs, suite_seed=5)
         assert report.passed
+
+    def test_witness_outside_a_set_names_the_sets_it_misses(self, e2):
+        sets = {
+            "V": EuclideanHalfspace(e2, [0, 1], 0.0, name="V"),
+            "U": EuclideanHalfspace(e2, [1, 0], 0.0, name="U"),
+            "W": EuclideanHalfspace(e2, [0, 1], -1.0, name="W"),
+        }
+        with pytest.raises(CheckSpecError, match=r"set\(s\) U, W$"):
+            space_suite(e2, sets, e2.point([0.5, -0.5]), samples=10, seed=0)
 
     def test_claim_requires_known_set(self, e2):
         with pytest.raises(CheckSpecError):

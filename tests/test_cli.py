@@ -52,6 +52,23 @@ witness = vertex,o
 output = {out}
 """
 
+HALFSPACE_CERTIFY_DOC = """
+[space]
+kind = euclidean
+dim = 2
+
+[set H]
+kind = halfspace
+normal = 0,1
+offset = 0
+
+[run]
+algorithm = certify
+samples = 100
+witness = 5,5
+output = {out}
+"""
+
 MEAN_DOC = """
 [space]
 kind = tree
@@ -219,7 +236,19 @@ class TestCertify:
         scn = write(tmp_path, "c.scn", doc.format(out=out))
         assert main(["certify", scn]) == 2
         assert not out.exists()
-        assert "error: P[LB] moves the supplied point" in capsys.readouterr().err
+        assert "error: witness lies outside the declared set(s) LB" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, missed", [
+        (HALFSPACE_CERTIFY_DOC, "H"),
+        (CERTIFY_DOC.replace("witness = vertex,o", "witness = edge,0,0.5"), "LB"),
+    ], ids=["one-set", "one-of-two-sets"])
+    def test_witness_outside_a_declared_set_is_error(self, tmp_path, capsys, doc, missed):
+        out = tmp_path / "report.csv"
+        scn = write(tmp_path, "c.scn", doc.format(out=out))
+        assert main(["certify", scn]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: witness lies outside the declared set(s) {missed}\n")
 
     def test_unwritable_output_is_io_error(self, tmp_path, capsys):
         scn = write(tmp_path, "c.scn", CERTIFY_DOC.format(out="/nonexistent-dir/report.csv"))
@@ -280,6 +309,32 @@ class TestUnusedFlags:
         scn = write(tmp_path, "m.scn", MEAN_DOC.format(out=out))
         assert main(["mean", scn, "--tol", "1e-9"]) == 0
         assert out.exists()
+
+
+class TestInvalidValues:
+    """Bad overrides, seeds and tolerances exit 2 with one error line."""
+
+    @pytest.mark.parametrize("command, doc, flags, message", [
+        ("run", CYCLIC_DOC, ["--max-iter", "0"], "max_iter must be >= 1"),
+        ("run", CYCLIC_DOC, ["--tol", "-1"], "residual_tol must be finite and >= 0"),
+        ("run", CYCLIC_DOC, ["--tol", "nan"], "residual_tol must be finite and >= 0"),
+        ("certify", CERTIFY_DOC, ["--seed", "-1"], "seed must be >= 0"),
+        ("mean", MEAN_DOC, ["--tol", "nan"], "step_tol must be finite and >= 0"),
+        ("mean", MEAN_DOC, ["--tol", "-1"], "step_tol must be finite and >= 0"),
+        ("run", CYCLIC_DOC.replace("max_iter = 200", "max_iter = 200\nresidual_tol = nan"),
+         [], "key 'residual_tol': residual_tol must be finite and >= 0"),
+        ("certify", CERTIFY_DOC.replace("seed = 9", "seed = -1"), [],
+         "key 'seed': seed must be >= 0"),
+    ], ids=["max-iter-0", "tol-negative", "tol-nan", "seed-negative", "mean-tol-nan",
+            "mean-tol-negative", "scenario-residual-tol-nan", "scenario-seed-negative"])
+    def test_exit_2_without_artifact(self, tmp_path, capsys, command, doc, flags, message):
+        out = tmp_path / "out.csv"
+        scn = write(tmp_path, "s.scn", doc.format(out=out))
+        assert main([command, scn, *flags]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 class TestVersion:

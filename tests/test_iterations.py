@@ -51,6 +51,16 @@ class TestStopRule:
         assert rule.residual_tol == 1e-8
         assert rule.stall_tol == 1e-12
 
+    @pytest.mark.parametrize("field", ["residual_tol", "stall_tol"])
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, math.nan, math.inf])
+    def test_tolerances_finite_and_nonnegative(self, field, value):
+        with pytest.raises(ConstructionError, match=field):
+            StopRule(max_iter=10, **{field: value})
+
+    def test_zero_tolerances_are_legal(self):
+        rule = StopRule(max_iter=10, residual_tol=0.0, stall_tol=0.0)
+        assert rule.residual_tol == rule.stall_tol == 0.0
+
 
 class TestFixedPointIterate:
     def test_identity_converges_immediately(self, e2):

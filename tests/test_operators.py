@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hadamard import (
+    CheckSpec,
     Composition,
     Constant,
     ConvexCombination,
@@ -16,7 +17,6 @@ from hadamard import (
     Projection,
     Subtree,
     alpha_firm_defect,
-    certify_alpha_firm,
     combination_alpha,
     composition_alpha,
     composition_condition_defect,
@@ -28,8 +28,10 @@ from hadamard import (
     phi_profile_defects,
     quasi_firm_defect,
     quasilinearization,
+    run_check,
     tau_value,
 )
+from hadamard.certifier import PROJECTION_FIRM, QUASI_FIRM
 from hadamard.errors import ConstructionError
 from hadamard.iterations import StopRule
 
@@ -354,27 +356,37 @@ class TestPhiProfile:
 
 
 class TestCertificates:
+    """The alpha-firm inequality sampled through the certifier."""
+
+    @staticmethod
+    def check(kind, space, samples, seed, **payload):
+        return run_check(CheckSpec(kind=kind, space=space, samples=samples, seed=seed,
+                                   payload=payload))
+
     def test_projection_full_scope_passes(self, e2, half_v):
-        cert = certify_alpha_firm(Projection(half_v), 0.5, e2, samples=500, seed=11)
-        assert cert.passed
-        assert cert.scope == "full"
-        assert "PASS" in cert.report_line()
+        result = self.check(PROJECTION_FIRM, e2, 500, 11, op=Projection(half_v), alpha=0.5)
+        assert result.passed
+        assert result.worst_defect == -3.552713678800501e-15
+        assert result.text_line().startswith("PASS")
 
     def test_quasi_scope_with_witness(self, e2, half_v):
-        cert = certify_alpha_firm(
-            Projection(half_v), 0.5, e2, samples=300, seed=11,
-            fixed_points=[e2.point([0, 0])],
-        )
-        assert cert.passed
-        assert cert.scope == "quasi"
+        result = self.check(QUASI_FIRM, e2, 300, 11, op=Projection(half_v), alpha=0.5,
+                            fixed_points=[e2.point([0, 0])])
+        assert result.passed
+        assert result.worst_defect == -8.881784197001252e-16
 
     def test_false_claim_fails(self, e2, half_v):
-        cert = certify_alpha_firm(Projection(half_v), 0.1, e2, samples=500, seed=11)
-        assert not cert.passed
-        assert cert.worst_defect < -1e-3
-        assert "FAIL" in cert.report_line()
+        result = self.check(PROJECTION_FIRM, e2, 500, 11, op=Projection(half_v), alpha=0.1)
+        assert not result.passed
+        assert result.worst_defect == -9.674215613486552
+        assert result.text_line().startswith("FAIL")
 
     def test_deterministic_given_seed(self, e2, half_v):
-        a = certify_alpha_firm(Projection(half_v), 0.5, e2, samples=200, seed=4)
-        b = certify_alpha_firm(Projection(half_v), 0.5, e2, samples=200, seed=4)
-        assert a.worst_defect == b.worst_defect
+        a = self.check(PROJECTION_FIRM, e2, 200, 4, op=Projection(half_v), alpha=0.5)
+        b = self.check(PROJECTION_FIRM, e2, 200, 4, op=Projection(half_v), alpha=0.5)
+        assert a.worst_defect == b.worst_defect == -1.7763568394002505e-15
+
+    def test_set_payload_is_projection_at_one_half(self, e2, half_v):
+        by_set = self.check(PROJECTION_FIRM, e2, 200, 4, set=half_v)
+        by_op = self.check(PROJECTION_FIRM, e2, 200, 4, op=Projection(half_v))
+        assert by_set == by_op

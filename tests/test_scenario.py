@@ -181,6 +181,27 @@ class TestValidationErrors:
         with pytest.raises(ScenarioError, match="outside any section"):
             parse_scenario("kind = euclidean\n")
 
+    @pytest.mark.parametrize("key, value", [
+        ("residual_tol", "nan"), ("residual_tol", "-1"), ("stall_tol", "inf"),
+        ("stall_tol", "-1e-12"),
+    ])
+    def test_bad_tolerance_reported_on_its_line(self, key, value):
+        doc, line = repeat_line(CYCLIC_DOC, "max_iter = 100", f"{key} = {value}")
+        with pytest.raises(ScenarioError, match="finite and >= 0") as err:
+            parse_scenario(doc)
+        assert (err.value.line_no, err.value.key) == (line, key)
+
+    def test_zero_tolerance_is_legal(self):
+        doc, _ = repeat_line(CYCLIC_DOC, "max_iter = 100", "residual_tol = 0")
+        assert parse_scenario(doc).stop.residual_tol == 0.0
+
+    def test_negative_seed_reported_on_its_line(self):
+        doc = TREE_CERTIFY_DOC.replace("seed = 11", "seed = -1")
+        with pytest.raises(ScenarioError, match="seed must be >= 0") as err:
+            parse_scenario(doc)
+        assert err.value.key == "seed"
+        assert doc.splitlines()[err.value.line_no - 1] == "seed = -1"
+
     def test_weights_length_checked_against_sets(self):
         doc = PRODUCT_DOC.replace("weights = 1", "weights = 0.5,0.5")
         with pytest.raises(ScenarioError, match="1 sets but 2 weights"):
