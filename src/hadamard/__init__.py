@@ -51,6 +51,7 @@ from .convex_sets import (
     HyperbolicHalfspace,
     ProductSet,
     Subtree,
+    halfspace_residual,
     projection_defect,
 )
 from .operators import (

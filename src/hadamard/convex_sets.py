@@ -35,6 +35,7 @@ __all__ = [
     "GeodesicBall",
     "Subtree",
     "ProductSet",
+    "halfspace_residual",
     "projection_defect",
 ]
 
@@ -134,6 +135,36 @@ class EuclideanHyperplane(EuclideanHalfspace):
     kind = "hyperplane"
     _relation = "="
     _lowest_gap = 0.0
+
+
+def halfspace_residual(sets):
+    """x -> max_k d(x, C_k) as one matrix-vector product, or None.
+
+    Defined when every set is an ``EuclideanHalfspace`` (hyperplanes
+    included) of one space; None for any other family.  With gaps
+    g = A x - b, the distance to C_k is max(g_k, _lowest_gap_k - g_k) / |a_k|
+    clipped at zero, which is the length |gap| / |a| of the step the
+    projection takes, without forming the image.
+    """
+    sets = list(sets)
+    if not sets or not all(isinstance(c, EuclideanHalfspace) for c in sets):
+        return None
+    if any(c.space != sets[0].space for c in sets):
+        raise SpaceMismatchError("the halfspaces live in different spaces")
+    normals = np.stack([c.normal for c in sets])
+    offsets = np.array([c.offset for c in sets])
+    lowest = np.array([c._lowest_gap for c in sets])
+    norms = np.sqrt([c._norm_sq for c in sets])
+
+    def residual(x: Point) -> float:
+        sets[0]._check_point(x)
+        gap = normals @ x.payload - offsets
+        # fmax: an infinite halfspace gap gives -inf - -inf = nan on the right
+        worst = float(np.max(np.fmax(gap, lowest - gap) / norms))
+        # also maps -0.0 (a signed zero on a hyperplane) to +0.0
+        return 0.0 if worst <= 0.0 else worst
+
+    return residual
 
 
 class HyperbolicHalfspace(ConvexSet):

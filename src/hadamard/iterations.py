@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .barycenter import WeightedPoints, frechet_mean
-from .convex_sets import ConvexSet
+from .barycenter import WeightedPoints, convex_weights, frechet_mean
+from .convex_sets import ConvexSet, halfspace_residual
 from .errors import (
     ConstructionError,
     ConvergenceFailureError,
@@ -24,7 +24,7 @@ from .errors import (
     NotAFixedPointError,
 )
 from .geometry import EQ_TOL, Point, check_same_space, distance, geodesic_point
-from .operators import ConvexCombination, Operator, Projection
+from .operators import Operator, Projection
 
 __all__ = [
     "StopRule",
@@ -189,10 +189,6 @@ def fixed_point_iterate(
     return _finalize(points, residuals, steps, stop_reason, witness)
 
 
-def _set_residual(sets, x: Point) -> float:
-    return max(distance(x, c.project(x)) for c in sets)
-
-
 def _run_sets(sets, x0: Point, witness: Point | None) -> list[ConvexSet]:
     """The sets of a projection run, checked against x0 and the witness."""
     sets = list(sets)
@@ -207,32 +203,57 @@ def _run_sets(sets, x0: Point, witness: Point | None) -> list[ConvexSet]:
     return sets
 
 
-def _projection_run(sets, maps, x0: Point, rule: StopRule,
-                    witness: Point | None) -> IterationTrace:
-    """Iterate x_n = maps[(n-1) mod K] x_{n-1}, recording set residuals.
+def _projection_run(sets, x0: Point, rule: StopRule, witness: Point | None,
+                    weights=None) -> IterationTrace:
+    """Cyclic projections, or with ``weights`` their barycenter, recording set residuals.
 
-    Converged means the residual max_i d(x_n, C_i) reached
-    ``rule.residual_tol``; stalled means a full cycle of the K maps moved
-    the iterate by at most ``rule.stall_tol``.
+    Each residual max_i d(x_n, C_i) is one matrix-vector product when every
+    set is a Euclidean halfspace (``halfspace_residual``); otherwise it is
+    read off the images P_i x_n, which the next step reuses.  So no
+    projection is computed twice at one iterate: a cyclic iterate costs
+    one projection on a flat family and K on any other, and an averaged
+    iterate costs K.  Converged means the
+    residual reached ``rule.residual_tol``; stalled means a full cycle (K
+    cyclic iterates, or one averaged iterate) moved the iterate by at most
+    ``rule.stall_tol``.
     """
+    flat_residual = halfspace_residual(sets)
+
+    def measure(x):
+        """x's residual, and its images under the projections when formed."""
+        if flat_residual is not None:
+            return flat_residual(x), None
+        images = [c.project(x) for c in sets]
+        return max(distance(x, y) for y in images), images
+
+    def advance(n, x, images):
+        if weights is None:
+            i = (n - 1) % len(sets)
+            return sets[i].project(x) if images is None else images[i]
+        if images is None:
+            images = [c.project(x) for c in sets]
+        return frechet_mean(WeightedPoints(images, weights))
+
+    residual, images = measure(x0)
     points = [x0]
-    residuals = [_set_residual(sets, x0)]
+    residuals = [residual]
     steps: list[float] = []
     stop_reason = MAX_ITER
-    if residuals[0] <= rule.residual_tol:
+    if residual <= rule.residual_tol:
         return _finalize(points, residuals, steps, CONVERGED, witness)
-    k = len(maps)
+    k = len(sets) if weights is None else 1
     for n in range(1, rule.max_iter + 1):
         try:
-            nxt = maps[(n - 1) % k](points[-1])
+            nxt = advance(n, points[-1], images)
         except ConvergenceFailureError as exc:
             raise ConvergenceFailureError(f"iteration {n} failed: {exc}",
                                           last_point=exc.last_point,
                                           objective=exc.objective) from exc
         steps.append(distance(points[-1], nxt))
         points.append(nxt)
-        residuals.append(_set_residual(sets, nxt))
-        if residuals[-1] <= rule.residual_tol:
+        residual, images = measure(nxt)
+        residuals.append(residual)
+        if residual <= rule.residual_tol:
             stop_reason = CONVERGED
             break
         if n % k == 0:
@@ -253,8 +274,7 @@ def cyclic_projections(
     applications of the composed operator P_N ... P_1, and a full cycle
     is N iterates.
     """
-    sets = _run_sets(sets, x0, witness)
-    return _projection_run(sets, [c.project for c in sets], x0, rule, witness)
+    return _projection_run(_run_sets(sets, x0, witness), x0, rule, witness)
 
 
 def averaged_projections(
@@ -271,8 +291,7 @@ def averaged_projections(
         weights = [1.0 / len(sets)] * len(sets)
     if len(weights) != len(sets):
         raise DomainError(f"{len(sets)} sets but {len(weights)} weights")
-    combo = ConvexCombination(weights, [Projection(c) for c in sets])
-    return _projection_run(sets, [combo.apply], x0, rule, witness)
+    return _projection_run(sets, x0, rule, witness, convex_weights(weights))
 
 
 def shadow_sequence(trace: IterationTrace, c: ConvexSet) -> list[Point]:
@@ -288,7 +307,7 @@ def approximate_shadows(trace: IterationTrace, sets) -> list[Point]:
 
     Used when no closed-form descriptor of the intersection exists; each
     iterate is projected by running cyclic projections from it until the
-    inner residual drops below 1e-10, for at most 100 000 projections.
+    inner residual drops below 1e-10, for at most 100 000 iterations.
     """
     inner_rule = StopRule(max_iter=100000, residual_tol=1e-10)
     shadows = []

@@ -1,7 +1,13 @@
 """Command-line behavior: subcommands, outputs on disk, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import hadamard
 from hadamard import parse_scenario, run_scenario
 from hadamard.cli import main
 
@@ -341,3 +347,13 @@ class TestVersion:
     def test_prints_version(self, capsys):
         assert main(["version"]) == 0
         assert "hadamard" in capsys.readouterr().out
+
+    def test_module_entry_point_runs_without_warnings(self):
+        src = str(Path(hadamard.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "hadamard", "version"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0
+        assert done.stdout == f"hadamard {hadamard.__version__}\n"
+        assert done.stderr == ""

@@ -1,10 +1,16 @@
 """Convex set descriptors: membership, projections, and the projection inequality."""
 
+import io
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadamard import (
     DomainError,
+    Euclidean,
     EuclideanHalfspace,
     EuclideanHyperplane,
     GeodesicBall,
@@ -13,10 +19,13 @@ from hadamard import (
     ProductSpace,
     Projection,
     SpaceMismatchError,
+    StopRule,
     Subtree,
+    cyclic_projections,
     distance,
     discrepancy,
     geodesic_point,
+    halfspace_residual,
     minkowski,
     projection_defect,
 )
@@ -224,3 +233,89 @@ class TestStructuralEquality:
         assert a != EuclideanHalfspace(e2, [0, 1], 1.0)
         assert Subtree(tripod, ["o", "a"]) == Subtree(tripod, ["a", "o"])
         assert Subtree(tripod, ["o", "a"]) != Subtree(tripod, ["o", "b"])
+
+
+def _flat_family(space, rng, count, plane_share, offset_for):
+    """Halfspaces and hyperplanes, normals scaled from 1e-3 to 1e3."""
+    sets = []
+    for k in range(count):
+        normal = rng.standard_normal(space.dim) * 10.0 ** rng.uniform(-3.0, 3.0)
+        cls = EuclideanHyperplane if rng.uniform() < plane_share else EuclideanHalfspace
+        sets.append(cls(space, normal, offset_for(cls, normal), name=f"C{k}"))
+    return sets
+
+
+FAMILY_SHAPES = dict(count=st.integers(1, 60), dim=st.integers(1, 50),
+                     plane_share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+
+
+class TestHalfspaceResidual:
+    """The flat kernel against max_k d(x, P_k x) from the projections."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(**FAMILY_SHAPES)
+    def test_matches_projection_distances(self, count, dim, plane_share, seed):
+        space = Euclidean(dim)
+        rng = np.random.default_rng(seed)
+        anchor = 3.0 * rng.standard_normal(dim)
+
+        def offset_for(cls, normal):
+            # half the sets pass exactly through the anchor (gap 0.0 as the
+            # projection computes it), the rest sit up to 5 away from the origin
+            if rng.uniform() < 0.5:
+                return float(normal @ anchor)
+            return float(np.linalg.norm(normal)) * rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 5.0)
+
+        sets = _flat_family(space, rng, count, plane_share, offset_for)
+        residual = halfspace_residual(sets)
+        outside = space.point(5.0 * rng.standard_normal(dim))
+        points = [space.point(anchor), outside]
+        for c in sets[:4]:
+            on = c.project(outside)
+            unit = c.normal / math.sqrt(c.normal @ c.normal)
+            points += [on, space.point(on.payload - rng.uniform(0.1, 1.0) * unit)]
+        for x in points:
+            want = max(distance(x, c.project(x)) for c in sets)
+            got = residual(x)
+            assert got >= 0.0
+            assert abs(got - want) <= 1e-14 * (1.0 + np.linalg.norm(x.payload))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(**FAMILY_SHAPES)
+    def test_point_in_every_set_gives_positive_zero(self, count, dim, plane_share, seed):
+        """Hyperplanes through the origin and halfspaces holding it, at +0.0 and -0.0."""
+        space = Euclidean(dim)
+        rng = np.random.default_rng(seed)
+
+        def offset_for(cls, normal):
+            if cls is EuclideanHyperplane:
+                return 0.0
+            return float(np.linalg.norm(normal)) * rng.uniform(0.1, 5.0)
+
+        residual = halfspace_residual(_flat_family(space, rng, count, plane_share, offset_for))
+        for x in (np.zeros(dim), -np.zeros(dim), rng.choice([-0.0, 0.0], dim)):
+            got = residual(space.point(x))
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
+
+    def test_signed_zero_on_a_hyperplane_prints_zero(self):
+        e1 = Euclidean(1)
+        line = EuclideanHyperplane(e1, [1.0], 0.0, name="origin")
+        x = e1.point([-0.0])
+        assert math.copysign(1.0, halfspace_residual([line])(x)) == 1.0
+        trace = cyclic_projections([line], x, StopRule(max_iter=5))
+        out = io.StringIO()
+        trace.to_csv(out)
+        assert out.getvalue().splitlines()[1] == "0,0,,,"
+
+    def test_other_families_take_the_projection_path(self, e2, h2):
+        half = EuclideanHalfspace(e2, [0, 1], 1.0)
+        assert halfspace_residual([half, GeodesicBall(e2.point([0, 0]), 1.0)]) is None
+        assert halfspace_residual([HyperbolicHalfspace(h2, [0, 1, 0])]) is None
+        assert halfspace_residual([]) is None
+
+    def test_halfspaces_of_different_spaces_rejected(self, e2, e3):
+        with pytest.raises(SpaceMismatchError):
+            halfspace_residual([EuclideanHalfspace(e2, [0, 1], 0.0),
+                                EuclideanHalfspace(e3, [0, 1, 0], 0.0)])
+        with pytest.raises(SpaceMismatchError):
+            halfspace_residual([EuclideanHalfspace(e2, [0, 1], 0.0)])(e3.point([0, 0, 0]))

@@ -233,6 +233,63 @@ class TestAveragedProjections:
         assert trace.final_residual == pytest.approx(0.5)
 
 
+class TestProjectionCount:
+    """No projection is computed twice at one iterate.
+
+    A flat family's residual needs no projection, so a flat cyclic
+    iterate costs one; any other family projects each iterate onto all K
+    sets once, and the next step reuses those images.
+    """
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        calls = []
+        for cls in (EuclideanHalfspace, GeodesicBall, Subtree):
+            original = cls.project
+
+            def counted(self, x, original=original):
+                calls.append(self.name)
+                return original(self, x)
+            monkeypatch.setattr(cls, "project", counted)
+        return calls
+
+    @pytest.fixture
+    def lines(self, e2):
+        return [EuclideanHyperplane(e2, [0, 1], 0.0, name="L1"),
+                EuclideanHyperplane(e2, [-math.sin(0.5), math.cos(0.5)], 0.0, name="L2")]
+
+    def test_flat_cyclic_one_per_iterate(self, e2, lines, count):
+        trace = cyclic_projections(lines, e2.point([1, 2]), StopRule(max_iter=200))
+        assert trace.stop_reason == "converged" and trace.iterations > 10
+        assert len(count) == trace.iterations
+
+    def test_subtree_cyclic_k_per_iterate(self, caterpillar, count):
+        leaves = [Subtree(caterpillar, ["v3"], name="v3"),
+                  Subtree(caterpillar, ["v4"], name="v4")]
+        trace = cyclic_projections(leaves, caterpillar.vertex_point("v0"),
+                                   StopRule(max_iter=50))
+        assert trace.stop_reason == "stalled" and trace.iterations == 4
+        assert len(count) == 2 * len(trace.points)
+
+    def test_one_ball_takes_the_projection_path(self, e2, count):
+        sets = [EuclideanHalfspace(e2, [1, 0], 0.0, name="u<=0"),
+                GeodesicBall(e2.point([0, -1]), 2.0, name="ball")]
+        trace = cyclic_projections(sets, e2.point([3, 3]), StopRule(max_iter=200))
+        assert trace.iterations >= 2
+        assert len(count) == 2 * len(trace.points)
+
+    def test_averaged_k_per_iterate(self, e2, lines, tripod, count):
+        trace = averaged_projections(lines, e2.point([1, 2]), StopRule(max_iter=200))
+        assert trace.iterations > 10
+        assert len(count) == 2 * trace.iterations
+        count.clear()
+        legs = [Subtree(tripod, ["o", "a"], name="leg-a"),
+                Subtree(tripod, ["o", "b"], name="leg-b")]
+        trace = averaged_projections(legs, tripod.vertex_point("c"), StopRule(max_iter=10))
+        assert trace.iterations == 1
+        assert len(count) == 2 * len(trace.points)
+
+
 class TestFejerDiagnostics:
     def test_gaps_nonnegative_with_witness(self, e2, quadrant_sets, rng):
         w = e2.point([0, 0])
