@@ -74,18 +74,14 @@ from .operators import (
     tau_value,
 )
 from .iterations import (
-    AsymptoticCenterEstimate,
     IterationTrace,
     StopRule,
     approximate_shadows,
-    asymptotic_center_estimate,
-    attach_shadows,
     averaged_projections,
     cyclic_projections,
     fixed_point_iterate,
     project_to_segment,
     shadow_cauchy_worst_defect,
-    shadow_sequence,
     technical_condition_gaps,
 )
 from .certifier import (

@@ -55,10 +55,10 @@ _STEP_TOL = 1e-10
 
 
 def convex_weights(weights) -> tuple[float, ...]:
-    """The weights as floats, checked nonnegative and summing to 1."""
+    """The weights as floats, checked finite, nonnegative and summing to 1."""
     weights = tuple(float(w) for w in weights)
-    if any(w < 0.0 for w in weights):
-        raise ConstructionError("weights must be nonnegative")
+    if not all(0.0 <= w < math.inf for w in weights):
+        raise ConstructionError("weights must be finite and nonnegative")
     total = math.fsum(weights)
     if abs(total - 1.0) > _WEIGHT_SUM_TOL:
         raise ConstructionError(f"weights must sum to 1, got {total!r}")

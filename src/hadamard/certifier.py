@@ -25,7 +25,6 @@ from .geometry import Point, SpaceModel, cat0_defect, distance, geodesic_point, 
 from .iterations import (
     StopRule,
     approximate_shadows,
-    attach_shadows,
     averaged_projections,
     cyclic_projections,
     shadow_cauchy_worst_defect,
@@ -249,9 +248,8 @@ def _defect(spec: CheckSpec):
 
         def fejer(x0):
             trace = runs[algorithm](sets, x0, rule, witness=witness)
-            worst = min(trace.fejer_gaps) if trace.fejer_gaps else 0.0
-            attach_shadows(trace, approximate_shadows(trace, sets), approximate=True)
-            return min(worst, shadow_cauchy_worst_defect(trace))
+            worst = min(trace.fejer_gaps, default=0.0)
+            return min(worst, shadow_cauchy_worst_defect(approximate_shadows(trace, sets)))
         return fejer
     raise CheckSpecError(f"unknown check kind '{kind}'")  # pragma: no cover
 

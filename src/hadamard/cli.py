@@ -18,7 +18,6 @@ from .errors import ConvergenceFailureError, HadamardError, ScenarioError
 from .iterations import (
     CONVERGED,
     approximate_shadows,
-    attach_shadows,
     averaged_projections,
     cyclic_projections,
     fixed_point_iterate,
@@ -131,8 +130,14 @@ def run_scenario(scenario: Scenario, step_tol: float | None = None) -> int:
     certifier report CSV, or the barycenter CSV to the scenario's
     output path, and returns the process exit status (0 on
     convergence/pass, 2 on any other library error, 3 on convergence
-    failure, 4 on a failed check, 5 on I/O trouble).
+    failure, 4 on a failed check, 5 on I/O trouble).  ``step_tol`` is
+    the barycenter's step tolerance; any other algorithm exits 2 if given
+    one.
     """
+    if step_tol is not None and scenario.algorithm != "barycenter":
+        print(f"error: step_tol does not apply to algorithm '{scenario.algorithm}'",
+              file=sys.stderr)
+        return EXIT_PARSE
     try:
         if scenario.algorithm == "certify":
             return _run_certify(scenario)
@@ -164,8 +169,7 @@ def _run_trace(scenario: Scenario) -> int:
     gap_note = ""
     if scenario.algorithm != "fixedpoint" and len(trace.points) <= _SHADOW_LIMIT:
         try:
-            attach_shadows(trace, approximate_shadows(trace, run_sets), approximate=True)
-            gaps = technical_condition_gaps(trace)
+            gaps = technical_condition_gaps(approximate_shadows(trace, run_sets))
             gap_note = f"  monitored shadow gap at termination: {gaps[-1]:.3e}\n"
         except HadamardError:
             pass  # diagnostics stay off for non-intersecting scenarios
@@ -241,7 +245,8 @@ def main(argv=None) -> int:
         scenario = _apply_overrides(scenario, args)
     except HadamardError as exc:
         return _error_exit(exc)
-    return run_scenario(scenario, step_tol=args.tol)
+    step_tol = args.tol if scenario.algorithm == "barycenter" else None
+    return run_scenario(scenario, step_tol=step_tol)
 
 
 if __name__ == "__main__":

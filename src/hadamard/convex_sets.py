@@ -102,9 +102,12 @@ class EuclideanHalfspace(ConvexSet):
         norm_sq = float(arr @ arr)
         if norm_sq <= 0 or not math.isfinite(norm_sq):
             raise ConstructionError(f"{self.kind} normal must be nonzero and finite")
+        offset = float(offset)
+        if not math.isfinite(offset):
+            raise ConstructionError(f"{self.kind} offset must be finite, got {offset}")
         arr.setflags(write=False)
         object.__setattr__(self, "normal", arr)
-        object.__setattr__(self, "offset", float(offset))
+        object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "_norm_sq", norm_sq)
 
     def project(self, x: Point) -> Point:

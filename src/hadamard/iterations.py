@@ -1,19 +1,21 @@
 """Fixed-point iteration drivers with Fejer and shadow diagnostics.
 
-The drivers record the full run: iterates, set residuals, step sizes,
-and (given a witness in the target set) the Fejer gaps
-d(x_{n-1}, y) - d(x_n, y), which are nonnegative for quasi-nonexpansive
-iterations.  Shadow sequences (projections of the iterates onto the
-limit set) can be attached exactly from a set descriptor or
-approximately via an inner cyclic-projection solve, and the Cauchy-type
-shadow inequality plus the monitored strong-convergence gap are exposed
-as diagnostics.
+The drivers record the full run: iterates, set residuals and step
+sizes.  A trace computes its Fejer gaps d(x_{n-1}, y) - d(x_n, y)
+against its witness y on first read; they are nonnegative for
+quasi-nonexpansive iterations when y lies in the target set.
+``approximate_shadows`` attaches the shadow sequence (projections of
+the iterates onto the intersection of the sets) through an inner
+cyclic-projection solve per iterate, and the Cauchy-type shadow
+inequality plus the monitored strong-convergence gap are exposed as
+diagnostics.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .barycenter import WeightedPoints, convex_weights, frechet_mean
 from .convex_sets import ConvexSet, halfspace_residual
@@ -32,14 +34,10 @@ __all__ = [
     "fixed_point_iterate",
     "cyclic_projections",
     "averaged_projections",
-    "shadow_sequence",
     "approximate_shadows",
-    "attach_shadows",
     "shadow_cauchy_worst_defect",
     "project_to_segment",
     "technical_condition_gaps",
-    "AsymptoticCenterEstimate",
-    "asymptotic_center_estimate",
 ]
 
 CONVERGED = "converged"
@@ -70,11 +68,10 @@ class IterationTrace:
 
     ``points`` holds x_0 .. x_N; ``residuals`` one value per iterate
     (max distance to the target sets, or d(x, Tx) for plain operator
-    runs); ``steps`` the displacements d(x_{n-1}, x_n) for n >= 1;
-    ``fejer_gaps`` d(x_{n-1}, y*) - d(x_n, y*) against the witness,
-    which is the user-supplied point when given and otherwise the final
-    iterate as a labeled proxy.  Shadows are optional and marked
-    approximate when produced by an inner solve.
+    runs); ``steps`` the displacements d(x_{n-1}, x_n) for n >= 1.  The
+    witness is the user-supplied point when given and otherwise the
+    final iterate as a labeled proxy; ``fejer_gaps`` are computed
+    against it on first read.  Shadows are optional.
     """
 
     points: list[Point]
@@ -82,10 +79,8 @@ class IterationTrace:
     steps: list[float]
     stop_reason: str
     witness: Point | None = None
-    witness_is_proxy: bool = False
-    fejer_gaps: list[float] | None = None
     shadows: list[Point] | None = None
-    shadows_approximate: bool = False
+    witness_is_proxy: bool = field(init=False)
 
     def __post_init__(self):
         n = len(self.points)
@@ -93,6 +88,9 @@ class IterationTrace:
             raise ConstructionError("trace lengths are inconsistent")
         if any(r < 0 for r in self.residuals):
             raise ConstructionError("residuals must be nonnegative")
+        self.witness_is_proxy = self.witness is None
+        if self.witness_is_proxy:
+            self.witness = self.points[-1]
 
     @property
     def iterations(self) -> int:
@@ -106,9 +104,13 @@ class IterationTrace:
     def final_residual(self) -> float:
         return self.residuals[-1]
 
+    @cached_property
+    def fejer_gaps(self) -> list[float]:
+        """d(x_{n-1}, y) - d(x_n, y) against the witness y, for n >= 1."""
+        dists = [distance(x, self.witness) for x in self.points]
+        return [dists[n - 1] - dists[n] for n in range(1, len(dists))]
+
     def fejer_violations(self, tol: float = EQ_TOL) -> int:
-        if self.fejer_gaps is None:
-            return 0
         return sum(1 for g in self.fejer_gaps if g < -tol)
 
     def shadow_distances(self) -> list[float] | None:
@@ -125,33 +127,16 @@ class IterationTrace:
         def fmt(v):
             return "" if v is None else f"{v:.17g}"
 
+        gaps = self.fejer_gaps
         shadow_d = self.shadow_distances()
         stream.write("n,residual,fejer_gap,step,shadow_dist\n")
         for n in range(len(self.points)):
-            gap = self.fejer_gaps[n - 1] if (self.fejer_gaps and n >= 1) else None
+            gap = gaps[n - 1] if n >= 1 else None
             step = self.steps[n - 1] if n >= 1 else None
             sd = shadow_d[n] if shadow_d is not None else None
             stream.write(
                 f"{n},{fmt(self.residuals[n])},{fmt(gap)},{fmt(step)},{fmt(sd)}\n"
             )
-
-
-def _fejer_gaps_against(points: list[Point], witness: Point) -> list[float]:
-    dists = [distance(x, witness) for x in points]
-    return [dists[n - 1] - dists[n] for n in range(1, len(dists))]
-
-
-def _finalize(points, residuals, steps, stop_reason, witness) -> IterationTrace:
-    trace = IterationTrace(
-        points=points,
-        residuals=residuals,
-        steps=steps,
-        stop_reason=stop_reason,
-        witness=witness if witness is not None else points[-1],
-        witness_is_proxy=witness is None,
-    )
-    trace.fejer_gaps = _fejer_gaps_against(points, trace.witness)
-    return trace
 
 
 def _check_witness_fixed(ops, witness: Point) -> None:
@@ -186,7 +171,7 @@ def fixed_point_iterate(
             stop_reason = CONVERGED
             break
     residuals = steps + [distance(points[-1], op.apply(points[-1]))]
-    return _finalize(points, residuals, steps, stop_reason, witness)
+    return IterationTrace(points, residuals, steps, stop_reason, witness)
 
 
 def _run_sets(sets, x0: Point, witness: Point | None) -> list[ConvexSet]:
@@ -240,7 +225,7 @@ def _projection_run(sets, x0: Point, rule: StopRule, witness: Point | None,
     steps: list[float] = []
     stop_reason = MAX_ITER
     if residual <= rule.residual_tol:
-        return _finalize(points, residuals, steps, CONVERGED, witness)
+        return IterationTrace(points, residuals, steps, CONVERGED, witness)
     k = len(sets) if weights is None else 1
     for n in range(1, rule.max_iter + 1):
         try:
@@ -262,7 +247,7 @@ def _projection_run(sets, x0: Point, rule: StopRule, witness: Point | None,
             if moved <= rule.stall_tol:
                 stop_reason = STALLED
                 break
-    return _finalize(points, residuals, steps, stop_reason, witness)
+    return IterationTrace(points, residuals, steps, stop_reason, witness)
 
 
 def cyclic_projections(
@@ -294,20 +279,12 @@ def averaged_projections(
     return _projection_run(sets, x0, rule, witness, convex_weights(weights))
 
 
-def shadow_sequence(trace: IterationTrace, c: ConvexSet) -> list[Point]:
-    """Exact shadows P_C x_n of the trace under a closed-form set."""
-    for x in trace.points:
-        if c.space is not x.space and c.space != x.space:
-            raise DomainError("shadow set lives in a different space")
-    return [c.project(x) for x in trace.points]
+def approximate_shadows(trace: IterationTrace, sets) -> IterationTrace:
+    """Attach the shadows onto the intersection of the sets; return the trace.
 
-
-def approximate_shadows(trace: IterationTrace, sets) -> list[Point]:
-    """Shadows onto the intersection of the sets via an inner cyclic solve.
-
-    Used when no closed-form descriptor of the intersection exists; each
-    iterate is projected by running cyclic projections from it until the
-    inner residual drops below 1e-10, for at most 100 000 iterations.
+    Each iterate is projected by running cyclic projections from it
+    until the inner residual drops below 1e-10, for at most 100 000
+    iterations.
     """
     inner_rule = StopRule(max_iter=100000, residual_tol=1e-10)
     shadows = []
@@ -320,14 +297,7 @@ def approximate_shadows(trace: IterationTrace, sets) -> list[Point]:
                 last_point=inner.final_point,
             )
         shadows.append(inner.final_point)
-    return shadows
-
-
-def attach_shadows(trace: IterationTrace, shadows, approximate: bool) -> IterationTrace:
-    if len(shadows) != len(trace.points):
-        raise DomainError("one shadow per iterate required")
-    trace.shadows = list(shadows)
-    trace.shadows_approximate = approximate
+    trace.shadows = shadows
     return trace
 
 
@@ -393,7 +363,7 @@ def technical_condition_gaps(trace: IterationTrace) -> list[float]:
     pts, sh = trace.points, trace.shadows
     anchor = sh[-1]
     targets = list(sh[::max(1, len(sh) // 8)])
-    if trace.witness is not None and not trace.witness_is_proxy:
+    if not trace.witness_is_proxy:
         targets.append(trace.witness)
     # A probe no longer than EQ_TOL moves the gap by at most its length,
     # while its segment search costs as much as a long probe's.
@@ -407,48 +377,3 @@ def technical_condition_gaps(trace: IterationTrace) -> list[float]:
             worst = max(worst, distance(x, proj) - base)
         gaps.append(worst)
     return gaps
-
-
-@dataclass(frozen=True)
-class AsymptoticCenterEstimate:
-    """Minimax center estimate over a finite candidate pool.
-
-    ``heuristic`` is always True: the pool (tail points, their pairwise
-    midpoints, and the uniform tail mean) need not contain the true
-    asymptotic center, so this is a diagnostic, not a certificate.
-    """
-
-    center: Point
-    radius: float
-    pool_size: int
-    heuristic: bool = True
-
-
-def asymptotic_center_estimate(points, tail_start: int) -> AsymptoticCenterEstimate:
-    """Estimate the asymptotic center of a sequence from its tail.
-
-    Scores every candidate by max_{n >= tail_start} d(c, x_n) and keeps
-    the best, breaking ties toward the earliest candidate.  Candidates:
-    the tail points themselves, all pairwise geodesic midpoints of the
-    tail, and the uniform barycenter of the tail.
-    """
-    points = list(points)
-    if not 0 <= tail_start < len(points):
-        raise DomainError(
-            f"tail_start {tail_start} outside [0, {len(points) - 1}]"
-        )
-    tail = points[tail_start:]
-    pool: list[Point] = list(tail)
-    for i in range(len(tail)):
-        for j in range(i + 1, len(tail)):
-            pool.append(geodesic_point(tail[i], tail[j], 0.5))
-    pool.append(frechet_mean(WeightedPoints(tail, [1.0 / len(tail)] * len(tail))))
-    best_idx = 0
-    best_score = math.inf
-    for idx, cand in enumerate(pool):
-        score = max(distance(cand, x) for x in tail)
-        if score < best_score:
-            best_idx, best_score = idx, score
-    return AsymptoticCenterEstimate(
-        center=pool[best_idx], radius=best_score, pool_size=len(pool)
-    )

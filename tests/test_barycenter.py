@@ -235,7 +235,8 @@ class TestInductiveSweeps:
 
 
 class TestConvexWeights:
-    @pytest.mark.parametrize("weights", [[0.7, 0.7], [-0.5, 1.5]])
+    @pytest.mark.parametrize("weights", [[0.7, 0.7], [-0.5, 1.5], [math.nan, 1.0],
+                                         [1.0, math.nan], [math.inf, -math.inf]])
     def test_one_message_for_points_operators_and_scenarios(self, e2, weights):
         with pytest.raises(ConstructionError) as points_err:
             WeightedPoints([e2.point([0, 0]), e2.point([1, 0])], weights)

@@ -173,6 +173,16 @@ class TestRun:
         assert run_scenario(scenario) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("doc", [CYCLIC_DOC, CERTIFY_DOC], ids=["cyclic", "certify"])
+    def test_run_scenario_step_tol_only_for_barycenter(self, tmp_path, capsys, doc):
+        out = tmp_path / "out.csv"
+        scenario = parse_scenario(doc.format(out=out))
+        assert run_scenario(scenario, step_tol=1e-9) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "step_tol" in err and scenario.algorithm in err
+
 
 class TestFixedPoint:
     def test_residual_tol_stops_run(self, tmp_path, capsys):
@@ -331,8 +341,15 @@ class TestInvalidValues:
          [], "key 'residual_tol': residual_tol must be finite and >= 0"),
         ("certify", CERTIFY_DOC.replace("seed = 9", "seed = -1"), [],
          "key 'seed': seed must be >= 0"),
+        ("mean", MEAN_DOC.replace("point = vertex,c\n", "point = vertex,c\nweights = nan,0.5,0.5\n"),
+         [], "key 'weights': weights must be finite and nonnegative"),
+        ("run", CYCLIC_DOC.replace("cyclic", "averaged").replace("x0 =", "weights = nan,1\nx0 ="),
+         [], "key 'weights': weights must be finite and nonnegative"),
+        ("run", CYCLIC_DOC.replace("offset = 0\n\n[set B]", "offset = nan\n\n[set B]"), [],
+         "halfspace offset must be finite, got nan"),
     ], ids=["max-iter-0", "tol-negative", "tol-nan", "seed-negative", "mean-tol-nan",
-            "mean-tol-negative", "scenario-residual-tol-nan", "scenario-seed-negative"])
+            "mean-tol-negative", "scenario-residual-tol-nan", "scenario-seed-negative",
+            "mean-weights-nan", "averaged-weights-nan", "halfspace-offset-nan"])
     def test_exit_2_without_artifact(self, tmp_path, capsys, command, doc, flags, message):
         out = tmp_path / "out.csv"
         scn = write(tmp_path, "s.scn", doc.format(out=out))

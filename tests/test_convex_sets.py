@@ -63,6 +63,12 @@ class TestConstruction:
         with pytest.raises(ConstructionError):
             EuclideanHyperplane(e2, [0, 0], 1.0)
 
+    @pytest.mark.parametrize("cls", [EuclideanHalfspace, EuclideanHyperplane])
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_offset_rejected(self, e2, cls, offset):
+        with pytest.raises(ConstructionError, match="offset must be finite"):
+            cls(e2, [0, 1], offset)
+
     def test_nonpositive_radius_rejected(self, e2):
         with pytest.raises(ConstructionError):
             GeodesicBall(e2.point([0, 0]), 0.0)

@@ -1,4 +1,4 @@
-"""Iteration drivers, Fejer monotonicity, shadows, and center estimation."""
+"""Iteration drivers, Fejer monotonicity, and shadows."""
 
 import io
 import math
@@ -20,15 +20,12 @@ from hadamard import (
     StopRule,
     Subtree,
     approximate_shadows,
-    asymptotic_center_estimate,
-    attach_shadows,
     averaged_projections,
     cyclic_projections,
     distance,
     fixed_point_iterate,
     project_to_segment,
     shadow_cauchy_worst_defect,
-    shadow_sequence,
     technical_condition_gaps,
 )
 from hadamard.errors import ConstructionError
@@ -305,29 +302,50 @@ class TestFejerDiagnostics:
         assert trace.witness_is_proxy
         assert trace.witness is trace.final_point
 
+    def test_gaps_computed_on_first_read(self, e2, quadrant_sets):
+        trace = averaged_projections(quadrant_sets, e2.point([1, 1]), StopRule(max_iter=30),
+                                     witness=e2.point([0, 0]))
+        assert "fejer_gaps" not in vars(trace)
+        gaps = trace.fejer_gaps
+        assert vars(trace)["fejer_gaps"] is gaps
+        assert trace.fejer_gaps is gaps
+
+    def test_gaps_are_distance_differences(self, e2):
+        points = [e2.point([3.0 - n, 0.5 * n]) for n in range(6)]
+        w = e2.point([-1.0, 2.0])
+        trace = IterationTrace(points, [1.0] * 6, [1.0] * 5, "maxiter", w)
+        expected = [distance(a, w) - distance(b, w) for a, b in zip(points, points[1:])]
+        assert trace.fejer_gaps == expected
+        assert not trace.witness_is_proxy
+
+    def test_hand_built_trace_gets_proxy_witness(self, e2):
+        points = [e2.point([2.0, 0.0]), e2.point([1.0, 0.0]), e2.point([1.0, 1.0])]
+        trace = IterationTrace(points, [1.0, 1.0, 0.0], [1.0, 1.0], "converged")
+        assert trace.witness_is_proxy
+        assert trace.witness is points[-1]
+        assert trace.fejer_gaps == [distance(points[0], points[2]) - distance(points[1], points[2]),
+                                    distance(points[1], points[2])]
+
 
 class TestShadows:
     def test_constant_trace_shadows(self, e2, quadrant_sets):
         c = GeodesicBall(e2.point([-1, -1]), 1.0)
         trace = cyclic_projections(quadrant_sets, e2.point([-1, -1]), StopRule(max_iter=5))
-        shadows = shadow_sequence(trace, c)
-        assert all(s == trace.points[0] for s in shadows)
+        assert all(s == trace.points[0] for s in approximate_shadows(trace, [c]).shadows)
 
     def test_quadrant_shadows_match_hand_values(self, e2, quadrant_sets):
         trace = averaged_projections(quadrant_sets, e2.point([1, 1]),
                                      StopRule(max_iter=20, residual_tol=1e-11))
-        shadows = approximate_shadows(trace, quadrant_sets)
-        for p, s in zip(trace.points, shadows):
+        assert approximate_shadows(trace, quadrant_sets) is trace
+        assert len(trace.shadows) == len(trace.points)
+        for p, s in zip(trace.points, trace.shadows):
             expected = np.minimum(p.payload, 0.0)  # componentwise clamp
             assert np.allclose(s.payload, expected, atol=1e-10)
-        attach_shadows(trace, shadows, approximate=True)
-        assert trace.shadows_approximate
 
     def test_shadow_cauchy_inequality(self, e2, quadrant_sets, rng):
         for _ in range(10):
             trace = cyclic_projections(quadrant_sets, e2.sample(rng), StopRule(max_iter=60))
-            attach_shadows(trace, approximate_shadows(trace, quadrant_sets), True)
-            assert shadow_cauchy_worst_defect(trace) >= -1e-9
+            assert shadow_cauchy_worst_defect(approximate_shadows(trace, quadrant_sets)) >= -1e-9
 
     def test_shadows_required_for_diagnostics(self, e2, quadrant_sets):
         trace = cyclic_projections(quadrant_sets, e2.point([1, 1]), StopRule(max_iter=5))
@@ -357,8 +375,7 @@ class TestTechnicalGaps:
         trace = averaged_projections(quadrant_sets, e2.point([1, 1]),
                                      StopRule(max_iter=40, residual_tol=1e-11),
                                      witness=e2.point([0, 0]))
-        attach_shadows(trace, approximate_shadows(trace, quadrant_sets), True)
-        gaps = technical_condition_gaps(trace)
+        gaps = technical_condition_gaps(approximate_shadows(trace, quadrant_sets))
         assert all(g >= -1e-12 for g in gaps)
         assert gaps[-1] <= 1e-6
 
@@ -370,7 +387,7 @@ class TestTechnicalGaps:
         trace = IterationTrace(points=points, residuals=[1.0] * 12, steps=[0.5] * 11,
                                stop_reason="maxiter", witness=e2.point([-1.0, 0.0]))
         below = EuclideanHalfspace(e2, [0.3, 1.0], 0.0)
-        sh = attach_shadows(trace, shadow_sequence(trace, below), False).shadows
+        sh = approximate_shadows(trace, [below]).shadows
         assert min(distance(a, b) for i, a in enumerate(sh) for b in sh[i + 1:]) > EQ_TOL
         anchor = sh[-1]
         targets = list(sh[::max(1, len(sh) // 8)]) + [trace.witness]
@@ -382,30 +399,6 @@ class TestTechnicalGaps:
                 worst = max(worst, distance(x, project_to_segment(anchor, t, s)) - distance(x, s))
             expected.append(worst)
         assert technical_condition_gaps(trace) == expected
-
-
-class TestAsymptoticCenter:
-    def test_constant_sequence(self, e2):
-        p = e2.point([2, 2])
-        est = asymptotic_center_estimate([p, p, p], 0)
-        assert est.center == p
-        assert est.radius == 0.0
-        assert est.heuristic
-
-    def test_euclidean_alternating(self, e2):
-        pts = [e2.point([1, 0]), e2.point([-1, 0])] * 3
-        est = asymptotic_center_estimate(pts, 0)
-        assert np.allclose(est.center.payload, [0, 0])
-        assert est.radius == pytest.approx(1.0)
-
-    def test_tripod_alternating_leaves(self, tripod):
-        pts = [tripod.vertex_point("a"), tripod.vertex_point("b")] * 3
-        est = asymptotic_center_estimate(pts, 0)
-        assert est.center == tripod.vertex_point("o")
-
-    def test_tail_start_domain(self, e2):
-        with pytest.raises(DomainError):
-            asymptotic_center_estimate([e2.point([0, 0])], 1)
 
 
 class TestTraceCsv:
