@@ -94,5 +94,5 @@ from .certifier import (
     run_suite,
     space_suite,
 )
-from .scenario import Scenario, parse_scenario, point_spec, serialize_scenario
+from .scenario import Scenario, parse_scenario, point_spec
 from .cli import run_scenario

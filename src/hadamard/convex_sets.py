@@ -41,7 +41,11 @@ __all__ = [
 
 
 class ConvexSet:
-    """Base class for closed convex sets with an exact projection."""
+    """Base class for closed convex sets with an exact projection.
+
+    Sets compare and hash by identity: two sets built from one
+    description are two sets.
+    """
 
     __slots__ = ("space", "name")
 
@@ -70,17 +74,6 @@ class ConvexSet:
 
     def __repr__(self):
         return f"{self.describe()} [{self.name}]"
-
-    def _eq_key(self):
-        raise NotImplementedError
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.space == other.space and self._eq_key() == other._eq_key()
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.name))
 
 
 class EuclideanHalfspace(ConvexSet):
@@ -122,9 +115,6 @@ class EuclideanHalfspace(ConvexSet):
         gap = float(self.normal @ x.payload) - self.offset
         bound = tol * math.sqrt(self._norm_sq)
         return self._lowest_gap - bound <= gap <= bound
-
-    def _eq_key(self):
-        return (tuple(self.normal), self.offset)
 
     def describe(self) -> str:
         normal = self.space.format_payload(self.normal)
@@ -206,9 +196,6 @@ class HyperbolicHalfspace(ConvexSet):
         self._check_point(x)
         return minkowski(self.normal, x.payload) <= tol
 
-    def _eq_key(self):
-        return tuple(self.normal)
-
     def describe(self) -> str:
         return f"hyperbolic halfspace m({self.space.format_payload(self.normal)}, x) <= 0"
 
@@ -236,9 +223,6 @@ class GeodesicBall(ConvexSet):
     def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
         self._check_point(x)
         return distance(self.center, x) <= self.radius + tol
-
-    def _eq_key(self):
-        return (self.center, self.radius)
 
     def describe(self) -> str:
         return f"ball(center={self.space.format_payload(self.center.payload)}, r={self.radius:g})"
@@ -305,9 +289,6 @@ class Subtree(ConvexSet):
     def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
         return distance(x, self.project(x)) <= tol
 
-    def _eq_key(self):
-        return self.vertex_set
-
     def describe(self) -> str:
         return f"subtree({', '.join(self.vertex_order)})"
 
@@ -336,9 +317,6 @@ class ProductSet(ConvexSet):
         self._check_point(x)
         pl, pr = x.payload
         return self.left.contains(pl, tol) and self.right.contains(pr, tol)
-
-    def _eq_key(self):
-        return (self.left, self.right)
 
     def describe(self) -> str:
         return f"product({self.left.describe()}, {self.right.describe()})"

@@ -14,6 +14,7 @@ diagnostics.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -54,6 +55,8 @@ class StopRule:
     stall_tol: float = 1e-12
 
     def __post_init__(self):
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ConstructionError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ConstructionError("max_iter must be >= 1")
         for name in ("residual_tol", "stall_tol"):
@@ -180,8 +183,7 @@ def _run_sets(sets, x0: Point, witness: Point | None) -> list[ConvexSet]:
     if not sets:
         raise DomainError("need at least one set")
     for c in sets:
-        if c.space is not x0.space and c.space != x0.space:
-            raise DomainError(f"set '{c.name}' lives in a different space")
+        c._check_point(x0)
     if witness is not None:
         check_same_space(x0, witness)
         _check_witness_fixed([Projection(c) for c in sets], witness)

@@ -46,14 +46,10 @@ from .geometry import Euclidean, Hyperboloid, Point, ProductSpace, SpaceModel
 from .iterations import StopRule
 from .metric_tree import MetricTree
 
-__all__ = ["Scenario", "parse_scenario", "serialize_scenario", "parse_point_spec", "point_spec"]
-
-ALGORITHMS = ("cyclic", "averaged", "fixedpoint", "certify", "barycenter")
-
-_ITERATIVE = {"cyclic", "averaged", "fixedpoint"}
+__all__ = ["Scenario", "parse_scenario", "parse_point_spec", "point_spec"]
 
 
-@dataclass(eq=True)
+@dataclass(eq=False)
 class Scenario:
     """A parsed and fully validated scenario document."""
 
@@ -260,10 +256,7 @@ def point_spec(point: Point) -> str:
     if isinstance(space, (Euclidean, Hyperboloid)):
         return ",".join(f"{v:.17g}" for v in point.payload)
     if isinstance(space, MetricTree):
-        v = space.location_vertex(point.payload)
-        if v is not None:
-            return f"vertex,{v}"
-        return f"edge,{point.payload.edge},{point.payload.offset:.17g}"
+        return space.format_payload(point.payload)
     if isinstance(space, ProductSpace):
         pl, pr = point.payload
         return f"({point_spec(pl)});({point_spec(pr)})"
@@ -318,6 +311,7 @@ def _build_set(space: SpaceModel, name: str, sec: _Section) -> ConvexSet:
 # the run section and whole-document assembly
 # ---------------------------------------------------------------------
 
+# The [run] keys each algorithm reads; the algorithms that read ``sets`` iterate.
 _RUN_KEYS = {
     "cyclic": {"algorithm", "sets", "x0", "witness", "max_iter",
                "residual_tol", "stall_tol", "output"},
@@ -366,7 +360,7 @@ def parse_scenario(text: str) -> Scenario:
 
     run = run_sections[0]
     algorithm_v, algorithm_ln = run.require("algorithm")
-    if algorithm_v not in ALGORITHMS:
+    if algorithm_v not in _RUN_KEYS:
         raise ScenarioError(f"unknown algorithm {algorithm_v!r}",
                             line_no=algorithm_ln, key="algorithm")
     allowed = _RUN_KEYS[algorithm_v]
@@ -376,7 +370,7 @@ def parse_scenario(text: str) -> Scenario:
     scenario = Scenario(space=space, sets=sets, algorithm=algorithm_v,
                         run_sets=[], output_path=output_v)
 
-    if algorithm_v in _ITERATIVE:
+    if "sets" in allowed:
         sets_v, sets_ln = run.require("sets")
         names = [n.strip() for n in sets_v.split(",") if n.strip()]
         if not names:
@@ -450,89 +444,6 @@ def parse_scenario(text: str) -> Scenario:
                     line_no=weights[1], key="weights")
 
     witness = run.get("witness")
-    if witness is not None and "witness" in allowed:
+    if witness is not None:
         scenario.witness = parse_point_spec(space, witness[0], witness[1], "witness")
     return scenario
-
-
-# ---------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------
-
-
-def _space_lines(space: SpaceModel, prefix: str = "") -> list[str]:
-    if isinstance(space, Euclidean):
-        return [f"{prefix}kind = euclidean", f"{prefix}dim = {space.dim}"]
-    if isinstance(space, Hyperboloid):
-        return [f"{prefix}kind = hyperboloid", f"{prefix}dim = {space.dim}"]
-    if isinstance(space, MetricTree):
-        lines = [f"{prefix}kind = tree"]
-        lines.extend(
-            f"{prefix}edge = {e.a},{e.b},{e.length:.17g}" for e in space.edges
-        )
-        return lines
-    if isinstance(space, ProductSpace):
-        lines = [f"{prefix}kind = product"]
-        lines.extend(_space_lines(space.left, prefix + "left."))
-        lines.extend(_space_lines(space.right, prefix + "right."))
-        return lines
-    raise ScenarioError(f"cannot serialize space {space.describe()}")
-
-
-def _set_lines(c: ConvexSet, prefix: str = "") -> list[str]:
-    if isinstance(c, EuclideanHalfspace):  # hyperplanes included
-        normal = ",".join(f"{v:.17g}" for v in c.normal)
-        return [f"{prefix}kind = {c.kind}", f"{prefix}normal = {normal}",
-                f"{prefix}offset = {c.offset:.17g}"]
-    if isinstance(c, HyperbolicHalfspace):
-        normal = ",".join(f"{v:.17g}" for v in c.normal)
-        return [f"{prefix}kind = hyperbolic-halfspace", f"{prefix}normal = {normal}"]
-    if isinstance(c, GeodesicBall):
-        return [f"{prefix}kind = ball",
-                f"{prefix}center = {point_spec(c.center)}",
-                f"{prefix}radius = {c.radius:.17g}"]
-    if isinstance(c, Subtree):
-        return [f"{prefix}kind = subtree",
-                f"{prefix}vertices = {','.join(c.vertex_order)}"]
-    if isinstance(c, ProductSet):
-        lines = [f"{prefix}kind = product"]
-        lines.extend(_set_lines(c.left, prefix + "left."))
-        lines.extend(_set_lines(c.right, prefix + "right."))
-        return lines
-    raise ScenarioError(f"cannot serialize set '{c.name}'")
-
-
-def serialize_scenario(s: Scenario) -> str:
-    """Canonical text for a scenario; parse(serialize(s)) equals s."""
-    lines = ["[space]"]
-    lines.extend(_space_lines(s.space))
-    for name, c in s.sets.items():
-        lines.append("")
-        lines.append(f"[set {name}]")
-        lines.extend(_set_lines(c))
-    lines.append("")
-    lines.append("[run]")
-    lines.append(f"algorithm = {s.algorithm}")
-    if s.algorithm in _ITERATIVE:
-        lines.append(f"sets = {','.join(s.run_sets)}")
-        lines.append(f"x0 = {point_spec(s.x0)}")
-        lines.append(f"max_iter = {s.stop.max_iter}")
-        lines.append(f"residual_tol = {s.stop.residual_tol:.17g}")
-        lines.append(f"stall_tol = {s.stop.stall_tol:.17g}")
-        if s.algorithm == "averaged" and s.weights is not None:
-            lines.append(f"weights = {','.join(f'{w:.17g}' for w in s.weights)}")
-    elif s.algorithm == "certify":
-        lines.append(f"samples = {s.samples}")
-        lines.append(f"seed = {s.seed}")
-        if s.claim_alpha is not None:
-            lines.append(f"claim_alpha = {s.claim_alpha:.17g}")
-            lines.append(f"claim_set = {s.claim_set}")
-    elif s.algorithm == "barycenter":
-        for p in s.mean_points:
-            lines.append(f"point = {point_spec(p)}")
-        if s.weights is not None:
-            lines.append(f"weights = {','.join(f'{w:.17g}' for w in s.weights)}")
-    if s.witness is not None and "witness" in _RUN_KEYS[s.algorithm]:
-        lines.append(f"witness = {point_spec(s.witness)}")
-    lines.append(f"output = {s.output_path}")
-    return "\n".join(lines) + "\n"

@@ -11,6 +11,8 @@ import hadamard
 from hadamard import parse_scenario, run_scenario
 from hadamard.cli import main
 
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
 CYCLIC_DOC = """
 [space]
 kind = euclidean
@@ -358,6 +360,28 @@ class TestInvalidValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+
+class TestShippedScenarios:
+    """Every file under scenarios/ runs, writes its CSV, and reruns byte for byte."""
+
+    # The command and CSV header for each algorithm; the iterative ones use `run`.
+    COMMANDS = {"certify": ("certify", "kind,samples,seed,worst_defect,pass"),
+                "barycenter": ("mean", "point,objective")}
+    TRACE = ("run", "n,residual,fejer_gap,step,shadow_dist")
+
+    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scn")), ids=lambda p: p.name)
+    def test_runs_and_reruns_identically(self, path, tmp_path, monkeypatch, capsys):
+        scenario = parse_scenario(path.read_text(encoding="utf-8"))
+        command, header = self.COMMANDS.get(scenario.algorithm, self.TRACE)
+        monkeypatch.chdir(tmp_path)
+        out = Path(scenario.output_path)
+        assert main([command, str(path)]) == 0
+        first = out.read_bytes()
+        assert first.decode("utf-8").split("\n", 1)[0] == header
+        out.unlink()
+        assert main([command, str(path)]) == 0
+        assert out.read_bytes() == first
 
 
 class TestVersion:

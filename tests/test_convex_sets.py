@@ -14,13 +14,16 @@ from hadamard import (
     EuclideanHalfspace,
     EuclideanHyperplane,
     GeodesicBall,
+    Hyperboloid,
     HyperbolicHalfspace,
+    MetricTree,
     ProductSet,
     ProductSpace,
     Projection,
     SpaceMismatchError,
     StopRule,
     Subtree,
+    TreeLocation,
     cyclic_projections,
     distance,
     discrepancy,
@@ -231,14 +234,50 @@ class TestProjectionDefectExamples:
             projection_defect(c, e2.point([0, 1]), e2.point([0, 2]))
 
 
-class TestStructuralEquality:
-    def test_equal_descriptors(self, e2, tripod):
-        a = EuclideanHalfspace(e2, [0, 1], 0.0, name="A")
-        b = EuclideanHalfspace(e2, [0, 1], 0.0, name="B")
-        assert a == b  # the name is presentation, not identity
-        assert a != EuclideanHalfspace(e2, [0, 1], 1.0)
-        assert Subtree(tripod, ["o", "a"]) == Subtree(tripod, ["a", "o"])
-        assert Subtree(tripod, ["o", "a"]) != Subtree(tripod, ["o", "b"])
+TRIPOD = [("o", "a", 1.0), ("o", "b", 1.0), ("o", "c", 1.0)]
+
+
+def _product():
+    return ProductSpace(Euclidean(2), MetricTree(TRIPOD))
+
+
+class TestEqualityContract:
+    """Spaces, points and tree locations are values; convex sets are identities."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: Euclidean(3),
+        lambda: Hyperboloid(2),
+        lambda: MetricTree(TRIPOD),
+        _product,
+        lambda: Euclidean(2).point([1.5, -2.0]),
+        lambda: Hyperboloid(2).exp_from_base([0.3, -0.4]),
+        lambda: MetricTree(TRIPOD).edge_point(1, 0.25),
+        lambda: _product().point((Euclidean(2).point([1, 2]),
+                                  MetricTree(TRIPOD).vertex_point("a"))),
+        lambda: TreeLocation(1, 0.25),
+    ], ids=["euclidean", "hyperboloid", "tree", "product", "euclidean-point",
+            "hyperboloid-point", "tree-point", "product-point", "tree-location"])
+    def test_equal_values_hash_equal(self, build):
+        a, b = build(), build()
+        assert a is not b
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("build", [
+        lambda: EuclideanHalfspace(Euclidean(2), [0, 1], 0.0, name="A"),
+        lambda: EuclideanHyperplane(Euclidean(2), [0, 1], 0.0, name="A"),
+        lambda: HyperbolicHalfspace(Hyperboloid(2), [0, 1, 0], name="A"),
+        lambda: GeodesicBall(Euclidean(2).point([0, 0]), 1.0, name="A"),
+        lambda: Subtree(MetricTree(TRIPOD), ["o", "a"], name="A"),
+        lambda: ProductSet(_product(), EuclideanHalfspace(Euclidean(2), [0, 1], 0.0),
+                           Subtree(MetricTree(TRIPOD), ["o", "a"]), name="A"),
+    ], ids=["halfspace", "hyperplane", "hyperbolic-halfspace", "ball", "subtree", "product"])
+    def test_sets_compare_by_identity(self, build):
+        a, b = build(), build()
+        assert a == a and hash(a) == hash(a)
+        assert a != b
+        assert len({a, b}) == 2
 
 
 def _flat_family(space, rng, count, plane_share, offset_for):

@@ -17,6 +17,7 @@ from hadamard import (
     IterationTrace,
     NotAFixedPointError,
     Projection,
+    SpaceMismatchError,
     StopRule,
     Subtree,
     approximate_shadows,
@@ -53,6 +54,17 @@ class TestStopRule:
     def test_tolerances_finite_and_nonnegative(self, field, value):
         with pytest.raises(ConstructionError, match=field):
             StopRule(max_iter=10, **{field: value})
+
+    @pytest.mark.parametrize("value", [2.5, 10.0, math.nan, math.inf, True],
+                             ids=["fraction", "integral-float", "nan", "inf", "bool"])
+    def test_max_iter_must_be_an_integer(self, value):
+        with pytest.raises(ConstructionError, match="max_iter must be an integer"):
+            StopRule(max_iter=value)
+
+    def test_numpy_integer_max_iter(self, e2, quadrant_sets):
+        trace = cyclic_projections(quadrant_sets, e2.point([1, 1]),
+                                   StopRule(max_iter=np.int64(1), residual_tol=0.0))
+        assert trace.iterations == 1
 
     def test_zero_tolerances_are_legal(self):
         rule = StopRule(max_iter=10, residual_tol=0.0, stall_tol=0.0)
@@ -179,6 +191,11 @@ class TestCyclicProjections:
         with pytest.raises(DomainError):
             cyclic_projections([], e2.point([0, 0]), StopRule(max_iter=5))
 
+    def test_set_from_another_space_rejected(self, e2, e3):
+        ball = GeodesicBall(e3.point([0, 0, 0]), 1.0, name="ball-e3")
+        with pytest.raises(SpaceMismatchError, match="ball-e3"):
+            cyclic_projections([ball], e2.point([0, 0]), StopRule(max_iter=5))
+
     def test_witness_outside_sets_rejected(self, e2, quadrant_sets):
         with pytest.raises(NotAFixedPointError):
             cyclic_projections(quadrant_sets, e2.point([1, 1]), StopRule(max_iter=5),
@@ -219,7 +236,7 @@ class TestAveragedProjections:
 
     def test_set_from_another_space_rejected(self, e2, e3):
         ball = GeodesicBall(e3.point([0, 0, 0]), 1.0, name="ball-e3")
-        with pytest.raises(DomainError):
+        with pytest.raises(SpaceMismatchError, match="ball-e3"):
             averaged_projections([ball], e2.point([0, 0]), StopRule(max_iter=5))
 
     def test_disjoint_lines_stall(self, e2):

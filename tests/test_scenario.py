@@ -1,6 +1,4 @@
-"""Scenario parsing, validation errors, and round-trip serialization."""
-
-from pathlib import Path
+"""Scenario parsing, validation errors, and the point-spec round trip."""
 
 import pytest
 
@@ -9,11 +7,8 @@ from hadamard import (
     Hyperboloid,
     ScenarioError,
     parse_scenario,
-    serialize_scenario,
 )
 from hadamard.scenario import parse_point_spec, point_spec
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 CYCLIC_DOC = """
 [space]
@@ -242,24 +237,6 @@ class TestRepeatedKeys:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("doc", [CYCLIC_DOC, TREE_CERTIFY_DOC, PRODUCT_DOC, MEAN_DOC],
-                             ids=["euclidean-cyclic", "tree-certify", "product-averaged",
-                                  "hyperboloid-barycenter"])
-    def test_parse_serialize_parse_is_identity(self, doc):
-        first = parse_scenario(doc)
-        text = serialize_scenario(first)
-        second = parse_scenario(text)
-        assert second == first
-        assert serialize_scenario(second) == text
-
-    @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.scn")), ids=lambda p: p.name)
-    def test_shipped_scenarios_round_trip(self, path):
-        first = parse_scenario(path.read_text(encoding="utf-8"))
-        text = serialize_scenario(first)
-        second = parse_scenario(text)
-        assert second == first
-        assert serialize_scenario(second) == text
-
     def test_point_spec_round_trip(self, all_models, rng):
         for space in all_models.values():
             for _ in range(25):
