@@ -12,16 +12,18 @@ recorded witness can always be re-evaluated to reproduce its defect.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
 from .barycenter import WeightedPoints, frechet_mean, variance_defect
-from .convex_sets import ConvexSet, projection_defect
-from .errors import CheckSpecError
-from .geometry import Point, SpaceModel, cat0_defect, distance, geodesic_point, quasilinearization
+from .convex_sets import ConvexSet, _projection
+from .errors import CheckSpecError, DomainError
+from .geometry import Point, SpaceModel, _cat0, _quasilinear
 from .iterations import (
     StopRule,
     approximate_shadows,
@@ -33,7 +35,10 @@ from .operators import (
     Composition,
     ConvexCombination,
     Projection,
-    alpha_firm_defect,
+    _alpha_firm,
+    _check_alpha,
+    _quasi_firm,
+    _require_fixed,
     combination_alpha,
     fold_composition_alpha,
     quasi_firm_defect,
@@ -90,6 +95,31 @@ CHECK_KINDS = (
 _BARYCENTER_BOUND_KINDS = {COMBINATION_THEOREM, VARIANCE_INEQ}
 _BARYCENTER_TOL = 1e-6
 
+# Each kind's witness, one letter per entry: "p" a point of the check's
+# space, "t" a number, "-" anything else.
+_WITNESS = {
+    CAT0: "pppt",
+    CAUCHY_SCHWARZ: "pppp",
+    PROJECTION_FIRM: "pp",
+    PROJECTION_INEQ: "pp",
+    QUASI_FIRM: "pp",
+    COMPOSITION_THEOREM: "pp",
+    COMBINATION_THEOREM: "pp",
+    FIX_CONVEXITY: "pp",
+    VARIANCE_INEQ: "--p",
+    FEJER_RUN: "p",
+}
+# Kinds whose defect solves a barycenter or runs a projection algorithm per
+# witness draw and evaluate one witness at a time; every other kind runs on
+# sample blocks.
+_ROW_KINDS = {COMBINATION_THEOREM, VARIANCE_INEQ, FEJER_RUN}
+# Samples drawn and evaluated at once, which bounds a check's memory.
+_CHUNK = 4096
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
 
 @dataclass(frozen=True)
 class CheckSpec:
@@ -105,10 +135,11 @@ class CheckSpec:
     def __post_init__(self):
         if self.kind not in CHECK_KINDS:
             raise CheckSpecError(f"unknown check kind '{self.kind}'")
-        if self.samples < 1:
-            raise CheckSpecError("samples must be >= 1")
-        if self.seed < 0:
-            raise CheckSpecError(f"seed must be >= 0, got {self.seed}")
+        if not isinstance(self.space, SpaceModel):
+            raise CheckSpecError(f"space must be a space model, got {self.space!r}")
+        if not _is_integer(self.samples) or self.samples < 1:
+            raise CheckSpecError(f"samples must be an integer >= 1, got {self.samples!r}")
+        _check_seed(self.seed)
 
     @property
     def tolerance(self) -> float:
@@ -127,17 +158,23 @@ class CheckResult:
     worst_defect: float
     witness: tuple
     tolerance: float
+    elapsed_s: float = field(compare=False)
 
     @property
     def passed(self) -> bool:
         return self.worst_defect >= -self.tolerance
+
+    @property
+    def samples_per_s(self) -> float:
+        return self.samples / self.elapsed_s if self.elapsed_s > 0 else math.inf
 
     def text_line(self) -> str:
         tag = f"{self.kind}" + (f"[{self.label}]" if self.label else "")
         return (
             f"{'PASS' if self.passed else 'FAIL'} {tag} on {self.space}: "
             f"worst defect {self.worst_defect:.6e} at tolerance {self.tolerance:g} "
-            f"({self.samples} samples, seed {self.seed})"
+            f"({self.samples} samples, seed {self.seed}; "
+            f"{self.elapsed_s:.3g} s, {self.samples_per_s:.3g} samples/s)"
         )
 
 
@@ -196,37 +233,113 @@ def _combination_subjects(spec: CheckSpec):
     return combo, combination_alpha(alphas)
 
 
+def _check_seed(seed) -> None:
+    if not _is_integer(seed):
+        raise CheckSpecError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise CheckSpecError(f"seed must be >= 0, got {seed}")
+
+
+def _block_kernel(spec: CheckSpec):
+    """``(draw, defect, admit)`` for a kind that runs on sample blocks.
+
+    ``draw(rng, n)`` returns the witness columns of n samples as a list of
+    batches, consuming ``rng`` in a fixed order.  ``defect(*columns)``
+    returns one defect per row, nonnegative (up to the check's tolerance)
+    wherever the sampled inequality holds.  ``admit(witness)`` raises for a
+    witness outside the inequality's scope: a challenge point outside the
+    set, a point the operator moves, or t outside [0, 1].
+    """
+    space = spec.space
+    kind = spec.kind
+    dist = space.distances
+    sample = space.sample_block
+
+    def admit(witness):
+        pass
+
+    if kind == CAT0:
+        def draw(rng, n):
+            return [(sample(rng, n), sample(rng, n), sample(rng, n), rng.uniform(size=n))]
+
+        def defect(x, y, z, t):
+            return _cat0(dist, x, y, z, space.interpolate(x, y, t), t)
+
+        def admit(witness):
+            if not 0.0 <= witness[3] <= 1.0:
+                raise DomainError(f"interpolation parameter must be in [0, 1], got {witness[3]}")
+    elif kind == CAUCHY_SCHWARZ:
+        def draw(rng, n):
+            return [tuple(sample(rng, n) for _ in range(4))]
+
+        def defect(x, z, y, w):
+            return dist(x, z) * dist(y, w) - np.abs(_quasilinear(dist, x, z, y, w))
+    elif kind == PROJECTION_FIRM:
+        # P_C at alpha 1/2 for a "set", or any "op" at an optional "alpha"
+        op = spec.payload["op"] if "op" in spec.payload else Projection(_payload(spec, "set"))
+        alpha = _check_alpha(spec.payload.get("alpha", 0.5))
+
+        def draw(rng, n):
+            return [(sample(rng, n), sample(rng, n))]
+
+        def defect(x, y):
+            return _alpha_firm(dist, alpha, x, y, op.apply_block(space, x),
+                               op.apply_block(space, y))
+    elif kind == PROJECTION_INEQ:
+        c = _payload(spec, "set")
+        project = partial(Projection(c).apply_block, space)
+
+        def draw(rng, n):
+            return [(sample(rng, n), project(sample(rng, n)))]
+
+        def defect(x, y):
+            return _projection(dist, x, y, project(x))
+
+        def admit(witness):
+            if not c.contains(witness[1]):
+                raise DomainError(f"challenge point is not in the set '{c.name}'")
+    elif kind in (QUASI_FIRM, COMPOSITION_THEOREM):
+        if kind == QUASI_FIRM:
+            op, alpha = _payload(spec, "op"), _check_alpha(_payload(spec, "alpha"))
+            fixed = list(_payload(spec, "fixed_points"))
+            if not fixed:
+                raise CheckSpecError("a quasi_firm check needs at least one fixed point")
+        else:
+            op, alpha = _op_and_alphas(spec)
+            fixed = [_payload(spec, "witness")]
+        for y in fixed:
+            _require_fixed(op, y)
+
+        def draw(rng, n):
+            x = sample(rng, n)
+            return [(x, space.repeat(y, n)) for y in fixed]
+
+        def defect(x, y):
+            return _quasi_firm(dist, alpha, x, y, op.apply_block(space, x))
+
+        def admit(witness):
+            _require_fixed(op, witness[1])
+    else:  # FIX_CONVEXITY
+        project = partial(Projection(_payload(spec, "set")).apply_block, space)
+
+        def draw(rng, n):
+            return [(project(sample(rng, n)), project(sample(rng, n)))]
+
+        def defect(y1, y2):
+            mid = space.interpolate(y1, y2, np.full(space.block_len(y1), 0.5))
+            return -dist(project(mid), mid)
+    return draw, defect, admit
+
+
 def _defect(spec: CheckSpec):
-    """The check's defect as a function of one witness tuple.
+    """The defect of a kind in ``_ROW_KINDS`` as a function of one witness tuple.
 
     Nonnegative (up to the check's tolerance) wherever the sampled
     inequality holds; ``_draws`` yields the tuples it is evaluated at.
     """
     kind = spec.kind
-    if kind == CAT0:
-        return cat0_defect
-    if kind == CAUCHY_SCHWARZ:
-        return lambda x, z, y, w: (
-            distance(x, z) * distance(y, w) - abs(quasilinearization(x, z, y, w)))
-    if kind == PROJECTION_FIRM:
-        # P_C at alpha 1/2 for a "set", or any "op" at an optional "alpha"
-        op = spec.payload["op"] if "op" in spec.payload else Projection(_payload(spec, "set"))
-        return partial(alpha_firm_defect, op, spec.payload.get("alpha", 0.5))
-    if kind == PROJECTION_INEQ:
-        return partial(projection_defect, _payload(spec, "set"))
-    if kind == QUASI_FIRM:
-        return partial(quasi_firm_defect, _payload(spec, "op"), _payload(spec, "alpha"))
-    if kind == COMPOSITION_THEOREM:
-        return partial(quasi_firm_defect, *_op_and_alphas(spec))
     if kind == COMBINATION_THEOREM:
         return partial(quasi_firm_defect, *_combination_subjects(spec))
-    if kind == FIX_CONVEXITY:
-        c = _payload(spec, "set")
-
-        def fix_defect(y1, y2):
-            mid = geodesic_point(y1, y2, 0.5)
-            return -distance(c.project(mid), mid)
-        return fix_defect
     if kind == VARIANCE_INEQ:
         # One mean per drawn instance: its challengers share the points tuple.
         solved = [None, None, None, None]
@@ -237,54 +350,30 @@ def _defect(spec: CheckSpec):
                 solved[:] = pts, weights, wp, frechet_mean(wp)
             return variance_defect(solved[2], solved[3], y)
         return variance
-    if kind == FEJER_RUN:
-        sets = _payload(spec, "sets")
-        witness = _payload(spec, "witness")
-        rule = _payload(spec, "rule")
-        algorithm = _payload(spec, "algorithm")
-        runs = {"cyclic": cyclic_projections, "averaged": averaged_projections}
-        if algorithm not in runs:
-            raise CheckSpecError(f"unknown fejer algorithm '{algorithm}'")
+    sets = _payload(spec, "sets")
+    witness = _payload(spec, "witness")
+    rule = _payload(spec, "rule")
+    algorithm = _payload(spec, "algorithm")
+    runs = {"cyclic": cyclic_projections, "averaged": averaged_projections}
+    if algorithm not in runs:
+        raise CheckSpecError(f"unknown fejer algorithm '{algorithm}'")
 
-        def fejer(x0):
-            trace = runs[algorithm](sets, x0, rule, witness=witness)
-            worst = min(trace.fejer_gaps, default=0.0)
-            return min(worst, shadow_cauchy_worst_defect(approximate_shadows(trace, sets)))
-        return fejer
-    raise CheckSpecError(f"unknown check kind '{kind}'")  # pragma: no cover
+    def fejer(x0):
+        trace = runs[algorithm](sets, x0, rule, witness=witness)
+        worst = min(trace.fejer_gaps, default=0.0)
+        return min(worst, shadow_cauchy_worst_defect(approximate_shadows(trace, sets)))
+    return fejer
 
 
 def _draws(spec: CheckSpec, rng: np.random.Generator):
-    """Yield the check's witness tuples, consuming ``rng`` in a fixed order."""
+    """Yield the witness tuples of a kind in ``_ROW_KINDS``, consuming ``rng`` in a fixed order."""
     space = spec.space
-    kind = spec.kind
     samples = range(spec.samples)
-    if kind == CAT0:
+    if spec.kind == COMBINATION_THEOREM:
+        y = _payload(spec, "witness")
         for _ in samples:
-            x, y, z = (space.sample(rng) for _ in range(3))
-            yield x, y, z, float(rng.uniform())
-    elif kind == CAUCHY_SCHWARZ:
-        for _ in samples:
-            yield tuple(space.sample(rng) for _ in range(4))
-    elif kind == PROJECTION_FIRM:
-        for _ in samples:
-            yield space.sample(rng), space.sample(rng)
-    elif kind == PROJECTION_INEQ:
-        c = _payload(spec, "set")
-        for _ in samples:
-            yield space.sample(rng), c.project(space.sample(rng))
-    elif kind in (QUASI_FIRM, COMPOSITION_THEOREM, COMBINATION_THEOREM):
-        fixed = (_payload(spec, "fixed_points") if kind == QUASI_FIRM
-                 else [_payload(spec, "witness")])
-        for _ in samples:
-            x = space.sample(rng)
-            for y in fixed:
-                yield x, y
-    elif kind == FIX_CONVEXITY:
-        c = _payload(spec, "set")
-        for _ in samples:
-            yield c.project(space.sample(rng)), c.project(space.sample(rng))
-    elif kind == VARIANCE_INEQ:
+            yield space.sample(rng), y
+    elif spec.kind == VARIANCE_INEQ:
         size = spec.payload.get("instance_size", 4)
         challengers = spec.payload.get("challengers", 50)
         for _ in samples:
@@ -293,41 +382,92 @@ def _draws(spec: CheckSpec, rng: np.random.Generator):
             weights = tuple(float(v) for v in raw / raw.sum())
             for _ in range(challengers):
                 yield pts, weights, space.sample(rng)
-    elif kind == FEJER_RUN:
+    else:
         for _ in samples:
             yield (space.sample(rng),)
 
 
+def _batches(spec: CheckSpec, rng: np.random.Generator):
+    """Yield ``(defects, witness_at)`` for successive batches of at most ``_CHUNK`` samples."""
+    if spec.kind in _ROW_KINDS:
+        defect = _defect(spec)
+        draws = _draws(spec, rng)
+        while chunk := list(islice(draws, _CHUNK)):
+            yield np.array([defect(*w) for w in chunk], dtype=float), chunk.__getitem__
+        return
+    draw, defect, _ = _block_kernel(spec)
+    space, layout = spec.space, _WITNESS[spec.kind]
+
+    def witness_at(columns, i):
+        return tuple(space.row(col, i) if entry == "p" else float(col[i])
+                     for entry, col in zip(layout, columns))
+
+    for start in range(0, spec.samples, _CHUNK):
+        for columns in draw(rng, min(_CHUNK, spec.samples - start)):
+            yield defect(*columns), partial(witness_at, columns)
+
+
 def run_check(spec: CheckSpec) -> CheckResult:
-    """Evaluate one check; the result records the worst sampled defect."""
-    defect = _defect(spec)
+    """Evaluate one check; the result records the worst sampled defect.
+
+    The worst defect is the first smallest one in draw order, or the
+    first NaN, so that a check whose defect is undefined fails.
+    """
+    start = time.perf_counter()
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    worst = math.inf
-    worst_witness: tuple = ()
-    for witness in _draws(spec, rng):
-        value = defect(*witness)
-        if value < worst:
-            worst = value
-            worst_witness = witness
+    worst = None
+    for defects, witness_at in _batches(spec, rng):
+        i = int(np.argmin(defects))
+        value = float(defects[i])
+        if worst is None or value < worst[0] or (math.isnan(value) and not math.isnan(worst[0])):
+            worst = (value, witness_at(i))
+    if worst is None:
+        raise CheckSpecError(f"check '{spec.kind}' drew no witness")
     return CheckResult(
         kind=spec.kind,
         label=spec.label,
         space=spec.space.describe(),
         samples=spec.samples,
         seed=spec.seed,
-        worst_defect=worst,
-        witness=worst_witness,
+        worst_defect=worst[0],
+        witness=worst[1],
         tolerance=spec.tolerance,
+        elapsed_s=time.perf_counter() - start,
     )
+
+
+def _one_row(spec: CheckSpec, witness) -> list:
+    """The witness as columns of one row, after checking its length and points."""
+    layout = _WITNESS[spec.kind]
+    if not isinstance(witness, (tuple, list)) or len(witness) != len(layout):
+        raise CheckSpecError(
+            f"a '{spec.kind}' witness has {len(layout)} entries, got {witness!r}")
+    columns = []
+    for entry, value in zip(layout, witness):
+        if entry == "p":
+            value = spec.space.stack([value])
+        elif entry == "t":
+            if not isinstance(value, numbers.Real):
+                raise CheckSpecError(f"a '{spec.kind}' witness needs a number, got {value!r}")
+            value = np.array([value], dtype=float)
+        columns.append(value)
+    return columns
 
 
 def reevaluate_witness(spec: CheckSpec, witness: tuple) -> float:
     """Recompute the defect of a recorded witness for its check.
 
-    Reproduces the recorded worst defect exactly, since every check's
-    defect is a deterministic function of its inputs.
+    Reproduces the recorded worst defect exactly: a block kind evaluates
+    the witness as a one-row block, and each row of a block kernel depends
+    on that row's inputs alone.  A point outside the check's space raises
+    ``SpaceMismatchError``, a witness of the wrong length ``CheckSpecError``.
     """
-    return _defect(spec)(*witness)
+    columns = _one_row(spec, witness)
+    if spec.kind in _ROW_KINDS:
+        return _defect(spec)(*witness)
+    _, defect, admit = _block_kernel(spec)
+    admit(witness)
+    return float(defect(*columns)[0])
 
 
 def run_suite(specs, suite_seed: int | None = None) -> CertificateReport:
@@ -357,8 +497,7 @@ def _seeded_specs(rows, suite_seed: int) -> list[CheckSpec]:
     Each row's seed is a child of ``suite_seed``, so adding a row never
     changes the seeds of the rows before it.
     """
-    if suite_seed < 0:
-        raise CheckSpecError(f"seed must be >= 0, got {suite_seed}")
+    _check_seed(suite_seed)
     seeds = np.random.SeedSequence(suite_seed).generate_state(len(rows), dtype=np.uint64)
     return [
         CheckSpec(kind=kind, space=space, samples=n, seed=int(child),

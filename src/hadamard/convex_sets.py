@@ -66,6 +66,15 @@ class ConvexSet:
     def project(self, x: Point) -> Point:
         raise NotImplementedError
 
+    def project_block(self, block):
+        """Projections of a block of points of the set's space, rowwise.
+
+        Runs ``project`` row by row unless the set has an array kernel.
+        """
+        space = self.space
+        return space.stack([self.project(space.row(block, i))
+                            for i in range(space.block_len(block))])
+
     def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
         raise NotImplementedError
 
@@ -109,6 +118,14 @@ class EuclideanHalfspace(ConvexSet):
         if self._lowest_gap <= gap <= 0.0:
             return x
         return self.space.point(x.payload - (gap / self._norm_sq) * self.normal)
+
+    def project_block(self, block):
+        gap = block[:, 0] * self.normal[0]
+        for j in range(1, self.space.dim):
+            gap += block[:, j] * self.normal[j]
+        gap -= self.offset
+        kept = (self._lowest_gap <= gap) & (gap <= 0.0)
+        return np.where(kept[:, None], block, block - (gap / self._norm_sq)[:, None] * self.normal)
 
     def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
         self._check_point(x)
@@ -220,6 +237,13 @@ class GeodesicBall(ConvexSet):
             return x
         return geodesic_point(self.center, x, self.radius / d)
 
+    def project_block(self, block):
+        space = self.space
+        center = space.repeat(self.center, space.block_len(block))
+        d = space.distances(center, block)
+        # t = 1 returns the row itself: rows inside the ball stay put
+        return space.interpolate(center, block, self.radius / np.maximum(d, self.radius))
+
     def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
         self._check_point(x)
         return distance(self.center, x) <= self.radius + tol
@@ -313,6 +337,9 @@ class ProductSet(ConvexSet):
         pl, pr = x.payload
         return Point(self.space, (self.left.project(pl), self.right.project(pr)))
 
+    def project_block(self, block):
+        return self.left.project_block(block[0]), self.right.project_block(block[1])
+
     def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
         self._check_point(x)
         pl, pr = x.payload
@@ -331,5 +358,9 @@ def projection_defect(c: ConvexSet, x: Point, y: Point) -> float:
     check_same_space(x, y)
     if not c.contains(y):
         raise DomainError(f"challenge point is not in the set '{c.name}'")
-    px = c.project(x)
-    return distance(x, y) ** 2 - distance(x, px) ** 2 - distance(px, y) ** 2
+    return _projection(distance, x, y, c.project(x))
+
+
+def _projection(dist, x, y, px):
+    """The projection inequality's defect through ``dist``, with ``px`` the image of x."""
+    return dist(x, y) ** 2 - dist(x, px) ** 2 - dist(px, y) ** 2

@@ -150,6 +150,50 @@ class SpaceModel:
     def sample(self, rng: np.random.Generator) -> Point:
         return Point(self, self.sample_payload(rng))
 
+    # -- block interface ----------------------------------------------
+    #
+    # A block holds n points of the model as payload arrays, and a kernel
+    # computes one row from that row's inputs alone, with elementwise
+    # operations only, so row i of any block equals a one-row block of the
+    # same inputs bit for bit.  This base class keeps a block as a list of
+    # payloads and runs the scalar methods row by row; a model with array
+    # kernels overrides these methods.
+
+    def _payloads(self, points) -> list:
+        out = []
+        for p in points:
+            if not isinstance(p, Point) or (p.space is not self and p.space != self):
+                raise SpaceMismatchError(f"{p!r} is not a point of {self.describe()}")
+            out.append(p.payload)
+        return out
+
+    def stack(self, points):
+        """The block of the given points of this space."""
+        return self._payloads(points)
+
+    def repeat(self, point: Point, n: int):
+        """A block of n copies of one point."""
+        return self._payloads([point]) * n
+
+    def block_len(self, block) -> int:
+        return len(block)
+
+    def row(self, block, i: int) -> Point:
+        """Row i of a block as a point."""
+        return Point(self, block[i])
+
+    def sample_block(self, rng: np.random.Generator, n: int):
+        return [self.sample_payload(rng) for _ in range(n)]
+
+    def distances(self, a, b) -> np.ndarray:
+        """Rowwise distances between two blocks of one length."""
+        return np.array([self.payload_distance(p, q) for p, q in zip(a, b)], dtype=float)
+
+    def interpolate(self, a, b, t):
+        """Rowwise geodesic points at parameters t in [0, 1], exact at the ends."""
+        return [p if s == 0.0 else q if s == 1.0 else self.payload_interpolate(p, q, float(s))
+                for p, q, s in zip(a, b, t)]
+
     @property
     def involves_hyperboloid(self) -> bool:
         return False
@@ -216,6 +260,31 @@ class Euclidean(CoordinateSpace):
 
     def sample_payload(self, rng):
         return _readonly(rng.standard_normal(self.dim))
+
+    # Blocks are (n, dim) arrays.
+
+    def stack(self, points):
+        return np.array(self._payloads(points), dtype=float).reshape(-1, self.dim)
+
+    def repeat(self, point, n):
+        return np.broadcast_to(self._payloads([point])[0], (n, self.dim))
+
+    def row(self, block, i):
+        return Point(self, _readonly(block[i]))
+
+    def sample_block(self, rng, n):
+        return rng.standard_normal((n, self.dim))
+
+    def distances(self, a, b):
+        diff = a - b
+        total = diff[:, 0] * diff[:, 0]
+        for j in range(1, self.dim):
+            total += diff[:, j] * diff[:, j]
+        return np.sqrt(total)
+
+    def interpolate(self, a, b, t):
+        t = np.asarray(t, dtype=float)[:, None]
+        return (1.0 - t) * a + t * b
 
 
 def minkowski(u, v) -> float:
@@ -358,6 +427,31 @@ class ProductSpace(SpaceModel):
     def sample_payload(self, rng):
         return (self.left.sample(rng), self.right.sample(rng))
 
+    # Blocks are (left block, right block) pairs.
+
+    def stack(self, points):
+        pairs = self._payloads(points)
+        return (self.left.stack([p[0] for p in pairs]), self.right.stack([p[1] for p in pairs]))
+
+    def repeat(self, point, n):
+        pl, pr = self._payloads([point])[0]
+        return (self.left.repeat(pl, n), self.right.repeat(pr, n))
+
+    def block_len(self, block):
+        return self.left.block_len(block[0])
+
+    def row(self, block, i):
+        return Point(self, (self.left.row(block[0], i), self.right.row(block[1], i)))
+
+    def sample_block(self, rng, n):
+        return (self.left.sample_block(rng, n), self.right.sample_block(rng, n))
+
+    def distances(self, a, b):
+        return np.hypot(self.left.distances(a[0], b[0]), self.right.distances(a[1], b[1]))
+
+    def interpolate(self, a, b, t):
+        return (self.left.interpolate(a[0], b[0], t), self.right.interpolate(a[1], b[1], t))
+
     def payloads_equal(self, a, b) -> bool:
         return a[0] == b[0] and a[1] == b[1]
 
@@ -422,12 +516,12 @@ def quasilinearization(x: Point, z: Point, y: Point, w: Point) -> float:
     Euclidean model this is exactly the inner product <z - x, w - y>.
     """
     check_same_space(x, z, y, w)
-    return 0.5 * (
-        distance(x, w) ** 2
-        + distance(z, y) ** 2
-        - distance(x, y) ** 2
-        - distance(z, w) ** 2
-    )
+    return _quasilinear(distance, x, z, y, w)
+
+
+def _quasilinear(dist, x, z, y, w):
+    """The quasilinearization through ``dist``: ``distance`` or a block's ``distances``."""
+    return 0.5 * (dist(x, w) ** 2 + dist(z, y) ** 2 - dist(x, y) ** 2 - dist(z, w) ** 2)
 
 
 def cat0_defect(x: Point, y: Point, z: Point, t: float) -> float:
@@ -440,12 +534,16 @@ def cat0_defect(x: Point, y: Point, z: Point, t: float) -> float:
     check_same_space(x, y, z)
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"interpolation parameter must be in [0, 1], got {t}")
-    xt = geodesic_point(x, y, t)
+    return _cat0(distance, x, y, z, geodesic_point(x, y, t), t)
+
+
+def _cat0(dist, x, y, z, xt, t):
+    """The curvature defect through ``dist``, with ``xt`` the geodesic point at t."""
     return (
-        (1.0 - t) * distance(x, z) ** 2
-        + t * distance(y, z) ** 2
-        - t * (1.0 - t) * distance(x, y) ** 2
-        - distance(xt, z) ** 2
+        (1.0 - t) * dist(x, z) ** 2
+        + t * dist(y, z) ** 2
+        - t * (1.0 - t) * dist(x, y) ** 2
+        - dist(xt, z) ** 2
     )
 
 

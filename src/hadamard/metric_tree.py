@@ -62,7 +62,7 @@ class MetricTree(SpaceModel):
     __slots__ = (
         "vertices", "edges", "_index", "_names", "_parent", "_parent_edge", "_last",
         "_r", "_home", "_child", "_base", "_sign", "_rows", "_r_arr", "_table",
-        "_log2", "_ends", "_lengths",
+        "_log2", "_ends", "_lengths", "_vertex_points",
     )
 
     def __init__(self, edges):
@@ -188,6 +188,7 @@ class MetricTree(SpaceModel):
         setattr_(self, "_log2", log2)
         setattr_(self, "_ends", ends)
         setattr_(self, "_lengths", lengths)
+        setattr_(self, "_vertex_points", {})
 
     # -- rooted structure --------------------------------------------
 
@@ -240,15 +241,24 @@ class MetricTree(SpaceModel):
 
     def vertex_location(self, name: str) -> TreeLocation:
         """Canonical location of a named vertex."""
-        name = str(name)
-        if name not in self._index:
-            raise InvalidPointError(f"unknown vertex '{name}'")
-        idx = self._home[self._index[name]]
-        e = self.edges[idx]
-        return TreeLocation(idx, 0.0 if e.a == name else e.length)
+        return self.vertex_point(name).payload
 
     def vertex_point(self, name: str) -> Point:
-        return Point(self, self.vertex_location(name))
+        """The point at a named vertex, one shared object per vertex.
+
+        Projections onto subtrees and snapped locations land on vertices,
+        so sharing keeps a run's stored iterates from holding a copy each.
+        """
+        name = str(name)
+        point = self._vertex_points.get(name)
+        if point is None:
+            if name not in self._index:
+                raise InvalidPointError(f"unknown vertex '{name}'")
+            idx = self._home[self._index[name]]
+            e = self.edges[idx]
+            point = Point(self, TreeLocation(idx, 0.0 if e.a == name else e.length))
+            self._vertex_points[name] = point
+        return point
 
     def edge_point(self, edge: int, offset: float) -> Point:
         return self.point((edge, offset))

@@ -20,7 +20,16 @@ import numpy as np
 from .barycenter import WeightedPoints, convex_weights, frechet_mean
 from .convex_sets import ConvexSet
 from .errors import ConstructionError, DomainError, NotAFixedPointError, SpaceMismatchError
-from .geometry import EQ_TOL, Point, check_same_space, distance, geodesic_point, quasilinearization
+from .geometry import (
+    EQ_TOL,
+    Point,
+    SpaceModel,
+    _quasilinear,
+    check_same_space,
+    distance,
+    geodesic_point,
+    quasilinearization,
+)
 
 __all__ = [
     "Operator",
@@ -63,6 +72,14 @@ class Operator:
 
     def apply(self, x: Point) -> Point:
         raise NotImplementedError
+
+    def apply_block(self, space: SpaceModel, block):
+        """Images of a block of points of ``space``, rowwise.
+
+        Runs ``apply`` row by row unless the operator has an array kernel.
+        """
+        return space.stack([self.apply(space.row(block, i))
+                            for i in range(space.block_len(block))])
 
     @property
     def name(self) -> str:
@@ -109,6 +126,13 @@ class Projection(Operator):
     def apply(self, x: Point) -> Point:
         return self.set.project(x)
 
+    def apply_block(self, space, block):
+        if space is not self.set.space and space != self.set.space:
+            raise SpaceMismatchError(
+                f"block in {space.describe()} vs set '{self.set.name}' in "
+                f"{self.set.space.describe()}")
+        return self.set.project_block(block)
+
     @property
     def name(self) -> str:
         return f"P[{self.set.name}]"
@@ -133,6 +157,11 @@ class Composition(Operator):
         for op in reversed(self.factors):
             x = op.apply(x)
         return x
+
+    def apply_block(self, space, block):
+        for op in reversed(self.factors):
+            block = op.apply_block(space, block)
+        return block
 
     @property
     def name(self) -> str:
@@ -212,13 +241,15 @@ def alpha_firm_defect(op: Operator, alpha: float, x: Point, y: Point) -> float:
     """
     alpha = _check_alpha(alpha)
     check_same_space(x, y)
-    tx = op.apply(x)
-    ty = op.apply(y)
-    delta = quasilinearization(x, y, tx, ty)
+    return _alpha_firm(distance, alpha, x, y, op.apply(x), op.apply(y))
+
+
+def _alpha_firm(dist, alpha, x, y, tx, ty):
+    """The alpha-firm defect through ``dist``, with ``tx`` and ``ty`` the images."""
     return (
-        2.0 * (1.0 - alpha) * delta
-        - distance(tx, ty) ** 2
-        - (1.0 - 2.0 * alpha) * distance(x, y) ** 2
+        2.0 * (1.0 - alpha) * _quasilinear(dist, x, y, tx, ty)
+        - dist(tx, ty) ** 2
+        - (1.0 - 2.0 * alpha) * dist(x, y) ** 2
     )
 
 
@@ -230,17 +261,19 @@ def quasi_firm_defect(op: Operator, alpha: float, x: Point, y: Point) -> float:
     """
     alpha = _check_alpha(alpha)
     check_same_space(x, y)
-    ty = op.apply(y)
-    if distance(ty, y) > EQ_TOL:
-        raise NotAFixedPointError(
-            f"{op.name} moves the supplied point by {distance(ty, y):.3e}"
-        )
-    tx = op.apply(x)
-    return (
-        distance(x, y) ** 2
-        - ((1.0 - alpha) / alpha) * distance(x, tx) ** 2
-        - distance(tx, y) ** 2
-    )
+    _require_fixed(op, y)
+    return _quasi_firm(distance, alpha, x, y, op.apply(x))
+
+
+def _require_fixed(op: Operator, y: Point) -> None:
+    moved = distance(op.apply(y), y)
+    if moved > EQ_TOL:
+        raise NotAFixedPointError(f"{op.name} moves the supplied point by {moved:.3e}")
+
+
+def _quasi_firm(dist, alpha, x, y, tx):
+    """The quasi alpha-firm defect through ``dist``, with ``tx`` the image of x."""
+    return dist(x, y) ** 2 - ((1.0 - alpha) / alpha) * dist(x, tx) ** 2 - dist(tx, y) ** 2
 
 
 def composition_alpha(alpha_s: float, alpha_t: float) -> float:

@@ -1,0 +1,183 @@
+"""Blocks: each row equals a one-row block bit for bit and agrees with the scalar path.
+
+Euclidean and product blocks run array kernels; tree blocks run the scalar
+methods row by row.
+"""
+
+import numpy as np
+import pytest
+
+from hadamard import (
+    Composition,
+    EuclideanHalfspace,
+    EuclideanHyperplane,
+    GeodesicBall,
+    MetricTree,
+    Pointwise,
+    ProductSet,
+    Projection,
+    Subtree,
+    distance,
+    geodesic_point,
+)
+
+ROWS = 1000
+# Block and scalar kernels round differently, by far less than this.
+SCALAR_TOL = 1e-12
+
+
+def bits(point):
+    """A point's payload with every float spelled exactly (signed zeros included)."""
+    payload = point.payload
+    if isinstance(payload, np.ndarray):
+        return tuple(float(v).hex() for v in payload)
+    if isinstance(payload, tuple):
+        return tuple(bits(p) for p in payload)
+    return payload.edge, float(payload.offset).hex()
+
+
+@pytest.fixture(scope="module")
+def tree2000():
+    rng = np.random.default_rng(2000)
+    return MetricTree([(f"n{int(rng.integers(0, i))}", f"n{i}", float(rng.uniform(0.1, 2.0)))
+                       for i in range(1, 2000)])
+
+
+@pytest.fixture(scope="module", params=["euclidean3", "tripod", "caterpillar", "product",
+                                        "tree2000"])
+def case(request, e2, e3, tripod, caterpillar, product, tree2000):
+    """A space and convex sets in it; array kernels where the model and set have them."""
+    name = request.param
+    if name == "euclidean3":
+        return e3, [EuclideanHalfspace(e3, [1.0, -2.0, 0.5], 0.3),
+                    EuclideanHyperplane(e3, [0.0, 1.0, 1.0], -0.2),
+                    GeodesicBall(e3.point([0.5, -0.25, 0.0]), 1.25)]
+    if name == "tripod":
+        return tripod, [Subtree(tripod, ["o", "a"]),
+                        GeodesicBall(tripod.edge_point(0, 0.5), 0.75)]
+    if name == "caterpillar":
+        return caterpillar, [Subtree(caterpillar, ["v0", "v1", "v2"]),
+                             Subtree(caterpillar, ["v1", "v2", "v4"]),
+                             Subtree(caterpillar, ["v3"]),
+                             GeodesicBall(caterpillar.vertex_point("v2"), 1.2)]
+    if name == "product":
+        half = EuclideanHalfspace(e2, [0.0, 1.0], 0.0)
+        return product, [ProductSet(product, half, Subtree(tripod, ["o", "a"])),
+                         GeodesicBall(product.point(([0.2, -0.1], (1, 0.25))), 1.0)]
+    path = tree2000.vertex_path("n7", "n1500")
+    return tree2000, [Subtree(tree2000, path),
+                      Subtree(tree2000, tree2000.vertex_path("n0", "n1")),
+                      GeodesicBall(tree2000.vertex_point("n12"), 1.5)]
+
+
+@pytest.fixture(scope="module")
+def blocks(case):
+    space, _ = case
+    rng = np.random.default_rng(7)
+    a, b = space.sample_block(rng, ROWS), space.sample_block(rng, ROWS)
+    t = rng.uniform(size=ROWS)
+    t[:3] = 0.0, 1.0, 0.5
+    return a, b, t
+
+
+def one_row(space, block, i):
+    return space.stack([space.row(block, i)])
+
+
+def assert_rows_match(space, block, single):
+    """Row i of ``block`` equals ``single(i)``, a one-row block, bit for bit, at every i."""
+    for i in range(ROWS):
+        assert bits(space.row(block, i)) == bits(space.row(single(i), 0)), i
+
+
+class TestRowsMatchOneRowBlocks:
+    def test_distances(self, case, blocks):
+        space, _ = case
+        a, b, _ = blocks
+        d = space.distances(a, b)
+        for i in range(ROWS):
+            one = space.distances(one_row(space, a, i), one_row(space, b, i))
+            assert float(d[i]).hex() == float(one[0]).hex(), i
+
+    def test_interpolate(self, case, blocks):
+        space, _ = case
+        a, b, t = blocks
+        assert_rows_match(space, space.interpolate(a, b, t), lambda i: space.interpolate(
+            one_row(space, a, i), one_row(space, b, i), t[i:i + 1]))
+
+    def test_set_projections(self, case, blocks):
+        space, sets = case
+        a = blocks[0]
+        for c in sets:
+            assert_rows_match(space, c.project_block(a),
+                              lambda i: c.project_block(one_row(space, a, i)))
+
+    def test_projection_and_composition(self, case, blocks):
+        space, sets = case
+        a = blocks[0]
+        composed = Composition([Projection(c) for c in sets])
+        assert_rows_match(space, composed.apply_block(space, a),
+                          lambda i: composed.apply_block(space, one_row(space, a, i)))
+
+
+class TestBlocksAgreeWithScalars:
+    def test_samples_are_canonical(self, case, blocks):
+        space, _ = case
+        for i in range(ROWS):
+            p = space.row(blocks[0], i)
+            assert space.point(p.payload) == p
+
+    def test_distances(self, case, blocks):
+        space, _ = case
+        a, b, _ = blocks
+        d = space.distances(a, b)
+        for i in range(ROWS):
+            assert abs(d[i] - distance(space.row(a, i), space.row(b, i))) <= SCALAR_TOL
+
+    def test_interpolate(self, case, blocks):
+        space, _ = case
+        a, b, t = blocks
+        m = space.interpolate(a, b, t)
+        for i in range(ROWS):
+            want = geodesic_point(space.row(a, i), space.row(b, i), float(t[i]))
+            assert distance(space.row(m, i), want) <= SCALAR_TOL, i
+        assert space.row(m, 0) == space.row(a, 0)
+        assert space.row(m, 1) == space.row(b, 1)
+
+    def test_set_projections(self, case, blocks):
+        space, sets = case
+        a = blocks[0]
+        for c in sets:
+            images = c.project_block(a)
+            for i in range(ROWS):
+                want = c.project(space.row(a, i))
+                assert distance(space.row(images, i), want) <= SCALAR_TOL, (c, i)
+
+    def test_composition(self, case, blocks):
+        space, sets = case
+        a = blocks[0]
+        composed = Composition([Projection(c) for c in sets])
+        images = composed.apply_block(space, a)
+        for i in range(ROWS):
+            want = composed.apply(space.row(a, i))
+            assert distance(space.row(images, i), want) <= SCALAR_TOL, i
+
+
+class TestRowFallback:
+    """A model or operator without array kernels runs its scalar methods row by row."""
+
+    def test_hyperboloid_rows_are_the_scalar_results(self, h2):
+        rng = np.random.default_rng(3)
+        a, b = h2.sample_block(rng, 50), h2.sample_block(rng, 50)
+        t = rng.uniform(size=50)
+        d, m = h2.distances(a, b), h2.interpolate(a, b, t)
+        for i in range(50):
+            p, q = h2.row(a, i), h2.row(b, i)
+            assert d[i] == distance(p, q)
+            assert h2.row(m, i) == geodesic_point(p, q, float(t[i]))
+
+    def test_pointwise_operator(self, e2):
+        op = Pointwise("swap", lambda x: e2.point(x.payload[::-1]))
+        block = e2.sample_block(np.random.default_rng(4), 20)
+        images = op.apply_block(e2, block)
+        assert np.array_equal(images, block[:, ::-1])

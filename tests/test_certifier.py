@@ -1,6 +1,7 @@
 """Seeded property checks: determinism, witnesses, coverage, reports."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from hadamard import (
     CheckSpec,
     EuclideanHalfspace,
+    Point,
+    Pointwise,
     Projection,
     default_suite,
     minkowski,
@@ -23,12 +26,14 @@ from hadamard.certifier import (
     COMBINATION_THEOREM,
     COMPOSITION_THEOREM,
     FEJER_RUN,
+    FIX_CONVEXITY,
     PROJECTION_FIRM,
     PROJECTION_INEQ,
     QUASI_FIRM,
     VARIANCE_INEQ,
 )
-from hadamard.errors import CheckSpecError
+from hadamard.certifier import _CHUNK
+from hadamard.errors import CheckSpecError, SpaceMismatchError
 
 
 class TestSampling:
@@ -96,6 +101,12 @@ class TestRunCheck:
             again = reevaluate_witness(spec, result.witness)
             assert again == result.worst_defect
 
+    @pytest.mark.parametrize("seed", [0, 1, 1009])
+    def test_full_suite_witnesses_reproduce(self, seed):
+        for spec in default_suite(seed=seed, samples=1000):
+            result = run_check(spec)
+            assert reevaluate_witness(spec, result.witness) == result.worst_defect, spec.label
+
     def test_unknown_kind_rejected(self, e2):
         with pytest.raises(CheckSpecError):
             CheckSpec(kind="nonsense", space=e2, samples=10, seed=0)
@@ -108,6 +119,92 @@ class TestRunCheck:
     def test_sample_count_validated(self, e2):
         with pytest.raises(CheckSpecError):
             CheckSpec(kind=CAT0, space=e2, samples=0, seed=0)
+
+    @pytest.mark.parametrize("samples", [2.5, 10.0, math.inf, math.nan, True])
+    def test_samples_must_be_an_integer(self, e2, samples):
+        with pytest.raises(CheckSpecError, match="samples must be an integer"):
+            CheckSpec(kind=CAT0, space=e2, samples=samples, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.5, math.nan, False])
+    def test_seed_must_be_an_integer(self, e2, seed):
+        with pytest.raises(CheckSpecError, match="seed must be an integer"):
+            CheckSpec(kind=CAT0, space=e2, samples=10, seed=seed)
+
+    def test_space_must_be_a_space_model(self):
+        with pytest.raises(CheckSpecError, match="space must be a space model"):
+            CheckSpec(kind=CAT0, space="e2", samples=10, seed=0)
+
+    def test_suite_arguments_validated(self):
+        with pytest.raises(CheckSpecError, match="seed must be an integer"):
+            default_suite(seed=1.5, samples=10)
+        with pytest.raises(CheckSpecError, match="samples must be an integer"):
+            default_suite(seed=0, samples=10.5)
+
+    def test_numpy_integers_accepted(self, e2):
+        spec = CheckSpec(kind=CAT0, space=e2, samples=np.int64(20), seed=np.uint64(3))
+        assert run_check(spec) == run_check(CheckSpec(kind=CAT0, space=e2, samples=20, seed=3))
+
+    def test_nan_defect_fails_with_its_witness(self, e2):
+        # undefined on the right half-plane, the identity elsewhere
+        nan_map = Pointwise("nan", lambda x: Point(e2, np.array([math.nan, 0.0]))
+                            if x.payload[0] > 0 else x)
+        spec = CheckSpec(kind=PROJECTION_FIRM, space=e2, samples=50, seed=0,
+                         payload={"op": nan_map})
+        result = run_check(spec)
+        assert math.isnan(result.worst_defect)
+        assert not result.passed
+        assert len(result.witness) == 2
+        assert max(p.payload[0] for p in result.witness) > 0
+        assert math.isnan(reevaluate_witness(spec, result.witness))
+        buf = io.StringIO()
+        run_suite([spec]).to_csv(buf)
+        assert buf.getvalue().splitlines()[1].endswith(",nan,false")
+
+    def test_witness_from_another_space_rejected(self, e2, e3):
+        spec = CheckSpec(kind=CAT0, space=e2, samples=10, seed=0)
+        points = [e3.point([0.0, 0.0, 0.0]), e3.point([1.0, 0.0, 0.0]), e3.point([0.0, 1.0, 0.0])]
+        with pytest.raises(SpaceMismatchError):
+            reevaluate_witness(spec, (*points, 0.5))
+
+    @pytest.mark.parametrize("kind", [PROJECTION_FIRM, PROJECTION_INEQ, FIX_CONVEXITY])
+    def test_set_from_another_space_rejected(self, e2, e3, kind):
+        spec = CheckSpec(kind=kind, space=e2, samples=10, seed=0,
+                         payload={"set": EuclideanHalfspace(e3, [0, 0, 1], 0.0)})
+        with pytest.raises(SpaceMismatchError):
+            run_check(spec)
+
+    @pytest.mark.parametrize("witness", [(), (0,), None])
+    def test_witness_of_wrong_length_rejected(self, e2, witness):
+        spec = CheckSpec(kind=CAT0, space=e2, samples=10, seed=0)
+        if witness == (0,):
+            witness = (e2.point([0.0, 0.0]),)
+        with pytest.raises(CheckSpecError, match="witness has 4 entries"):
+            reevaluate_witness(spec, witness)
+
+    def test_check_that_draws_nothing_rejected(self, e2, e3):
+        empty = [
+            CheckSpec(kind=VARIANCE_INEQ, space=e3, samples=2, seed=0,
+                      payload={"challengers": 0}),
+            CheckSpec(kind=QUASI_FIRM, space=e2, samples=2, seed=0,
+                      payload={"op": Projection(EuclideanHalfspace(e2, [0, 1], 0.0)),
+                               "alpha": 0.5, "fixed_points": []}),
+        ]
+        for spec in empty:
+            with pytest.raises(CheckSpecError):
+                run_check(spec)
+
+    def test_one_sample_beyond_a_chunk(self, tripod):
+        spec = CheckSpec(kind=CAT0, space=tripod, samples=_CHUNK + 1, seed=12)
+        result = run_check(spec)
+        assert result == run_check(spec)
+        assert reevaluate_witness(spec, result.witness) == result.worst_defect
+
+    def test_elapsed_time_reported_and_ignored_by_equality(self, e3):
+        spec = CheckSpec(kind=CAT0, space=e3, samples=200, seed=3)
+        a, b = run_check(spec), run_check(spec)
+        assert a.elapsed_s > 0 and b.elapsed_s > 0
+        assert a == b
+        assert a.text_line().endswith(f"{a.samples_per_s:.3g} samples/s)")
 
     def test_negative_seed_rejected(self, e2):
         with pytest.raises(CheckSpecError, match="seed must be >= 0"):

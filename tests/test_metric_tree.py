@@ -127,6 +127,14 @@ class TestCanonicalization:
         with pytest.raises(InvalidPointError):
             tripod.vertex_point("zz")
 
+    def test_vertex_points_are_shared(self, tripod):
+        o = tripod.vertex_point("o")
+        assert tripod.vertex_point("o") is o
+        assert tripod.vertex_location("o") is o.payload
+        assert Subtree(tripod, ["o", "a"]).project(tripod.edge_point(1, 0.5)) is o
+        with pytest.raises(InvalidPointError):
+            tripod.vertex_location("zz")
+
     def test_format_payload(self, tripod):
         assert tripod.format_payload(tripod.vertex_point("a").payload) == "vertex,a"
         assert tripod.format_payload(tripod.edge_point(1, 0.5).payload) == "edge,1,0.5"

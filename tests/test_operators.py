@@ -366,7 +366,7 @@ class TestCertificates:
     def test_projection_full_scope_passes(self, e2, half_v):
         result = self.check(PROJECTION_FIRM, e2, 500, 11, op=Projection(half_v), alpha=0.5)
         assert result.passed
-        assert result.worst_defect == -3.552713678800501e-15
+        assert result.worst_defect == -1.7763568394002505e-15
         assert result.text_line().startswith("PASS")
 
     def test_quasi_scope_with_witness(self, e2, half_v):
@@ -378,7 +378,7 @@ class TestCertificates:
     def test_false_claim_fails(self, e2, half_v):
         result = self.check(PROJECTION_FIRM, e2, 500, 11, op=Projection(half_v), alpha=0.1)
         assert not result.passed
-        assert result.worst_defect == -9.674215613486552
+        assert result.worst_defect == -10.15294873962109
         assert result.text_line().startswith("FAIL")
 
     def test_deterministic_given_seed(self, e2, half_v):
