@@ -69,7 +69,6 @@ from .operators import (
     discrepancy,
     fold_composition_alpha,
     lmuv_values,
-    phi_profile_defects,
     quasi_firm_defect,
     tau_value,
 )

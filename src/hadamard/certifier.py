@@ -4,6 +4,9 @@ Each check kind samples one inequality (curvature defect,
 Cauchy-Schwarz, projection firmness, the quasi-firm theorems, ...) at
 seeded random inputs, records the worst defect together with the inputs
 achieving it, and passes when that defect clears the model's tolerance.
+Every kind draws and evaluates its samples in blocks through one kernel
+(``_block_kernel``); models, sets and operators without array kernels
+run their scalar methods row by row inside the block interface.
 Streams derive from per-check seeds (PCG64 via ``SeedSequence``), so
 reports are deterministic and independent of any execution order, and a
 recorded witness can always be re-evaluated to reproduce its defect.
@@ -16,7 +19,6 @@ import numbers
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .iterations import (
 from .operators import (
     Composition,
     ConvexCombination,
+    Operator,
     Projection,
     _alpha_firm,
     _check_alpha,
@@ -41,7 +44,6 @@ from .operators import (
     _require_fixed,
     combination_alpha,
     fold_composition_alpha,
-    quasi_firm_defect,
 )
 
 __all__ = [
@@ -77,19 +79,6 @@ FIX_CONVEXITY = "fix_convexity"
 VARIANCE_INEQ = "variance_ineq"
 FEJER_RUN = "fejer_run"
 
-CHECK_KINDS = (
-    CAT0,
-    CAUCHY_SCHWARZ,
-    PROJECTION_FIRM,
-    PROJECTION_INEQ,
-    QUASI_FIRM,
-    COMPOSITION_THEOREM,
-    COMBINATION_THEOREM,
-    FIX_CONVEXITY,
-    VARIANCE_INEQ,
-    FEJER_RUN,
-)
-
 # Checks whose inputs pass through an iterative barycenter solve get the
 # looser tolerance; everything else uses the model's own.
 _BARYCENTER_BOUND_KINDS = {COMBINATION_THEOREM, VARIANCE_INEQ}
@@ -109,10 +98,8 @@ _WITNESS = {
     VARIANCE_INEQ: "--p",
     FEJER_RUN: "p",
 }
-# Kinds whose defect solves a barycenter or runs a projection algorithm per
-# witness draw and evaluate one witness at a time; every other kind runs on
-# sample blocks.
-_ROW_KINDS = {COMBINATION_THEOREM, VARIANCE_INEQ, FEJER_RUN}
+CHECK_KINDS = tuple(_WITNESS)
+
 # Samples drawn and evaluated at once, which bounds a check's memory.
 _CHUNK = 4096
 
@@ -137,8 +124,7 @@ class CheckSpec:
             raise CheckSpecError(f"unknown check kind '{self.kind}'")
         if not isinstance(self.space, SpaceModel):
             raise CheckSpecError(f"space must be a space model, got {self.space!r}")
-        if not _is_integer(self.samples) or self.samples < 1:
-            raise CheckSpecError(f"samples must be an integer >= 1, got {self.samples!r}")
+        _check_count("samples", self.samples)
         _check_seed(self.seed)
 
     @property
@@ -215,22 +201,24 @@ def _payload(spec: CheckSpec, key: str):
     return spec.payload[key]
 
 
-def _op_and_alphas(spec: CheckSpec):
+def _theorem_subjects(spec: CheckSpec):
+    """The composed or combined operator of a theorem check and its certified constant."""
+    if spec.kind == COMBINATION_THEOREM:
+        ops, alphas = _payload(spec, "ops"), _payload(spec, "alphas")
+        if len(alphas) != len(ops):
+            raise CheckSpecError(
+                f"combination check has {len(ops)} operators but {len(alphas)} constants")
+        return ConvexCombination(_payload(spec, "weights"), ops), combination_alpha(alphas)
     factors = _payload(spec, "factors")
+    if not isinstance(factors, (tuple, list)) or not all(
+            isinstance(f, (tuple, list)) and len(f) == 2 and isinstance(f[0], Operator)
+            for f in factors):
+        raise CheckSpecError(f"composition factors must be (operator, alpha) pairs, "
+                             f"got {factors!r}")
     if len(factors) < 2:
         raise CheckSpecError("composition check needs at least two factors")
-    ops = [op for op, _ in factors]
-    alphas = [a for _, a in factors]
-    composed = Composition(tuple(reversed(ops)))
-    return composed, fold_composition_alpha(alphas)
-
-
-def _combination_subjects(spec: CheckSpec):
-    ops = _payload(spec, "ops")
-    alphas = _payload(spec, "alphas")
-    weights = _payload(spec, "weights")
-    combo = ConvexCombination(weights, ops)
-    return combo, combination_alpha(alphas)
+    composed = Composition(tuple(reversed([op for op, _ in factors])))
+    return composed, fold_composition_alpha([a for _, a in factors])
 
 
 def _check_seed(seed) -> None:
@@ -240,20 +228,35 @@ def _check_seed(seed) -> None:
         raise CheckSpecError(f"seed must be >= 0, got {seed}")
 
 
-def _block_kernel(spec: CheckSpec):
-    """``(draw, defect, admit)`` for a kind that runs on sample blocks.
+def _check_count(name: str, value):
+    if not _is_integer(value) or value < 1:
+        raise CheckSpecError(f"{name} must be an integer >= 1, got {value!r}")
+    return value
 
-    ``draw(rng, n)`` returns the witness columns of n samples as a list of
+
+def _block_kernel(spec: CheckSpec):
+    """``(draw, defect, admit)`` for the check's kind.
+
+    ``draw(rng, n)`` returns or yields the witness columns of n samples as
     batches, consuming ``rng`` in a fixed order.  ``defect(*columns)``
     returns one defect per row, nonnegative (up to the check's tolerance)
     wherever the sampled inequality holds.  ``admit(witness)`` raises for a
     witness outside the inequality's scope: a challenge point outside the
     set, a point the operator moves, or t outside [0, 1].
+
+    A column of "p" entries is a block of the check's space; a column of
+    "-" entries is a list.  A kind that solves a barycenter or runs a
+    projection algorithm per row does so inside ``defect``: the convex
+    combination through its rowwise ``apply_block``, ``variance_ineq``
+    once per drawn instance (one batch), ``fejer_run`` once per start.
     """
     space = spec.space
     kind = spec.kind
     dist = space.distances
     sample = space.sample_block
+
+    def rows(block):
+        return (space.row(block, i) for i in range(space.block_len(block)))
 
     def admit(witness):
         pass
@@ -298,14 +301,14 @@ def _block_kernel(spec: CheckSpec):
         def admit(witness):
             if not c.contains(witness[1]):
                 raise DomainError(f"challenge point is not in the set '{c.name}'")
-    elif kind in (QUASI_FIRM, COMPOSITION_THEOREM):
+    elif kind in (QUASI_FIRM, COMPOSITION_THEOREM, COMBINATION_THEOREM):
         if kind == QUASI_FIRM:
             op, alpha = _payload(spec, "op"), _check_alpha(_payload(spec, "alpha"))
             fixed = list(_payload(spec, "fixed_points"))
             if not fixed:
                 raise CheckSpecError("a quasi_firm check needs at least one fixed point")
         else:
-            op, alpha = _op_and_alphas(spec)
+            op, alpha = _theorem_subjects(spec)
             fixed = [_payload(spec, "witness")]
         for y in fixed:
             _require_fixed(op, y)
@@ -319,7 +322,7 @@ def _block_kernel(spec: CheckSpec):
 
         def admit(witness):
             _require_fixed(op, witness[1])
-    else:  # FIX_CONVEXITY
+    elif kind == FIX_CONVEXITY:
         project = partial(Projection(_payload(spec, "set")).apply_block, space)
 
         def draw(rng, n):
@@ -328,78 +331,55 @@ def _block_kernel(spec: CheckSpec):
         def defect(y1, y2):
             mid = space.interpolate(y1, y2, np.full(space.block_len(y1), 0.5))
             return -dist(project(mid), mid)
+    elif kind == VARIANCE_INEQ:
+        size = _check_count("instance_size", spec.payload.get("instance_size", 4))
+        challengers = _check_count("challengers", spec.payload.get("challengers", 50))
+
+        def draw(rng, n):
+            # one batch per instance, drawn lazily: points, weights, challengers
+            for _ in range(n):
+                pts = tuple(space.sample(rng) for _ in range(size))
+                raw = rng.uniform(0.05, 1.0, size)
+                weights = tuple(float(v) for v in raw / raw.sum())
+                yield [pts] * challengers, [weights] * challengers, sample(rng, challengers)
+
+        def defect(pts, weights, y):
+            # the rows of a batch share one instance, so its mean is solved once
+            wp = WeightedPoints(pts[0], weights[0])
+            mean = frechet_mean(wp)
+            return np.array([variance_defect(wp, mean, row) for row in rows(y)], dtype=float)
+    else:  # FEJER_RUN
+        sets = _payload(spec, "sets")
+        witness = _payload(spec, "witness")
+        rule = _payload(spec, "rule")
+        if not isinstance(rule, StopRule):
+            raise CheckSpecError(f"a fejer_run rule must be a StopRule, got {rule!r}")
+        algorithm = _payload(spec, "algorithm")
+        runs = {"cyclic": cyclic_projections, "averaged": averaged_projections}
+        if algorithm not in runs:
+            raise CheckSpecError(f"unknown fejer algorithm '{algorithm}'")
+
+        def fejer(x0):
+            trace = runs[algorithm](sets, x0, rule, witness=witness)
+            worst = min(trace.fejer_gaps, default=0.0)
+            return min(worst, shadow_cauchy_worst_defect(approximate_shadows(trace, sets)))
+
+        def draw(rng, n):
+            return [(sample(rng, n),)]
+
+        def defect(x0):
+            return np.array([fejer(row) for row in rows(x0)], dtype=float)
     return draw, defect, admit
-
-
-def _defect(spec: CheckSpec):
-    """The defect of a kind in ``_ROW_KINDS`` as a function of one witness tuple.
-
-    Nonnegative (up to the check's tolerance) wherever the sampled
-    inequality holds; ``_draws`` yields the tuples it is evaluated at.
-    """
-    kind = spec.kind
-    if kind == COMBINATION_THEOREM:
-        return partial(quasi_firm_defect, *_combination_subjects(spec))
-    if kind == VARIANCE_INEQ:
-        # One mean per drawn instance: its challengers share the points tuple.
-        solved = [None, None, None, None]
-
-        def variance(pts, weights, y):
-            if solved[0] is not pts or solved[1] is not weights:
-                wp = WeightedPoints(pts, weights)
-                solved[:] = pts, weights, wp, frechet_mean(wp)
-            return variance_defect(solved[2], solved[3], y)
-        return variance
-    sets = _payload(spec, "sets")
-    witness = _payload(spec, "witness")
-    rule = _payload(spec, "rule")
-    algorithm = _payload(spec, "algorithm")
-    runs = {"cyclic": cyclic_projections, "averaged": averaged_projections}
-    if algorithm not in runs:
-        raise CheckSpecError(f"unknown fejer algorithm '{algorithm}'")
-
-    def fejer(x0):
-        trace = runs[algorithm](sets, x0, rule, witness=witness)
-        worst = min(trace.fejer_gaps, default=0.0)
-        return min(worst, shadow_cauchy_worst_defect(approximate_shadows(trace, sets)))
-    return fejer
-
-
-def _draws(spec: CheckSpec, rng: np.random.Generator):
-    """Yield the witness tuples of a kind in ``_ROW_KINDS``, consuming ``rng`` in a fixed order."""
-    space = spec.space
-    samples = range(spec.samples)
-    if spec.kind == COMBINATION_THEOREM:
-        y = _payload(spec, "witness")
-        for _ in samples:
-            yield space.sample(rng), y
-    elif spec.kind == VARIANCE_INEQ:
-        size = spec.payload.get("instance_size", 4)
-        challengers = spec.payload.get("challengers", 50)
-        for _ in samples:
-            pts = tuple(space.sample(rng) for _ in range(size))
-            raw = rng.uniform(0.05, 1.0, size)
-            weights = tuple(float(v) for v in raw / raw.sum())
-            for _ in range(challengers):
-                yield pts, weights, space.sample(rng)
-    else:
-        for _ in samples:
-            yield (space.sample(rng),)
 
 
 def _batches(spec: CheckSpec, rng: np.random.Generator):
     """Yield ``(defects, witness_at)`` for successive batches of at most ``_CHUNK`` samples."""
-    if spec.kind in _ROW_KINDS:
-        defect = _defect(spec)
-        draws = _draws(spec, rng)
-        while chunk := list(islice(draws, _CHUNK)):
-            yield np.array([defect(*w) for w in chunk], dtype=float), chunk.__getitem__
-        return
     draw, defect, _ = _block_kernel(spec)
     space, layout = spec.space, _WITNESS[spec.kind]
 
     def witness_at(columns, i):
-        return tuple(space.row(col, i) if entry == "p" else float(col[i])
+        return tuple(space.row(col, i) if entry == "p" else
+                     float(col[i]) if entry == "t" else col[i]
                      for entry, col in zip(layout, columns))
 
     for start in range(0, spec.samples, _CHUNK):
@@ -421,8 +401,6 @@ def run_check(spec: CheckSpec) -> CheckResult:
         value = float(defects[i])
         if worst is None or value < worst[0] or (math.isnan(value) and not math.isnan(worst[0])):
             worst = (value, witness_at(i))
-    if worst is None:
-        raise CheckSpecError(f"check '{spec.kind}' drew no witness")
     return CheckResult(
         kind=spec.kind,
         label=spec.label,
@@ -450,6 +428,8 @@ def _one_row(spec: CheckSpec, witness) -> list:
             if not isinstance(value, numbers.Real):
                 raise CheckSpecError(f"a '{spec.kind}' witness needs a number, got {value!r}")
             value = np.array([value], dtype=float)
+        else:
+            value = [value]
         columns.append(value)
     return columns
 
@@ -457,14 +437,12 @@ def _one_row(spec: CheckSpec, witness) -> list:
 def reevaluate_witness(spec: CheckSpec, witness: tuple) -> float:
     """Recompute the defect of a recorded witness for its check.
 
-    Reproduces the recorded worst defect exactly: a block kind evaluates
-    the witness as a one-row block, and each row of a block kernel depends
+    Reproduces the recorded worst defect exactly: the witness is
+    evaluated as a one-row block, and each row of a block kernel depends
     on that row's inputs alone.  A point outside the check's space raises
     ``SpaceMismatchError``, a witness of the wrong length ``CheckSpecError``.
     """
     columns = _one_row(spec, witness)
-    if spec.kind in _ROW_KINDS:
-        return _defect(spec)(*witness)
     _, defect, admit = _block_kernel(spec)
     admit(witness)
     return float(defect(*columns)[0])

@@ -15,8 +15,6 @@ samples the defects.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .barycenter import WeightedPoints, convex_weights, frechet_mean
 from .convex_sets import ConvexSet
 from .errors import ConstructionError, DomainError, NotAFixedPointError, SpaceMismatchError
@@ -27,7 +25,6 @@ from .geometry import (
     _quasilinear,
     check_same_space,
     distance,
-    geodesic_point,
     quasilinearization,
 )
 
@@ -48,7 +45,6 @@ __all__ = [
     "combination_alpha",
     "lmuv_values",
     "composition_condition_defect",
-    "phi_profile_defects",
 ]
 
 
@@ -353,22 +349,3 @@ def composition_condition_defect(
     big_l, big_m, big_u, _ = lmuv_values(s, t, x, y)
     return c_s * c_s * big_l + c_t * c_t * big_m + 2.0 * c_s * c_t * big_u
 
-
-def phi_profile_defects(op: Operator, x: Point, y: Point, grid: int = 16) -> list[float]:
-    """Successive decrements of t -> d(x_t, y_t) along [x,Tx] and [y,Ty].
-
-    The classical path-monotonicity notion of firm nonexpansiveness asks
-    this profile to be nonincreasing; entries are phi(t_k) - phi(t_{k+1})
-    on a uniform grid, so nonnegative values support it.  Diagnostic
-    only.
-    """
-    if grid < 2:
-        raise DomainError("grid must have at least 2 samples")
-    check_same_space(x, y)
-    tx, ty = op.apply(x), op.apply(y)
-    ts = np.linspace(0.0, 1.0, grid + 1)
-    phi = [
-        distance(geodesic_point(x, tx, float(t)), geodesic_point(y, ty, float(t)))
-        for t in ts
-    ]
-    return [phi[k] - phi[k + 1] for k in range(grid)]

@@ -9,9 +9,13 @@ import pytest
 from hadamard import (
     CheckSpec,
     EuclideanHalfspace,
+    HyperbolicHalfspace,
     Point,
     Pointwise,
     Projection,
+    ProductSet,
+    StopRule,
+    Subtree,
     default_suite,
     minkowski,
     reevaluate_witness,
@@ -193,6 +197,56 @@ class TestRunCheck:
             with pytest.raises(CheckSpecError):
                 run_check(spec)
 
+    @pytest.mark.parametrize("kind, payload", [
+        (VARIANCE_INEQ, {"instance_size": 2.5}),
+        (VARIANCE_INEQ, {"challengers": 2.0}),
+        (VARIANCE_INEQ, {"challengers": True}),
+        (VARIANCE_INEQ, {"instance_size": 0}),
+        (COMBINATION_THEOREM, {"alphas": [0.5]}),
+        (COMPOSITION_THEOREM, {"factors": ["P1", "P2"]}),
+        (COMPOSITION_THEOREM, {"factors": 2}),
+        (FEJER_RUN, {"rule": 200}),
+    ])
+    def test_malformed_payload_rejected(self, e2, kind, payload):
+        half_v = EuclideanHalfspace(e2, [0, 1], 0.0)
+        half_u = EuclideanHalfspace(e2, [1, 0], 0.0)
+        origin = e2.point([0.0, 0.0])
+        well_formed = {
+            VARIANCE_INEQ: {},
+            COMBINATION_THEOREM: {"ops": [Projection(half_v), Projection(half_u)],
+                                  "alphas": [0.5, 0.5], "weights": [0.5, 0.5],
+                                  "witness": origin},
+            COMPOSITION_THEOREM: {"factors": [(Projection(half_v), 0.5),
+                                              (Projection(half_u), 0.5)],
+                                  "witness": origin},
+            FEJER_RUN: {"algorithm": "cyclic", "sets": [half_v, half_u],
+                        "witness": origin, "rule": StopRule(max_iter=20)},
+        }[kind]
+        spec = CheckSpec(kind=kind, space=e2, samples=2, seed=0,
+                         payload={**well_formed, **payload})
+        with pytest.raises(CheckSpecError):
+            run_check(spec)
+
+    def test_combination_applied_to_its_witness_once_per_check(self, e2):
+        origin = e2.point([0.0, 0.0])
+        at_witness = []
+
+        def counted(name, normal):
+            project = Projection(EuclideanHalfspace(e2, normal, 0.0)).apply
+
+            def fn(x):
+                if x == origin:
+                    at_witness.append(name)
+                return project(x)
+            return Pointwise(name, fn)
+
+        spec = CheckSpec(kind=COMBINATION_THEOREM, space=e2, samples=40, seed=3,
+                         payload={"ops": [counted("v", [0, 1]), counted("u", [1, 0])],
+                                  "alphas": [0.5, 0.5], "weights": [0.5, 0.5],
+                                  "witness": origin})
+        assert run_check(spec).passed
+        assert at_witness == ["v", "u"]
+
     def test_one_sample_beyond_a_chunk(self, tripod):
         spec = CheckSpec(kind=CAT0, space=tripod, samples=_CHUNK + 1, seed=12)
         result = run_check(spec)
@@ -297,6 +351,26 @@ class TestSpaceSuite:
         assert FEJER_RUN in kinds
         report = run_suite(specs, suite_seed=5)
         assert report.passed
+
+    def test_witnesses_reproduce_on_row_fallback_models(self, e2, h2, tripod, product):
+        apex = h2.base_point()
+        gate = tripod.vertex_point("o")
+        cases = [
+            (h2, {"m1": HyperbolicHalfspace(h2, [0.0, 1.0, 0.0], name="m1"),
+                  "m2": HyperbolicHalfspace(h2, [0.0, 0.0, 1.0], name="m2")}, apex),
+            (product,
+             {"VA": ProductSet(product, EuclideanHalfspace(e2, [0, 1], 0.0),
+                               Subtree(tripod, ["o", "a"]), name="VA"),
+              "UB": ProductSet(product, EuclideanHalfspace(e2, [1, 0], 0.0),
+                               Subtree(tripod, ["o", "b"]), name="UB")},
+             product.point((e2.point([0.0, 0.0]), gate))),
+        ]
+        for space, sets, witness in cases:
+            specs = space_suite(space, sets, witness, samples=100, seed=11)
+            assert {COMBINATION_THEOREM, VARIANCE_INEQ, FEJER_RUN} <= {s.kind for s in specs}
+            for spec in specs:
+                result = run_check(spec)
+                assert reevaluate_witness(spec, result.witness) == result.worst_defect, spec.kind
 
     def test_witness_outside_a_set_names_the_sets_it_misses(self, e2):
         sets = {

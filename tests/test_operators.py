@@ -25,7 +25,6 @@ from hadamard import (
     fixed_point_iterate,
     fold_composition_alpha,
     lmuv_values,
-    phi_profile_defects,
     quasi_firm_defect,
     quasilinearization,
     run_check,
@@ -341,18 +340,6 @@ class TestQuasiFirmTheorems:
         for _ in range(1000):
             x = e2.sample(rng)
             assert quasi_firm_defect(combo, alpha, x, y) >= -1e-6
-
-
-class TestPhiProfile:
-    def test_projection_profile_nonincreasing(self, e2, half_v, rng):
-        op = Projection(half_v)
-        for _ in range(50):
-            x, y = e2.sample(rng), e2.sample(rng)
-            assert min(phi_profile_defects(op, x, y, grid=12)) >= -1e-9
-
-    def test_grid_validation(self, e2, rng):
-        with pytest.raises(DomainError):
-            phi_profile_defects(Identity(), e2.sample(rng), e2.sample(rng), grid=1)
 
 
 class TestCertificates:
