@@ -112,8 +112,20 @@ def variance_defect(wp: WeightedPoints, x_star: Point, y: Point) -> float:
     Nonnegative for every challenger y exactly when x_star is the true
     minimizer, since F is strongly convex with parameter 2.
     """
-    check_same_space(x_star, y)
-    return frechet_objective(wp, y) - frechet_objective(wp, x_star) - distance(x_star, y) ** 2
+    check_same_space(x_star, y, *wp.points)
+    return _variance(distance, wp.points, wp.weights, x_star, y)
+
+
+def _variance(dist, points, weights, x_star, y):
+    """The variance defect through ``dist``; ``points`` are the instance's points.
+
+    With a block's ``distances``, ``points`` and ``x_star`` are blocks that
+    repeat one point per row.  F is summed in order, the same in both forms.
+    """
+    def objective(x):
+        return sum(w * dist(x, p) ** 2 for w, p in zip(weights, points))
+
+    return objective(y) - objective(x_star) - dist(x_star, y) ** 2
 
 
 def _drop_zero_weights(wp: WeightedPoints) -> WeightedPoints:

@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .barycenter import WeightedPoints, frechet_mean, variance_defect
+from .barycenter import WeightedPoints, _variance, frechet_mean
 from .convex_sets import ConvexSet, _projection
 from .errors import CheckSpecError, DomainError
 from .geometry import Point, SpaceModel, _cat0, _quasilinear
@@ -255,9 +255,6 @@ def _block_kernel(spec: CheckSpec):
     dist = space.distances
     sample = space.sample_block
 
-    def rows(block):
-        return (space.row(block, i) for i in range(space.block_len(block)))
-
     def admit(witness):
         pass
 
@@ -345,9 +342,10 @@ def _block_kernel(spec: CheckSpec):
 
         def defect(pts, weights, y):
             # the rows of a batch share one instance, so its mean is solved once
-            wp = WeightedPoints(pts[0], weights[0])
-            mean = frechet_mean(wp)
-            return np.array([variance_defect(wp, mean, row) for row in rows(y)], dtype=float)
+            mean = frechet_mean(WeightedPoints(pts[0], weights[0]))
+            n = space.block_len(y)
+            return _variance(dist, [space.repeat(p, n) for p in pts[0]], weights[0],
+                             space.repeat(mean, n), y)
     else:  # FEJER_RUN
         sets = _payload(spec, "sets")
         witness = _payload(spec, "witness")
@@ -368,7 +366,8 @@ def _block_kernel(spec: CheckSpec):
             return [(sample(rng, n),)]
 
         def defect(x0):
-            return np.array([fejer(row) for row in rows(x0)], dtype=float)
+            return np.array([fejer(space.row(x0, i)) for i in range(space.block_len(x0))],
+                            dtype=float)
     return draw, defect, admit
 
 

@@ -20,6 +20,8 @@ from .geometry import (
     Point,
     ProductSpace,
     SpaceModel,
+    _normalize,
+    _pairing,
     check_same_space,
     distance,
     geodesic_point,
@@ -208,6 +210,13 @@ class HyperbolicHalfspace(ConvexSet):
         if s <= 0.0:
             return x
         return self.space.point(self.space.normalize(x.payload - s * self.normal))
+
+    def project_block(self, block):
+        s = _pairing(self.normal, block)
+        outside = s > 0.0
+        # rows inside subtract nothing, so every row stays timelike
+        moved = _normalize(block - np.where(outside, s, 0.0)[:, None] * self.normal)
+        return np.where(outside[:, None], moved, block)
 
     def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
         self._check_point(x)

@@ -234,6 +234,18 @@ class CoordinateSpace(SpaceModel):
     def payloads_equal(self, a, b) -> bool:
         return bool(np.array_equal(a, b))
 
+    # Blocks are (n, dim + _extra) float arrays.
+
+    def stack(self, points):
+        return np.array(self._payloads(points), dtype=float).reshape(-1, self.dim + self._extra)
+
+    def repeat(self, point, n):
+        return np.broadcast_to(self._payloads([point])[0], (n, self.dim + self._extra))
+
+    def row(self, block, i):
+        # a copy, so that a recorded witness does not keep its whole block alive
+        return Point(self, _readonly(block[i]))
+
     def format_payload(self, payload) -> str:
         return "(" + ", ".join(f"{v:g}" for v in payload) + ")"
 
@@ -261,17 +273,6 @@ class Euclidean(CoordinateSpace):
     def sample_payload(self, rng):
         return _readonly(rng.standard_normal(self.dim))
 
-    # Blocks are (n, dim) arrays.
-
-    def stack(self, points):
-        return np.array(self._payloads(points), dtype=float).reshape(-1, self.dim)
-
-    def repeat(self, point, n):
-        return np.broadcast_to(self._payloads([point])[0], (n, self.dim))
-
-    def row(self, block, i):
-        return Point(self, _readonly(block[i]))
-
     def sample_block(self, rng, n):
         return rng.standard_normal((n, self.dim))
 
@@ -292,13 +293,64 @@ def minkowski(u, v) -> float:
     return float(np.dot(u[1:], v[1:]) - u[0] * v[0])
 
 
+# The hyperboloid's block kernels reach the representation only through
+# the three rowwise helpers below, written with elementwise operations so
+# that each row of a result depends on that row's inputs alone.
+
+def _pairing(u, v):
+    """The Minkowski pairing of matching rows of ambient blocks (either may be one vector)."""
+    total = u[..., 1] * v[..., 1]
+    for j in range(2, u.shape[-1]):
+        total = total + u[..., j] * v[..., j]
+    return total - u[..., 0] * v[..., 0]
+
+
+def _normalize(w):
+    """Each timelike row of an ambient block scaled onto its sheet."""
+    return w / np.sqrt(-_pairing(w, w))[:, None]
+
+
+# Beyond this radius no exponential map is representable: from r = 19.1
+# on, cosh(r)^2 - sinh(r)^2 rounds at least 2e-7 away from 1.  Below it no
+# square overflows.
+_EXP_RADIUS = 300.0
+
+
+def _exp_rows(v):
+    """The exponential maps at the apex of the rows of an (n, dim) tangent block.
+
+    Raises ``InvalidPointError`` where ``Hyperboloid.exp_from_base`` does:
+    when any row's image is not representable in floating point.
+    """
+    r_sq = v[:, 0] * v[:, 0]
+    for j in range(1, v.shape[1]):
+        r_sq = r_sq + v[:, j] * v[:, j]
+    r = np.sqrt(r_sq)
+    in_range = r <= _EXP_RADIUS
+    # rows within 1e-300 of the apex stay on it, and so do the rows out of
+    # range, which fail the check below
+    moved = in_range & (r >= 1e-300)
+    rm = r[moved]
+    out = np.zeros((len(r), v.shape[1] + 1))
+    out[:, 0] = 1.0
+    out[moved, 0] = np.cosh(rm)
+    out[moved, 1:] = (np.sinh(rm) / rm)[:, None] * v[moved]
+    bad = ~(in_range & (np.abs(-_pairing(out, out) - 1.0) <= 2.0 * HYPERBOLIC_TOL))
+    if bad.any():
+        raise InvalidPointError(f"exponential map at radius {r[bad][0]:g} "
+                                f"is not representable in floating point")
+    return _normalize(out)
+
+
 class Hyperboloid(CoordinateSpace):
     """Hyperbolic n-space on the upper sheet of ``m(v, v) = -1``.
 
     Distance is ``arcosh(-m(u, v))``; geodesics follow
     ``x_t = (sinh((1-t)*theta)*u + sinh(t*theta)*v) / sinh(theta)`` with
     ``theta = d(u, v)``.  Every arithmetic result is renormalized back
-    onto the sheet to control drift.
+    onto the sheet to control drift.  Payloads are ambient vectors of
+    ``dim + 1`` coordinates, time first, and blocks are ``(n, dim + 1)``
+    arrays of them.
     """
 
     __slots__ = ()
@@ -379,6 +431,27 @@ class Hyperboloid(CoordinateSpace):
 
     def sample_payload(self, rng):
         return self.exp_from_base(rng.standard_normal(self.dim)).payload
+
+    def sample_block(self, rng, n):
+        # the same draws as n calls of sample_payload
+        return _exp_rows(rng.standard_normal((n, self.dim)))
+
+    def distances(self, a, b):
+        # identical rows read an exact zero, as in payload_distance
+        same = np.all(a == b, axis=1)
+        return np.where(same, 0.0, np.arccosh(np.maximum(-_pairing(a, b), 1.0)))
+
+    def interpolate(self, a, b, t):
+        t = np.asarray(t, dtype=float)
+        theta = self.distances(a, b)
+        # Rows below _TINY_ANGLE keep their start point, as in
+        # payload_interpolate; a stand-in angle spares them sinh(0) = 0.
+        near = theta < _TINY_ANGLE
+        theta = np.where(near, 1.0, theta)
+        w = (np.sinh((1.0 - t) * theta)[:, None] * a
+             + np.sinh(t * theta)[:, None] * b) / np.sinh(theta)[:, None]
+        out = np.where((near | (t == 0.0))[:, None], a, _normalize(w))
+        return np.where((t == 1.0)[:, None], b, out)
 
 
 class ProductSpace(SpaceModel):

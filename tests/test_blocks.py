@@ -1,7 +1,9 @@
 """Blocks: each row equals a one-row block bit for bit and agrees with the scalar path.
 
-Euclidean and product blocks run array kernels; tree blocks run the scalar
-methods row by row.
+Euclidean, hyperboloid and product blocks run array kernels; tree blocks
+run the scalar methods row by row.  Hyperboloid points are compared with
+the scalar path in ambient coordinates, since the scalar ``distance``
+cannot resolve separations below about 1e-8 there.
 """
 
 import numpy as np
@@ -9,12 +11,17 @@ import pytest
 
 from hadamard import (
     Composition,
+    Euclidean,
     EuclideanHalfspace,
     EuclideanHyperplane,
     GeodesicBall,
+    Hyperboloid,
+    HyperbolicHalfspace,
+    InvalidPointError,
     MetricTree,
     Pointwise,
     ProductSet,
+    ProductSpace,
     Projection,
     Subtree,
     distance,
@@ -43,15 +50,24 @@ def tree2000():
                        for i in range(1, 2000)])
 
 
-@pytest.fixture(scope="module", params=["euclidean3", "tripod", "caterpillar", "product",
-                                        "tree2000"])
-def case(request, e2, e3, tripod, caterpillar, product, tree2000):
+@pytest.fixture(scope="module", params=["euclidean3", "hyperbolic2", "tripod", "caterpillar",
+                                        "product", "hyperbolic-x-line", "tree2000"])
+def case(request, e2, e3, h2, tripod, caterpillar, product, tree2000):
     """A space and convex sets in it; array kernels where the model and set have them."""
     name = request.param
     if name == "euclidean3":
         return e3, [EuclideanHalfspace(e3, [1.0, -2.0, 0.5], 0.3),
                     EuclideanHyperplane(e3, [0.0, 1.0, 1.0], -0.2),
                     GeodesicBall(e3.point([0.5, -0.25, 0.0]), 1.25)]
+    if name == "hyperbolic2":
+        return h2, [HyperbolicHalfspace(h2, [0.3, 1.0, -0.5]),
+                    GeodesicBall(h2.exp_from_base([0.3, -0.2]), 1.0)]
+    if name == "hyperbolic-x-line":
+        e1 = Euclidean(1)
+        space = ProductSpace(h2, e1)
+        return space, [ProductSet(space, HyperbolicHalfspace(h2, [0.0, 1.0, 1.0]),
+                                  EuclideanHalfspace(e1, [1.0], 0.25)),
+                       GeodesicBall(space.point((h2.exp_from_base([-0.5, 0.1]), [0.5])), 0.8)]
     if name == "tripod":
         return tripod, [Subtree(tripod, ["o", "a"]),
                         GeodesicBall(tripod.edge_point(0, 0.5), 0.75)]
@@ -82,6 +98,16 @@ def blocks(case):
 
 def one_row(space, block, i):
     return space.stack([space.row(block, i)])
+
+
+def gap(p, q):
+    """The distance between two points; on the hyperboloid, the largest ambient
+    coordinate difference relative to max(1, |coordinate|)."""
+    if isinstance(p.space, ProductSpace):
+        return max(gap(p.payload[0], q.payload[0]), gap(p.payload[1], q.payload[1]))
+    if isinstance(p.space, Hyperboloid):
+        return float(np.max(np.abs(p.payload - q.payload) / np.maximum(1.0, np.abs(q.payload))))
+    return distance(p, q)
 
 
 def assert_rows_match(space, block, single):
@@ -140,7 +166,7 @@ class TestBlocksAgreeWithScalars:
         m = space.interpolate(a, b, t)
         for i in range(ROWS):
             want = geodesic_point(space.row(a, i), space.row(b, i), float(t[i]))
-            assert distance(space.row(m, i), want) <= SCALAR_TOL, i
+            assert gap(space.row(m, i), want) <= SCALAR_TOL, i
         assert space.row(m, 0) == space.row(a, 0)
         assert space.row(m, 1) == space.row(b, 1)
 
@@ -151,7 +177,7 @@ class TestBlocksAgreeWithScalars:
             images = c.project_block(a)
             for i in range(ROWS):
                 want = c.project(space.row(a, i))
-                assert distance(space.row(images, i), want) <= SCALAR_TOL, (c, i)
+                assert gap(space.row(images, i), want) <= SCALAR_TOL, (c, i)
 
     def test_composition(self, case, blocks):
         space, sets = case
@@ -160,21 +186,55 @@ class TestBlocksAgreeWithScalars:
         images = composed.apply_block(space, a)
         for i in range(ROWS):
             want = composed.apply(space.row(a, i))
-            assert distance(space.row(images, i), want) <= SCALAR_TOL, i
+            assert gap(space.row(images, i), want) <= SCALAR_TOL, i
+
+
+class TestHyperboloidBlocks:
+    def test_identical_rows_are_exact(self, h2):
+        rng = np.random.default_rng(5)
+        a, t = h2.sample_block(rng, 50), rng.uniform(size=50)
+        assert all(float(v).hex() == "0x0.0p+0" for v in h2.distances(a, a))
+        assert np.array_equal(h2.interpolate(a, a, t), a)
+
+    def test_unrepresentable_sample_raises(self, h2):
+        class FarRow:
+            """Draws finite tangent rows, one of them at radius 800."""
+
+            def standard_normal(self, shape):
+                rows = np.full(shape, 0.5)
+                rows[3] = 480.0, 640.0
+                return rows
+
+        with pytest.raises(InvalidPointError, match="radius 800"):
+            h2.sample_block(FarRow(), 8)
+
+    def test_samples_are_the_scalar_draws(self, h2):
+        block = h2.sample_block(np.random.default_rng(6), 100)
+        rng = np.random.default_rng(6)
+        for i in range(100):
+            assert gap(h2.row(block, i), h2.sample(rng)) <= SCALAR_TOL, i
+
+
+@pytest.mark.parametrize("model", ["e3", "h2"])
+def test_rows_share_no_memory_with_their_block(model, request):
+    space = request.getfixturevalue(model)
+    rng = np.random.default_rng(8)
+    for block in (space.sample_block(rng, 10), space.repeat(space.sample(rng), 10)):
+        assert not np.shares_memory(space.row(block, 4).payload, block)
 
 
 class TestRowFallback:
     """A model or operator without array kernels runs its scalar methods row by row."""
 
-    def test_hyperboloid_rows_are_the_scalar_results(self, h2):
+    def test_tree_rows_are_the_scalar_results(self, caterpillar):
         rng = np.random.default_rng(3)
-        a, b = h2.sample_block(rng, 50), h2.sample_block(rng, 50)
+        a, b = caterpillar.sample_block(rng, 50), caterpillar.sample_block(rng, 50)
         t = rng.uniform(size=50)
-        d, m = h2.distances(a, b), h2.interpolate(a, b, t)
+        d, m = caterpillar.distances(a, b), caterpillar.interpolate(a, b, t)
         for i in range(50):
-            p, q = h2.row(a, i), h2.row(b, i)
+            p, q = caterpillar.row(a, i), caterpillar.row(b, i)
             assert d[i] == distance(p, q)
-            assert h2.row(m, i) == geodesic_point(p, q, float(t[i]))
+            assert caterpillar.row(m, i) == geodesic_point(p, q, float(t[i]))
 
     def test_pointwise_operator(self, e2):
         op = Pointwise("swap", lambda x: e2.point(x.payload[::-1]))

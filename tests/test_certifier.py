@@ -14,6 +14,7 @@ from hadamard import (
     Pointwise,
     Projection,
     ProductSet,
+    ProductSpace,
     StopRule,
     Subtree,
     default_suite,
@@ -352,18 +353,26 @@ class TestSpaceSuite:
         report = run_suite(specs, suite_seed=5)
         assert report.passed
 
-    def test_witnesses_reproduce_on_row_fallback_models(self, e2, h2, tripod, product):
+    def test_witnesses_reproduce_on_hyperbolic_and_product_models(self, e2, h2, tripod,
+                                                                  product):
+        # kernels (h2), and products of a kernel factor with a row-fallback factor
         apex = h2.base_point()
         gate = tripod.vertex_point("o")
+        m1 = HyperbolicHalfspace(h2, [0.0, 1.0, 0.0], name="m1")
+        m2 = HyperbolicHalfspace(h2, [0.0, 0.0, 1.0], name="m2")
+        hyp_tree = ProductSpace(h2, tripod)
         cases = [
-            (h2, {"m1": HyperbolicHalfspace(h2, [0.0, 1.0, 0.0], name="m1"),
-                  "m2": HyperbolicHalfspace(h2, [0.0, 0.0, 1.0], name="m2")}, apex),
+            (h2, {"m1": m1, "m2": m2}, apex),
             (product,
              {"VA": ProductSet(product, EuclideanHalfspace(e2, [0, 1], 0.0),
                                Subtree(tripod, ["o", "a"]), name="VA"),
               "UB": ProductSet(product, EuclideanHalfspace(e2, [1, 0], 0.0),
                                Subtree(tripod, ["o", "b"]), name="UB")},
              product.point((e2.point([0.0, 0.0]), gate))),
+            (hyp_tree,
+             {"MA": ProductSet(hyp_tree, m1, Subtree(tripod, ["o", "a"]), name="MA"),
+              "MB": ProductSet(hyp_tree, m2, Subtree(tripod, ["o", "b"]), name="MB")},
+             hyp_tree.point((apex, gate))),
         ]
         for space, sets, witness in cases:
             specs = space_suite(space, sets, witness, samples=100, seed=11)
