@@ -6,6 +6,8 @@ the scalar path in ambient coordinates, since the scalar ``distance``
 cannot resolve separations below about 1e-8 there.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -102,9 +104,10 @@ def one_row(space, block, i):
 
 def gap(p, q):
     """The distance between two points; on the hyperboloid, the largest ambient
-    coordinate difference relative to max(1, |coordinate|)."""
+    coordinate difference relative to max(1, |coordinate|).  Product factors
+    combine as the product distance does."""
     if isinstance(p.space, ProductSpace):
-        return max(gap(p.payload[0], q.payload[0]), gap(p.payload[1], q.payload[1]))
+        return math.hypot(gap(p.payload[0], q.payload[0]), gap(p.payload[1], q.payload[1]))
     if isinstance(p.space, Hyperboloid):
         return float(np.max(np.abs(p.payload - q.payload) / np.maximum(1.0, np.abs(q.payload))))
     return distance(p, q)
