@@ -13,7 +13,6 @@ from .errors import (
     DomainError,
     EdgeListError,
     HadamardError,
-    InfeasibleTriangleError,
     InvalidPointError,
     NotAFixedPointError,
     ScenarioError,
@@ -26,7 +25,6 @@ from .geometry import (
     ProductSpace,
     SpaceModel,
     cat0_defect,
-    comparison_triangle,
     distance,
     geodesic_point,
     minkowski,
@@ -65,12 +63,9 @@ from .operators import (
     alpha_firm_defect,
     combination_alpha,
     composition_alpha,
-    composition_condition_defect,
     discrepancy,
     fold_composition_alpha,
-    lmuv_values,
     quasi_firm_defect,
-    tau_value,
 )
 from .iterations import (
     IterationTrace,

@@ -190,13 +190,11 @@ def _hyperboloid_mean(space: Hyperboloid, wp: WeightedPoints, step_tol: float) -
         current = candidate
         if step <= step_tol:
             return space.point(current)
-    objective = math.fsum(
-        w * space.payload_distance(current, q) ** 2 for w, q in zip(weights, payloads)
-    )
+    last_point = space.point(current)
     raise ConvergenceFailureError(
         f"hyperboloid mean did not stabilize in {_SWEEP_LIMIT} iterations",
-        last_point=space.point(current),
-        objective=objective,
+        last_point=last_point,
+        objective=frechet_objective(wp, last_point),
     )
 
 

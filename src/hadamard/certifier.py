@@ -40,6 +40,7 @@ from .operators import (
     Projection,
     _alpha_firm,
     _check_alpha,
+    _composition_condition,
     _quasi_firm,
     _require_fixed,
     combination_alpha,
@@ -57,6 +58,7 @@ __all__ = [
     "FIX_CONVEXITY",
     "VARIANCE_INEQ",
     "FEJER_RUN",
+    "COMPOSITION_CONDITION",
     "CHECK_KINDS",
     "CheckSpec",
     "CheckResult",
@@ -78,6 +80,7 @@ COMBINATION_THEOREM = "combination_theorem"
 FIX_CONVEXITY = "fix_convexity"
 VARIANCE_INEQ = "variance_ineq"
 FEJER_RUN = "fejer_run"
+COMPOSITION_CONDITION = "composition_condition"
 
 # Checks whose inputs pass through an iterative barycenter solve get the
 # looser tolerance; everything else uses the model's own.
@@ -97,6 +100,7 @@ _WITNESS = {
     FIX_CONVEXITY: "pp",
     VARIANCE_INEQ: "--p",
     FEJER_RUN: "p",
+    COMPOSITION_CONDITION: "pp",
 }
 CHECK_KINDS = tuple(_WITNESS)
 
@@ -201,14 +205,8 @@ def _payload(spec: CheckSpec, key: str):
     return spec.payload[key]
 
 
-def _theorem_subjects(spec: CheckSpec):
-    """The composed or combined operator of a theorem check and its certified constant."""
-    if spec.kind == COMBINATION_THEOREM:
-        ops, alphas = _payload(spec, "ops"), _payload(spec, "alphas")
-        if len(alphas) != len(ops):
-            raise CheckSpecError(
-                f"combination check has {len(ops)} operators but {len(alphas)} constants")
-        return ConvexCombination(_payload(spec, "weights"), ops), combination_alpha(alphas)
+def _factors(spec: CheckSpec):
+    """A composition check's ``(operator, alpha)`` pairs, the first applied first."""
     factors = _payload(spec, "factors")
     if not isinstance(factors, (tuple, list)) or not all(
             isinstance(f, (tuple, list)) and len(f) == 2 and isinstance(f[0], Operator)
@@ -217,6 +215,18 @@ def _theorem_subjects(spec: CheckSpec):
                              f"got {factors!r}")
     if len(factors) < 2:
         raise CheckSpecError("composition check needs at least two factors")
+    return factors
+
+
+def _theorem_subjects(spec: CheckSpec):
+    """The composed or combined operator of a theorem check and its certified constant."""
+    if spec.kind == COMBINATION_THEOREM:
+        ops, alphas = _payload(spec, "ops"), _payload(spec, "alphas")
+        if len(alphas) != len(ops):
+            raise CheckSpecError(
+                f"combination check has {len(ops)} operators but {len(alphas)} constants")
+        return ConvexCombination(_payload(spec, "weights"), ops), combination_alpha(alphas)
+    factors = _factors(spec)
     composed = Composition(tuple(reversed([op for op, _ in factors])))
     return composed, fold_composition_alpha([a for _, a in factors])
 
@@ -319,6 +329,21 @@ def _block_kernel(spec: CheckSpec):
 
         def admit(witness):
             _require_fixed(op, witness[1])
+    elif kind == COMPOSITION_CONDITION:
+        factors = _factors(spec)
+        if len(factors) != 2:
+            raise CheckSpecError(f"a composition_condition check needs exactly two factors, "
+                                 f"got {len(factors)}")
+        (s, a_s), (t, a_t) = factors
+        a_s, a_t = _check_alpha(a_s, "alpha_s"), _check_alpha(a_t, "alpha_t")
+
+        def draw(rng, n):
+            return [(sample(rng, n), sample(rng, n))]
+
+        def defect(x, y):
+            sx, sy = s.apply_block(space, x), s.apply_block(space, y)
+            return _composition_condition(dist, a_s, a_t, x, y, sx, sy,
+                                          t.apply_block(space, sx), t.apply_block(space, sy))
     elif kind == FIX_CONVEXITY:
         project = partial(Projection(_payload(spec, "set")).apply_block, space)
 
@@ -499,7 +524,10 @@ def space_suite(
     witness must lie in every declared set; it adds the quasi-firm
     checks and, with two or more sets, the composition, combination and
     Fejer checks.  A claimed constant adds one quasi-firm check for the
-    named set's projection at that constant.
+    named set's projection at that constant.  The composition condition
+    is left out: it is only sufficient, and it fails for some pairs of sets
+    whose composition theorem check passes (two balls in the hyperbolic
+    plane).
     """
     missed = [n for n, c in sets.items() if witness is not None and not c.contains(witness)]
     if missed:
@@ -554,8 +582,9 @@ def default_suite(seed: int = 0, samples: int = 1000) -> list[CheckSpec]:
     product), projection firmness and the projection inequality per set
     family, the quasi-firm certificates for projections, the composition
     and convex-combination theorems, fixed-set convexity, the
-    strong-convexity variance bound, and Fejer/shadow diagnostics for
-    cyclic and averaged runs.
+    strong-convexity variance bound, Fejer/shadow diagnostics for cyclic
+    and averaged runs, and the composition condition for three pairs of
+    projections.
     """
     from .metric_tree import MetricTree
     from .geometry import Euclidean, Hyperboloid, ProductSpace
@@ -681,5 +710,12 @@ def default_suite(seed: int = 0, samples: int = 1000) -> list[CheckSpec]:
         {"algorithm": "cyclic", "sets": [leg_a, leg_b], "witness": gate,
          "rule": StopRule(max_iter=200)},
         "cyclic-subtrees")
+
+    # appended last, so that every earlier row keeps its seed
+    for s, t, label in [(half_v, half_u, "two-euclidean-halfspaces"),
+                        (hyp_half_1, hyp_half_2, "two-hyperbolic-halfspaces"),
+                        (spine, branch, "two-subtrees")]:
+        add(COMPOSITION_CONDITION, s.space, max(1, samples // 2),
+            {"factors": [(Projection(s), 0.5), (Projection(t), 0.5)]}, label)
 
     return _seeded_specs(rows, seed)

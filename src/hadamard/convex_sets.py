@@ -22,6 +22,7 @@ from .geometry import (
     SpaceModel,
     _normalize,
     _pairing,
+    _rowdot,
     check_same_space,
     distance,
     geodesic_point,
@@ -122,10 +123,7 @@ class EuclideanHalfspace(ConvexSet):
         return self.space.point(x.payload - (gap / self._norm_sq) * self.normal)
 
     def project_block(self, block):
-        gap = block[:, 0] * self.normal[0]
-        for j in range(1, self.space.dim):
-            gap += block[:, j] * self.normal[j]
-        gap -= self.offset
+        gap = _rowdot(block, self.normal) - self.offset
         kept = (self._lowest_gap <= gap) & (gap <= 0.0)
         return np.where(kept[:, None], block, block - (gap / self._norm_sq)[:, None] * self.normal)
 

@@ -23,10 +23,6 @@ class ConstructionError(HadamardError):
     """A space or convex-set descriptor fails its structural invariants."""
 
 
-class InfeasibleTriangleError(HadamardError):
-    """Three side lengths violate the triangle inequality."""
-
-
 class NotAFixedPointError(HadamardError):
     """A point presented as fixed is moved by the operator."""
 

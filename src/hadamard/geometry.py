@@ -11,7 +11,7 @@ closed form:
   length space.
 
 The module-level functions (``distance``, ``geodesic_point``,
-``quasilinearization``, ``cat0_defect``, ``comparison_triangle``) are the
+``quasilinearization``, ``cat0_defect``) are the
 common vocabulary the rest of the package builds on.  All objects are
 immutable after construction and every operation is pure.
 """
@@ -25,7 +25,6 @@ import numpy as np
 from .errors import (
     ConstructionError,
     DomainError,
-    InfeasibleTriangleError,
     InvalidPointError,
     SpaceMismatchError,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "geodesic_point",
     "quasilinearization",
     "cat0_defect",
-    "comparison_triangle",
     "check_same_space",
 ]
 
@@ -259,6 +257,18 @@ class CoordinateSpace(SpaceModel):
         return hash((type(self).__name__, self.dim))
 
 
+def _rowdot(a, b, start=0):
+    """Dot products of matching rows over columns ``start:``, summed in column order.
+
+    Either argument may be one vector.  The fixed order keeps each row's
+    sum independent of the block it sits in.
+    """
+    total = a[..., start] * b[..., start]
+    for k in range(start + 1, a.shape[-1]):
+        total = total + a[..., k] * b[..., k]
+    return total
+
+
 class Euclidean(CoordinateSpace):
     """Flat n-dimensional space with the usual metric."""
 
@@ -278,10 +288,7 @@ class Euclidean(CoordinateSpace):
 
     def distances(self, a, b):
         diff = a - b
-        total = diff[:, 0] * diff[:, 0]
-        for j in range(1, self.dim):
-            total += diff[:, j] * diff[:, j]
-        return np.sqrt(total)
+        return np.sqrt(_rowdot(diff, diff))
 
     def interpolate(self, a, b, t):
         t = np.asarray(t, dtype=float)[:, None]
@@ -299,10 +306,7 @@ def minkowski(u, v) -> float:
 
 def _pairing(u, v):
     """The Minkowski pairing of matching rows of ambient blocks (either may be one vector)."""
-    total = u[..., 1] * v[..., 1]
-    for j in range(2, u.shape[-1]):
-        total = total + u[..., j] * v[..., j]
-    return total - u[..., 0] * v[..., 0]
+    return _rowdot(u, v, 1) - u[..., 0] * v[..., 0]
 
 
 def _normalize(w):
@@ -322,10 +326,7 @@ def _exp_rows(v):
     Raises ``InvalidPointError`` where ``Hyperboloid.exp_from_base`` does:
     when any row's image is not representable in floating point.
     """
-    r_sq = v[:, 0] * v[:, 0]
-    for j in range(1, v.shape[1]):
-        r_sq = r_sq + v[:, j] * v[:, j]
-    r = np.sqrt(r_sq)
+    r = np.sqrt(_rowdot(v, v))
     in_range = r <= _EXP_RADIUS
     # rows within 1e-300 of the apex stay on it, and so do the rows out of
     # range, which fail the check below
@@ -618,32 +619,3 @@ def _cat0(dist, x, y, z, xt, t):
         - t * (1.0 - t) * dist(x, y) ** 2
         - dist(xt, z) ** 2
     )
-
-
-def comparison_triangle(
-    d_xy: float, d_yz: float, d_zx: float
-) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
-    """Planar triangle realizing three pairwise distances, in canonical pose.
-
-    The first vertex sits at the origin, the second on the nonnegative
-    horizontal axis, and the third has nonnegative vertical coordinate.
-    Raises if the lengths violate the triangle inequality beyond ``EQ_TOL``.
-    """
-    sides = (d_xy, d_yz, d_zx)
-    if any(s < -EQ_TOL for s in sides):
-        raise InfeasibleTriangleError(f"negative side length in {sides}")
-    if (
-        d_xy > d_yz + d_zx + EQ_TOL
-        or d_yz > d_zx + d_xy + EQ_TOL
-        or d_zx > d_xy + d_yz + EQ_TOL
-    ):
-        raise InfeasibleTriangleError(
-            f"side lengths {sides} violate the triangle inequality"
-        )
-    if d_xy <= EQ_TOL:
-        # degenerate base: x and y coincide
-        return ((0.0, 0.0), (float(d_xy), 0.0), (float(d_zx), 0.0))
-    zx = (d_xy**2 + d_zx**2 - d_yz**2) / (2.0 * d_xy)
-    zy_sq = d_zx**2 - zx**2
-    zy = math.sqrt(zy_sq) if zy_sq > 0.0 else 0.0
-    return ((0.0, 0.0), (float(d_xy), 0.0), (float(zx), float(zy)))

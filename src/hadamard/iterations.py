@@ -20,14 +20,9 @@ from functools import cached_property
 
 from .barycenter import WeightedPoints, convex_weights, frechet_mean
 from .convex_sets import ConvexSet, halfspace_residual
-from .errors import (
-    ConstructionError,
-    ConvergenceFailureError,
-    DomainError,
-    NotAFixedPointError,
-)
+from .errors import ConstructionError, ConvergenceFailureError, DomainError
 from .geometry import EQ_TOL, Point, check_same_space, distance, geodesic_point
-from .operators import Operator, Projection
+from .operators import Operator, Projection, _require_fixed
 
 __all__ = [
     "StopRule",
@@ -142,13 +137,6 @@ class IterationTrace:
             )
 
 
-def _check_witness_fixed(ops, witness: Point) -> None:
-    for op in ops:
-        moved = distance(op.apply(witness), witness)
-        if moved > EQ_TOL:
-            raise NotAFixedPointError(f"witness is moved by {moved:.3e} under {op.name}")
-
-
 def fixed_point_iterate(
     op: Operator, x0: Point, rule: StopRule, witness: Point | None = None
 ) -> IterationTrace:
@@ -160,7 +148,7 @@ def fixed_point_iterate(
     """
     if witness is not None:
         check_same_space(x0, witness)
-        _check_witness_fixed([op], witness)
+        _require_fixed(op, witness)
     points = [x0]
     steps: list[float] = []
     stop_reason = MAX_ITER
@@ -186,7 +174,8 @@ def _run_sets(sets, x0: Point, witness: Point | None) -> list[ConvexSet]:
         c._check_point(x0)
     if witness is not None:
         check_same_space(x0, witness)
-        _check_witness_fixed([Projection(c) for c in sets], witness)
+        for c in sets:
+            _require_fixed(Projection(c), witness)
     return sets
 
 

@@ -10,7 +10,7 @@ for some a in (0, 1); the "quasi" variant only requires this against
 fixed points y of T.  This module provides the defect forms of these
 inequalities (nonnegative where the inequality holds) and the constant
 calculus for compositions and convex combinations; ``hadamard.certifier``
-samples the defects.
+samples the defects, the composition condition among them.
 """
 
 from __future__ import annotations
@@ -41,10 +41,7 @@ __all__ = [
     "quasi_firm_defect",
     "composition_alpha",
     "fold_composition_alpha",
-    "tau_value",
     "combination_alpha",
-    "lmuv_values",
-    "composition_condition_defect",
 ]
 
 
@@ -290,13 +287,6 @@ def fold_composition_alpha(alphas) -> float:
     return acc
 
 
-def tau_value(alpha_s: float, alpha_t: float) -> float:
-    """tau = (1 - a_S)/a_S + (1 - a_T)/a_T."""
-    a_s = _check_alpha(alpha_s, "alpha_s")
-    a_t = _check_alpha(alpha_t, "alpha_t")
-    return (1.0 - a_s) / a_s + (1.0 - a_t) / a_t
-
-
 def combination_alpha(alphas) -> float:
     """Constant certified for a convex combination: the largest input."""
     alphas = [_check_alpha(a) for a in alphas]
@@ -305,47 +295,32 @@ def combination_alpha(alphas) -> float:
     return max(alphas)
 
 
-def lmuv_values(s: Operator, t: Operator, x: Point, y: Point) -> tuple[float, float, float, float]:
-    """The four quadratic forms entering the composition condition.
+def _composition_condition(dist, a_s, a_t, x, y, sx, sy, tsx, tsy):
+    """The composition condition of S, then T, through ``dist``.
 
-    L and M are the Cauchy-Schwarz residuals of S and of T along S's
-    images, U couples them, and V is the residual of the composition:
+    ``sx``, ``sy`` are the images of x and y under S, and ``tsx``, ``tsy``
+    their images under T.  Evaluates c_S^2 L + c_T^2 M + 2 c_S c_T U, with
+    tau = (1-a_S)/a_S + (1-a_T)/a_T, c_S = (1-a_S)/(tau a_S) and
+    c_T = (1-a_T)/(tau a_T).  L and M are the Cauchy-Schwarz residuals of S
+    and of T along S's images, and U couples them:
 
-        L = d(x,y)^2   - 2 D_S(x,y)     + d(Sx,Sy)^2
-        M = d(Sx,Sy)^2 - 2 D_T(Sx,Sy)   + d(TSx,TSy)^2
+        L = d(x,y)^2   - 2 D_S(x,y)   + d(Sx,Sy)^2
+        M = d(Sx,Sy)^2 - 2 D_T(Sx,Sy) + d(TSx,TSy)^2
         U = D_TS(x,y) + d(Sx,Sy)^2 - D_S(x,y) - D_T(Sx,Sy)
-        V = d(x,y)^2   - 2 D_TS(x,y)    + d(TSx,TSy)^2
+
+    Nonnegativity at every pair is sufficient, not necessary, for TS to be
+    quasi alpha-firm at ``composition_alpha(a_S, a_T)``.
     """
-    check_same_space(x, y)
-    sx, sy = s.apply(x), s.apply(y)
-    tsx, tsy = t.apply(sx), t.apply(sy)
-    d_xy = distance(x, y) ** 2
-    d_s = distance(sx, sy) ** 2
-    d_ts = distance(tsx, tsy) ** 2
-    delta_s = quasilinearization(x, y, sx, sy)
-    delta_t = quasilinearization(sx, sy, tsx, tsy)
-    delta_ts = quasilinearization(x, y, tsx, tsy)
+    tau = (1.0 - a_s) / a_s + (1.0 - a_t) / a_t
+    c_s = (1.0 - a_s) / (tau * a_s)
+    c_t = (1.0 - a_t) / (tau * a_t)
+    d_xy = dist(x, y) ** 2
+    d_s = dist(sx, sy) ** 2
+    d_ts = dist(tsx, tsy) ** 2
+    delta_s = _quasilinear(dist, x, y, sx, sy)
+    delta_t = _quasilinear(dist, sx, sy, tsx, tsy)
+    delta_ts = _quasilinear(dist, x, y, tsx, tsy)
     big_l = d_xy - 2.0 * delta_s + d_s
     big_m = d_s - 2.0 * delta_t + d_ts
     big_u = delta_ts + d_s - delta_s - delta_t
-    big_v = d_xy - 2.0 * delta_ts + d_ts
-    return big_l, big_m, big_u, big_v
-
-
-def composition_condition_defect(
-    s: Operator, t: Operator, alpha_s: float, alpha_t: float, x: Point, y: Point
-) -> float:
-    """Left side of the sufficient condition for the composition constant.
-
-    Evaluates (c_S)^2 L + (c_T)^2 M + 2 c_S c_T U with
-    c_S = (1-a_S)/(tau a_S) and c_T = (1-a_T)/(tau a_T); nonnegativity at
-    sampled pairs supports certifying TS with the composed constant.
-    """
-    a_s = _check_alpha(alpha_s, "alpha_s")
-    a_t = _check_alpha(alpha_t, "alpha_t")
-    tau = tau_value(a_s, a_t)
-    c_s = (1.0 - a_s) / (tau * a_s)
-    c_t = (1.0 - a_t) / (tau * a_t)
-    big_l, big_m, big_u, _ = lmuv_values(s, t, x, y)
     return c_s * c_s * big_l + c_t * c_t * big_m + 2.0 * c_s * c_t * big_u
-

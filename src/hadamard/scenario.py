@@ -337,7 +337,7 @@ def parse_scenario(text: str) -> Scenario:
     sections = _split_document(text)
     space_sections = [s for s in sections if s.header == "space"]
     run_sections = [s for s in sections if s.header == "run"]
-    set_sections = [s for s in sections if s.header.startswith("set ")]
+    set_sections = [s for s in sections if s.header.split(" ", 1)[0] == "set"]
     known = set(space_sections) | set(run_sections) | set(set_sections)
     for s in sections:
         if s not in known:

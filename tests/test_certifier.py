@@ -10,6 +10,7 @@ from hadamard import (
     CheckSpec,
     EuclideanHalfspace,
     HyperbolicHalfspace,
+    Identity,
     Point,
     Pointwise,
     Projection,
@@ -29,6 +30,7 @@ from hadamard.certifier import (
     CAUCHY_SCHWARZ,
     CHECK_KINDS,
     COMBINATION_THEOREM,
+    COMPOSITION_CONDITION,
     COMPOSITION_THEOREM,
     FEJER_RUN,
     FIX_CONVEXITY,
@@ -207,12 +209,18 @@ class TestRunCheck:
         (COMPOSITION_THEOREM, {"factors": ["P1", "P2"]}),
         (COMPOSITION_THEOREM, {"factors": 2}),
         (FEJER_RUN, {"rule": 200}),
+        (COMPOSITION_CONDITION, {"factors": ["P1", "P2"]}),
+        (COMPOSITION_CONDITION, {"factors": 2}),
+        (COMPOSITION_CONDITION, {"factors": [(Identity(), 0.5)]}),
+        (COMPOSITION_CONDITION, {"factors": [(Identity(), 0.5)] * 3}),
+        (COMPOSITION_CONDITION, {"factors": [(Identity(), 0.5), (0.5, Identity())]}),
     ])
     def test_malformed_payload_rejected(self, e2, kind, payload):
         half_v = EuclideanHalfspace(e2, [0, 1], 0.0)
         half_u = EuclideanHalfspace(e2, [1, 0], 0.0)
         origin = e2.point([0.0, 0.0])
         well_formed = {
+            COMPOSITION_CONDITION: {},
             VARIANCE_INEQ: {},
             COMBINATION_THEOREM: {"ops": [Projection(half_v), Projection(half_u)],
                                   "alphas": [0.5, 0.5], "weights": [0.5, 0.5],
@@ -289,6 +297,24 @@ class TestSuite:
         kinds = {s.kind for s in default_suite(seed=0, samples=10)}
         assert kinds == set(CHECK_KINDS)
 
+    @pytest.mark.parametrize("seed", [0, 1, 1009])
+    def test_composition_condition_rows_pass(self, seed):
+        specs = [s for s in default_suite(seed=seed, samples=1000)
+                 if s.kind == COMPOSITION_CONDITION]
+        assert [s.label for s in specs] == ["two-euclidean-halfspaces",
+                                            "two-hyperbolic-halfspaces", "two-subtrees"]
+        for spec in specs:
+            result = run_check(spec)
+            assert result.passed, spec.label
+            assert reevaluate_witness(spec, result.witness) == result.worst_defect
+
+    def test_appended_rows_keep_earlier_seeds(self):
+        # the composition_condition rows come last, so the other rows keep their seeds
+        specs = default_suite(seed=1, samples=10)
+        assert [s.kind for s in specs[-3:]] == [COMPOSITION_CONDITION] * 3
+        seeds = np.random.SeedSequence(1).generate_state(len(specs) - 3, dtype=np.uint64)
+        assert [s.seed for s in specs[:-3]] == [int(v) for v in seeds]
+
     def test_deterministic_reports(self):
         a = run_suite(default_suite(seed=7, samples=80), suite_seed=7)
         b = run_suite(default_suite(seed=7, samples=80), suite_seed=7)
@@ -350,6 +376,8 @@ class TestSpaceSuite:
         assert COMPOSITION_THEOREM in kinds
         assert COMBINATION_THEOREM in kinds
         assert FEJER_RUN in kinds
+        # only sufficient: it fails for some pairs whose composition theorem check passes
+        assert COMPOSITION_CONDITION not in kinds
         report = run_suite(specs, suite_seed=5)
         assert report.passed
 

@@ -10,12 +10,10 @@ import pytest
 from hadamard import (
     DomainError,
     Hyperboloid,
-    InfeasibleTriangleError,
     InvalidPointError,
     ProductSpace,
     SpaceMismatchError,
     cat0_defect,
-    comparison_triangle,
     distance,
     geodesic_point,
     quasilinearization,
@@ -184,43 +182,6 @@ class TestCat0Defect:
         x, y, z = (e2.sample(rng) for _ in range(3))
         with pytest.raises(DomainError):
             cat0_defect(x, y, z, 1.0001)
-
-
-class TestComparisonTriangle:
-    def test_equilateral(self):
-        pts = comparison_triangle(2, 2, 2)
-        assert pts[0] == (0.0, 0.0)
-        assert pts[1] == (2.0, 0.0)
-        assert pts[2] == pytest.approx((1.0, math.sqrt(3.0)))
-
-    def test_degenerate_collinear(self):
-        pts = comparison_triangle(1, 1, 2)
-        assert pts[1] == pytest.approx((1.0, 0.0))
-        assert pts[2] == pytest.approx((2.0, 0.0), abs=1e-12)
-
-    def test_right_triangle_law_of_cosines(self):
-        # cos at the first vertex: (9 + 25 - 16) / (2*3*5) = 3/5
-        pts = comparison_triangle(3, 4, 5)
-        assert pts[1] == pytest.approx((3.0, 0.0))
-        assert pts[2] == pytest.approx((3.0, 4.0))
-
-    def test_realizes_model_triangles(self, all_models, rng):
-        """Any triple of model distances embeds with matching side lengths."""
-        for space in all_models.values():
-            for _ in range(50):
-                x, y, z = (space.sample(rng) for _ in range(3))
-                dxy, dyz, dzx = distance(x, y), distance(y, z), distance(z, x)
-                px, py, pz = comparison_triangle(dxy, dyz, dzx)
-                assert math.dist(px, py) == pytest.approx(dxy, abs=1e-9)
-                assert math.dist(py, pz) == pytest.approx(dyz, abs=1e-9)
-                assert math.dist(pz, px) == pytest.approx(dzx, abs=1e-9)
-                assert pz[1] >= 0.0
-
-    def test_infeasible(self):
-        with pytest.raises(InfeasibleTriangleError):
-            comparison_triangle(1, 1, 5)
-        with pytest.raises(InfeasibleTriangleError):
-            comparison_triangle(-1, 1, 1)
 
 
 class TestProductSpace:

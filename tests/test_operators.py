@@ -19,18 +19,22 @@ from hadamard import (
     alpha_firm_defect,
     combination_alpha,
     composition_alpha,
-    composition_condition_defect,
     discrepancy,
     distance,
     fixed_point_iterate,
     fold_composition_alpha,
-    lmuv_values,
+    geodesic_point,
     quasi_firm_defect,
     quasilinearization,
+    reevaluate_witness,
     run_check,
-    tau_value,
 )
-from hadamard.certifier import PROJECTION_FIRM, QUASI_FIRM
+from hadamard.certifier import (
+    COMPOSITION_CONDITION,
+    COMPOSITION_THEOREM,
+    PROJECTION_FIRM,
+    QUASI_FIRM,
+)
 from hadamard.errors import ConstructionError
 from hadamard.iterations import StopRule
 
@@ -43,6 +47,17 @@ def half_v(e2):
 @pytest.fixture
 def half_u(e2):
     return EuclideanHalfspace(e2, [1, 0], 0.0, name="u<=0")
+
+
+def condition_spec(space, s, t, alpha_s=0.5, alpha_t=0.5, samples=1, seed=0):
+    """A composition_condition check of S, then T."""
+    return CheckSpec(kind=COMPOSITION_CONDITION, space=space, samples=samples, seed=seed,
+                     payload={"factors": [(s, alpha_s), (t, alpha_t)]})
+
+
+def condition(s, t, x, y, alpha_s=0.5, alpha_t=0.5):
+    """The composition condition of S, then T, at the pair (x, y)."""
+    return reevaluate_witness(condition_spec(x.space, s, t, alpha_s, alpha_t), (x, y))
 
 
 class TestApply:
@@ -210,10 +225,21 @@ class TestConstantCalculus:
     def test_fold(self):
         assert fold_composition_alpha([0.5, 0.5, 0.5]) == pytest.approx(0.75)
 
-    def test_tau_values(self):
-        assert tau_value(0.5, 0.5) == pytest.approx(2.0)
-        assert tau_value(1.0 / 3.0, 0.5) == pytest.approx(3.0)
-        assert tau_value(0.9, 0.9) == pytest.approx(2.0 / 9.0)
+    def test_tau_values(self, e2, half_v):
+        """tau enters the composition condition through c_S = (1-a_S)/(tau a_S)
+        and c_T = (1-a_T)/(tau a_T).
+
+        At x = (1,1), y = 0, P_v then the identity has L = 1 and M = U = 0,
+        so the condition reads c_S^2; the identity then P_v has M = 1 and
+        L = U = 0, so it reads c_T^2.
+        """
+        x, y = e2.point([1, 1]), e2.point([0, 0])
+        p = Projection(half_v)
+        # tau = 2, 3 and 2/9
+        for a_s, a_t, c_s, c_t in [(0.5, 0.5, 0.5, 0.5), (1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0 / 3.0),
+                                   (0.9, 0.9, 0.5, 0.5)]:
+            assert condition(p, Identity(), x, y, a_s, a_t) == pytest.approx(c_s**2, abs=1e-12)
+            assert condition(Identity(), p, x, y, a_s, a_t) == pytest.approx(c_t**2, abs=1e-12)
 
     def test_combination_alpha(self):
         assert combination_alpha([0.5, 0.5, 0.5]) == 0.5
@@ -224,84 +250,114 @@ class TestConstantCalculus:
         with pytest.raises(DomainError):
             combination_alpha([0.5, 1.2])
 
-    def test_domain_checks(self):
+    def test_domain_checks(self, e2):
         with pytest.raises(DomainError):
             composition_alpha(0.0, 0.5)
+        x, y = e2.point([1, 1]), e2.point([0, 0])
         with pytest.raises(DomainError):
-            tau_value(0.5, 1.0)
+            condition(Identity(), Identity(), x, y, 0.5, 1.0)
 
 
 class TestLMUV:
-    def test_identity_factors_vanish(self, e2, rng):
-        x, y = e2.sample(rng), e2.sample(rng)
-        assert lmuv_values(Identity(), Identity(), x, y) == pytest.approx((0, 0, 0, 0), abs=1e-12)
+    """The L, M and U forms of the composition condition, read through the check kind.
+
+    With the identity as T, M = U = 0 and the condition is c_S^2 L; with the
+    identity as S, L = U = 0 and it is c_T^2 M.
+    """
+
+    def test_identity_factors_vanish(self, all_models):
+        # L = M = U = 0 to the last bit: D_id(x, y) is d(x, y)^2 exactly
+        for space in all_models.values():
+            result = run_check(condition_spec(space, Identity(), Identity(), samples=200))
+            assert result.worst_defect == 0.0
 
     def test_hand_values_projection_identity(self, e2, half_v):
         x, y = e2.point([1, 1]), e2.point([0, 0])
-        vals = lmuv_values(Projection(half_v), Identity(), x, y)
-        assert vals == pytest.approx((1.0, 0.0, 0.0, 1.0), abs=1e-12)
+        assert condition(Projection(half_v), Identity(), x, y) == pytest.approx(0.25, abs=1e-12)
 
     def test_hand_values_projection_twice(self, e2, half_v):
-        x, y = e2.point([1, 1]), e2.point([0, 0])
-        vals = lmuv_values(Projection(half_v), Projection(half_v), x, y)
-        assert vals == pytest.approx((1.0, 0.0, 0.0, 1.0), abs=1e-12)
+        # P_v fixes its images, so M = U = 0; L = |(x - y) - (Px - Py)|^2 = 9
+        x, y = e2.point([1, 3]), e2.point([0, 0])
+        p = Projection(half_v)
+        assert condition(p, p, x, y) == pytest.approx(9.0 / 4.0, abs=1e-12)
 
     def test_cauchy_schwarz_keeps_l_m_nonnegative(self, all_models, rng):
         for space in all_models.values():
-            tol = space.defect_tolerance
             s = Projection(GeodesicBall(space.sample(rng), 1.0))
             t = Projection(GeodesicBall(space.sample(rng), 1.5))
-            for _ in range(100):
-                x, y = space.sample(rng), space.sample(rng)
-                big_l, big_m, _, _ = lmuv_values(s, t, x, y)
-                assert big_l >= -tol
-                assert big_m >= -tol
+            assert run_check(condition_spec(space, s, Identity(), samples=100)).passed  # L
+            assert run_check(condition_spec(space, Identity(), t, samples=100)).passed  # M
 
     def test_common_fixed_point_reduction(self, e2, half_v, half_u, rng):
         """At a common fixed point y: L = d(x,Sx)^2, M = d(Sx,TSx)^2,
-        2U = d(x,Sx)^2 + d(Sx,TSx)^2 - d(x,TSx)^2."""
+        2U = d(x,Sx)^2 + d(Sx,TSx)^2 - d(x,TSx)^2, so at a = 1/2 the
+        condition is (L + M + 2U) / 4."""
         s, t = Projection(half_v), Projection(half_u)
         y = e2.point([-1.0, -2.0])  # interior of both halfplanes
         for _ in range(100):
             x = e2.sample(rng)
             sx = s.apply(x)
             tsx = t.apply(sx)
-            big_l, big_m, big_u, _ = lmuv_values(s, t, x, y)
-            assert big_l == pytest.approx(distance(x, sx) ** 2, abs=1e-12)
-            assert big_m == pytest.approx(distance(sx, tsx) ** 2, abs=1e-12)
-            expected_2u = (
-                distance(x, sx) ** 2 + distance(sx, tsx) ** 2 - distance(x, tsx) ** 2
-            )
-            assert 2 * big_u == pytest.approx(expected_2u, abs=1e-12)
+            expected = (2 * distance(x, sx) ** 2 + 2 * distance(sx, tsx) ** 2
+                        - distance(x, tsx) ** 2) / 4
+            assert condition(s, t, x, y) == pytest.approx(expected, abs=1e-12)
 
 
 class TestCompositionCondition:
     def test_identities_give_zero(self, e2, rng):
         x, y = e2.sample(rng), e2.sample(rng)
-        assert composition_condition_defect(
-            Identity(), Identity(), 0.5, 0.5, x, y
-        ) == pytest.approx(0.0, abs=1e-12)
+        assert condition(Identity(), Identity(), x, y) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value_same_projection(self, e2, half_v):
         x, y = e2.point([1, 1]), e2.point([0, 0])
-        val = composition_condition_defect(
-            Projection(half_v), Projection(half_v), 0.5, 0.5, x, y
-        )
-        assert val == pytest.approx(0.25, abs=1e-12)
+        p = Projection(half_v)
+        assert condition(p, p, x, y) == pytest.approx(0.25, abs=1e-12)
 
     def test_hand_value_orthogonal_projections(self, e2, half_v, half_u):
         # L = 1, M = 1, U = 0 at x = (1,1), y = 0: (1/4) + (1/4) + 0
         x, y = e2.point([1, 1]), e2.point([0, 0])
-        val = composition_condition_defect(
-            Projection(half_v), Projection(half_u), 0.5, 0.5, x, y
-        )
+        val = condition(Projection(half_v), Projection(half_u), x, y)
         assert val == pytest.approx(0.5, abs=1e-12)
 
-    def test_nonnegative_at_sampled_pairs(self, e2, half_v, half_u, rng):
-        s, t = Projection(half_v), Projection(half_u)
-        for _ in range(500):
-            x, y = e2.sample(rng), e2.sample(rng)
-            assert composition_condition_defect(s, t, 0.5, 0.5, x, y) >= -1e-9
+    def test_hand_value_coupled_projections(self, e2, half_v):
+        """A pair where U is not zero.
+
+        S = P_v, T = the projection onto u + v <= 0, x = (2,1), y = 0:
+        Sx = (2,0), TSx = (1,-1), Sy = TSy = 0.  The pairings are
+        D_S = <(-2,-1), (-2,0)> = 4, D_T = <(-2,0), (-1,1)> = 2 and
+        D_TS = <(-2,-1), (-1,1)> = 1, with d(x,y)^2 = 5, d(Sx,Sy)^2 = 4 and
+        d(TSx,TSy)^2 = 2.  So L = 5 - 8 + 4 = 1, M = 4 - 4 + 2 = 2 and
+        U = 1 + 4 - 4 - 2 = -1.
+        """
+        s = Projection(half_v)
+        t = Projection(EuclideanHalfspace(e2, [1, 1], 0.0, name="u+v<=0"))
+        x, y = e2.point([2, 1]), e2.point([0, 0])
+        # a = 1/2: tau = 2, c_S = c_T = 1/2, so (1 + 2 - 2) / 4
+        assert condition(s, t, x, y) == pytest.approx(0.25, abs=1e-12)
+        # a_S = 1/3, a_T = 1/2: tau = 3, c_S = 2/3, c_T = 1/3, so 4/9 + 2/9 - 4/9
+        assert condition(s, t, x, y, 1.0 / 3.0, 0.5) == pytest.approx(2.0 / 9.0, abs=1e-12)
+
+    def test_nonnegative_at_sampled_pairs(self, e2, half_v, half_u):
+        spec = condition_spec(e2, Projection(half_v), Projection(half_u), samples=500, seed=4)
+        result = run_check(spec)
+        assert result.passed
+        assert result.worst_defect >= -1e-9
+
+    @pytest.mark.parametrize("seed, worst", [(1, -0.0205), (3, -0.0331)])
+    def test_fails_for_two_hyperbolic_balls(self, h2, seed, worst):
+        """The condition is sufficient, not necessary: it fails for two ball
+        projections whose composition theorem check passes."""
+        c1, c2 = h2.exp_from_base([0.3, -0.2]), h2.exp_from_base([-0.8, 0.5])
+        s, t = Projection(GeodesicBall(c1, 1.0)), Projection(GeodesicBall(c2, 0.6))
+        spec = condition_spec(h2, s, t, samples=500, seed=seed)
+        result = run_check(spec)
+        assert not result.passed
+        assert result.worst_defect == pytest.approx(worst, abs=1e-4)
+        assert reevaluate_witness(spec, result.witness) == result.worst_defect
+        theorem = CheckSpec(kind=COMPOSITION_THEOREM, space=h2, samples=500, seed=seed,
+                            payload={"factors": [(s, 0.5), (t, 0.5)],
+                                     "witness": geodesic_point(c1, c2, 0.55)})
+        assert run_check(theorem).passed
 
 
 class TestFixedSetAlgebra:

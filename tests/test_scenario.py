@@ -4,9 +4,11 @@ import pytest
 
 from hadamard import (
     Euclidean,
+    GeodesicBall,
     Hyperboloid,
     ScenarioError,
     parse_scenario,
+    run_scenario,
 )
 from hadamard.scenario import parse_point_spec, point_spec
 
@@ -93,6 +95,30 @@ weights = 0.25,0.25,0.5
 output = mean.csv
 """
 
+BALL_DOC = """
+[space]
+kind = euclidean
+dim = 2
+
+[set D]
+kind = ball
+center = 0.5,0
+radius = 1
+
+[set H]
+kind = halfspace
+normal = 0,1
+offset = 0
+
+[run]
+algorithm = cyclic
+sets = D,H
+x0 = 3,2
+witness = 0.5,0
+max_iter = 200
+output = ball_trace.csv
+"""
+
 
 class TestParsing:
     def test_minimal_cyclic(self):
@@ -113,6 +139,17 @@ class TestParsing:
         s = parse_scenario(PRODUCT_DOC)
         assert s.space.left == Euclidean(2)
         assert s.x0.payload[1] == s.space.right.vertex_point("b")
+
+    def test_ball_and_halfspace_cyclic_runs(self, tmp_path, monkeypatch, capsys):
+        s = parse_scenario(BALL_DOC)
+        ball = s.sets["D"]
+        assert isinstance(ball, GeodesicBall)
+        assert ball.radius == 1.0 and ball.center == Euclidean(2).point([0.5, 0.0])
+        monkeypatch.chdir(tmp_path)
+        assert run_scenario(s) == 0
+        rows = (tmp_path / "ball_trace.csv").read_text(encoding="utf-8").splitlines()
+        assert rows[0] == "n,residual,fejer_gap,step,shadow_dist"
+        assert len(rows) > 2
 
     def test_barycenter_points(self):
         s = parse_scenario(MEAN_DOC)
@@ -201,6 +238,67 @@ class TestValidationErrors:
         doc = PRODUCT_DOC.replace("weights = 1", "weights = 0.5,0.5")
         with pytest.raises(ScenarioError, match="1 sets but 2 weights"):
             parse_scenario(doc)
+
+
+def broken(doc: str, old: str, new: str, at: str | None, key: str | None, match: str):
+    """``doc`` with ``old`` replaced by ``new``, the line the error names (the
+    first line reading ``at``, or none), the key it names and its message."""
+    text = doc.replace(old, new, 1)
+    assert text != doc
+    line = None if at is None else text.splitlines().index(at) + 1
+    return pytest.param(text, line, key, match, id=f"{key or 'document'}: {new.strip()}")
+
+
+class TestScenarioErrors:
+    """Each rejected document names the line and key at fault."""
+
+    @pytest.mark.parametrize("doc, line, key, match", [
+        broken(CYCLIC_DOC, "normal = 0,1", "normal = 0,up", "normal = 0,up", "normal",
+               "expected comma-separated reals"),
+        broken(CYCLIC_DOC, "max_iter = 100", "max_iter = ten", "max_iter = ten", "max_iter",
+               "expected an integer"),
+        broken(CYCLIC_DOC, "offset = 0", "offset = zero", "offset = zero", "offset",
+               "expected a real"),
+        broken(TREE_CERTIFY_DOC, "edge = o,c,1", "edge = o,c,long", "edge = o,c,long", "edge",
+               "expected a real"),
+        broken(CYCLIC_DOC, "dim = 2", "dim = 0", "dim = 0", "dim",
+               "dimension must be a positive integer"),
+        broken(TREE_CERTIFY_DOC, "edge = o,c,1", "edge = o,c", "edge = o,c", "edge",
+               "expected 'A,B,length'"),
+        broken(TREE_CERTIFY_DOC, "edge = o,c,1", "edge = a,b,1", "[space]", None,
+               "cannot form a tree"),
+        broken(CYCLIC_DOC, "kind = euclidean", "kind = sphere", "kind = sphere", "kind",
+               "unknown space kind"),
+        broken(CYCLIC_DOC, "kind = halfspace", "kind = cone", "kind = cone", "kind",
+               "unknown set kind"),
+        broken(CYCLIC_DOC, "kind = halfspace", "kind = product", "kind = product", "kind",
+               "product set needs a product space"),
+        broken(CYCLIC_DOC, "output = trace.csv", "output = trace.csv\n[run]\nalgorithm = cyclic",
+               None, None,
+               "exactly one \\[run\\]"),
+        broken(CYCLIC_DOC, "[set B]", "[set ]", "[set ]", None,
+               "set section needs a name"),
+        broken(CYCLIC_DOC, "sets = A,B", "sets = ,", "sets = ,", "sets",
+               "empty set list"),
+        broken(TREE_CERTIFY_DOC, "samples = 250", "samples = 0", "samples = 0", "samples",
+               "samples must be >= 1"),
+        broken(TREE_CERTIFY_DOC, "seed = 11", "seed = 11\nclaim_alpha = nan\nclaim_set = LA",
+               "claim_alpha = nan", "claim_alpha",
+               "claim_alpha must lie in"),
+        broken(TREE_CERTIFY_DOC, "seed = 11", "seed = 11\nclaim_alpha = 0.5\nclaim_set = LB",
+               "claim_set = LB", "claim_set",
+               "unresolved set reference"),
+        broken(MEAN_DOC, "point = exp:0.3,0.1\npoint = exp:-0.2,0.4\npoint = 1,0,0\n", "",
+               "[run]", "point",
+               "barycenter needs at least one 'point'"),
+        broken(MEAN_DOC, "weights = 0.25,0.25,0.5", "weights = 0.5,0.5",
+               "weights = 0.5,0.5", "weights",
+               "3 points but 2 weights"),
+    ])
+    def test_error_names_its_line_and_key(self, doc, line, key, match):
+        with pytest.raises(ScenarioError, match=match) as err:
+            parse_scenario(doc)
+        assert (err.value.line_no, err.value.key) == (line, key)
 
 
 def repeat_line(doc: str, line: str, again: str) -> tuple[str, int]:
