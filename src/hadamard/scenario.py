@@ -337,7 +337,7 @@ def parse_scenario(text: str) -> Scenario:
     sections = _split_document(text)
     space_sections = [s for s in sections if s.header == "space"]
     run_sections = [s for s in sections if s.header == "run"]
-    set_sections = [s for s in sections if s.header.split(" ", 1)[0] == "set"]
+    set_sections = [s for s in sections if s.header.startswith("set ")]
     known = set(space_sections) | set(run_sections) | set(set_sections)
     for s in sections:
         if s not in known:
@@ -352,8 +352,6 @@ def parse_scenario(text: str) -> Scenario:
     sets: dict[str, ConvexSet] = {}
     for sec in set_sections:
         name = sec.header[4:].strip()
-        if not name:
-            raise ScenarioError("set section needs a name: [set NAME]", line_no=sec.line_no)
         if name in sets:
             raise ScenarioError(f"duplicate set name '{name}'", line_no=sec.line_no)
         sets[name] = _build_set(space, name, sec)

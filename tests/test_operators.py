@@ -283,24 +283,36 @@ class TestLMUV:
 
     def test_cauchy_schwarz_keeps_l_m_nonnegative(self, all_models, rng):
         for space in all_models.values():
+            tol = space.defect_tolerance
             s = Projection(GeodesicBall(space.sample(rng), 1.0))
             t = Projection(GeodesicBall(space.sample(rng), 1.5))
-            assert run_check(condition_spec(space, s, Identity(), samples=100)).passed  # L
-            assert run_check(condition_spec(space, Identity(), t, samples=100)).passed  # M
+            for _ in range(100):
+                x, y = space.sample(rng), space.sample(rng)
+                big_l = 4 * condition(s, Identity(), x, y)
+                big_m = 4 * condition(Identity(), t, s.apply(x), s.apply(y))
+                assert big_l >= -tol
+                assert big_m >= -tol
 
     def test_common_fixed_point_reduction(self, e2, half_v, half_u, rng):
         """At a common fixed point y: L = d(x,Sx)^2, M = d(Sx,TSx)^2,
         2U = d(x,Sx)^2 + d(Sx,TSx)^2 - d(x,TSx)^2, so at a = 1/2 the
-        condition is (L + M + 2U) / 4."""
+        condition is (L + M + 2U) / 4.  S and T both fix y, so M is T's
+        residual at (Sx, y)."""
         s, t = Projection(half_v), Projection(half_u)
         y = e2.point([-1.0, -2.0])  # interior of both halfplanes
         for _ in range(100):
             x = e2.sample(rng)
             sx = s.apply(x)
             tsx = t.apply(sx)
-            expected = (2 * distance(x, sx) ** 2 + 2 * distance(sx, tsx) ** 2
-                        - distance(x, tsx) ** 2) / 4
-            assert condition(s, t, x, y) == pytest.approx(expected, abs=1e-12)
+            big_l = 4 * condition(s, Identity(), x, y)
+            big_m = 4 * condition(Identity(), t, sx, y)
+            big_u = (4 * condition(s, t, x, y) - big_l - big_m) / 2
+            assert big_l == pytest.approx(distance(x, sx) ** 2, abs=1e-12)
+            assert big_m == pytest.approx(distance(sx, tsx) ** 2, abs=1e-12)
+            expected_2u = (
+                distance(x, sx) ** 2 + distance(sx, tsx) ** 2 - distance(x, tsx) ** 2
+            )
+            assert 2 * big_u == pytest.approx(expected_2u, abs=1e-12)
 
 
 class TestCompositionCondition:

@@ -277,7 +277,7 @@ class TestScenarioErrors:
                None, None,
                "exactly one \\[run\\]"),
         broken(CYCLIC_DOC, "[set B]", "[set ]", "[set ]", None,
-               "set section needs a name"),
+               "unknown section \\[set\\]"),
         broken(CYCLIC_DOC, "sets = A,B", "sets = ,", "sets = ,", "sets",
                "empty set list"),
         broken(TREE_CERTIFY_DOC, "samples = 250", "samples = 0", "samples = 0", "samples",
