@@ -2,13 +2,13 @@
 
 The mean of points x_i with weights w_i is the unique minimizer of
 F(x) = sum_i w_i d(x, x_i)^2, which exists because F is strongly convex
-with parameter 2 in any Hadamard space.  Each shipped model admits an
-exact or rapidly convergent solver:
+with parameter 2 in any Hadamard space.  One point is its own mean and
+two points meet at the geodesic point at parameter w_2.  Three or more
+go to the model's own solver, its ``_mean`` method:
 
 * Euclidean: the coordinate-wise weighted average.
-* Two points in any model: the geodesic point at parameter w_2.
-* Product spaces: the objective separates, so the mean is computed
-  factor by factor.
+* Product spaces: the objective separates, so the mean is the pair of
+  the factors' means.
 * Metric trees: F restricted to one edge is a single quadratic in the
   arc-length coordinate, so the global minimizer is found exactly by
   scanning edges.
@@ -23,19 +23,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .errors import ConstructionError, ConvergenceFailureError, DomainError, SpaceMismatchError
-from .geometry import (
-    Euclidean,
-    Hyperboloid,
-    Point,
-    ProductSpace,
-    check_same_space,
-    distance,
-    geodesic_point,
-)
-from .metric_tree import MetricTree
+from .errors import ConstructionError, DomainError, SpaceMismatchError
+from .geometry import _SWEEP_LIMIT, Point, check_same_space, distance, geodesic_point
 
 __all__ = [
     "WeightedPoints",
@@ -48,9 +37,7 @@ __all__ = [
 
 _WEIGHT_SUM_TOL = 1e-12
 
-# Sweep cap and default step tolerance of the iterative solvers; the
-# hyperboloid iteration contracts linearly and stabilizes well within it.
-_SWEEP_LIMIT = 200
+# Default step tolerance of the iterative solvers.
 _STEP_TOL = 1e-10
 
 
@@ -136,68 +123,6 @@ def _drop_zero_weights(wp: WeightedPoints) -> WeightedPoints:
     return WeightedPoints(pts, ws)
 
 
-def _euclidean_mean(space: Euclidean, wp: WeightedPoints) -> Point:
-    acc = np.zeros(space.dim)
-    for w, p in zip(wp.weights, wp.points):
-        acc += w * p.payload
-    return space.point(acc)
-
-
-def _product_mean(space: ProductSpace, wp: WeightedPoints, step_tol: float) -> Point:
-    lefts = WeightedPoints([p.payload[0] for p in wp.points], wp.weights)
-    rights = WeightedPoints([p.payload[1] for p in wp.points], wp.weights)
-    return Point(space, (frechet_mean(lefts, step_tol), frechet_mean(rights, step_tol)))
-
-
-def _tree_mean(tree: MetricTree, wp: WeightedPoints) -> Point:
-    # On each edge, every squared distance is (s - c_i)^2 for a constant
-    # c_i, so F restricted to the edge is one quadratic in the offset s.
-    # Rows are points, columns edges; argmin keeps the first minimal edge.
-    locs = [p.payload for p in wp.points]
-    w = np.array(wp.weights)
-    dist = tree._vertex_distances(locs)
-    da = dist[:, tree._ends[:, 0]]
-    db = dist[:, tree._ends[:, 1]]
-    lengths = tree._lengths
-    centers = np.where(da <= db, -da, lengths + db)
-    for i, loc in enumerate(locs):
-        centers[i, loc.edge] = loc.offset
-    s_star = np.clip(w @ centers, 0.0, lengths)
-    values = w @ (s_star - centers) ** 2
-    idx = int(np.argmin(values))
-    return Point(tree, tree._canonical(idx, float(s_star[idx])))
-
-
-def _hyperboloid_mean(space: Hyperboloid, wp: WeightedPoints, step_tol: float) -> Point:
-    # Fixed point of the stationarity condition: the mean satisfies
-    # x = normalize(sum_i w_i (theta_i / sinh theta_i) x_i) with
-    # theta_i = d(x, x_i).  The map contracts near the mean, so plain
-    # iteration from the normalized ambient average converges linearly.
-    payloads = [p.payload for p in wp.points]
-    weights = wp.weights
-
-    current = space.normalize(sum(w * q for w, q in zip(weights, payloads)))
-    for _ in range(_SWEEP_LIMIT):
-        acc = np.zeros(space.dim + 1)
-        for w, q in zip(weights, payloads):
-            theta = space.payload_distance(current, q)
-            coeff = 1.0 if theta < 1e-8 else theta / math.sinh(theta)
-            acc += (w * coeff) * q
-        candidate = space.normalize(acc)
-        # ambient gap: the geodesic metric cannot resolve steps below
-        # ~1.5e-8, while the ambient norm bounds it near the sheet
-        step = float(np.linalg.norm(current - candidate))
-        current = candidate
-        if step <= step_tol:
-            return space.point(current)
-    last_point = space.point(current)
-    raise ConvergenceFailureError(
-        f"hyperboloid mean did not stabilize in {_SWEEP_LIMIT} iterations",
-        last_point=last_point,
-        objective=frechet_objective(wp, last_point),
-    )
-
-
 def frechet_mean(wp: WeightedPoints, step_tol: float = _STEP_TOL) -> Point:
     """The weighted barycenter w_1 x_1 (+) ... (+) w_n x_n.
 
@@ -213,16 +138,7 @@ def frechet_mean(wp: WeightedPoints, step_tol: float = _STEP_TOL) -> Point:
     if len(wp) == 2:
         w1, w2 = wp.weights
         return geodesic_point(wp.points[0], wp.points[1], w2 / (w1 + w2))
-    space = wp.space
-    if isinstance(space, Euclidean):
-        return _euclidean_mean(space, wp)
-    if isinstance(space, ProductSpace):
-        return _product_mean(space, wp, step_tol)
-    if isinstance(space, MetricTree):
-        return _tree_mean(space, wp)
-    if isinstance(space, Hyperboloid):
-        return _hyperboloid_mean(space, wp, step_tol)
-    return inductive_mean_sweeps(wp, _SWEEP_LIMIT, step_tol)
+    return wp.space._mean(wp.points, wp.weights, step_tol)
 
 
 def _next_sweep(weights, counts, visits_done, sweep_size):

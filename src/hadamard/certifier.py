@@ -130,6 +130,8 @@ class CheckSpec:
             raise CheckSpecError(f"space must be a space model, got {self.space!r}")
         _check_count("samples", self.samples)
         _check_seed(self.seed)
+        if not isinstance(self.payload, dict):
+            raise CheckSpecError(f"payload must be a dict, got {self.payload!r}")
 
     @property
     def tolerance(self) -> float:
@@ -199,10 +201,19 @@ class CertificateReport:
             )
 
 
-def _payload(spec: CheckSpec, key: str):
+def _payload(spec: CheckSpec, key: str, expected=object, many=False):
+    """The payload entry ``key``: an ``expected``, or with ``many`` a list or tuple of them."""
     if key not in spec.payload:
         raise CheckSpecError(f"check '{spec.kind}' needs payload key '{key}'")
-    return spec.payload[key]
+    value = spec.payload[key]
+    if many:
+        ok = isinstance(value, (list, tuple)) and all(isinstance(v, expected) for v in value)
+    else:
+        ok = isinstance(value, expected)
+    if not ok:
+        raise CheckSpecError(f"check '{spec.kind}' payload '{key}' must be "
+                             f"{'a list of ' if many else ''}{expected.__name__}, got {value!r}")
+    return value
 
 
 def _factors(spec: CheckSpec):
@@ -221,11 +232,13 @@ def _factors(spec: CheckSpec):
 def _theorem_subjects(spec: CheckSpec):
     """The composed or combined operator of a theorem check and its certified constant."""
     if spec.kind == COMBINATION_THEOREM:
-        ops, alphas = _payload(spec, "ops"), _payload(spec, "alphas")
+        ops = _payload(spec, "ops", Operator, True)
+        alphas = _payload(spec, "alphas", numbers.Real, True)
         if len(alphas) != len(ops):
             raise CheckSpecError(
                 f"combination check has {len(ops)} operators but {len(alphas)} constants")
-        return ConvexCombination(_payload(spec, "weights"), ops), combination_alpha(alphas)
+        weights = _payload(spec, "weights", numbers.Real, True)
+        return ConvexCombination(weights, ops), combination_alpha(alphas)
     factors = _factors(spec)
     composed = Composition(tuple(reversed([op for op, _ in factors])))
     return composed, fold_composition_alpha([a for _, a in factors])
@@ -286,7 +299,8 @@ def _block_kernel(spec: CheckSpec):
             return dist(x, z) * dist(y, w) - np.abs(_quasilinear(dist, x, z, y, w))
     elif kind == PROJECTION_FIRM:
         # P_C at alpha 1/2 for a "set", or any "op" at an optional "alpha"
-        op = spec.payload["op"] if "op" in spec.payload else Projection(_payload(spec, "set"))
+        op = (_payload(spec, "op", Operator) if "op" in spec.payload
+              else Projection(_payload(spec, "set", ConvexSet)))
         alpha = _check_alpha(spec.payload.get("alpha", 0.5))
 
         def draw(rng, n):
@@ -296,7 +310,7 @@ def _block_kernel(spec: CheckSpec):
             return _alpha_firm(dist, alpha, x, y, op.apply_block(space, x),
                                op.apply_block(space, y))
     elif kind == PROJECTION_INEQ:
-        c = _payload(spec, "set")
+        c = _payload(spec, "set", ConvexSet)
         project = partial(Projection(c).apply_block, space)
 
         def draw(rng, n):
@@ -310,13 +324,13 @@ def _block_kernel(spec: CheckSpec):
                 raise DomainError(f"challenge point is not in the set '{c.name}'")
     elif kind in (QUASI_FIRM, COMPOSITION_THEOREM, COMBINATION_THEOREM):
         if kind == QUASI_FIRM:
-            op, alpha = _payload(spec, "op"), _check_alpha(_payload(spec, "alpha"))
-            fixed = list(_payload(spec, "fixed_points"))
+            op, alpha = _payload(spec, "op", Operator), _check_alpha(_payload(spec, "alpha"))
+            fixed = list(_payload(spec, "fixed_points", Point, True))
             if not fixed:
                 raise CheckSpecError("a quasi_firm check needs at least one fixed point")
         else:
             op, alpha = _theorem_subjects(spec)
-            fixed = [_payload(spec, "witness")]
+            fixed = [_payload(spec, "witness", Point)]
         for y in fixed:
             _require_fixed(op, y)
 
@@ -345,7 +359,7 @@ def _block_kernel(spec: CheckSpec):
             return _composition_condition(dist, a_s, a_t, x, y, sx, sy,
                                           t.apply_block(space, sx), t.apply_block(space, sy))
     elif kind == FIX_CONVEXITY:
-        project = partial(Projection(_payload(spec, "set")).apply_block, space)
+        project = partial(Projection(_payload(spec, "set", ConvexSet)).apply_block, space)
 
         def draw(rng, n):
             return [(project(sample(rng, n)), project(sample(rng, n)))]
@@ -372,12 +386,10 @@ def _block_kernel(spec: CheckSpec):
             return _variance(dist, [space.repeat(p, n) for p in pts[0]], weights[0],
                              space.repeat(mean, n), y)
     else:  # FEJER_RUN
-        sets = _payload(spec, "sets")
-        witness = _payload(spec, "witness")
-        rule = _payload(spec, "rule")
-        if not isinstance(rule, StopRule):
-            raise CheckSpecError(f"a fejer_run rule must be a StopRule, got {rule!r}")
-        algorithm = _payload(spec, "algorithm")
+        sets = _payload(spec, "sets", ConvexSet, True)
+        witness = _payload(spec, "witness", Point)
+        rule = _payload(spec, "rule", StopRule)
+        algorithm = _payload(spec, "algorithm", str)
         runs = {"cyclic": cyclic_projections, "averaged": averaged_projections}
         if algorithm not in runs:
             raise CheckSpecError(f"unknown fejer algorithm '{algorithm}'")

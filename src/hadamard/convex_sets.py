@@ -78,7 +78,8 @@ class ConvexSet:
         return space.stack([self.project(space.row(block, i))
                             for i in range(space.block_len(block))])
 
-    def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
+    def contains(self, x: Point) -> bool:
+        """Membership up to ``EQ_TOL``."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -127,10 +128,10 @@ class EuclideanHalfspace(ConvexSet):
         kept = (self._lowest_gap <= gap) & (gap <= 0.0)
         return np.where(kept[:, None], block, block - (gap / self._norm_sq)[:, None] * self.normal)
 
-    def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
+    def contains(self, x: Point) -> bool:
         self._check_point(x)
         gap = float(self.normal @ x.payload) - self.offset
-        bound = tol * math.sqrt(self._norm_sq)
+        bound = EQ_TOL * math.sqrt(self._norm_sq)
         return self._lowest_gap - bound <= gap <= bound
 
     def describe(self) -> str:
@@ -216,9 +217,9 @@ class HyperbolicHalfspace(ConvexSet):
         moved = _normalize(block - np.where(outside, s, 0.0)[:, None] * self.normal)
         return np.where(outside[:, None], moved, block)
 
-    def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
+    def contains(self, x: Point) -> bool:
         self._check_point(x)
-        return minkowski(self.normal, x.payload) <= tol
+        return minkowski(self.normal, x.payload) <= EQ_TOL
 
     def describe(self) -> str:
         return f"hyperbolic halfspace m({self.space.format_payload(self.normal)}, x) <= 0"
@@ -251,9 +252,9 @@ class GeodesicBall(ConvexSet):
         # t = 1 returns the row itself: rows inside the ball stay put
         return space.interpolate(center, block, self.radius / np.maximum(d, self.radius))
 
-    def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
+    def contains(self, x: Point) -> bool:
         self._check_point(x)
-        return distance(self.center, x) <= self.radius + tol
+        return distance(self.center, x) <= self.radius + EQ_TOL
 
     def describe(self) -> str:
         return f"ball(center={self.space.format_payload(self.center.payload)}, r={self.radius:g})"
@@ -317,8 +318,8 @@ class Subtree(ConvexSet):
             c = parent[c]
         return tree.vertex_point(tree._names[c])
 
-    def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
-        return distance(x, self.project(x)) <= tol
+    def contains(self, x: Point) -> bool:
+        return distance(x, self.project(x)) <= EQ_TOL
 
     def describe(self) -> str:
         return f"subtree({', '.join(self.vertex_order)})"
@@ -347,10 +348,10 @@ class ProductSet(ConvexSet):
     def project_block(self, block):
         return self.left.project_block(block[0]), self.right.project_block(block[1])
 
-    def contains(self, x: Point, tol: float = EQ_TOL) -> bool:
+    def contains(self, x: Point) -> bool:
         self._check_point(x)
         pl, pr = x.payload
-        return self.left.contains(pl, tol) and self.right.contains(pr, tol)
+        return self.left.contains(pl) and self.right.contains(pr)
 
     def describe(self) -> str:
         return f"product({self.left.describe()}, {self.right.describe()})"

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     ConstructionError,
+    ConvergenceFailureError,
     DomainError,
     InvalidPointError,
     SpaceMismatchError,
@@ -54,6 +55,9 @@ EQ_TOL = 1e-9
 ON_MANIFOLD_TOL = 1e-10
 # Inequality checks where arcosh conditioning near 1 dominates.
 HYPERBOLIC_TOL = 1e-7
+# Sweep cap of the iterative mean solvers; the hyperboloid iteration
+# contracts linearly and stabilizes well within it.
+_SWEEP_LIMIT = 200
 
 
 def _readonly(values) -> np.ndarray:
@@ -137,6 +141,16 @@ class SpaceModel:
         return repr(payload)
 
     def describe(self) -> str:
+        raise NotImplementedError
+
+    def _mean(self, points, weights, step_tol: float) -> Point:
+        """The weighted Frechet mean of three or more points with positive weights.
+
+        An iterative solver stops once a step moves its iterate by at
+        most ``step_tol``, and after ``_SWEEP_LIMIT`` steps raises
+        ``ConvergenceFailureError`` with its last iterate and objective.
+        ``barycenter.frechet_mean`` is the public entry.
+        """
         raise NotImplementedError
 
     # -- point-level convenience ------------------------------------
@@ -293,6 +307,13 @@ class Euclidean(CoordinateSpace):
     def interpolate(self, a, b, t):
         t = np.asarray(t, dtype=float)[:, None]
         return (1.0 - t) * a + t * b
+
+    def _mean(self, points, weights, step_tol):
+        # the coordinate-wise weighted average
+        acc = np.zeros(self.dim)
+        for w, p in zip(weights, points):
+            acc += w * p.payload
+        return self.point(acc)
 
 
 def minkowski(u, v) -> float:
@@ -454,6 +475,35 @@ class Hyperboloid(CoordinateSpace):
         out = np.where((near | (t == 0.0))[:, None], a, _normalize(w))
         return np.where((t == 1.0)[:, None], b, out)
 
+    def _mean(self, points, weights, step_tol):
+        # Fixed point of the stationarity condition: the mean satisfies
+        # x = normalize(sum_i w_i (theta_i / sinh theta_i) x_i) with
+        # theta_i = d(x, x_i).  The map contracts near the mean, so plain
+        # iteration from the normalized ambient average converges linearly.
+        payloads = [p.payload for p in points]
+
+        current = self.normalize(sum(w * q for w, q in zip(weights, payloads)))
+        for _ in range(_SWEEP_LIMIT):
+            acc = np.zeros(self.dim + 1)
+            for w, q in zip(weights, payloads):
+                theta = self.payload_distance(current, q)
+                coeff = 1.0 if theta < 1e-8 else theta / math.sinh(theta)
+                acc += (w * coeff) * q
+            candidate = self.normalize(acc)
+            # ambient gap: the geodesic metric cannot resolve steps below
+            # ~1.5e-8, while the ambient norm bounds it near the sheet
+            step = float(np.linalg.norm(current - candidate))
+            current = candidate
+            if step <= step_tol:
+                return self.point(current)
+        # the objective is barycenter.frechet_objective at the last iterate
+        raise ConvergenceFailureError(
+            f"hyperboloid mean did not stabilize in {_SWEEP_LIMIT} iterations",
+            last_point=self.point(current),
+            objective=math.fsum(w * self.payload_distance(current, q) ** 2
+                                for w, q in zip(weights, payloads)),
+        )
+
 
 class ProductSpace(SpaceModel):
     """The l2 product of two models: d^2 = d_left^2 + d_right^2.
@@ -525,6 +575,12 @@ class ProductSpace(SpaceModel):
 
     def interpolate(self, a, b, t):
         return (self.left.interpolate(a[0], b[0], t), self.right.interpolate(a[1], b[1], t))
+
+    def _mean(self, points, weights, step_tol):
+        # the objective separates, so the mean is the pair of factor means
+        left = self.left._mean([p.payload[0] for p in points], weights, step_tol)
+        right = self.right._mean([p.payload[1] for p in points], weights, step_tol)
+        return Point(self, (left, right))
 
     def payloads_equal(self, a, b) -> bool:
         return a[0] == b[0] and a[1] == b[1]

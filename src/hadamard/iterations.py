@@ -108,8 +108,9 @@ class IterationTrace:
         dists = [distance(x, self.witness) for x in self.points]
         return [dists[n - 1] - dists[n] for n in range(1, len(dists))]
 
-    def fejer_violations(self, tol: float = EQ_TOL) -> int:
-        return sum(1 for g in self.fejer_gaps if g < -tol)
+    def fejer_violations(self) -> int:
+        """The number of Fejer gaps below ``-EQ_TOL``."""
+        return sum(1 for g in self.fejer_gaps if g < -EQ_TOL)
 
     def shadow_distances(self) -> list[float] | None:
         if self.shadows is None:

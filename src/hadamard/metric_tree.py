@@ -350,6 +350,25 @@ class MetricTree(SpaceModel):
             return self._locate(ca, ra - target)
         return self._locate(cb, rb - (total - target))
 
+    def _mean(self, points, weights, step_tol):
+        # On each edge, every squared distance is (s - c_i)^2 for a constant
+        # c_i, so F restricted to the edge is one quadratic in the offset s,
+        # and the global minimizer is found exactly by scanning edges.
+        # Rows are points, columns edges; argmin keeps the first minimal edge.
+        locs = [p.payload for p in points]
+        w = np.array(weights)
+        dist = self._vertex_distances(locs)
+        da = dist[:, self._ends[:, 0]]
+        db = dist[:, self._ends[:, 1]]
+        lengths = self._lengths
+        centers = np.where(da <= db, -da, lengths + db)
+        for i, loc in enumerate(locs):
+            centers[i, loc.edge] = loc.offset
+        s_star = np.clip(w @ centers, 0.0, lengths)
+        values = w @ (s_star - centers) ** 2
+        idx = int(np.argmin(values))
+        return Point(self, self._canonical(idx, float(s_star[idx])))
+
     def sample_payload(self, rng: np.random.Generator):
         idx = int(rng.integers(0, len(self.edges)))
         offset = float(rng.uniform(0.0, self.edges[idx].length))

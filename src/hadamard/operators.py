@@ -15,6 +15,8 @@ samples the defects, the composition condition among them.
 
 from __future__ import annotations
 
+import numbers
+
 from .barycenter import WeightedPoints, convex_weights, frechet_mean
 from .convex_sets import ConvexSet
 from .errors import ConstructionError, DomainError, NotAFixedPointError, SpaceMismatchError
@@ -46,6 +48,8 @@ __all__ = [
 
 
 def _check_alpha(alpha: float, label: str = "alpha") -> float:
+    if not isinstance(alpha, numbers.Real):
+        raise DomainError(f"{label} must be a real number, got {alpha!r}")
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"{label} must lie in (0, 1), got {alpha}")

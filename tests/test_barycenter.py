@@ -20,7 +20,7 @@ from hadamard import (
     parse_scenario,
     variance_defect,
 )
-from hadamard import barycenter
+from hadamard import geometry
 from hadamard.errors import ConstructionError, SpaceMismatchError
 
 
@@ -173,12 +173,15 @@ class TestFrechetMean:
                 assert lhs <= rhs + 1e-8
 
     def test_sweep_limit_failure_carries_state(self, h2, rng, monkeypatch):
-        monkeypatch.setattr(barycenter, "_SWEEP_LIMIT", 1)
+        # the cap is read where the hyperboloid solver runs
+        monkeypatch.setattr(geometry, "_SWEEP_LIMIT", 1)
         wp = random_instance(h2, rng, 5)
         with pytest.raises(ConvergenceFailureError) as err:
             frechet_mean(wp, step_tol=1e-16)
-        assert err.value.last_point is not None
-        assert err.value.objective is not None
+        assert str(err.value) == "hyperboloid mean did not stabilize in 1 iterations"
+        last = err.value.last_point
+        assert last.space == h2
+        assert err.value.objective == frechet_objective(wp, last)
 
 
 class TestVarianceDefect:

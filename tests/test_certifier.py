@@ -141,6 +141,11 @@ class TestRunCheck:
         with pytest.raises(CheckSpecError, match="space must be a space model"):
             CheckSpec(kind=CAT0, space="e2", samples=10, seed=0)
 
+    @pytest.mark.parametrize("payload", [None, [("set", None)]])
+    def test_payload_must_be_a_dict(self, e2, payload):
+        with pytest.raises(CheckSpecError, match="payload must be a dict"):
+            CheckSpec(kind=PROJECTION_FIRM, space=e2, samples=10, seed=0, payload=payload)
+
     def test_suite_arguments_validated(self):
         with pytest.raises(CheckSpecError, match="seed must be an integer"):
             default_suite(seed=1.5, samples=10)
@@ -214,6 +219,19 @@ class TestRunCheck:
         (COMPOSITION_CONDITION, {"factors": [(Identity(), 0.5)]}),
         (COMPOSITION_CONDITION, {"factors": [(Identity(), 0.5)] * 3}),
         (COMPOSITION_CONDITION, {"factors": [(Identity(), 0.5), (0.5, Identity())]}),
+        (PROJECTION_FIRM, {"op": lambda x: x}),
+        (PROJECTION_FIRM, {"set": "v<=0"}),
+        (PROJECTION_INEQ, {"set": "v<=0"}),
+        (FIX_CONVEXITY, {"set": "v<=0"}),
+        (FEJER_RUN, {"witness": "origin"}),
+        (FEJER_RUN, {"sets": "uv"}),
+        (QUASI_FIRM, {"op": "P"}),
+        (QUASI_FIRM, {"fixed_points": None}),
+        (QUASI_FIRM, {"fixed_points": [(0.0, 0.0)]}),
+        (COMPOSITION_THEOREM, {"witness": (0.0, 0.0)}),
+        (COMBINATION_THEOREM, {"alphas": 0.5}),
+        (COMBINATION_THEOREM, {"ops": ["P1", "P2"]}),
+        (COMBINATION_THEOREM, {"weights": 0.5}),
     ])
     def test_malformed_payload_rejected(self, e2, kind, payload):
         half_v = EuclideanHalfspace(e2, [0, 1], 0.0)
@@ -222,6 +240,10 @@ class TestRunCheck:
         well_formed = {
             COMPOSITION_CONDITION: {},
             VARIANCE_INEQ: {},
+            PROJECTION_FIRM: {"set": half_v},
+            PROJECTION_INEQ: {"set": half_v},
+            FIX_CONVEXITY: {"set": half_v},
+            QUASI_FIRM: {"op": Projection(half_v), "alpha": 0.5, "fixed_points": [origin]},
             COMBINATION_THEOREM: {"ops": [Projection(half_v), Projection(half_u)],
                                   "alphas": [0.5, 0.5], "weights": [0.5, 0.5],
                                   "witness": origin},

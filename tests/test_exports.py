@@ -53,3 +53,16 @@ def test_unused_import_check_sees_unused_names():
                                         if p.name != "__init__.py"), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_barycenter_imports_no_space_model():
+    """Each model solves its own mean, so the generic module names none of them."""
+    path = Path(hadamard.__file__).parent / "barycenter.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    models = {"Euclidean", "Hyperboloid", "ProductSpace", "MetricTree", "metric_tree", "numpy"}
+    assert names & models == set()

@@ -311,7 +311,7 @@ class TestFejerDiagnostics:
             x0 = e2.sample(rng)
             trace = cyclic_projections(quadrant_sets, x0, StopRule(max_iter=100), witness=w)
             assert all(g >= -1e-10 for g in trace.fejer_gaps)
-            assert trace.fejer_violations(1e-10) == 0
+            assert trace.fejer_violations() == 0
             assert not trace.witness_is_proxy
 
     def test_proxy_witness_labeled(self, e2, quadrant_sets):

@@ -147,9 +147,14 @@ class TestAlphaFirmDefect:
 
     def test_alpha_domain(self, e2, rng):
         x, y = e2.sample(rng), e2.sample(rng)
-        for bad in (0.0, 1.0, -0.2, 1.7):
+        for bad in (0.0, 1.0, -0.2, 1.7, "x", None, [0.5]):
             with pytest.raises(DomainError):
                 alpha_firm_defect(Identity(), bad, x, y)
+        # the same constant as a check payload
+        for bad in ("half", None, [0.5]):
+            spec = CheckSpec(PROJECTION_FIRM, e2, 2, 0, {"op": Identity(), "alpha": bad})
+            with pytest.raises(DomainError):
+                run_check(spec)
 
     def test_rearranged_form_equivalence(self, all_models, rng):
         """Defect equals alpha times the Cauchy-Schwarz-residual form."""
@@ -253,9 +258,12 @@ class TestConstantCalculus:
     def test_domain_checks(self, e2):
         with pytest.raises(DomainError):
             composition_alpha(0.0, 0.5)
-        x, y = e2.point([1, 1]), e2.point([0, 0])
         with pytest.raises(DomainError):
-            condition(Identity(), Identity(), x, y, 0.5, 1.0)
+            composition_alpha("x", 0.5)
+        x, y = e2.point([1, 1]), e2.point([0, 0])
+        for bad in (1.0, "a"):
+            with pytest.raises(DomainError):
+                condition(Identity(), Identity(), x, y, 0.5, bad)
 
 
 class TestLMUV:
