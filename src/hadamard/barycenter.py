@@ -15,6 +15,11 @@ go to the model's own solver, its ``_mean`` method:
 * Hyperboloid: a Weiszfeld-style fixed point of the stationarity
   condition, renormalizing the tangent-weighted ambient average.
 
+Each model also solves many instances at once in ``_block_mean``, the
+rowwise twin of its ``_mean`` (row by row in trees); ``_frechet_means``
+is the block form of ``frechet_mean`` that the certifier and
+``ConvexCombination.apply_block`` call.
+
 ``inductive_mean_sweeps`` keeps a slower interpolation-only reference
 iteration around; the tests use it as an independent cross-check.
 """
@@ -139,6 +144,21 @@ def frechet_mean(wp: WeightedPoints, step_tol: float = _STEP_TOL) -> Point:
         w1, w2 = wp.weights
         return geodesic_point(wp.points[0], wp.points[1], w2 / (w1 + w2))
     return wp.space._mean(wp.points, wp.weights, step_tol)
+
+
+def _frechet_means(space, blocks, weights, step_tol: float = _STEP_TOL):
+    """Row r is ``frechet_mean`` of row r of the k ``blocks`` with weights ``weights[r]``.
+
+    ``weights`` is an (m, k) array of positive rows.  One block is its own
+    mean, two meet at ``space.interpolate``, and three or more go to the
+    model's block solver, ``_block_mean``, the rowwise twin of ``_mean``.
+    """
+    if len(blocks) == 1:
+        return blocks[0]
+    if len(blocks) == 2:
+        return space.interpolate(blocks[0], blocks[1],
+                                 weights[:, 1] / (weights[:, 0] + weights[:, 1]))
+    return space._block_mean(blocks, weights, step_tol)
 
 
 def _next_sweep(weights, counts, visits_done, sweep_size):

@@ -22,7 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .barycenter import WeightedPoints, _variance, frechet_mean
+from .barycenter import _frechet_means, _variance
 from .convex_sets import ConvexSet, _projection
 from .errors import CheckSpecError, DomainError
 from .geometry import Point, SpaceModel, _cat0, _quasilinear
@@ -268,10 +268,10 @@ def _block_kernel(spec: CheckSpec):
     set, a point the operator moves, or t outside [0, 1].
 
     A column of "p" entries is a block of the check's space; a column of
-    "-" entries is a list.  A kind that solves a barycenter or runs a
-    projection algorithm per row does so inside ``defect``: the convex
-    combination through its rowwise ``apply_block``, ``variance_ineq``
-    once per drawn instance (one batch), ``fejer_run`` once per start.
+    "-" entries is a list.  The barycenters of a batch are solved in one
+    block mean inside ``defect``: the convex combination's through its
+    ``apply_block``, ``variance_ineq``'s once per drawn instance for a
+    batch of whole instances.  ``fejer_run`` runs once per start.
     """
     space = spec.space
     kind = spec.kind
@@ -331,8 +331,9 @@ def _block_kernel(spec: CheckSpec):
         else:
             op, alpha = _theorem_subjects(spec)
             fixed = [_payload(spec, "witness", Point)]
+        # the witnesses are fixed under the kernel that maps the samples
         for y in fixed:
-            _require_fixed(op, y)
+            _require_fixed(op, y, space)
 
         def draw(rng, n):
             x = sample(rng, n)
@@ -342,7 +343,7 @@ def _block_kernel(spec: CheckSpec):
             return _quasi_firm(dist, alpha, x, y, op.apply_block(space, x))
 
         def admit(witness):
-            _require_fixed(op, witness[1])
+            _require_fixed(op, witness[1], space)
     elif kind == COMPOSITION_CONDITION:
         factors = _factors(spec)
         if len(factors) != 2:
@@ -370,21 +371,35 @@ def _block_kernel(spec: CheckSpec):
     elif kind == VARIANCE_INEQ:
         size = _check_count("instance_size", spec.payload.get("instance_size", 4))
         challengers = _check_count("challengers", spec.payload.get("challengers", 50))
+        per_batch = max(1, _CHUNK // challengers)
 
         def draw(rng, n):
-            # one batch per instance, drawn lazily: points, weights, challengers
-            for _ in range(n):
-                pts = tuple(space.sample(rng) for _ in range(size))
-                raw = rng.uniform(0.05, 1.0, size)
-                weights = tuple(float(v) for v in raw / raw.sum())
-                yield [pts] * challengers, [weights] * challengers, sample(rng, challengers)
+            # each instance draws its points, weights and challengers in turn;
+            # a batch holds whole instances, at most _CHUNK rows where it can
+            for start in range(0, n, per_batch):
+                pts, weights, ys = [], [], []
+                for _ in range(min(per_batch, n - start)):
+                    instance = tuple(space.sample(rng) for _ in range(size))
+                    raw = rng.uniform(0.05, 1.0, size)
+                    pts += [instance] * challengers
+                    weights += [tuple(float(v) for v in raw / raw.sum())] * challengers
+                    ys.append(sample(rng, challengers))
+                yield pts, weights, space.concat(ys)
 
         def defect(pts, weights, y):
-            # the rows of a batch share one instance, so its mean is solved once
-            mean = frechet_mean(WeightedPoints(pts[0], weights[0]))
-            n = space.block_len(y)
-            return _variance(dist, [space.repeat(p, n) for p in pts[0]], weights[0],
-                             space.repeat(mean, n), y)
+            # one mean per instance, whose rows are consecutive and share its tuple
+            firsts = [i for i in range(len(pts)) if i == 0 or pts[i] is not pts[i - 1]]
+            counts = np.diff(firsts + [len(pts)])
+            w = np.array([weights[i] for i in firsts])
+            blocks = [space.stack([pts[i][j] for i in firsts]) for j in range(len(pts[0]))]
+            means = _frechet_means(space, blocks, w)
+
+            def per_row(block):
+                return space.concat([space.repeat(space.row(block, g), c)
+                                     for g, c in enumerate(counts)])
+
+            return _variance(dist, [per_row(b) for b in blocks],
+                             np.repeat(w, counts, axis=0).T, per_row(means), y)
     else:  # FEJER_RUN
         sets = _payload(spec, "sets", ConvexSet, True)
         witness = _payload(spec, "witness", Point)

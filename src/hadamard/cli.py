@@ -8,6 +8,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -47,7 +48,9 @@ _FLAG_KEYS = (("--seed", "seed", "seed"), ("--max-iter", "max_iter", "max_iter")
               ("--tol", "tol", "residual_tol"))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hadamard",
         description="Projection algorithms and inequality certification "
@@ -167,12 +170,16 @@ def _run_trace(scenario: Scenario) -> int:
         trace = fixed_point_iterate(op, scenario.x0, scenario.stop, witness=scenario.witness)
 
     gap_note = ""
-    if scenario.algorithm != "fixedpoint" and len(trace.points) <= _SHADOW_LIMIT:
-        try:
-            gaps = technical_condition_gaps(approximate_shadows(trace, run_sets))
-            gap_note = f"  monitored shadow gap at termination: {gaps[-1]:.3e}\n"
-        except HadamardError:
-            pass  # diagnostics stay off for non-intersecting scenarios
+    if scenario.algorithm != "fixedpoint":
+        if len(trace.points) > _SHADOW_LIMIT:
+            gap_note = (f"  shadow diagnostics skipped: {len(trace.points)} trace points "
+                        f"exceed the limit of {_SHADOW_LIMIT}\n")
+        else:
+            try:
+                gaps = technical_condition_gaps(approximate_shadows(trace, run_sets))
+                gap_note = f"  monitored shadow gap at termination: {gaps[-1]:.3e}\n"
+            except HadamardError as exc:
+                gap_note = f"  shadow diagnostics skipped: inner solve failed: {exc}\n"
 
     status = _write(scenario.output_path, trace.to_csv)
     if status != EXIT_OK:

@@ -194,6 +194,10 @@ class SpaceModel:
         """Row i of a block as a point."""
         return Point(self, block[i])
 
+    def concat(self, blocks):
+        """The rows of the given blocks, in order, as one block."""
+        return [p for block in blocks for p in block]
+
     def sample_block(self, rng: np.random.Generator, n: int):
         return [self.sample_payload(rng) for _ in range(n)]
 
@@ -205,6 +209,16 @@ class SpaceModel:
         """Rowwise geodesic points at parameters t in [0, 1], exact at the ends."""
         return [p if s == 0.0 else q if s == 1.0 else self.payload_interpolate(p, q, float(s))
                 for p, q, s in zip(a, b, t)]
+
+    def _block_mean(self, blocks, weights, step_tol):
+        """Rowwise ``_mean``: row r is the mean of row r of the k ``blocks``.
+
+        ``weights`` is an (m, k) array of positive rows, row r weighting
+        the points of row r.  A row that reaches ``_SWEEP_LIMIT`` raises
+        as ``_mean`` does for it.
+        """
+        return self.stack([self._mean([self.row(b, r) for b in blocks], weights[r], step_tol)
+                           for r in range(len(weights))])
 
     @property
     def involves_hyperboloid(self) -> bool:
@@ -253,6 +267,9 @@ class CoordinateSpace(SpaceModel):
 
     def repeat(self, point, n):
         return np.broadcast_to(self._payloads([point])[0], (n, self.dim + self._extra))
+
+    def concat(self, blocks):
+        return np.concatenate(blocks)
 
     def row(self, block, i):
         # a copy, so that a recorded witness does not keep its whole block alive
@@ -314,6 +331,13 @@ class Euclidean(CoordinateSpace):
         for w, p in zip(weights, points):
             acc += w * p.payload
         return self.point(acc)
+
+    def _block_mean(self, blocks, weights, step_tol):
+        # _mean's sum on every row, in point order
+        acc = np.zeros((len(weights), self.dim))
+        for j, block in enumerate(blocks):
+            acc += weights[:, j, None] * block
+        return acc
 
 
 def minkowski(u, v) -> float:
@@ -496,8 +520,35 @@ class Hyperboloid(CoordinateSpace):
             current = candidate
             if step <= step_tol:
                 return self.point(current)
+        raise self._capped(current, weights, payloads)
+
+    def _block_mean(self, blocks, weights, step_tol):
+        # _mean's iteration on all rows at once.  A row stops at its own
+        # step, so each row equals its one-row block bit for bit.
+        current = _normalize(sum(weights[:, j, None] * b for j, b in enumerate(blocks)))
+        live = np.arange(len(weights))
+        for _ in range(_SWEEP_LIMIT):
+            x = current[live]
+            acc = 0.0
+            for j, block in enumerate(blocks):
+                q = block[live]
+                theta = self.distances(x, q)
+                small = theta < 1e-8
+                coeff = np.where(small, 1.0, theta / np.sinh(np.where(small, 1.0, theta)))
+                acc = acc + (weights[live, j] * coeff)[:, None] * q
+            candidate = _normalize(acc)
+            diff = x - candidate
+            current[live] = candidate
+            live = live[~(np.sqrt(_rowdot(diff, diff)) <= step_tol)]
+            if not live.size:
+                return current
+        r = live[0]
+        raise self._capped(current[r], weights[r], [block[r] for block in blocks])
+
+    def _capped(self, current, weights, payloads) -> ConvergenceFailureError:
+        """The failure of a mean solve that stopped at ``current`` after ``_SWEEP_LIMIT`` steps."""
         # the objective is barycenter.frechet_objective at the last iterate
-        raise ConvergenceFailureError(
+        return ConvergenceFailureError(
             f"hyperboloid mean did not stabilize in {_SWEEP_LIMIT} iterations",
             last_point=self.point(current),
             objective=math.fsum(w * self.payload_distance(current, q) ** 2
@@ -576,11 +627,18 @@ class ProductSpace(SpaceModel):
     def interpolate(self, a, b, t):
         return (self.left.interpolate(a[0], b[0], t), self.right.interpolate(a[1], b[1], t))
 
+    def concat(self, blocks):
+        return (self.left.concat([b[0] for b in blocks]), self.right.concat([b[1] for b in blocks]))
+
     def _mean(self, points, weights, step_tol):
         # the objective separates, so the mean is the pair of factor means
         left = self.left._mean([p.payload[0] for p in points], weights, step_tol)
         right = self.right._mean([p.payload[1] for p in points], weights, step_tol)
         return Point(self, (left, right))
+
+    def _block_mean(self, blocks, weights, step_tol):
+        return (self.left._block_mean([b[0] for b in blocks], weights, step_tol),
+                self.right._block_mean([b[1] for b in blocks], weights, step_tol))
 
     def payloads_equal(self, a, b) -> bool:
         return a[0] == b[0] and a[1] == b[1]

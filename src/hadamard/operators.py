@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import numbers
 
-from .barycenter import WeightedPoints, convex_weights, frechet_mean
+import numpy as np
+
+from .barycenter import WeightedPoints, _frechet_means, convex_weights, frechet_mean
 from .convex_sets import ConvexSet
 from .errors import ConstructionError, DomainError, NotAFixedPointError, SpaceMismatchError
 from .geometry import (
@@ -186,6 +188,13 @@ class ConvexCombination(Operator):
         images = [op.apply(x) for op in self.operators]
         return frechet_mean(WeightedPoints(images, self.weights))
 
+    def apply_block(self, space, block):
+        # one block mean of the images; zero weights drop out, as in frechet_mean
+        kept = [(w, op.apply_block(space, block)) for w, op in zip(self.weights, self.operators)]
+        kept = [(w, images) for w, images in kept if w > 0.0]
+        weights = np.broadcast_to([w for w, _ in kept], (space.block_len(block), len(kept)))
+        return _frechet_means(space, [images for _, images in kept], weights)
+
     @property
     def name(self) -> str:
         terms = ", ".join(f"{w:g}*{op.name}" for w, op in zip(self.weights, self.operators))
@@ -262,8 +271,13 @@ def quasi_firm_defect(op: Operator, alpha: float, x: Point, y: Point) -> float:
     return _quasi_firm(distance, alpha, x, y, op.apply(x))
 
 
-def _require_fixed(op: Operator, y: Point) -> None:
-    moved = distance(op.apply(y), y)
+def _require_fixed(op: Operator, y: Point, space: SpaceModel | None = None) -> None:
+    """Raise unless ``op`` fixes y; with ``space``, y's image comes from ``op.apply_block``."""
+    if space is None:
+        moved = distance(op.apply(y), y)
+    else:
+        one = space.stack([y])
+        moved = float(space.distances(op.apply_block(space, one), one)[0])
     if moved > EQ_TOL:
         raise NotAFixedPointError(f"{op.name} moves the supplied point by {moved:.3e}")
 

@@ -183,6 +183,23 @@ class TestFrechetMean:
         assert last.space == h2
         assert err.value.objective == frechet_objective(wp, last)
 
+    def test_block_cap_reports_the_first_unconverged_row(self, h2, rng, monkeypatch):
+        monkeypatch.setattr(geometry, "_SWEEP_LIMIT", 1)
+        # row 0 holds the apex three times and is fixed after one step
+        apex = WeightedPoints([h2.base_point()] * 3, [0.25, 0.25, 0.5])
+        rows = [apex, random_instance(h2, rng, 3), random_instance(h2, rng, 3)]
+        blocks = [h2.stack([wp.points[j] for wp in rows]) for j in range(3)]
+        weights = np.array([wp.weights for wp in rows])
+        with pytest.raises(ConvergenceFailureError) as block_err:
+            h2._block_mean(blocks, weights, 1e-16)
+        with pytest.raises(ConvergenceFailureError) as err:
+            h2._mean(rows[1].points, rows[1].weights, 1e-16)
+        assert str(block_err.value) == str(err.value)
+        last = block_err.value.last_point
+        assert np.max(np.abs(last.payload - err.value.last_point.payload)) <= 1e-12
+        assert block_err.value.objective == frechet_objective(rows[1], last)
+        assert block_err.value.objective == pytest.approx(err.value.objective, rel=1e-12)
+
 
 class TestVarianceDefect:
     def test_challenger_at_mean(self, e2):

@@ -10,15 +10,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadamard import (
     Composition,
+    Constant,
+    ConvexCombination,
     Euclidean,
     EuclideanHalfspace,
     EuclideanHyperplane,
     GeodesicBall,
     Hyperboloid,
     HyperbolicHalfspace,
+    Identity,
     InvalidPointError,
     MetricTree,
     Pointwise,
@@ -33,6 +38,11 @@ from hadamard import (
 ROWS = 1000
 # Block and scalar kernels round differently, by far less than this.
 SCALAR_TOL = 1e-12
+# Rows of the mean tests, which solve one scalar mean per row to compare.
+MEAN_ROWS = 100
+# Block and scalar hyperboloid means stop within one step of 1e-10 of
+# each other, on the same fixed-point iteration.
+MEAN_TOL = 1e-9
 
 
 def bits(point):
@@ -98,8 +108,36 @@ def blocks(case):
     return a, b, t
 
 
+@pytest.fixture(scope="module")
+def instances(case):
+    """MEAN_ROWS instances of four points with positive weights, as four blocks."""
+    space, _ = case
+    rng = np.random.default_rng(9)
+    pts = [space.sample_block(rng, MEAN_ROWS) for _ in range(4)]
+    raw = rng.uniform(0.05, 1.0, (MEAN_ROWS, 4))
+    return pts, raw / raw.sum(axis=1, keepdims=True)
+
+
+def combination(sets):
+    """The identity and each set's projection, at weights 1 : 2 : 3 : ..."""
+    raw = np.arange(1.0, len(sets) + 2.0)
+    return ConvexCombination(raw / raw.sum(), [Identity()] + [Projection(c) for c in sets])
+
+
 def one_row(space, block, i):
     return space.stack([space.row(block, i)])
+
+
+def head(space, block, n=MEAN_ROWS):
+    return space.stack([space.row(block, i) for i in range(n)])
+
+
+def same_or_near(p, q):
+    """Bit for bit in models without a hyperboloid part, else within MEAN_TOL."""
+    if p.space.involves_hyperboloid:
+        assert gap(p, q) <= MEAN_TOL
+    else:
+        assert bits(p) == bits(q)
 
 
 def gap(p, q):
@@ -113,9 +151,9 @@ def gap(p, q):
     return distance(p, q)
 
 
-def assert_rows_match(space, block, single):
+def assert_rows_match(space, block, single, rows=ROWS):
     """Row i of ``block`` equals ``single(i)``, a one-row block, bit for bit, at every i."""
-    for i in range(ROWS):
+    for i in range(rows):
         assert bits(space.row(block, i)) == bits(space.row(single(i), 0)), i
 
 
@@ -147,6 +185,18 @@ class TestRowsMatchOneRowBlocks:
         composed = Composition([Projection(c) for c in sets])
         assert_rows_match(space, composed.apply_block(space, a),
                           lambda i: composed.apply_block(space, one_row(space, a, i)))
+
+    def test_block_mean(self, case, instances):
+        space, _ = case
+        pts, w = instances
+        assert_rows_match(space, space._block_mean(pts, w, 1e-10), lambda i: space._block_mean(
+            [one_row(space, p, i) for p in pts], w[i:i + 1], 1e-10), MEAN_ROWS)
+
+    def test_convex_combination(self, case, blocks):
+        space, sets = case
+        a, combo = head(space, blocks[0]), combination(sets)
+        assert_rows_match(space, combo.apply_block(space, a),
+                          lambda i: combo.apply_block(space, one_row(space, a, i)), MEAN_ROWS)
 
 
 class TestBlocksAgreeWithScalars:
@@ -190,6 +240,40 @@ class TestBlocksAgreeWithScalars:
         for i in range(ROWS):
             want = composed.apply(space.row(a, i))
             assert gap(space.row(images, i), want) <= SCALAR_TOL, i
+
+    def test_block_mean(self, case, instances):
+        space, _ = case
+        pts, w = instances
+        means = space._block_mean(pts, w, 1e-10)
+        for i in range(MEAN_ROWS):
+            want = space._mean([space.row(p, i) for p in pts], w[i], 1e-10)
+            same_or_near(space.row(means, i), want)
+
+    def test_convex_combination(self, case, blocks):
+        space, sets = case
+        a, combo = head(space, blocks[0]), combination(sets)
+        images = combo.apply_block(space, a)
+        # the images round as the block projections do (test_set_projections);
+        # with exact images the rows are bit for bit, see the test below
+        tol = MEAN_TOL if space.involves_hyperboloid else SCALAR_TOL
+        for i in range(MEAN_ROWS):
+            assert gap(space.row(images, i), combo.apply(space.row(a, i))) <= tol, i
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=st.sampled_from(["euclidean3", "hyperbolic2", "caterpillar", "euclidean-x-tripod"]),
+       raw=st.lists(st.integers(0, 3), min_size=1, max_size=6).filter(any),
+       seed=st.integers(0, 2**32 - 1))
+def test_combination_block_keeps_frechet_mean_semantics(all_models, model, raw, seed):
+    """One, two or more images, zero weights anywhere: rows equal ``apply``."""
+    space = all_models[model]
+    rng = np.random.default_rng(seed)
+    ops = [Identity()] + [Constant(space.sample(rng)) for _ in raw[1:]]
+    combo = ConvexCombination(np.array(raw, dtype=float) / sum(raw), ops)
+    x = space.sample_block(rng, 6)
+    images = combo.apply_block(space, x)
+    for i in range(6):
+        same_or_near(space.row(images, i), combo.apply(space.row(x, i)))
 
 
 class TestHyperboloidBlocks:

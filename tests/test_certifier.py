@@ -8,7 +8,9 @@ import pytest
 
 from hadamard import (
     CheckSpec,
+    Euclidean,
     EuclideanHalfspace,
+    Hyperboloid,
     HyperbolicHalfspace,
     Identity,
     Point,
@@ -18,7 +20,9 @@ from hadamard import (
     ProductSpace,
     StopRule,
     Subtree,
+    WeightedPoints,
     default_suite,
+    frechet_mean,
     minkowski,
     reevaluate_witness,
     run_check,
@@ -39,6 +43,7 @@ from hadamard.certifier import (
     QUASI_FIRM,
     VARIANCE_INEQ,
 )
+from hadamard import certifier
 from hadamard.certifier import _CHUNK
 from hadamard.errors import CheckSpecError, SpaceMismatchError
 
@@ -298,6 +303,41 @@ class TestRunCheck:
             default_suite(seed=-1, samples=10)
         with pytest.raises(CheckSpecError, match="seed must be >= 0"):
             space_suite(e2, {}, None, samples=10, seed=-1)
+
+
+class TestBlockMeans:
+    """The barycenter kinds solve the means of a batch in one block mean."""
+
+    def test_no_scalar_mean_solves(self, monkeypatch):
+        calls = []
+        for model in (Euclidean, Hyperboloid):
+            def counted(self, *args, _mean=model._mean):
+                calls.append(self)
+                return _mean(self, *args)
+            monkeypatch.setattr(model, "_mean", counted)
+        picked = {(VARIANCE_INEQ, "euclidean3"), (VARIANCE_INEQ, "hyperbolic2"),
+                  (COMBINATION_THEOREM, "three-projections-euclidean")}
+        specs = [s for s in default_suite(seed=1, samples=200) if (s.kind, s.label) in picked]
+        assert len(specs) == 3
+        for spec in specs:
+            assert run_check(spec).passed
+        assert calls == []
+        e3 = Euclidean(3)
+        frechet_mean(WeightedPoints([e3.point([0, 0, i]) for i in range(3)], [0.2, 0.3, 0.5]))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("model", ["e3", "h2", "caterpillar", "product"])
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_batching_changes_no_result(self, model, size, request, monkeypatch):
+        spec = CheckSpec(kind=VARIANCE_INEQ, space=request.getfixturevalue(model),
+                         samples=7, seed=21, payload={"instance_size": size, "challengers": 10})
+        whole = run_check(spec)
+        # three instances per batch, so the last batch is partial
+        monkeypatch.setattr(certifier, "_CHUNK", 30)
+        split = run_check(spec)
+        assert split.worst_defect == whole.worst_defect
+        assert split.witness == whole.witness
+        assert reevaluate_witness(spec, whole.witness) == whole.worst_defect
 
 
 class TestTolerances:

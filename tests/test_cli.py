@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hadamard
-from hadamard import parse_scenario, run_scenario
+from hadamard import cli, parse_scenario, run_scenario
 from hadamard.cli import main
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -360,6 +360,86 @@ class TestInvalidValues:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+
+class TestParserReuse:
+    def test_consecutive_calls_keep_no_state(self, tmp_path, capsys):
+        trace, mean = tmp_path / "trace.csv", tmp_path / "mean.csv"
+        cyclic = write(tmp_path, "c.scn", CYCLIC_DOC.format(out=trace))
+        bary = write(tmp_path, "m.scn", MEAN_DOC.format(out=mean))
+        assert main(["run", cyclic, "--max-iter", "1"]) == 3
+        assert len(trace.read_text().splitlines()) == 3
+        with pytest.raises(SystemExit) as exc:
+            main(["run", cyclic, "--bogus"])
+        assert exc.value.code == 2
+        # no override carries over: the scenario's own max_iter and tolerance hold
+        assert main(["run", cyclic]) == 0
+        assert main(["mean", bary, "--tol", "1e-9"]) == 0
+        with pytest.raises(SystemExit):
+            main(["mean", bary, "--tol"])
+        assert main(["mean", bary]) == 0
+        assert main(["version"]) == 0
+        out = capsys.readouterr().out
+        assert "maxiter" in out and "converged" in out and out.count("barycenter of 3") == 2
+        assert cli._build_parser() is cli._build_parser()
+
+
+# A cyclic run between two lines 0.05 rad apart: 500 iterations fall
+# short of the 1e-12 tolerance.
+LONG_DOC = """
+[space]
+kind = euclidean
+dim = 2
+
+[set L1]
+kind = hyperplane
+normal = 0,1
+offset = 0
+
+[set L2]
+kind = hyperplane
+normal = -0.05,1
+offset = 0
+
+[run]
+algorithm = cyclic
+sets = L1,L2
+x0 = 1,0
+witness = 0,0
+max_iter = 500
+residual_tol = 1e-12
+output = {out}
+"""
+
+
+class TestShadowDiagnostics:
+    """A skipped shadow diagnostic is named on stdout with its reason."""
+
+    def test_computed_for_a_short_trace(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert main(["run", write(tmp_path, "s.scn", CYCLIC_DOC.format(out=out))]) == 0
+        report = capsys.readouterr().out
+        assert "monitored shadow gap at termination" in report
+        assert "skipped" not in report
+
+    def test_long_trace_names_the_limit(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert main(["run", write(tmp_path, "s.scn", LONG_DOC.format(out=out))]) == 3
+        assert len(out.read_text().splitlines()) == 502
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if "shadow" in ln]
+        assert lines == ["  shadow diagnostics skipped: 501 trace points exceed the limit "
+                         f"of {cli._SHADOW_LIMIT}"]
+
+    def test_disjoint_halfspaces_name_the_inner_failure(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        doc = (CYCLIC_DOC.replace("normal = 1,0\noffset = 0", "normal = 0,-1\noffset = -1")
+               .replace("witness = 0,0\n", ""))
+        assert main(["run", write(tmp_path, "s.scn", doc.format(out=out))]) == 3
+        assert out.exists()
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if "shadow" in ln]
+        assert len(lines) == 1
+        assert lines[0].startswith("  shadow diagnostics skipped: inner solve failed: ")
+        assert "stalled" in lines[0]
 
 
 class TestShippedScenarios:
