@@ -331,9 +331,8 @@ def _block_kernel(spec: CheckSpec):
         else:
             op, alpha = _theorem_subjects(spec)
             fixed = [_payload(spec, "witness", Point)]
-        # the witnesses are fixed under the kernel that maps the samples
         for y in fixed:
-            _require_fixed(op, y, space)
+            _require_fixed(op, y)
 
         def draw(rng, n):
             x = sample(rng, n)
@@ -343,7 +342,7 @@ def _block_kernel(spec: CheckSpec):
             return _quasi_firm(dist, alpha, x, y, op.apply_block(space, x))
 
         def admit(witness):
-            _require_fixed(op, witness[1], space)
+            _require_fixed(op, witness[1])
     elif kind == COMPOSITION_CONDITION:
         factors = _factors(spec)
         if len(factors) != 2:
@@ -387,8 +386,8 @@ def _block_kernel(spec: CheckSpec):
                 yield pts, weights, space.concat(ys)
 
         def defect(pts, weights, y):
-            # one mean per instance, whose rows are consecutive and share its tuple
-            firsts = [i for i in range(len(pts)) if i == 0 or pts[i] is not pts[i - 1]]
+            # one mean per instance, whose challenger rows are consecutive
+            firsts = list(range(0, len(pts), challengers))
             counts = np.diff(firsts + [len(pts)])
             w = np.array([weights[i] for i in firsts])
             blocks = [space.stack([pts[i][j] for i in firsts]) for j in range(len(pts[0]))]

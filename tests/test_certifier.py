@@ -320,8 +320,12 @@ class TestBlockMeans:
         specs = [s for s in default_suite(seed=1, samples=200) if (s.kind, s.label) in picked]
         assert len(specs) == 3
         for spec in specs:
+            calls.clear()
             assert run_check(spec).passed
-        assert calls == []
+            # the samples make no scalar solve; a theorem check confirms that
+            # its witness is fixed through the scalar apply, one mean per check
+            assert len(calls) == (spec.kind == COMBINATION_THEOREM)
+        calls.clear()
         e3 = Euclidean(3)
         frechet_mean(WeightedPoints([e3.point([0, 0, i]) for i in range(3)], [0.2, 0.3, 0.5]))
         assert len(calls) == 1
