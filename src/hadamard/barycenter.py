@@ -146,7 +146,7 @@ def frechet_mean(wp: WeightedPoints, step_tol: float = _STEP_TOL) -> Point:
     return wp.space._mean(wp.points, wp.weights, step_tol)
 
 
-def _frechet_means(space, blocks, weights, step_tol: float = _STEP_TOL):
+def _frechet_means(space, blocks, weights):
     """Row r is ``frechet_mean`` of row r of the k ``blocks`` with weights ``weights[r]``.
 
     ``weights`` is an (m, k) array of positive rows.  One block is its own
@@ -158,7 +158,7 @@ def _frechet_means(space, blocks, weights, step_tol: float = _STEP_TOL):
     if len(blocks) == 2:
         return space.interpolate(blocks[0], blocks[1],
                                  weights[:, 1] / (weights[:, 0] + weights[:, 1]))
-    return space._block_mean(blocks, weights, step_tol)
+    return space._block_mean(blocks, weights, _STEP_TOL)
 
 
 def _next_sweep(weights, counts, visits_done, sweep_size):

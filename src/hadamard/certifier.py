@@ -104,12 +104,27 @@ _WITNESS = {
 }
 CHECK_KINDS = tuple(_WITNESS)
 
+# The payload keys each kind reads; a projection_firm check takes "op" or "set".
+_PAYLOAD_KEYS = {
+    CAT0: (),
+    CAUCHY_SCHWARZ: (),
+    PROJECTION_FIRM: ("op", "set", "alpha"),
+    PROJECTION_INEQ: ("set",),
+    QUASI_FIRM: ("op", "alpha", "fixed_points"),
+    COMPOSITION_THEOREM: ("factors", "witness"),
+    COMBINATION_THEOREM: ("ops", "alphas", "weights", "witness"),
+    FIX_CONVEXITY: ("set",),
+    VARIANCE_INEQ: ("instance_size", "challengers"),
+    FEJER_RUN: ("algorithm", "sets", "witness", "rule"),
+    COMPOSITION_CONDITION: ("factors",),
+}
+
 # Samples drawn and evaluated at once, which bounds a check's memory.
 _CHUNK = 4096
 
 
 def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -132,6 +147,11 @@ class CheckSpec:
         _check_seed(self.seed)
         if not isinstance(self.payload, dict):
             raise CheckSpecError(f"payload must be a dict, got {self.payload!r}")
+        for key in self.payload:
+            if key not in _PAYLOAD_KEYS[self.kind]:
+                raise CheckSpecError(f"check '{self.kind}' does not read payload key {key!r}")
+        if "op" in self.payload and "set" in self.payload:
+            raise CheckSpecError(f"check '{self.kind}' takes an 'op' or a 'set', not both")
 
     @property
     def tolerance(self) -> float:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 
 from . import __version__
 from .barycenter import WeightedPoints, frechet_mean, frechet_objective
@@ -25,7 +24,7 @@ from .iterations import (
     technical_condition_gaps,
 )
 from .operators import Composition, Projection
-from .scenario import _RUN_KEYS, Scenario, parse_scenario, point_spec
+from .scenario import Scenario, parse_scenario, point_spec
 
 __all__ = ["main", "run_scenario"]
 
@@ -42,10 +41,14 @@ _SHADOW_LIMIT = 400
 # The scenario algorithm each subcommand accepts; ``run`` takes any.
 _COMMAND_ALGORITHM = {"run": None, "certify": "certify", "mean": "barycenter"}
 
-# Each override flag, its argument name and the [run] key it overrides.
-# ``--tol`` is also the barycenter's step tolerance, which has no key.
-_FLAG_KEYS = (("--seed", "seed", "seed"), ("--max-iter", "max_iter", "max_iter"),
-              ("--tol", "tol", "residual_tol"))
+# The flags that override a [run] key, with their help; ``parse_scenario``
+# maps each to its key and checks its value.
+_FLAGS = {
+    "--seed": "override the scenario seed (certify)",
+    "--max-iter": "override the iteration cap (cyclic, averaged, fixedpoint)",
+    "--tol": "override the residual tolerance (cyclic, averaged, fixedpoint) "
+             "or the step tolerance (barycenter)",
+}
 
 
 @functools.cache
@@ -64,97 +67,39 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="path to the scenario file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the scenario seed (certify)")
-        p.add_argument("--max-iter", type=int, default=None,
-                       help="override the iteration cap (cyclic, averaged, fixedpoint)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the residual tolerance (cyclic, averaged, "
-                            "fixedpoint) or the step tolerance (barycenter)")
+        for flag, flag_help in _FLAGS.items():
+            p.add_argument(flag, dest=flag, metavar="VALUE", help=flag_help)
     sub.add_parser("version", help="print the package version")
     return parser
 
 
-def _load_scenario(path: str, algorithm: str | None):
-    """Read and parse a scenario, requiring ``algorithm`` unless it is None."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-        return None, EXIT_IO
-    try:
-        scenario = parse_scenario(text)
-    except ScenarioError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None, EXIT_PARSE
-    if algorithm is not None and scenario.algorithm != algorithm:
-        print(f"error: scenario algorithm is '{scenario.algorithm}', expected '{algorithm}'",
-              file=sys.stderr)
-        return None, EXIT_PARSE
-    return scenario, EXIT_OK
+def _write(path: str, writer) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer(fh)
 
 
-def _unused_flag(algorithm: str, args) -> str | None:
-    """The first flag given that the scenario's algorithm does not read."""
-    for flag, attr, key in _FLAG_KEYS:
-        reads = key in _RUN_KEYS[algorithm] or (attr == "tol" and algorithm == "barycenter")
-        if getattr(args, attr) is not None and not reads:
-            return flag
-    return None
-
-
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    if args.seed is not None:
-        scenario.seed = args.seed
-    if scenario.stop is not None and (args.max_iter is not None or args.tol is not None):
-        scenario.stop = replace(
-            scenario.stop,
-            max_iter=args.max_iter if args.max_iter is not None else scenario.stop.max_iter,
-            residual_tol=args.tol if args.tol is not None else scenario.stop.residual_tol,
-        )
-    return scenario
-
-
-def _write(path: str, writer) -> int:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer(fh)
-    except OSError as exc:
-        print(f"error: cannot write '{path}': {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
-
-
-def run_scenario(scenario: Scenario, step_tol: float | None = None) -> int:
+def run_scenario(scenario: Scenario) -> int:
     """Run a parsed scenario: write its artifact, print a summary.
 
     Dispatches on the scenario's algorithm, writes the trace CSV, the
     certifier report CSV, or the barycenter CSV to the scenario's
     output path, and returns the process exit status (0 on
     convergence/pass, 2 on any other library error, 3 on convergence
-    failure, 4 on a failed check, 5 on I/O trouble).  ``step_tol`` is
-    the barycenter's step tolerance; any other algorithm exits 2 if given
-    one.
+    failure, 4 on a failed check, 5 on I/O trouble).  Every setting of
+    the run, flag overrides included, is a field of the scenario.
     """
-    if step_tol is not None and scenario.algorithm != "barycenter":
-        print(f"error: step_tol does not apply to algorithm '{scenario.algorithm}'",
-              file=sys.stderr)
-        return EXIT_PARSE
     try:
         if scenario.algorithm == "certify":
             return _run_certify(scenario)
         if scenario.algorithm == "barycenter":
-            return _run_mean(scenario, step_tol)
+            return _run_mean(scenario)
         return _run_trace(scenario)
     except HadamardError as exc:
-        return _error_exit(exc)
-
-
-def _error_exit(exc: HadamardError) -> int:
-    """Print a library error; 3 for a convergence failure, else 2."""
-    print(f"error: {exc}", file=sys.stderr)
-    return EXIT_CONVERGENCE if isinstance(exc, ConvergenceFailureError) else EXIT_PARSE
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE if isinstance(exc, ConvergenceFailureError) else EXIT_PARSE
+    except OSError as exc:  # from _write, the one file a run opens
+        print(f"error: cannot write '{scenario.output_path}': {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 def _run_trace(scenario: Scenario) -> int:
@@ -181,9 +126,7 @@ def _run_trace(scenario: Scenario) -> int:
             except HadamardError as exc:
                 gap_note = f"  shadow diagnostics skipped: inner solve failed: {exc}\n"
 
-    status = _write(scenario.output_path, trace.to_csv)
-    if status != EXIT_OK:
-        return status
+    _write(scenario.output_path, trace.to_csv)
     print(
         f"{scenario.algorithm} run: {trace.iterations} iterations, "
         f"stop reason '{trace.stop_reason}'\n"
@@ -203,30 +146,26 @@ def _run_certify(scenario: Scenario) -> int:
         claim_alpha=scenario.claim_alpha, claim_set=scenario.claim_set,
     )
     report = run_suite(specs, suite_seed=scenario.seed)
-    status = _write(scenario.output_path, report.to_csv)
-    if status != EXIT_OK:
-        return status
+    _write(scenario.output_path, report.to_csv)
     print(report.to_text(), end="")
     print(f"report written to {scenario.output_path}")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _run_mean(scenario: Scenario, step_tol: float | None = None) -> int:
+def _run_mean(scenario: Scenario) -> int:
     weights = scenario.weights
     if weights is None:
         n = len(scenario.mean_points)
         weights = [1.0 / n] * n
     wp = WeightedPoints(scenario.mean_points, weights)
-    mean = frechet_mean(wp) if step_tol is None else frechet_mean(wp, step_tol)
+    mean = frechet_mean(wp, scenario.step_tol)
     objective = frechet_objective(wp, mean)
 
     def writer(fh):
         fh.write("point,objective\n")
         fh.write(f"\"{point_spec(mean)}\",{objective:.17g}\n")
 
-    status = _write(scenario.output_path, writer)
-    if status != EXIT_OK:
-        return status
+    _write(scenario.output_path, writer)
     print(
         f"barycenter of {len(wp)} points: {point_spec(mean)}\n"
         f"  objective: {objective:.12g}\n"
@@ -240,20 +179,24 @@ def main(argv=None) -> int:
     if args.command == "version":
         print(f"hadamard {__version__}")
         return EXIT_OK
-    scenario, status = _load_scenario(args.scenario, _COMMAND_ALGORITHM[args.command])
-    if scenario is None:
-        return status
-    flag = _unused_flag(scenario.algorithm, args)
-    if flag is not None:
-        print(f"error: {flag} does not apply to algorithm '{scenario.algorithm}'",
+    try:
+        with open(args.scenario, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        print(f"error: cannot read scenario: {exc}", file=sys.stderr)
+        return EXIT_IO
+    overrides = {flag: vars(args)[flag] for flag in _FLAGS if vars(args)[flag] is not None}
+    try:
+        scenario = parse_scenario(text, overrides)
+    except ScenarioError as exc:
+        print(f"error: {args.scenario}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    expected = _COMMAND_ALGORITHM[args.command]
+    if expected is not None and scenario.algorithm != expected:
+        print(f"error: scenario algorithm is '{scenario.algorithm}', expected '{expected}'",
               file=sys.stderr)
         return EXIT_PARSE
-    try:
-        scenario = _apply_overrides(scenario, args)
-    except HadamardError as exc:
-        return _error_exit(exc)
-    step_tol = args.tol if scenario.algorithm == "barycenter" else None
-    return run_scenario(scenario, step_tol=step_tol)
+    return run_scenario(scenario)
 
 
 if __name__ == "__main__":

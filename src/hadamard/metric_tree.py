@@ -68,6 +68,7 @@ class MetricTree(SpaceModel):
     def __init__(self, edges):
         edge_objs = []
         names: list[str] = []
+        total = 0.0
         for spec in edges:
             if isinstance(spec, TreeEdge):
                 a, b, length = spec.a, spec.b, spec.length
@@ -80,8 +81,12 @@ class MetricTree(SpaceModel):
                 raise ConstructionError(f"edge ({a}, {b}) has nonpositive length {length}")
             edge_objs.append(TreeEdge(a, b, length))
             names += a, b
+            total += length
         if not edge_objs:
             raise ConstructionError("a metric tree needs at least one edge")
+        # Root distances and their pairwise sums stay below twice the total length.
+        if not 2.0 * total < math.inf:
+            raise ConstructionError(f"edge lengths total {total:g}: distances overflow")
         vertex_list = list(dict.fromkeys(names))
 
         object.__setattr__(self, "vertices", tuple(vertex_list))

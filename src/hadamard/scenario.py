@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .barycenter import convex_weights
+from .barycenter import _STEP_TOL, _check_step_tol, convex_weights
+from .certifier import _check_count, _check_seed
 from .convex_sets import (
     ConvexSet,
     EuclideanHalfspace,
@@ -41,10 +42,11 @@ from .convex_sets import (
     ProductSet,
     Subtree,
 )
-from .errors import ConstructionError, InvalidPointError, ScenarioError
+from .errors import ConstructionError, HadamardError, InvalidPointError, ScenarioError
 from .geometry import Euclidean, Hyperboloid, Point, ProductSpace, SpaceModel
 from .iterations import StopRule
 from .metric_tree import MetricTree
+from .operators import _check_alpha
 
 __all__ = ["Scenario", "parse_scenario", "parse_point_spec", "point_spec"]
 
@@ -67,6 +69,7 @@ class Scenario:
     claim_alpha: float | None = None
     claim_set: str | None = None
     mean_points: list[Point] = field(default_factory=list)
+    step_tol: float = _STEP_TOL
 
 
 # ---------------------------------------------------------------------
@@ -79,6 +82,7 @@ class _Section:
         self.header = header
         self.line_no = line_no
         self.items: list[tuple[str, str, int]] = []
+        self._by_key: dict[str, list[tuple[str, int | str]]] | None = None
 
     def get(self, key: str):
         hits = self.get_all(key)
@@ -89,7 +93,15 @@ class _Section:
         return hits[0]
 
     def get_all(self, key: str):
-        return [(v, ln) for k, v, ln in self.items if k == key]
+        if self._by_key is None:  # indexed at the first lookup, once the items are read
+            self._by_key = {}
+            for k, v, ln in self.items:
+                self._by_key.setdefault(k, []).append((v, ln))
+        return self._by_key.get(key, [])
+
+    def override(self, key: str, value: str, flag: str) -> None:
+        """Give an allowed ``key`` a command-line ``flag``'s value, in place of its first line."""
+        self._by_key[key] = [(value, flag)] + self.get_all(key)[1:]
 
     def require(self, key: str):
         hit = self.get(key)
@@ -137,6 +149,21 @@ def _split_document(text: str) -> list[_Section]:
     return sections
 
 
+def _error(message: str, at, key: str | None) -> ScenarioError:
+    """The error of a value at line ``at``, or given by the command-line flag ``at``."""
+    if isinstance(at, str):
+        return ScenarioError(f"flag {at}: {message}")
+    return ScenarioError(message, line_no=at, key=key)
+
+
+def _checked(at, key: str | None, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, its library error reported at the value's line or flag."""
+    try:
+        return check(*args, **kwargs)
+    except HadamardError as exc:
+        raise _error(str(exc), at, key)
+
+
 def _floats(value: str, line_no: int, key: str) -> list[float]:
     try:
         return [float(tok) for tok in value.split(",")]
@@ -145,18 +172,18 @@ def _floats(value: str, line_no: int, key: str) -> list[float]:
                             line_no=line_no, key=key)
 
 
-def _int(value: str, line_no: int, key: str) -> int:
+def _int(value: str, at, key: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ScenarioError(f"expected an integer, got {value!r}", line_no=line_no, key=key)
+        raise _error(f"expected an integer, got {value!r}", at, key)
 
 
-def _float(value: str, line_no: int, key: str) -> float:
+def _float(value: str, at, key: str) -> float:
     try:
         return float(value)
     except ValueError:
-        raise ScenarioError(f"expected a real, got {value!r}", line_no=line_no, key=key)
+        raise _error(f"expected a real, got {value!r}", at, key)
 
 
 # ---------------------------------------------------------------------
@@ -169,11 +196,8 @@ def _build_space(sec: _Section) -> SpaceModel:
     if kind == "euclidean" or kind == "hyperboloid":
         sec.only({"kind", "dim"})
         dim_v, dim_ln = sec.require("dim")
-        dim = _int(dim_v, dim_ln, "dim")
-        try:
-            return Euclidean(dim) if kind == "euclidean" else Hyperboloid(dim)
-        except ConstructionError as exc:
-            raise ScenarioError(str(exc), line_no=dim_ln, key="dim")
+        model = Euclidean if kind == "euclidean" else Hyperboloid
+        return _checked(dim_ln, "dim", model, _int(dim_v, dim_ln, "dim"))
     if kind == "tree":
         sec.only({"kind", "edge"})
         edges = []
@@ -182,12 +206,7 @@ def _build_space(sec: _Section) -> SpaceModel:
             if len(parts) != 3:
                 raise ScenarioError(f"expected 'A,B,length', got {v!r}", line_no=ln, key="edge")
             edges.append((parts[0], parts[1], _float(parts[2], ln, "edge")))
-        if not edges:
-            raise ScenarioError("tree needs at least one 'edge' line", line_no=sec.line_no)
-        try:
-            return MetricTree(edges)
-        except ConstructionError as exc:
-            raise ScenarioError(str(exc), line_no=sec.line_no)
+        return _checked(sec.line_no, None, MetricTree, edges)
     if kind == "product":
         left, right = sec.factors("product space", kind_ln)
         return ProductSpace(_build_space(left), _build_space(right))
@@ -312,28 +331,44 @@ def _build_set(space: SpaceModel, name: str, sec: _Section) -> ConvexSet:
 # ---------------------------------------------------------------------
 
 # The [run] keys each algorithm reads; the algorithms that read ``sets`` iterate.
+_ITERATION_KEYS = {"algorithm", "sets", "x0", "witness", "max_iter", "residual_tol",
+                   "stall_tol", "output"}
 _RUN_KEYS = {
-    "cyclic": {"algorithm", "sets", "x0", "witness", "max_iter",
-               "residual_tol", "stall_tol", "output"},
-    "averaged": {"algorithm", "sets", "x0", "witness", "weights", "max_iter",
-                 "residual_tol", "stall_tol", "output"},
-    "fixedpoint": {"algorithm", "sets", "x0", "witness", "max_iter",
-                   "residual_tol", "stall_tol", "output"},
+    "cyclic": _ITERATION_KEYS,
+    "averaged": _ITERATION_KEYS | {"weights"},
+    "fixedpoint": _ITERATION_KEYS,
     "certify": {"algorithm", "samples", "seed", "witness",
                 "claim_alpha", "claim_set", "output"},
-    "barycenter": {"algorithm", "point", "weights", "output"},
+    "barycenter": {"algorithm", "point", "weights", "step_tol", "output"},
 }
 
-
-def _parse_weights(value: str, line_no: int) -> list[float]:
-    try:
-        return list(convex_weights(_floats(value, line_no, "weights")))
-    except ConstructionError as exc:
-        raise ScenarioError(str(exc), line_no=line_no, key="weights")
+# The [run] keys each command-line flag may stand for; a flag sets the
+# first of its keys that the scenario's algorithm reads.
+_FLAG_KEYS = {"--seed": ("seed",), "--max-iter": ("max_iter",),
+              "--tol": ("residual_tol", "step_tol")}
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document (see module docstring)."""
+def _parse_weights(hit, count: int, what: str) -> list[float]:
+    """The convex weights of a ``weights`` line, one for each of ``count`` ``what``."""
+    value, line_no = hit
+    weights = list(_checked(line_no, "weights", convex_weights,
+                            _floats(value, line_no, "weights")))
+    if len(weights) != count:
+        raise ScenarioError(f"{count} {what} but {len(weights)} weights",
+                            line_no=line_no, key="weights")
+    return weights
+
+
+def parse_scenario(text: str, overrides: dict[str, str] | None = None) -> Scenario:
+    """Parse and validate a scenario document (see module docstring).
+
+    ``overrides`` maps command-line flags (``--seed``, ``--max-iter``,
+    ``--tol``) to value text.  Each flag sets the [run] key it stands for
+    (``--tol`` is ``residual_tol``, or ``step_tol`` for a barycenter)
+    before any validation, so its value is parsed and checked as that key
+    written in the document would be.  A flag the scenario's algorithm does
+    not read is an error, and so is a flag's bad value; both name the flag.
+    """
     sections = _split_document(text)
     space_sections = [s for s in sections if s.header == "space"]
     run_sections = [s for s in sections if s.header == "run"]
@@ -362,6 +397,13 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(f"unknown algorithm {algorithm_v!r}",
                             line_no=algorithm_ln, key="algorithm")
     allowed = _RUN_KEYS[algorithm_v]
+    for flag, value in (overrides or {}).items():
+        if flag not in _FLAG_KEYS:
+            raise ScenarioError(f"unknown flag {flag}")
+        key = next((k for k in _FLAG_KEYS[flag] if k in allowed), None)
+        if key is None:
+            raise ScenarioError(f"flag {flag} does not apply to algorithm '{algorithm_v}'")
+        run.override(key, str(value), flag)
     run.only(allowed)
 
     output_v, _ = run.require("output")
@@ -387,39 +429,28 @@ def parse_scenario(text: str) -> Scenario:
             if hit is None:
                 continue
             stop[key] = parse(*hit, key)
-            try:
-                scenario.stop = StopRule(**stop)
-            except ConstructionError as exc:
-                raise ScenarioError(str(exc), line_no=hit[1], key=key)
+            scenario.stop = _checked(hit[1], key, StopRule, **stop)
         if algorithm_v == "averaged":
             weights = run.get("weights")
             if weights is not None:
-                scenario.weights = _parse_weights(*weights)
-                if len(scenario.weights) != len(names):
-                    raise ScenarioError(
-                        f"{len(names)} sets but {len(scenario.weights)} weights",
-                        line_no=weights[1], key="weights")
+                scenario.weights = _parse_weights(weights, len(names), "sets")
     elif algorithm_v == "certify":
         samples = run.get("samples")
         if samples is not None:
-            scenario.samples = _int(*samples, "samples")
-            if scenario.samples < 1:
-                raise ScenarioError("samples must be >= 1", line_no=samples[1], key="samples")
+            scenario.samples = _checked(samples[1], "samples", _check_count, "samples",
+                                        _int(*samples, "samples"))
         seed = run.get("seed")
         if seed is not None:
             scenario.seed = _int(*seed, "seed")
-            if scenario.seed < 0:
-                raise ScenarioError("seed must be >= 0", line_no=seed[1], key="seed")
+            _checked(seed[1], "seed", _check_seed, scenario.seed)
         claim_alpha = run.get("claim_alpha")
         claim_set = run.get("claim_set")
         if (claim_alpha is None) != (claim_set is None):
             raise ScenarioError("claim_alpha and claim_set must appear together",
                                 line_no=run.line_no)
         if claim_alpha is not None:
-            scenario.claim_alpha = _float(*claim_alpha, "claim_alpha")
-            if not 0.0 < scenario.claim_alpha < 1.0:
-                raise ScenarioError("claim_alpha must lie in (0, 1)",
-                                    line_no=claim_alpha[1], key="claim_alpha")
+            scenario.claim_alpha = _checked(claim_alpha[1], "claim_alpha", _check_alpha,
+                                            _float(*claim_alpha, "claim_alpha"), "claim_alpha")
             scenario.claim_set = claim_set[0]
             if scenario.claim_set not in sets:
                 raise ScenarioError(f"unresolved set reference '{scenario.claim_set}'",
@@ -434,12 +465,11 @@ def parse_scenario(text: str) -> Scenario:
         ]
         weights = run.get("weights")
         if weights is not None:
-            scenario.weights = _parse_weights(*weights)
-            if len(scenario.weights) != len(scenario.mean_points):
-                raise ScenarioError(
-                    f"{len(scenario.mean_points)} points but "
-                    f"{len(scenario.weights)} weights",
-                    line_no=weights[1], key="weights")
+            scenario.weights = _parse_weights(weights, len(scenario.mean_points), "points")
+        step_tol = run.get("step_tol")
+        if step_tol is not None:
+            scenario.step_tol = _float(*step_tol, "step_tol")
+            _checked(step_tol[1], "step_tol", _check_step_tol, scenario.step_tol)
 
     witness = run.get("witness")
     if witness is not None:

@@ -245,7 +245,7 @@ class TestRunCheck:
         well_formed = {
             COMPOSITION_CONDITION: {},
             VARIANCE_INEQ: {},
-            PROJECTION_FIRM: {"set": half_v},
+            PROJECTION_FIRM: {},  # each case gives the op or the set
             PROJECTION_INEQ: {"set": half_v},
             FIX_CONVEXITY: {"set": half_v},
             QUASI_FIRM: {"op": Projection(half_v), "alpha": 0.5, "fixed_points": [origin]},
@@ -262,6 +262,19 @@ class TestRunCheck:
                          payload={**well_formed, **payload})
         with pytest.raises(CheckSpecError):
             run_check(spec)
+
+    def test_payload_key_the_kind_does_not_read_rejected(self, e2):
+        half = EuclideanHalfspace(e2, [0, 1], 0.0)
+        for kind, payload, match in [
+            (PROJECTION_INEQ, {"set": half, "alpha": 0.9, "typo_key": 3},
+             "'projection_ineq' does not read payload key 'alpha'"),
+            (CAT0, {"set": half}, "'cat0' does not read payload key 'set'"),
+            (VARIANCE_INEQ, {"challengers": 5, "samples": 3}, "payload key 'samples'"),
+            (PROJECTION_FIRM, {"set": half, "op": Identity(), "alpha": 0.4},
+             "takes an 'op' or a 'set', not both"),
+        ]:
+            with pytest.raises(CheckSpecError, match=match):
+                CheckSpec(kind=kind, space=e2, samples=50, seed=1, payload=payload)
 
     def test_combination_applied_to_its_witness_once_per_check(self, e2):
         origin = e2.point([0.0, 0.0])

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, outputs on disk, exit codes."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -175,15 +176,21 @@ class TestRun:
         assert run_scenario(scenario) == 0
         assert out.exists()
 
-    @pytest.mark.parametrize("doc", [CYCLIC_DOC, CERTIFY_DOC], ids=["cyclic", "certify"])
-    def test_run_scenario_step_tol_only_for_barycenter(self, tmp_path, capsys, doc):
-        out = tmp_path / "out.csv"
-        scenario = parse_scenario(doc.format(out=out))
-        assert run_scenario(scenario, step_tol=1e-9) == 2
+    def test_tree_whose_distances_overflow_is_parse_error(self, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        doc = ("[space]\nkind = tree\nedge = o,a,1e308\nedge = a,b,1e308\nedge = o,c,1\n"
+               "[set A]\nkind = subtree\nvertices = o,a\n"
+               "[set C]\nkind = subtree\nvertices = o,c\n"
+               "[run]\nalgorithm = cyclic\nsets = A,C\nx0 = vertex,b\nmax_iter = 50\n"
+               f"output = {out}\n")
+        assert main(["run", write(tmp_path, "t.scn", doc)]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "step_tol" in err and scenario.algorithm in err
+        assert "distances overflow" in err
+
+    def test_run_scenario_takes_only_the_scenario(self):
+        assert list(inspect.signature(run_scenario).parameters) == ["scenario"]
 
 
 class TestFixedPoint:
@@ -327,6 +334,65 @@ class TestUnusedFlags:
         scn = write(tmp_path, "m.scn", MEAN_DOC.format(out=out))
         assert main(["mean", scn, "--tol", "1e-9"]) == 0
         assert out.exists()
+
+
+HYPERBOLIC_MEAN_DOC = """
+[space]
+kind = hyperboloid
+dim = 2
+
+[run]
+algorithm = barycenter
+point = exp:1.5,0.2
+point = exp:-0.4,1.1
+point = exp:0.3,-1.3
+output = {out}
+"""
+
+
+def with_key(doc: str, key: str, value: str) -> str:
+    """``doc`` with its [run] ``key`` line, added before ``output`` if absent, set to ``value``."""
+    lines = [ln for ln in doc.splitlines() if not ln.startswith(f"{key} =")]
+    lines.insert(next(i for i, ln in enumerate(lines) if ln.startswith("output =")),
+                 f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+class TestFlagsAreKeys:
+    """A flag and the [run] key it stands for, given the same value, run the same."""
+
+    @pytest.mark.parametrize("command, doc, flag, key, value", [
+        ("certify", CERTIFY_DOC, "--seed", "seed", "5"),
+        ("run", CYCLIC_DOC, "--max-iter", "max_iter", "1"),
+        ("run", CYCLIC_DOC.replace("cyclic", "averaged"), "--max-iter", "max_iter", "3"),
+        ("run", FIXEDPOINT_DOC.replace("{tol}", ""), "--max-iter", "max_iter", "40"),
+        ("run", CYCLIC_DOC, "--tol", "residual_tol", "1.5"),
+        ("run", CYCLIC_DOC.replace("cyclic", "averaged"), "--tol", "residual_tol", "1e-3"),
+        ("run", FIXEDPOINT_DOC.replace("{tol}", ""), "--tol", "residual_tol", "1e-3"),
+        ("mean", HYPERBOLIC_MEAN_DOC, "--tol", "step_tol", "1e-3"),
+    ], ids=["certify-seed", "cyclic-max-iter", "averaged-max-iter", "fixedpoint-max-iter",
+            "cyclic-tol", "averaged-tol", "fixedpoint-tol", "barycenter-tol"])
+    def test_flag_matches_key(self, tmp_path, capsys, command, doc, flag, key, value):
+        out = tmp_path / "out.csv"
+        doc = doc.format(out=out)
+        status = main([command, write(tmp_path, "flag.scn", doc), flag, value])
+        by_flag = out.read_bytes()
+        out.unlink()
+        assert main([command, write(tmp_path, "key.scn", with_key(doc, key, value))]) == status
+        assert out.read_bytes() == by_flag
+        out.unlink()
+        assert main([command, write(tmp_path, "plain.scn", doc)]) in (0, 3)
+        assert out.read_bytes() != by_flag
+
+    @pytest.mark.parametrize("flags", [["--seed", "five"], ["--seed", "2.5"]])
+    def test_malformed_flag_value_names_the_flag(self, tmp_path, capsys, flags):
+        out = tmp_path / "out.csv"
+        assert main(["certify", write(tmp_path, "s.scn", CERTIFY_DOC.format(out=out)),
+                     *flags]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "flag --seed: expected an integer" in err
 
 
 class TestInvalidValues:

@@ -62,6 +62,14 @@ class TestConstruction:
         with pytest.raises(ConstructionError):
             MetricTree([("a", "b", 0.0)])
 
+    @pytest.mark.parametrize("edges", [
+        [("o", "a", 1e308), ("a", "b", 1e308), ("o", "c", 1.0)],
+        [("o", "a", 1e308)],
+    ], ids=["sum-overflows", "doubled-overflows"])
+    def test_total_length_that_overflows_rejected(self, edges):
+        with pytest.raises(ConstructionError, match="overflow"):
+            MetricTree(edges)
+
     def test_needs_an_edge(self):
         with pytest.raises(ConstructionError):
             MetricTree([])

@@ -234,10 +234,51 @@ class TestValidationErrors:
         assert err.value.key == "seed"
         assert doc.splitlines()[err.value.line_no - 1] == "seed = -1"
 
+    @pytest.mark.parametrize("value, match", [
+        ("nan", "finite and >= 0"), ("-1", "finite and >= 0"), ("inf", "finite and >= 0"),
+        ("small", "expected a real"),
+    ])
+    def test_bad_step_tol_reported_on_its_line(self, value, match):
+        doc, line = repeat_line(MEAN_DOC, "weights = 0.25,0.25,0.5", f"step_tol = {value}")
+        with pytest.raises(ScenarioError, match=match) as err:
+            parse_scenario(doc)
+        assert (err.value.line_no, err.value.key) == (line, "step_tol")
+
     def test_weights_length_checked_against_sets(self):
         doc = PRODUCT_DOC.replace("weights = 1", "weights = 0.5,0.5")
         with pytest.raises(ScenarioError, match="1 sets but 2 weights"):
             parse_scenario(doc)
+
+
+class TestOverrides:
+    """Command-line flags set the [run] keys they stand for."""
+
+    def test_flags_set_their_keys(self):
+        s = parse_scenario(CYCLIC_DOC, {"--max-iter": "7", "--tol": "0.25"})
+        assert (s.stop.max_iter, s.stop.residual_tol) == (7, 0.25)
+        assert parse_scenario(TREE_CERTIFY_DOC, {"--seed": "3"}).seed == 3
+        assert parse_scenario(MEAN_DOC, {"--tol": "1e-6"}).step_tol == 1e-6
+
+    @pytest.mark.parametrize("doc, flags, match", [
+        (CYCLIC_DOC, {"--seed": "1"}, "flag --seed does not apply to algorithm 'cyclic'"),
+        (MEAN_DOC, {"--max-iter": "5"},
+         "flag --max-iter does not apply to algorithm 'barycenter'"),
+        (CYCLIC_DOC, {"--verbose": "1"}, "unknown flag --verbose"),
+        (CYCLIC_DOC, {"--max-iter": "ten"}, "flag --max-iter: expected an integer"),
+        (TREE_CERTIFY_DOC, {"--seed": "-2"}, "flag --seed: seed must be >= 0"),
+        (MEAN_DOC, {"--tol": "-1"}, "flag --tol: step_tol must be finite and >= 0"),
+    ], ids=["cyclic-seed", "mean-max-iter", "unknown", "max-iter-text", "seed-negative",
+            "mean-tol-negative"])
+    def test_bad_flag_is_named(self, doc, flags, match):
+        with pytest.raises(ScenarioError, match=match) as err:
+            parse_scenario(doc, flags)
+        assert err.value.line_no is None
+
+    def test_repeated_key_still_reported_under_a_flag(self):
+        doc, line = repeat_line(CYCLIC_DOC, "max_iter = 100", "max_iter = 50")
+        with pytest.raises(ScenarioError, match="repeats") as err:
+            parse_scenario(doc, {"--max-iter": "7"})
+        assert (err.value.line_no, err.value.key) == (line, "max_iter")
 
 
 def broken(doc: str, old: str, new: str, at: str | None, key: str | None, match: str):
@@ -281,7 +322,7 @@ class TestScenarioErrors:
         broken(CYCLIC_DOC, "sets = A,B", "sets = ,", "sets = ,", "sets",
                "empty set list"),
         broken(TREE_CERTIFY_DOC, "samples = 250", "samples = 0", "samples = 0", "samples",
-               "samples must be >= 1"),
+               "samples must be an integer >= 1"),
         broken(TREE_CERTIFY_DOC, "seed = 11", "seed = 11\nclaim_alpha = nan\nclaim_set = LA",
                "claim_alpha = nan", "claim_alpha",
                "claim_alpha must lie in"),
