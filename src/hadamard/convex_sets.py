@@ -300,15 +300,14 @@ class Subtree(ConvexSet):
         object.__setattr__(self, "_members", members)
         object.__setattr__(self, "_top", top)
 
-    def project(self, x: Point) -> Point:
-        self._check_point(x)
+    def _gate(self, loc) -> Point | None:
+        """None for a member location, else the shared point at its gate vertex."""
         tree: MetricTree = self.space
-        loc = x.payload
         if loc.edge in self.edge_set:
-            return x
+            return None
         v = tree.location_vertex(loc)
         if v is not None and v in self.vertex_set:
-            return x
+            return None
         c = tree._child[loc.edge]
         top = self._top
         if not top <= c <= tree._last[top]:
@@ -317,6 +316,15 @@ class Subtree(ConvexSet):
         while c not in members:
             c = parent[c]
         return tree.vertex_point(tree._names[c])
+
+    def project(self, x: Point) -> Point:
+        self._check_point(x)
+        gate = self._gate(x.payload)
+        return x if gate is None else gate
+
+    def project_block(self, block):
+        gate = self._gate
+        return [loc if (g := gate(loc)) is None else g.payload for loc in block]
 
     def contains(self, x: Point) -> bool:
         return distance(x, self.project(x)) <= EQ_TOL

@@ -55,6 +55,10 @@ EQ_TOL = 1e-9
 ON_MANIFOLD_TOL = 1e-10
 # Inequality checks where arcosh conditioning near 1 dominates.
 HYPERBOLIC_TOL = 1e-7
+# Largest coordinate magnitude of a point.  Below dimension ~4e7 no squared
+# distance between such points overflows; hyperboloid points stay far
+# inside it (cosh(_EXP_RADIUS) is about 1e130).
+_COORD_LIMIT = 1e150
 # Sweep cap of the iterative mean solvers; the hyperboloid iteration
 # contracts linearly and stabilizes well within it.
 _SWEEP_LIMIT = 200
@@ -199,7 +203,8 @@ class SpaceModel:
         return [p for block in blocks for p in block]
 
     def sample_block(self, rng: np.random.Generator, n: int):
-        return [self.sample_payload(rng) for _ in range(n)]
+        """A block of n seeded samples; every model draws its own."""
+        raise NotImplementedError
 
     def distances(self, a, b) -> np.ndarray:
         """Rowwise distances between two blocks of one length."""
@@ -253,8 +258,10 @@ class CoordinateSpace(SpaceModel):
         n = self.dim + self._extra
         if arr.shape != (n,):
             raise InvalidPointError(f"expected {n} coordinates, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidPointError("coordinates must be finite")
+        # NaN fails the comparison too
+        if not np.abs(arr).max() <= _COORD_LIMIT:
+            raise InvalidPointError(
+                f"coordinates must be finite and at most {_COORD_LIMIT:g} in magnitude")
         return arr
 
     def payloads_equal(self, a, b) -> bool:

@@ -375,9 +375,20 @@ class MetricTree(SpaceModel):
         return Point(self, self._canonical(idx, float(s_star[idx])))
 
     def sample_payload(self, rng: np.random.Generator):
-        idx = int(rng.integers(0, len(self.edges)))
-        offset = float(rng.uniform(0.0, self.edges[idx].length))
-        return self._canonical(idx, offset)
+        return self.sample_block(rng, 1)[0]
+
+    def sample_block(self, rng: np.random.Generator, n: int):
+        # Each row draws its edge, then its offset.  ``rng.uniform(0.0, L)``
+        # returns ``0.0 + L * rng.random()``, so ``L * rng.random()`` takes
+        # the same draw and gives the same double, without uniform's
+        # per-call argument handling.
+        edges, canonical = self.edges, self._canonical
+        integers, random, count = rng.integers, rng.random, len(edges)
+        out = []
+        for _ in range(n):
+            e = int(integers(0, count))
+            out.append(canonical(e, edges[e].length * random()))
+        return out
 
     def payloads_equal(self, a: TreeLocation, b: TreeLocation) -> bool:
         return a.edge == b.edge and a.offset == b.offset

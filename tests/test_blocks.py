@@ -1,7 +1,9 @@
 """Blocks: each row equals a one-row block bit for bit and agrees with the scalar path.
 
-Euclidean, hyperboloid and product blocks run array kernels; tree blocks
-run the scalar methods row by row.  Hyperboloid points are compared with
+Euclidean, hyperboloid and product blocks run array kernels.  Tree blocks
+are payload lists: they are sampled in one loop and projected onto subtrees
+by one gate per row, while distances and interpolation run the scalar
+methods row by row.  Hyperboloid points are compared with
 the scalar path in ambient coordinates, since the scalar ``distance``
 cannot resolve separations below about 1e-8 there.
 """
@@ -308,6 +310,38 @@ def test_rows_share_no_memory_with_their_block(model, request):
     rng = np.random.default_rng(8)
     for block in (space.sample_block(rng, 10), space.repeat(space.sample(rng), 10)):
         assert not np.shares_memory(space.row(block, 4).payload, block)
+
+
+class TestSubtreeGate:
+    """Subtree blocks go through the gate that ``project`` uses, one payload per row."""
+
+    @pytest.mark.parametrize("model", ["tripod", "caterpillar", "product"])
+    def test_rows_are_the_scalar_projections(self, model, e2, tripod, caterpillar, product):
+        if model == "tripod":
+            space, sets = tripod, [Subtree(tripod, ["o", "a"]), Subtree(tripod, ["b"])]
+        elif model == "caterpillar":
+            space, sets = caterpillar, [Subtree(caterpillar, ["v0", "v1", "v2"]),
+                                        Subtree(caterpillar, ["v1", "v2", "v4"]),
+                                        Subtree(caterpillar, ["v3"])]
+        else:
+            space, sets = product, [ProductSet(product, EuclideanHalfspace(e2, [0.0, 1.0], 0.0),
+                                               Subtree(tripod, ["o", "a"]))]
+        block = space.sample_block(np.random.default_rng(12), 400)
+        moved = []
+        for c in sets:
+            images = c.project_block(block)
+            moved.append(0)
+            for i in range(400):
+                x = space.row(block, i)
+                got, want = space.row(images, i), c.project(x)
+                assert bits(got) == bits(want), (c, i)
+                if model == "product":
+                    x, got, want = x.payload[1], got.payload[1], want.payload[1]
+                # members keep their payload; the rest get the shared vertex payload
+                assert got.payload is want.payload, (c, i)
+                moved[-1] += want is not x
+        # rows of both kinds: the first set has edges, every set misses some rows
+        assert 0 < moved[0] < 400 and all(moved)
 
 
 class TestRowFallback:

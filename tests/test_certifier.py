@@ -13,6 +13,7 @@ from hadamard import (
     Hyperboloid,
     HyperbolicHalfspace,
     Identity,
+    MetricTree,
     Point,
     Pointwise,
     Projection,
@@ -46,6 +47,40 @@ from hadamard.certifier import (
 from hadamard import certifier
 from hadamard.certifier import _CHUNK
 from hadamard.errors import CheckSpecError, SpaceMismatchError
+
+
+# Worst defect (float hex) and witness of each pure-tree row of
+# default_suite(seed=1, samples=1000) but variance_ineq and combination_theorem.
+TREE_PINS = {
+    ("cat0", "tripod"): ("-0x1.0000000000000p-50", "edge,0,0.60077676127325008 "
+                         "edge,2,0.65834213657842511 edge,0,0.97440304329385463 0.9917330255768686"),
+    ("cauchy_schwarz", "tripod"): ("-0x1.2400000000000p-51", "edge,2,0.97579709629517664 "
+                                   "edge,2,0.95449558523737243 edge,2,0.54199726927267011 "
+                                   "edge,1,0.9446400481892856"),
+    ("cat0", "caterpillar"): ("-0x1.8000000000000p-47", "edge,1,0.1073895020738358 "
+                              "edge,4,0.77893231209006197 edge,3,1.77208965700552 "
+                              "0.9796879235908852"),
+    ("cauchy_schwarz", "caterpillar"): ("-0x1.0000000000000p-48", "edge,4,0.87826480006994712 "
+                                        "edge,3,1.8963254736128639 edge,4,0.11726998735208083 "
+                                        "edge,3,1.6393955727165774"),
+    ("projection_firm", "ball-tripod"): ("-0x1.0000000000004p-54", "edge,2,0.78376022751559793 "
+                                         "edge,2,0.52951294993046816"),
+    ("projection_ineq", "ball-tripod"): ("-0x1.0000000000001p-51", "edge,1,0.93406816499399115 "
+                                         "edge,1,0.25000000000000011"),
+    ("projection_firm", "spine"): ("-0x1.a800000000000p-54", "edge,3,1.9759847842888996 "
+                                   "edge,2,0.152123371147322"),
+    ("projection_ineq", "spine"): ("0x0.0p+0", "edge,2,0.34834026149653186 vertex,v2"),
+    ("projection_firm", "branch"): ("-0x1.0000000000000p-54", "edge,4,0.77600235640439941 "
+                                    "edge,4,0.87022977979428329"),
+    ("projection_ineq", "branch"): ("0x0.0p+0", "edge,3,0.74595850814114728 vertex,v1"),
+    ("quasi_firm", "projection-subtree"): ("0x0.0p+0", "edge,0,0.73032213244490374 vertex,o"),
+    ("composition_theorem", "two-subtrees"): ("0x0.0p+0",
+                                              "edge,1,0.22449155699071804 vertex,v1"),
+    ("fix_convexity", "subtree"): ("-0x0.0p+0", "vertex,o vertex,o"),
+    ("fejer_run", "cyclic-subtrees"): ("0x0.0p+0", "edge,0,0.49049221742422666"),
+    ("composition_condition", "two-subtrees"): ("0x0.0p+0", "edge,1,0.14597390708689456 "
+                                                "edge,1,1.1258510298089663"),
+}
 
 
 class TestSampling:
@@ -386,6 +421,27 @@ class TestSuite:
             result = run_check(spec)
             assert result.passed, spec.label
             assert reevaluate_witness(spec, result.witness) == result.worst_defect
+
+    def test_tree_rows_pinned(self):
+        """Every pure-tree row of the seed-1 suite, as worst defect and witness.
+
+        A change to the tree sampler's draw stream moves these.  The two
+        rows whose tree means go through a NumPy matrix product are left
+        out, since BLAS builds may round that differently; the others use
+        only IEEE arithmetic and min, so they read the same everywhere.
+        Witness points are spelled by ``format_payload``.
+        """
+        got = {}
+        for spec in default_suite(seed=1, samples=1000):
+            if not isinstance(spec.space, MetricTree) or spec.kind in (VARIANCE_INEQ,
+                                                                       COMBINATION_THEOREM):
+                continue
+            result = run_check(spec)
+            assert all(v.space is spec.space for v in result.witness if isinstance(v, Point))
+            got[spec.kind, spec.label] = (float(result.worst_defect).hex(), " ".join(
+                spec.space.format_payload(v.payload) if isinstance(v, Point) else repr(v)
+                for v in result.witness))
+        assert got == TREE_PINS
 
     def test_appended_rows_keep_earlier_seeds(self):
         # the composition_condition rows come last, so the other rows keep their seeds

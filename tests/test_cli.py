@@ -415,9 +415,12 @@ class TestInvalidValues:
          [], "key 'weights': weights must be finite and nonnegative"),
         ("run", CYCLIC_DOC.replace("offset = 0\n\n[set B]", "offset = nan\n\n[set B]"), [],
          "halfspace offset must be finite, got nan"),
+        ("run", CYCLIC_DOC.replace("x0 = 1,1", "x0 = 1e200,1e200"), [],
+         "key 'x0': coordinates must be finite and at most 1e+150 in magnitude"),
     ], ids=["max-iter-0", "tol-negative", "tol-nan", "seed-negative", "mean-tol-nan",
             "mean-tol-negative", "scenario-residual-tol-nan", "scenario-seed-negative",
-            "mean-weights-nan", "averaged-weights-nan", "halfspace-offset-nan"])
+            "mean-weights-nan", "averaged-weights-nan", "halfspace-offset-nan",
+            "x0-overflows-distances"])
     def test_exit_2_without_artifact(self, tmp_path, capsys, command, doc, flags, message):
         out = tmp_path / "out.csv"
         scn = write(tmp_path, "s.scn", doc.format(out=out))

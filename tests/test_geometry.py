@@ -59,6 +59,14 @@ class TestDistance:
         with pytest.raises(InvalidPointError):
             h2.point([-1.0, 0.0, 0.0])
 
+    def test_coordinates_bounded_so_distances_stay_finite(self, e2):
+        p, q = e2.point([1e150, -1e150]), e2.point([-1e150, 1e150])
+        assert math.isfinite(distance(p, q))
+        for bad in ([1.0000000000000002e150, 0.0], [0.0, -math.inf], [math.nan, 0.0]):
+            with pytest.raises(InvalidPointError,
+                               match="finite and at most 1e\\+150 in magnitude"):
+                e2.point(bad)
+
 
 class TestGeodesicPoint:
     def test_euclidean_midpoint(self, e2):

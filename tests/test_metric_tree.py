@@ -219,6 +219,72 @@ class TestTreeGeodesics:
 
 
 # ---------------------------------------------------------------------
+# sample blocks: the scalar sampler's draws, in one loop
+# ---------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=["tripod", "caterpillar", "tree2000", "short-edge"])
+def sampled_tree(request):
+    if request.param == "tripod":
+        return request.getfixturevalue("tripod")
+    if request.param == "caterpillar":
+        return request.getfixturevalue("caterpillar")
+    if request.param == "tree2000":
+        return random_tree(np.random.default_rng(2000), 2000)
+    # every offset drawn on the middle edge lies within snapping distance of its ends
+    return MetricTree([("a", "b", 1.0), ("b", "c", 5e-13), ("c", "d", 2.0)])
+
+
+def reference_samples(tree, rng, n):
+    """The draws the sampler must reproduce: an edge, then a uniform offset on it."""
+    out = []
+    for _ in range(n):
+        e = int(rng.integers(0, len(tree.edges)))
+        out.append(tree._canonical(e, float(rng.uniform(0.0, tree.edges[e].length))))
+    return out
+
+
+class CountingRng:
+    """Forwards every method call to a generator and counts it by name."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = {}
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+class TestSampleBlock:
+    @pytest.mark.parametrize("n", [0, 1, 7, 4097])
+    def test_block_is_the_reference_stream(self, sampled_tree, n):
+        rng, ref = np.random.default_rng(31), np.random.default_rng(31)
+        block, want = sampled_tree.sample_block(rng, n), reference_samples(sampled_tree, ref, n)
+        assert len(block) == n
+        for got, loc in zip(block, want):
+            assert (got.edge, got.offset.hex()) == (loc.edge, loc.offset.hex())
+        assert rng.bit_generator.state == ref.bit_generator.state
+        if sampled_tree.edges[1].length < 1e-12:
+            # draws on the short edge snap to its ends, b or c, never inside it
+            ends = [sampled_tree.location_vertex(loc) in ("b", "c") for loc in block]
+            assert all(end for end, loc in zip(ends, block) if loc.edge == 1)
+            assert n < 7 or any(ends)
+
+    def test_one_draw_of_each_kind_per_row(self, sampled_tree):
+        rng = CountingRng(5)
+        sampled_tree.sample_block(rng, 7)
+        assert rng.calls == {"integers": 7, "random": 7}
+        sampled_tree.sample_payload(rng)
+        assert rng.calls == {"integers": 8, "random": 8}
+
+
+# ---------------------------------------------------------------------
 # trees at scale, against networkx
 # ---------------------------------------------------------------------
 
