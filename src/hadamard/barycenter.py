@@ -6,7 +6,8 @@ with parameter 2 in any Hadamard space.  One point is its own mean and
 two points meet at the geodesic point at parameter w_2.  Three or more
 go to the model's own solver, its ``_mean`` method:
 
-* Euclidean: the coordinate-wise weighted average.
+* Euclidean: the coordinate-wise weighted average, the one-row case
+  of the block solver below.
 * Product spaces: the objective separates, so the mean is the pair of
   the factors' means.
 * Metric trees: F restricted to one edge is a single quadratic in the
@@ -16,7 +17,7 @@ go to the model's own solver, its ``_mean`` method:
   condition, renormalizing the tangent-weighted ambient average.
 
 Each model also solves many instances at once in ``_block_mean``, the
-rowwise twin of its ``_mean`` (row by row in trees); ``_frechet_means``
+rowwise form of its ``_mean`` (row by row in trees); ``_frechet_means``
 is the block form of ``frechet_mean`` that the certifier and
 ``ConvexCombination.apply_block`` call.
 

@@ -112,9 +112,9 @@ class Point:
 class SpaceModel:
     """Base class for the concrete space models.
 
-    Subclasses implement distance, geodesic interpolation, payload
-    validation, and seeded sampling on raw payloads; the ``Point``-level
-    API wraps those.  Structural equality (``==``) identifies spaces that
+    Subclasses implement distance, geodesic interpolation and payload
+    validation on raw payloads, and seeded sampling in blocks; the
+    ``Point``-level API wraps those.  Structural equality (``==``) identifies spaces that
     were constructed separately but describe the same model.
     """
 
@@ -135,11 +135,8 @@ class SpaceModel:
         """Constant-speed geodesic point at parameter t in (0, 1)."""
         raise NotImplementedError
 
-    def sample_payload(self, rng: np.random.Generator):
-        raise NotImplementedError
-
     def payloads_equal(self, a, b) -> bool:
-        raise NotImplementedError
+        return a == b
 
     def format_payload(self, payload) -> str:
         return repr(payload)
@@ -164,7 +161,8 @@ class SpaceModel:
         return Point(self, self.validate_payload(payload))
 
     def sample(self, rng: np.random.Generator) -> Point:
-        return Point(self, self.sample_payload(rng))
+        """One seeded sample: the one-row case of ``sample_block``."""
+        return self.row(self.sample_block(rng, 1), 0)
 
     # -- block interface ----------------------------------------------
     #
@@ -267,6 +265,15 @@ class CoordinateSpace(SpaceModel):
     def payloads_equal(self, a, b) -> bool:
         return bool(np.array_equal(a, b))
 
+    # The geodesic point and the mean are the one-row cases of the blocks.
+
+    def payload_interpolate(self, a, b, t):
+        return _readonly(self.interpolate(a[None], b[None], np.array([t]))[0])
+
+    def _mean(self, points, weights, step_tol):
+        blocks = [p.payload[None] for p in points]
+        return self.row(self._block_mean(blocks, np.array([weights]), step_tol), 0)
+
     # Blocks are (n, dim + _extra) float arrays.
 
     def stack(self, points):
@@ -312,14 +319,13 @@ class Euclidean(CoordinateSpace):
 
     __slots__ = ()
 
+    # Scalar twins kept: one-row blocks cost 2.3x (distance) and 1.4x
+    # (geodesic point) on the drivers' point-by-point iterates.
     def payload_distance(self, a, b) -> float:
         return float(np.linalg.norm(a - b))
 
     def payload_interpolate(self, a, b, t: float):
         return _readonly((1.0 - t) * a + t * b)
-
-    def sample_payload(self, rng):
-        return _readonly(rng.standard_normal(self.dim))
 
     def sample_block(self, rng, n):
         return rng.standard_normal((n, self.dim))
@@ -332,15 +338,8 @@ class Euclidean(CoordinateSpace):
         t = np.asarray(t, dtype=float)[:, None]
         return (1.0 - t) * a + t * b
 
-    def _mean(self, points, weights, step_tol):
-        # the coordinate-wise weighted average
-        acc = np.zeros(self.dim)
-        for w, p in zip(weights, points):
-            acc += w * p.payload
-        return self.point(acc)
-
     def _block_mean(self, blocks, weights, step_tol):
-        # _mean's sum on every row, in point order
+        # the coordinate-wise weighted average, summed in point order
         acc = np.zeros((len(weights), self.dim))
         for j, block in enumerate(blocks):
             acc += weights[:, j, None] * block
@@ -437,6 +436,7 @@ class Hyperboloid(CoordinateSpace):
         w.setflags(write=False)
         return w
 
+    # Scalar twin kept: a one-row block costs 2.5x on the drivers' iterates.
     def payload_distance(self, a, b) -> float:
         # arcosh resolves nothing below ~1.5e-8, so identical payloads
         # must short-circuit to an exact zero.
@@ -446,15 +446,6 @@ class Hyperboloid(CoordinateSpace):
         if c < 1.0:
             c = 1.0
         return math.acosh(c)
-
-    def payload_interpolate(self, a, b, t: float):
-        theta = self.payload_distance(a, b)
-        if theta < _TINY_ANGLE:
-            return a
-        s = math.sinh(theta)
-        # Both coefficients are >= 0, so w stays on the upper sheet's side.
-        w = (math.sinh((1.0 - t) * theta) * a + math.sinh(t * theta) * b) / s
-        return self.normalize(w)
 
     def exp_from_base(self, tangent) -> Point:
         """Exponential map at the apex of a tangent vector in R^dim."""
@@ -482,11 +473,13 @@ class Hyperboloid(CoordinateSpace):
                 f"exponential map at radius {r:g} is not representable in floating point")
         return Point(self, _readonly(out / math.sqrt(norm_sq)))
 
-    def sample_payload(self, rng):
-        return self.exp_from_base(rng.standard_normal(self.dim)).payload
+    # Scalar twin kept: variance_ineq draws its instances point by point, and
+    # a one-row block costs 3.2x (30.8 vs 9.6 us).
+    def sample(self, rng):
+        return self.exp_from_base(rng.standard_normal(self.dim))
 
     def sample_block(self, rng, n):
-        # the same draws as n calls of sample_payload
+        # the same draws as n calls of sample
         return _exp_rows(rng.standard_normal((n, self.dim)))
 
     def distances(self, a, b):
@@ -497,8 +490,9 @@ class Hyperboloid(CoordinateSpace):
     def interpolate(self, a, b, t):
         t = np.asarray(t, dtype=float)
         theta = self.distances(a, b)
-        # Rows below _TINY_ANGLE keep their start point, as in
-        # payload_interpolate; a stand-in angle spares them sinh(0) = 0.
+        # Rows below _TINY_ANGLE keep their start point; a stand-in angle
+        # spares them sinh(0) = 0.  Both coefficients are >= 0, so every
+        # row stays on the upper sheet's side.
         near = theta < _TINY_ANGLE
         theta = np.where(near, 1.0, theta)
         w = (np.sinh((1.0 - t) * theta)[:, None] * a
@@ -506,6 +500,8 @@ class Hyperboloid(CoordinateSpace):
         out = np.where((near | (t == 0.0))[:, None], a, _normalize(w))
         return np.where((t == 1.0)[:, None], b, out)
 
+    # Scalar twin kept: the drivers solve one mean per iterate, and a one-row
+    # block costs 3.1x (1,207 vs 391 us for four points in H3).
     def _mean(self, points, weights, step_tol):
         # Fixed point of the stationarity condition: the mean satisfies
         # x = normalize(sum_i w_i (theta_i / sinh theta_i) x_i) with
@@ -606,9 +602,6 @@ class ProductSpace(SpaceModel):
         pr = Point(self.right, self.right.payload_interpolate(a[1].payload, b[1].payload, t))
         return (pl, pr)
 
-    def sample_payload(self, rng):
-        return (self.left.sample(rng), self.right.sample(rng))
-
     # Blocks are (left block, right block) pairs.
 
     def stack(self, points):
@@ -637,6 +630,8 @@ class ProductSpace(SpaceModel):
     def concat(self, blocks):
         return (self.left.concat([b[0] for b in blocks]), self.right.concat([b[1] for b in blocks]))
 
+    # _mean and payload_interpolate stay factor-wise, so that a hyperboloid
+    # factor keeps its scalar mean and a tree factor its scalar geodesic.
     def _mean(self, points, weights, step_tol):
         # the objective separates, so the mean is the pair of factor means
         left = self.left._mean([p.payload[0] for p in points], weights, step_tol)
@@ -646,9 +641,6 @@ class ProductSpace(SpaceModel):
     def _block_mean(self, blocks, weights, step_tol):
         return (self.left._block_mean([b[0] for b in blocks], weights, step_tol),
                 self.right._block_mean([b[1] for b in blocks], weights, step_tol))
-
-    def payloads_equal(self, a, b) -> bool:
-        return a[0] == b[0] and a[1] == b[1]
 
     def format_payload(self, payload) -> str:
         return (f"({self.left.format_payload(payload[0].payload)}; "

@@ -374,9 +374,6 @@ class MetricTree(SpaceModel):
         idx = int(np.argmin(values))
         return Point(self, self._canonical(idx, float(s_star[idx])))
 
-    def sample_payload(self, rng: np.random.Generator):
-        return self.sample_block(rng, 1)[0]
-
     def sample_block(self, rng: np.random.Generator, n: int):
         # Each row draws its edge, then its offset.  ``rng.uniform(0.0, L)``
         # returns ``0.0 + L * rng.random()``, so ``L * rng.random()`` takes
@@ -389,9 +386,6 @@ class MetricTree(SpaceModel):
             e = int(integers(0, count))
             out.append(canonical(e, edges[e].length * random()))
         return out
-
-    def payloads_equal(self, a: TreeLocation, b: TreeLocation) -> bool:
-        return a.edge == b.edge and a.offset == b.offset
 
     def format_payload(self, payload: TreeLocation) -> str:
         v = self.location_vertex(payload)

@@ -5,7 +5,9 @@ are payload lists: they are sampled in one loop and projected onto subtrees
 by one gate per row, while distances and interpolation run the scalar
 methods row by row.  Hyperboloid points are compared with
 the scalar path in ambient coordinates, since the scalar ``distance``
-cannot resolve separations below about 1e-8 there.
+cannot resolve separations below about 1e-8 there.  Where a model derives
+a scalar method from its blocks (the seeded sample, the hyperboloid
+geodesic point, the flat mean), the two agree bit for bit.
 """
 
 import math
@@ -33,7 +35,9 @@ from hadamard import (
     ProductSpace,
     Projection,
     Subtree,
+    WeightedPoints,
     distance,
+    frechet_mean,
     geodesic_point,
 )
 
@@ -276,6 +280,38 @@ def test_combination_block_keeps_frechet_mean_semantics(all_models, model, raw, 
     images = combo.apply_block(space, x)
     for i in range(6):
         same_or_near(space.row(images, i), combo.apply(space.row(x, i)))
+
+
+# The scalar methods each model derives from its blocks; it defines the rest itself.
+DERIVED = {"euclidean3": {"sample", "_mean"}, "hyperbolic2": {"payload_interpolate"},
+           "tripod": {"sample"}, "caterpillar": {"sample"}, "euclidean-x-tripod": {"sample"}}
+
+
+@pytest.mark.parametrize("model", sorted(DERIVED))
+def test_derived_scalars_are_one_row_blocks(all_models, model):
+    space = all_models[model]
+    scalars = {"sample", "payload_interpolate", "_mean"}
+    assert {m for m in scalars if m not in vars(type(space))} == DERIVED[model]
+    rng, twin = np.random.default_rng(13), np.random.default_rng(13)
+    if "sample" in DERIVED[model]:
+        for _ in range(20):
+            assert bits(space.sample(rng)) == bits(space.row(space.sample_block(twin, 1), 0))
+        assert rng.bit_generator.state == twin.bit_generator.state
+    a, b = space.sample_block(rng, 20), space.sample_block(rng, 20)
+    if "payload_interpolate" in DERIVED[model]:
+        t = rng.uniform(0.01, 0.99, 20)
+        assert_rows_match(space, space.stack([geodesic_point(space.row(a, i), space.row(b, i),
+                                                             float(t[i])) for i in range(20)]),
+                          lambda i: space.interpolate(one_row(space, a, i), one_row(space, b, i),
+                                                      t[i:i + 1]), 20)
+    if "_mean" in DERIVED[model]:
+        pts = [a, b, space.sample_block(rng, 20)]
+        raw = rng.uniform(0.05, 1.0, (20, 3))
+        w = raw / raw.sum(axis=1, keepdims=True)
+        means = [frechet_mean(WeightedPoints([space.row(p, i) for p in pts], w[i]))
+                 for i in range(20)]
+        assert_rows_match(space, space.stack(means), lambda i: space._block_mean(
+            [one_row(space, p, i) for p in pts], w[i:i + 1], 1e-10), 20)
 
 
 class TestHyperboloidBlocks:

@@ -169,7 +169,7 @@ class TestTreeDistance:
         """Independent oracle: splice both points into the graph as nodes."""
         for trial in range(20):
             tree = random_tree(rng, 10)
-            locs = [tree.sample_payload(rng) for _ in range(2)]
+            locs = [tree.sample(rng).payload for _ in range(2)]
             p, q = (tree.point(loc) for loc in locs)
             if locs[0].edge == locs[1].edge:
                 expected = abs(locs[0].offset - locs[1].offset)
@@ -214,7 +214,7 @@ class TestTreeGeodesics:
 
     def test_sample_invariants(self, caterpillar, rng):
         for _ in range(200):
-            loc = caterpillar.sample_payload(rng)
+            loc = caterpillar.sample(rng).payload
             assert 0.0 <= loc.offset <= caterpillar.edges[loc.edge].length
 
 
@@ -280,7 +280,7 @@ class TestSampleBlock:
         rng = CountingRng(5)
         sampled_tree.sample_block(rng, 7)
         assert rng.calls == {"integers": 7, "random": 7}
-        sampled_tree.sample_payload(rng)
+        sampled_tree.sample(rng).payload
         assert rng.calls == {"integers": 8, "random": 8}
 
 
