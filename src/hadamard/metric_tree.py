@@ -62,7 +62,7 @@ class MetricTree(SpaceModel):
     __slots__ = (
         "vertices", "edges", "_index", "_names", "_parent", "_parent_edge", "_last",
         "_r", "_home", "_child", "_base", "_sign", "_rows", "_r_arr", "_table",
-        "_log2", "_ends", "_lengths", "_vertex_points",
+        "_log2", "_ends", "_lengths", "_snap_low", "_snap_high", "_vertex_points",
     )
 
     def __init__(self, edges):
@@ -193,6 +193,10 @@ class MetricTree(SpaceModel):
         setattr_(self, "_log2", log2)
         setattr_(self, "_ends", ends)
         setattr_(self, "_lengths", lengths)
+        # Offsets at most _snap_low[e] or at least _snap_high[e] snap to a vertex.
+        snap = _SNAP * np.maximum(1.0, lengths)
+        setattr_(self, "_snap_low", snap.tolist())
+        setattr_(self, "_snap_high", (lengths - snap).tolist())
         setattr_(self, "_vertex_points", {})
 
     # -- rooted structure --------------------------------------------
@@ -278,12 +282,10 @@ class MetricTree(SpaceModel):
         return None
 
     def _canonical(self, edge: int, offset: float) -> TreeLocation:
-        e = self.edges[edge]
-        snap = _SNAP * max(1.0, e.length)
-        if offset <= snap:
-            return self.vertex_location(e.a)
-        if offset >= e.length - snap:
-            return self.vertex_location(e.b)
+        if offset <= self._snap_low[edge]:
+            return self.vertex_location(self.edges[edge].a)
+        if offset >= self._snap_high[edge]:
+            return self.vertex_location(self.edges[edge].b)
         return TreeLocation(edge, offset)
 
     def validate_payload(self, payload):

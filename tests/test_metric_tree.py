@@ -143,6 +143,22 @@ class TestCanonicalization:
         with pytest.raises(InvalidPointError):
             tripod.vertex_location("zz")
 
+    def test_snaps_at_the_bounds_of_each_edge(self):
+        """Offsets snap to a vertex within 1e-12 * max(1, length) of an end, bounds included."""
+        lengths = [5e-13, 0.3, 1.0, 7.25, 1e6]
+        tree = MetricTree([(f"v{i}", f"v{i + 1}", L) for i, L in enumerate(lengths)])
+        for edge, (e, length) in enumerate(zip(tree.edges, lengths)):
+            snap = 1e-12 * max(1.0, length)
+            low, high = snap, length - snap
+            for offset, want in [(low, e.a), (high, e.b), (np.nextafter(low, 1.0), None),
+                                 (np.nextafter(high, 0.0), None)]:
+                if not 0.0 <= offset <= length or (want is None and not low < offset < high):
+                    continue
+                loc = tree.point((edge, float(offset))).payload
+                assert tree.location_vertex(loc) == want, (edge, offset)
+                if want is not None:
+                    assert loc is tree.vertex_location(want)
+
     def test_format_payload(self, tripod):
         assert tripod.format_payload(tripod.vertex_point("a").payload) == "vertex,a"
         assert tripod.format_payload(tripod.edge_point(1, 0.5).payload) == "edge,1,0.5"
