@@ -49,7 +49,10 @@ _STEP_TOL = 1e-10
 
 def convex_weights(weights) -> tuple[float, ...]:
     """The weights as floats, checked finite, nonnegative and summing to 1."""
-    weights = tuple(float(w) for w in weights)
+    try:
+        weights = tuple(float(w) for w in weights)
+    except (TypeError, ValueError, OverflowError):
+        raise ConstructionError(f"weights must be real numbers, got {weights!r}") from None
     if not all(0.0 <= w < math.inf for w in weights):
         raise ConstructionError("weights must be finite and nonnegative")
     total = math.fsum(weights)
@@ -86,7 +89,11 @@ class WeightedPoints:
 
 
 def _check_step_tol(step_tol: float) -> None:
-    if not 0.0 <= step_tol < math.inf:
+    try:
+        ok = 0.0 <= step_tol < math.inf
+    except TypeError:
+        ok = False
+    if not ok:
         raise DomainError(f"step_tol must be finite and >= 0, got {step_tol}")
 
 

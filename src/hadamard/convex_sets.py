@@ -102,13 +102,17 @@ class EuclideanHalfspace(ConvexSet):
         if not isinstance(space, Euclidean):
             raise ConstructionError(f"{type(self).__name__} requires a Euclidean space")
         super().__init__(space, self.kind if name is None else name)
-        arr = np.array(normal, dtype=float)
+        try:
+            arr = np.array(normal, dtype=float)
+            offset = float(offset)
+        except (TypeError, ValueError, OverflowError):
+            raise ConstructionError(f"{self.kind} normal and offset must be real numbers, "
+                                    f"got {normal!r} and {offset!r}") from None
         if arr.shape != (space.dim,):
             raise ConstructionError(f"normal must have {space.dim} coordinates")
         norm_sq = float(arr @ arr)
         if norm_sq <= 0 or not math.isfinite(norm_sq):
             raise ConstructionError(f"{self.kind} normal must be nonzero and finite")
-        offset = float(offset)
         if not math.isfinite(offset):
             raise ConstructionError(f"{self.kind} offset must be finite, got {offset}")
         arr.setflags(write=False)
@@ -193,7 +197,10 @@ class HyperbolicHalfspace(ConvexSet):
         if not isinstance(space, Hyperboloid):
             raise ConstructionError("HyperbolicHalfspace requires a Hyperboloid space")
         super().__init__(space, name)
-        arr = np.array(normal, dtype=float)
+        try:
+            arr = np.array(normal, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise ConstructionError(f"normal must be real numbers, got {normal!r}") from None
         if arr.shape != (space.dim + 1,):
             raise ConstructionError(f"normal must have {space.dim + 1} ambient coordinates")
         mm = minkowski(arr, arr)
@@ -232,7 +239,10 @@ class GeodesicBall(ConvexSet):
 
     def __init__(self, center: Point, radius: float, name: str = "ball"):
         super().__init__(center.space, name)
-        radius = float(radius)
+        try:
+            radius = float(radius)
+        except (TypeError, ValueError, OverflowError):
+            raise ConstructionError(f"ball radius must be a real number, got {radius!r}") from None
         if not (math.isfinite(radius) and radius > 0):
             raise ConstructionError(f"ball radius must be positive, got {radius}")
         object.__setattr__(self, "center", center)
@@ -276,7 +286,11 @@ class Subtree(ConvexSet):
         if not isinstance(tree, MetricTree):
             raise ConstructionError("Subtree requires a MetricTree space")
         super().__init__(tree, name)
-        names = [str(v) for v in vertices]
+        try:
+            names = [str(v) for v in vertices]
+        except TypeError:
+            raise ConstructionError(f"subtree vertices must be a list of names, "
+                                    f"got {vertices!r}") from None
         if not names:
             raise ConstructionError("subtree vertex set is empty")
         unknown = [v for v in names if v not in tree._index]

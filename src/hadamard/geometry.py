@@ -247,12 +247,19 @@ class CoordinateSpace(SpaceModel):
     _extra = 0
 
     def __init__(self, dim: int):
-        if int(dim) != dim or dim < 1:
+        try:
+            ok = int(dim) == dim and dim >= 1
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
             raise ConstructionError(f"{type(self).__name__} dimension must be a positive integer")
         object.__setattr__(self, "dim", int(dim))
 
     def validate_payload(self, payload):
-        arr = _readonly(payload)
+        try:
+            arr = _readonly(payload)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidPointError(f"coordinates must be real numbers, got {payload!r}") from None
         n = self.dim + self._extra
         if arr.shape != (n,):
             raise InvalidPointError(f"expected {n} coordinates, got shape {arr.shape}")
@@ -449,7 +456,11 @@ class Hyperboloid(CoordinateSpace):
 
     def exp_from_base(self, tangent) -> Point:
         """Exponential map at the apex of a tangent vector in R^dim."""
-        v = np.asarray(tangent, dtype=float)
+        try:
+            v = np.asarray(tangent, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidPointError(f"tangent coordinates must be real numbers, "
+                                    f"got {tangent!r}") from None
         if v.shape != (self.dim,):
             raise InvalidPointError(f"tangent vector must have {self.dim} coordinates")
         r = float(np.linalg.norm(v))
@@ -687,7 +698,11 @@ def geodesic_point(p: Point, q: Point, t: float) -> Point:
     endpoints are returned exactly at t = 0 and t = 1.
     """
     space = check_same_space(p, q)
-    if not 0.0 <= t <= 1.0:
+    try:
+        ok = 0.0 <= t <= 1.0
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
         raise DomainError(f"interpolation parameter must be in [0, 1], got {t}")
     if t == 0.0:
         return p
@@ -719,7 +734,11 @@ def cat0_defect(x: Point, y: Point, z: Point, t: float) -> float:
     rounding) in every CAT(0) model.
     """
     check_same_space(x, y, z)
-    if not 0.0 <= t <= 1.0:
+    try:
+        ok = 0.0 <= t <= 1.0
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
         raise DomainError(f"interpolation parameter must be in [0, 1], got {t}")
     return _cat0(distance, x, y, z, geodesic_point(x, y, t), t)
 

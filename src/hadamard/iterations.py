@@ -56,7 +56,11 @@ class StopRule:
             raise ConstructionError("max_iter must be >= 1")
         for name in ("residual_tol", "stall_tol"):
             value = getattr(self, name)
-            if not 0.0 <= value < math.inf:
+            try:
+                ok = 0.0 <= value < math.inf
+            except TypeError:
+                ok = False
+            if not ok:
                 raise ConstructionError(f"{name} must be finite and >= 0, got {value}")
 
 

@@ -70,11 +70,15 @@ class MetricTree(SpaceModel):
         names: list[str] = []
         total = 0.0
         for spec in edges:
-            if isinstance(spec, TreeEdge):
-                a, b, length = spec.a, spec.b, spec.length
-            else:
-                a, b, length = spec
-            a, b, length = str(a), str(b), float(length)
+            try:
+                if isinstance(spec, TreeEdge):
+                    a, b, length = spec.a, spec.b, spec.length
+                else:
+                    a, b, length = spec
+                a, b, length = str(a), str(b), float(length)
+            except (TypeError, ValueError, OverflowError):
+                raise ConstructionError(
+                    f"edge {spec!r} is not an (a, b, length) triple with a numeric length") from None
             if a == b:
                 raise ConstructionError(f"self-loop at vertex '{a}'")
             if not 0.0 < length < math.inf:
@@ -298,10 +302,13 @@ class MetricTree(SpaceModel):
                 raise InvalidPointError(
                     "tree payload must be a TreeLocation or an (edge, offset) pair"
                 )
-        if isinstance(edge, str) or not 0 <= int(edge) < len(self.edges):
-            raise InvalidPointError(f"edge index {edge!r} out of range")
-        edge = int(edge)
-        offset = float(offset)
+        try:
+            if isinstance(edge, str) or not 0 <= int(edge) < len(self.edges):
+                raise InvalidPointError(f"edge index {edge!r} out of range")
+            edge, offset = int(edge), float(offset)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidPointError(f"tree payload needs an integer edge and a numeric offset, "
+                                    f"got {payload!r}") from None
         if not 0.0 <= offset <= self.edges[edge].length:
             raise InvalidPointError(
                 f"offset {offset} outside [0, {self.edges[edge].length}] on edge {edge}"
@@ -416,8 +423,12 @@ def parse_edge_list(text: str) -> MetricTree:
     whitespace-free tokens for the vertices.  Malformed lines raise
     ``EdgeListError`` with the 1-based line number.
     """
+    try:
+        lines = text.splitlines()
+    except AttributeError:
+        raise EdgeListError(0, f"edge list must be text, got {type(text).__name__}") from None
     edges = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
