@@ -114,8 +114,9 @@ class SpaceModel:
 
     Subclasses implement distance, geodesic interpolation and payload
     validation on raw payloads, and seeded sampling in blocks; the
-    ``Point``-level API wraps those.  Structural equality (``==``) identifies spaces that
-    were constructed separately but describe the same model.
+    ``Point``-level API wraps those.  Structural equality (``==``)
+    identifies spaces that were constructed separately but describe the
+    same model.
     """
 
     __slots__ = ()
@@ -326,8 +327,8 @@ class Euclidean(CoordinateSpace):
 
     __slots__ = ()
 
-    # Scalar twins kept: one-row blocks cost 2.3x (distance) and 1.4x
-    # (geodesic point) on the drivers' point-by-point iterates.
+    # Scalar twins kept: the drivers call them point by point, and one-row
+    # blocks cost about 2.6x (distance) and 1.9x (geodesic point) as much.
     def payload_distance(self, a, b) -> float:
         return float(np.linalg.norm(a - b))
 
@@ -443,7 +444,8 @@ class Hyperboloid(CoordinateSpace):
         w.setflags(write=False)
         return w
 
-    # Scalar twin kept: a one-row block costs 2.5x on the drivers' iterates.
+    # Scalar twin kept: the drivers call it point by point, and a one-row
+    # block costs about 2.7x as much.
     def payload_distance(self, a, b) -> float:
         # arcosh resolves nothing below ~1.5e-8, so identical payloads
         # must short-circuit to an exact zero.
@@ -485,7 +487,7 @@ class Hyperboloid(CoordinateSpace):
         return Point(self, _readonly(out / math.sqrt(norm_sq)))
 
     # Scalar twin kept: variance_ineq draws its instances point by point, and
-    # a one-row block costs 3.2x (30.8 vs 9.6 us).
+    # a one-row block costs about 4x as much.
     def sample(self, rng):
         return self.exp_from_base(rng.standard_normal(self.dim))
 
@@ -512,7 +514,7 @@ class Hyperboloid(CoordinateSpace):
         return np.where((t == 1.0)[:, None], b, out)
 
     # Scalar twin kept: the drivers solve one mean per iterate, and a one-row
-    # block costs 3.1x (1,207 vs 391 us for four points in H3).
+    # block costs about 3.8x as much (four points in H3).
     def _mean(self, points, weights, step_tol):
         # Fixed point of the stationarity condition: the mean satisfies
         # x = normalize(sum_i w_i (theta_i / sinh theta_i) x_i) with
@@ -734,12 +736,7 @@ def cat0_defect(x: Point, y: Point, z: Point, t: float) -> float:
     rounding) in every CAT(0) model.
     """
     check_same_space(x, y, z)
-    try:
-        ok = 0.0 <= t <= 1.0
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise DomainError(f"interpolation parameter must be in [0, 1], got {t}")
+    # geodesic_point raises DomainError for t outside [0, 1]
     return _cat0(distance, x, y, z, geodesic_point(x, y, t), t)
 
 

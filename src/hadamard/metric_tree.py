@@ -77,8 +77,8 @@ class MetricTree(SpaceModel):
                     a, b, length = spec
                 a, b, length = str(a), str(b), float(length)
             except (TypeError, ValueError, OverflowError):
-                raise ConstructionError(
-                    f"edge {spec!r} is not an (a, b, length) triple with a numeric length") from None
+                raise ConstructionError(f"edge {spec!r} is not an (a, b, length) triple "
+                                        f"with a numeric length") from None
             if a == b:
                 raise ConstructionError(f"self-loop at vertex '{a}'")
             if not 0.0 < length < math.inf:
