@@ -2,8 +2,9 @@
 
 Each table row names the error type and a fragment of its message.  The
 first table holds inputs whose conversion or comparison used to end in a
-bare ``ValueError``, ``TypeError`` or ``AttributeError``; the second holds
-typed branches that the other tests and the shipped workloads never reach.
+bare ``ValueError``, ``TypeError``, ``OverflowError`` or ``AttributeError``;
+the second holds typed branches that no other test reaches, and the
+hyperbolic halfspace's space check beside its flat twin.
 """
 
 import pytest
