@@ -5,7 +5,8 @@ Cauchy-Schwarz, projection firmness, the quasi-firm theorems, ...) at
 seeded random inputs, records the worst defect together with the inputs
 achieving it, and passes when that defect clears the model's tolerance.
 Every kind draws and evaluates its samples in blocks through one kernel
-(``_block_kernel``); models, sets and operators without array kernels
+(``_block_kernel``).  Every set projects a whole block at once; tree
+distances and geodesics, tree means and operators without array kernels
 run their scalar methods row by row inside the block interface.
 Streams derive from per-check seeds (PCG64 via ``SeedSequence``), so
 reports are deterministic and independent of any execution order, and a
@@ -398,7 +399,8 @@ def _block_kernel(spec: CheckSpec):
             for start in range(0, n, per_batch):
                 pts, weights, ys = [], [], []
                 for _ in range(min(per_batch, n - start)):
-                    instance = tuple(space.sample(rng) for _ in range(size))
+                    block = sample(rng, size)
+                    instance = tuple(space.row(block, j) for j in range(size))
                     raw = rng.uniform(0.05, 1.0, size)
                     pts += [instance] * challengers
                     weights += [tuple(float(v) for v in raw / raw.sum())] * challengers

@@ -133,8 +133,9 @@ class SpaceModel:
         raise NotImplementedError
 
     def payload_interpolate(self, a, b, t: float):
-        """Constant-speed geodesic point at parameter t in (0, 1)."""
-        raise NotImplementedError
+        """Constant-speed geodesic point at parameter t in (0, 1): one row of ``interpolate``."""
+        a, b = (self.stack([Point(self, p)]) for p in (a, b))
+        return self.row(self.interpolate(a, b, np.array([t])), 0).payload
 
     def payloads_equal(self, a, b) -> bool:
         return a == b
@@ -171,8 +172,10 @@ class SpaceModel:
     # computes one row from that row's inputs alone, with elementwise
     # operations only, so row i of any block equals a one-row block of the
     # same inputs bit for bit.  This base class keeps a block as a list of
-    # payloads and runs the scalar methods row by row; a model with array
-    # kernels overrides these methods.
+    # payloads and runs the scalar distance and mean row by row; a model
+    # with array kernels overrides these methods.  Every model brings its
+    # own ``interpolate``, so that the derived ``payload_interpolate``
+    # above never calls back into itself.
 
     def _payloads(self, points) -> list:
         out = []
@@ -211,8 +214,7 @@ class SpaceModel:
 
     def interpolate(self, a, b, t):
         """Rowwise geodesic points at parameters t in [0, 1], exact at the ends."""
-        return [p if s == 0.0 else q if s == 1.0 else self.payload_interpolate(p, q, float(s))
-                for p, q, s in zip(a, b, t)]
+        raise NotImplementedError
 
     def _block_mean(self, blocks, weights, step_tol):
         """Rowwise ``_mean``: row r is the mean of row r of the k ``blocks``.
@@ -273,11 +275,7 @@ class CoordinateSpace(SpaceModel):
     def payloads_equal(self, a, b) -> bool:
         return bool(np.array_equal(a, b))
 
-    # The geodesic point and the mean are the one-row cases of the blocks.
-
-    def payload_interpolate(self, a, b, t):
-        return _readonly(self.interpolate(a[None], b[None], np.array([t]))[0])
-
+    # The flat mean is the one-row case of the block mean.
     def _mean(self, points, weights, step_tol):
         blocks = [p.payload[None] for p in points]
         return self.row(self._block_mean(blocks, np.array([weights]), step_tol), 0)
@@ -327,13 +325,9 @@ class Euclidean(CoordinateSpace):
 
     __slots__ = ()
 
-    # Scalar twins kept: the drivers call them point by point, and one-row
-    # blocks cost about 2.6x (distance) and 1.9x (geodesic point) as much.
+    # Scalar twin kept: the drivers' hot path, where a one-row block costs 2.4x.
     def payload_distance(self, a, b) -> float:
         return float(np.linalg.norm(a - b))
-
-    def payload_interpolate(self, a, b, t: float):
-        return _readonly((1.0 - t) * a + t * b)
 
     def sample_block(self, rng, n):
         return rng.standard_normal((n, self.dim))
@@ -444,8 +438,7 @@ class Hyperboloid(CoordinateSpace):
         w.setflags(write=False)
         return w
 
-    # Scalar twin kept: the drivers call it point by point, and a one-row
-    # block costs about 2.7x as much.
+    # Scalar twin kept: the drivers' hot path, where a one-row block costs 2.6x.
     def payload_distance(self, a, b) -> float:
         # arcosh resolves nothing below ~1.5e-8, so identical payloads
         # must short-circuit to an exact zero.
@@ -456,6 +449,7 @@ class Hyperboloid(CoordinateSpace):
             c = 1.0
         return math.acosh(c)
 
+    # Scalar twin kept: one-row _exp_rows would change mean_hyperbolic.scn's CSV.
     def exp_from_base(self, tangent) -> Point:
         """Exponential map at the apex of a tangent vector in R^dim."""
         try:
@@ -486,13 +480,7 @@ class Hyperboloid(CoordinateSpace):
                 f"exponential map at radius {r:g} is not representable in floating point")
         return Point(self, _readonly(out / math.sqrt(norm_sq)))
 
-    # Scalar twin kept: variance_ineq draws its instances point by point, and
-    # a one-row block costs about 4x as much.
-    def sample(self, rng):
-        return self.exp_from_base(rng.standard_normal(self.dim))
-
     def sample_block(self, rng, n):
-        # the same draws as n calls of sample
         return _exp_rows(rng.standard_normal((n, self.dim)))
 
     def distances(self, a, b):
@@ -513,8 +501,7 @@ class Hyperboloid(CoordinateSpace):
         out = np.where((near | (t == 0.0))[:, None], a, _normalize(w))
         return np.where((t == 1.0)[:, None], b, out)
 
-    # Scalar twin kept: the drivers solve one mean per iterate, and a one-row
-    # block costs about 3.8x as much (four points in H3).
+    # Scalar twin kept: one mean per drivers iterate, where a one-row block costs 3.7x.
     def _mean(self, points, weights, step_tol):
         # Fixed point of the stationarity condition: the mean satisfies
         # x = normalize(sum_i w_i (theta_i / sinh theta_i) x_i) with
@@ -605,15 +592,11 @@ class ProductSpace(SpaceModel):
             factors.append(space.point(p))
         return tuple(factors)
 
+    # Scalar twin kept: the drivers' product means, where a one-row block costs 3.5x.
     def payload_distance(self, a, b) -> float:
         dl = self.left.payload_distance(a[0].payload, b[0].payload)
         dr = self.right.payload_distance(a[1].payload, b[1].payload)
         return math.hypot(dl, dr)
-
-    def payload_interpolate(self, a, b, t: float):
-        pl = Point(self.left, self.left.payload_interpolate(a[0].payload, b[0].payload, t))
-        pr = Point(self.right, self.right.payload_interpolate(a[1].payload, b[1].payload, t))
-        return (pl, pr)
 
     # Blocks are (left block, right block) pairs.
 
@@ -643,8 +626,7 @@ class ProductSpace(SpaceModel):
     def concat(self, blocks):
         return (self.left.concat([b[0] for b in blocks]), self.right.concat([b[1] for b in blocks]))
 
-    # _mean and payload_interpolate stay factor-wise, so that a hyperboloid
-    # factor keeps its scalar mean and a tree factor its scalar geodesic.
+    # Scalar twin kept: the drivers' product means, where a one-row block costs 3.6x.
     def _mean(self, points, weights, step_tol):
         # the objective separates, so the mean is the pair of factor means
         left = self.left._mean([p.payload[0] for p in points], weights, step_tol)

@@ -364,6 +364,11 @@ class MetricTree(SpaceModel):
             return self._locate(ca, ra - target)
         return self._locate(cb, rb - (total - target))
 
+    def interpolate(self, a, b, t):
+        # row by row through the scalar geodesic point, until the tree has a kernel
+        return [p if s == 0.0 else q if s == 1.0 else self.payload_interpolate(p, q, float(s))
+                for p, q, s in zip(a, b, t)]
+
     def _mean(self, points, weights, step_tol):
         # On each edge, every squared distance is (s - c_i)^2 for a constant
         # c_i, so F restricted to the edge is one quadratic in the offset s,

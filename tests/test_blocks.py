@@ -5,9 +5,10 @@ are payload lists: they are sampled in one loop and projected onto subtrees
 by one gate per row, while distances and interpolation run the scalar
 methods row by row.  Hyperboloid points are compared with
 the scalar path in ambient coordinates, since the scalar ``distance``
-cannot resolve separations below about 1e-8 there.  Where a model derives
-a scalar method from its blocks (the seeded sample, the hyperboloid
-geodesic point, the flat mean), the two agree bit for bit.
+cannot resolve separations below about 1e-8 there.  Where a model or set
+derives a scalar method from its blocks (the seeded sample, the flat,
+hyperbolic and product geodesic points, the flat mean, the ball and
+product-set projections), the two agree bit for bit.
 """
 
 import math
@@ -21,6 +22,7 @@ from hadamard import (
     Composition,
     Constant,
     ConvexCombination,
+    ConvexSet,
     Euclidean,
     EuclideanHalfspace,
     EuclideanHyperplane,
@@ -283,8 +285,10 @@ def test_combination_block_keeps_frechet_mean_semantics(all_models, model, raw, 
 
 
 # The scalar methods each model derives from its blocks; it defines the rest itself.
-DERIVED = {"euclidean3": {"sample", "_mean"}, "hyperbolic2": {"payload_interpolate"},
-           "tripod": {"sample"}, "caterpillar": {"sample"}, "euclidean-x-tripod": {"sample"}}
+DERIVED = {"euclidean3": {"sample", "payload_interpolate", "_mean"},
+           "hyperbolic2": {"sample", "payload_interpolate"},
+           "tripod": {"sample"}, "caterpillar": {"sample"},
+           "euclidean-x-tripod": {"sample", "payload_interpolate"}}
 
 
 @pytest.mark.parametrize("model", sorted(DERIVED))
@@ -314,6 +318,23 @@ def test_derived_scalars_are_one_row_blocks(all_models, model):
             [one_row(space, p, i) for p in pts], w[i:i + 1], 1e-10), 20)
 
 
+# The sets that derive ``project`` from a one-row ``project_block``; the
+# halfspaces (hyperplanes included) and subtrees define it themselves.
+DERIVED_PROJECT = {GeodesicBall, ProductSet}
+
+
+def test_derived_projections_are_one_row_blocks(case, blocks):
+    space, sets = case
+    a = blocks[0]
+    for c in sets:
+        derived = type(c).project is ConvexSet.project
+        assert derived == (type(c) in DERIVED_PROJECT), c
+        if derived:
+            for i in range(ROWS):
+                assert bits(c.project(space.row(a, i))) == bits(
+                    space.row(c.project_block(one_row(space, a, i)), 0)), (c, i)
+
+
 class TestHyperboloidBlocks:
     def test_identical_rows_are_exact(self, h2):
         rng = np.random.default_rng(5)
@@ -334,10 +355,11 @@ class TestHyperboloidBlocks:
             h2.sample_block(FarRow(), 8)
 
     def test_samples_are_the_scalar_draws(self, h2):
+        """Each sampled row is ``exp_from_base`` of the normal draw it consumed."""
         block = h2.sample_block(np.random.default_rng(6), 100)
-        rng = np.random.default_rng(6)
+        normals = np.random.default_rng(6).standard_normal((100, 2))
         for i in range(100):
-            assert gap(h2.row(block, i), h2.sample(rng)) <= SCALAR_TOL, i
+            assert gap(h2.row(block, i), h2.exp_from_base(normals[i])) <= SCALAR_TOL, i
 
 
 @pytest.mark.parametrize("model", ["e3", "h2"])
@@ -375,7 +397,7 @@ class TestSubtreeGate:
                     x, got, want = x.payload[1], got.payload[1], want.payload[1]
                 # members keep their payload; the rest get the shared vertex payload
                 assert got.payload is want.payload, (c, i)
-                moved[-1] += want is not x
+                moved[-1] += want.payload is not x.payload
         # rows of both kinds: the first set has edges, every set misses some rows
         assert 0 < moved[0] < 400 and all(moved)
 
