@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import ConstructionError, DomainError, SpaceMismatchError
+from .errors import ConstructionError, DomainError
 from .geometry import _SWEEP_LIMIT, Point, check_same_space, distance, geodesic_point
 
 __all__ = [
@@ -99,8 +99,7 @@ def _check_step_tol(step_tol: float) -> None:
 
 def frechet_objective(wp: WeightedPoints, x: Point) -> float:
     """F(x) = sum_i w_i d(x, x_i)^2."""
-    if x.space is not wp.space and x.space != wp.space:
-        raise SpaceMismatchError("evaluation point lives in a different space")
+    check_same_space(x, wp.points[0])
     return math.fsum(
         w * distance(x, p) ** 2 for w, p in zip(wp.weights, wp.points)
     )

@@ -23,6 +23,7 @@ from .geometry import (
     _normalize,
     _pairing,
     _rowdot,
+    _same_space,
     check_same_space,
     distance,
     minkowski,
@@ -59,7 +60,9 @@ class ConvexSet:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _check_point(self, x: Point):
-        if x.space is not self.space and x.space != self.space:
+        if not isinstance(x, Point):
+            raise SpaceMismatchError(f"{x!r} is not a point")
+        if not _same_space(x.space, self.space):
             raise SpaceMismatchError(
                 f"point in {x.space.describe()} vs set '{self.name}' in "
                 f"{self.space.describe()}"
@@ -237,6 +240,8 @@ class GeodesicBall(ConvexSet):
     __slots__ = ("center", "radius")
 
     def __init__(self, center: Point, radius: float, name: str = "ball"):
+        if not isinstance(center, Point):
+            raise ConstructionError(f"ball center must be a point, got {center!r}")
         super().__init__(center.space, name)
         try:
             radius = float(radius)

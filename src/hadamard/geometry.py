@@ -180,7 +180,7 @@ class SpaceModel:
     def _payloads(self, points) -> list:
         out = []
         for p in points:
-            if not isinstance(p, Point) or (p.space is not self and p.space != self):
+            if not (isinstance(p, Point) and _same_space(p.space, self)):
                 raise SpaceMismatchError(f"{p!r} is not a point of {self.describe()}")
             out.append(p.payload)
         return out
@@ -657,16 +657,24 @@ class ProductSpace(SpaceModel):
 # ---------------------------------------------------------------------
 
 
+def _same_space(a: SpaceModel, b: SpaceModel) -> bool:
+    """Whether two spaces are one model: one object, or two built alike."""
+    # identity first: comparing a tree with itself by == walks its edges
+    return a is b or a == b
+
+
 def check_same_space(*points: Point) -> SpaceModel:
-    """Return the shared space of the given points or raise."""
-    space = points[0].space
-    for p in points[1:]:
-        if p.space is not space and p.space != space:
+    """Return the shared space of the given points or raise ``SpaceMismatchError``."""
+    # the first point passes its own isinstance test before its space is read
+    for p in points:
+        if not isinstance(p, Point):
+            raise SpaceMismatchError(f"{p!r} is not a point")
+        if not _same_space(p.space, points[0].space):
             raise SpaceMismatchError(
-                f"points live in different spaces: {space.describe()} vs "
+                f"points live in different spaces: {points[0].space.describe()} vs "
                 f"{p.space.describe()}"
             )
-    return space
+    return points[0].space
 
 
 def distance(p: Point, q: Point) -> float:

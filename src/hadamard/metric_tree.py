@@ -22,6 +22,7 @@ parent id found among ids u+1..v is the LCA's id.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,12 +304,16 @@ class MetricTree(SpaceModel):
                     "tree payload must be a TreeLocation or an (edge, offset) pair"
                 )
         try:
-            if isinstance(edge, str) or not 0 <= int(edge) < len(self.edges):
-                raise InvalidPointError(f"edge index {edge!r} out of range")
-            edge, offset = int(edge), float(offset)
+            # index() takes Python and NumPy integers and refuses floats and
+            # text; a bool is an int to it, so it is refused first
+            if isinstance(edge, bool):
+                raise TypeError
+            edge, offset = operator.index(edge), float(offset)
         except (TypeError, ValueError, OverflowError):
             raise InvalidPointError(f"tree payload needs an integer edge and a numeric offset, "
                                     f"got {payload!r}") from None
+        if not 0 <= edge < len(self.edges):
+            raise InvalidPointError(f"edge index {edge!r} out of range")
         if not 0.0 <= offset <= self.edges[edge].length:
             raise InvalidPointError(
                 f"offset {offset} outside [0, {self.edges[edge].length}] on edge {edge}"

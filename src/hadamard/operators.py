@@ -27,6 +27,7 @@ from .geometry import (
     Point,
     SpaceModel,
     _quasilinear,
+    _same_space,
     check_same_space,
     distance,
     quasilinearization,
@@ -126,7 +127,7 @@ class Projection(Operator):
         return self.set.project(x)
 
     def apply_block(self, space, block):
-        if space is not self.set.space and space != self.set.space:
+        if not _same_space(space, self.set.space):
             raise SpaceMismatchError(
                 f"block in {space.describe()} vs set '{self.set.name}' in "
                 f"{self.set.space.describe()}")

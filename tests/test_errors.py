@@ -29,6 +29,8 @@ from hadamard import (
     WeightedPoints,
     averaged_projections,
     cat0_defect,
+    cyclic_projections,
+    distance,
     fold_composition_alpha,
     frechet_mean,
     frechet_objective,
@@ -84,12 +86,22 @@ MALFORMED = {
                                  lambda: E2.point([10**400, 1])),
     "tree-offset-text": (InvalidPointError, "numeric offset", lambda: TRIPOD.point((0, "a"))),
     "tree-edge-none": (InvalidPointError, "integer edge", lambda: TRIPOD.point((None, 0.5))),
+    "tree-edge-fraction": (InvalidPointError, "integer edge", lambda: TRIPOD.point((1.5, 0.2))),
+    "tree-edge-bool": (InvalidPointError, "integer edge", lambda: TRIPOD.point((True, 0.2))),
     "tangent-text": (InvalidPointError, "real numbers", lambda: H2.exp_from_base(["a", 1])),
     "geodesic-t-text": (DomainError, "[0, 1]", lambda: geodesic_point(P, Q, "a")),
     "cat0-t-text": (DomainError, "[0, 1]", lambda: cat0_defect(P, Q, P, "a")),
     "step-tol-text": (DomainError, "step_tol",
                       lambda: frechet_mean(WeightedPoints([P, Q], [0.5, 0.5]), "x")),
     "edge-list-none": (EdgeListError, "must be text", lambda: parse_edge_list(None)),
+    "ball-center-text": (ConstructionError, "center must be a point",
+                         lambda: GeodesicBall("x", 1.0)),
+    "weighted-point-text": (SpaceMismatchError, "not a point", lambda: WeightedPoints(["a"], [1.0])),
+    "distance-point-text": (SpaceMismatchError, "not a point", lambda: distance(P, "a")),
+    "geodesic-point-text": (SpaceMismatchError, "not a point", lambda: geodesic_point(P, "a", 0.5)),
+    "project-point-text": (SpaceMismatchError, "not a point", lambda: HALF.project("a")),
+    "cyclic-start-text": (SpaceMismatchError, "not a point", lambda: cyclic_projections(
+        [HALF], "a", StopRule(max_iter=5))),
 }
 
 

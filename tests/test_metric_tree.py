@@ -135,6 +135,11 @@ class TestCanonicalization:
         with pytest.raises(InvalidPointError):
             tripod.vertex_point("zz")
 
+    def test_integer_edge_indices(self, tripod):
+        """Python and NumPy integers name an edge; bools and fractions raise (test_errors)."""
+        for edge in (1, np.int64(1), np.int32(1), np.uint8(1)):
+            assert tripod.point((edge, 0.25)) == tripod.edge_point(1, 0.25)
+
     def test_vertex_points_are_shared(self, tripod):
         o = tripod.vertex_point("o")
         assert tripod.vertex_point("o") is o
