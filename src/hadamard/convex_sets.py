@@ -70,9 +70,8 @@ class ConvexSet:
 
     def project(self, x: Point) -> Point:
         """The nearest point of the set to x: the one-row case of ``project_block``."""
-        self._check_point(x)
-        space = self.space
-        return space.row(self.project_block(space.stack([x])), 0)
+        # stack raises SpaceMismatchError for x outside the set's space
+        return self.space.row(self.project_block(self.space.stack([x])), 0)
 
     def project_block(self, block):
         """Projections of a block of points of the set's space, rowwise."""
