@@ -5,9 +5,10 @@ Cauchy-Schwarz, projection firmness, the quasi-firm theorems, ...) at
 seeded random inputs, records the worst defect together with the inputs
 achieving it, and passes when that defect clears the model's tolerance.
 Every kind draws and evaluates its samples in blocks through one kernel
-(``_block_kernel``).  Every set projects a whole block at once; tree
-distances and geodesics, tree means and operators without array kernels
-run their scalar methods row by row inside the block interface.
+(``_block_kernel``).  Every model computes a block's distances, and
+every set projects a whole block, at once; tree geodesics, tree means
+and operators without array kernels run their scalar methods row by row
+inside the block interface.
 Streams derive from per-check seeds (PCG64 via ``SeedSequence``), so
 reports are deterministic and independent of any execution order, and a
 recorded witness can always be re-evaluated to reproduce its defect.

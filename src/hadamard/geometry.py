@@ -171,11 +171,9 @@ class SpaceModel:
     # A block holds n points of the model as payload arrays, and a kernel
     # computes one row from that row's inputs alone, with elementwise
     # operations only, so row i of any block equals a one-row block of the
-    # same inputs bit for bit.  This base class keeps a block as a list of
-    # payloads and runs the scalar distance and mean row by row; a model
-    # with array kernels overrides these methods.  Every model brings its
-    # own ``interpolate``, so that the derived ``payload_interpolate``
-    # above never calls back into itself.
+    # same inputs bit for bit.  Every model brings its own block layout and
+    # kernels; ``interpolate`` in particular is never derived, so that the
+    # derived ``payload_interpolate`` above never calls back into itself.
 
     def _payloads(self, points) -> list:
         out = []
@@ -187,22 +185,22 @@ class SpaceModel:
 
     def stack(self, points):
         """The block of the given points of this space."""
-        return self._payloads(points)
+        raise NotImplementedError
 
     def repeat(self, point: Point, n: int):
         """A block of n copies of one point."""
-        return self._payloads([point]) * n
+        raise NotImplementedError
 
     def block_len(self, block) -> int:
-        return len(block)
+        raise NotImplementedError
 
     def row(self, block, i: int) -> Point:
         """Row i of a block as a point."""
-        return Point(self, block[i])
+        raise NotImplementedError
 
     def concat(self, blocks):
         """The rows of the given blocks, in order, as one block."""
-        return [p for block in blocks for p in block]
+        raise NotImplementedError
 
     def sample_block(self, rng: np.random.Generator, n: int):
         """A block of n seeded samples; every model draws its own."""
@@ -210,7 +208,7 @@ class SpaceModel:
 
     def distances(self, a, b) -> np.ndarray:
         """Rowwise distances between two blocks of one length."""
-        return np.array([self.payload_distance(p, q) for p, q in zip(a, b)], dtype=float)
+        raise NotImplementedError
 
     def interpolate(self, a, b, t):
         """Rowwise geodesic points at parameters t in [0, 1], exact at the ends."""
@@ -223,8 +221,7 @@ class SpaceModel:
         the points of row r.  A row that reaches ``_SWEEP_LIMIT`` raises
         as ``_mean`` does for it.
         """
-        return self.stack([self._mean([self.row(b, r) for b in blocks], weights[r], step_tol)
-                           for r in range(len(weights))])
+        raise NotImplementedError
 
     @property
     def involves_hyperboloid(self) -> bool:
@@ -290,6 +287,9 @@ class CoordinateSpace(SpaceModel):
 
     def concat(self, blocks):
         return np.concatenate(blocks)
+
+    def block_len(self, block):
+        return len(block)
 
     def row(self, block, i):
         # a copy, so that a recorded witness does not keep its whole block alive

@@ -64,6 +64,8 @@ class MetricTree(SpaceModel):
         "vertices", "edges", "_index", "_names", "_parent", "_parent_edge", "_last",
         "_r", "_home", "_child", "_base", "_sign", "_rows", "_r_arr", "_table",
         "_log2", "_ends", "_lengths", "_snap_low", "_snap_high", "_vertex_points",
+        "_parent_arr", "_child_arr", "_base_arr", "_sign_arr", "_low_arr", "_high_arr",
+        "_vertex_edge", "_vertex_offset",
     )
 
     def __init__(self, edges):
@@ -165,8 +167,10 @@ class MetricTree(SpaceModel):
         # base[e] + sign[e] * s, where base[e] is the root distance of e.a.
         base = r_arr[ends[:, 0]]
         sign = np.where(b_is_child, 1.0, -1.0)
-        # the canonical vertex form lives on the smallest incident edge
-        home = np.minimum.reduceat(by_tail % m, start[:-1])
+        # the canonical vertex form lives on the smallest incident edge, at
+        # offset 0 from its first vertex or at the full length from its second
+        home = np.minimum.reduceat(by_tail % m, start[:-1])[order]
+        home_offset = np.where(ends[home, 0] == np.arange(n), 0.0, lengths[home])
 
         # Sparse table over the parent ids in preorder: row k holds the
         # minimum of 2**k consecutive entries, padded to full width.
@@ -188,7 +192,7 @@ class MetricTree(SpaceModel):
         setattr_(self, "_parent_edge", parent_edge_arr.tolist())
         setattr_(self, "_last", last)
         setattr_(self, "_r", r)
-        setattr_(self, "_home", home[order].tolist())
+        setattr_(self, "_home", home.tolist())
         setattr_(self, "_child", child.tolist())
         setattr_(self, "_base", base.tolist())
         setattr_(self, "_sign", sign.tolist())
@@ -201,8 +205,18 @@ class MetricTree(SpaceModel):
         # Offsets at most _snap_low[e] or at least _snap_high[e] snap to a vertex.
         snap = _SNAP * np.maximum(1.0, lengths)
         setattr_(self, "_snap_low", snap.tolist())
-        setattr_(self, "_snap_high", (lengths - snap).tolist())
+        high = lengths - snap
+        setattr_(self, "_snap_high", high.tolist())
         setattr_(self, "_vertex_points", {})
+        # the same data as arrays, for the block kernels
+        setattr_(self, "_parent_arr", parent_arr)
+        setattr_(self, "_child_arr", child)
+        setattr_(self, "_base_arr", base)
+        setattr_(self, "_sign_arr", sign)
+        setattr_(self, "_low_arr", snap)
+        setattr_(self, "_high_arr", high)
+        setattr_(self, "_vertex_edge", home)
+        setattr_(self, "_vertex_offset", home_offset)
 
     # -- rooted structure --------------------------------------------
 
@@ -369,10 +383,87 @@ class MetricTree(SpaceModel):
             return self._locate(ca, ra - target)
         return self._locate(cb, rb - (total - target))
 
+    # -- blocks ------------------------------------------------------
+    #
+    # A block is a pair of arrays (edges int64, offsets float64) holding
+    # canonical locations.  Each kernel repeats the scalar method's float
+    # operations in the same order, elementwise, so every row equals the
+    # scalar result bit for bit.
+
+    def stack(self, points):
+        locs = self._payloads(points)
+        return (np.array([p.edge for p in locs], dtype=np.int64),
+                np.array([p.offset for p in locs], dtype=float))
+
+    def repeat(self, point, n):
+        loc = self._payloads([point])[0]
+        return np.full(n, loc.edge, dtype=np.int64), np.full(n, loc.offset)
+
+    def block_len(self, block):
+        return len(block[0])
+
+    def row(self, block, i):
+        # a row at a vertex is the vertex's shared point, as in _canonical
+        edge, offset = int(block[0][i]), float(block[1][i])
+        e = self.edges[edge]
+        if offset == 0.0:
+            return self.vertex_point(e.a)
+        if offset == e.length:
+            return self.vertex_point(e.b)
+        return Point(self, TreeLocation(edge, offset))
+
+    def concat(self, blocks):
+        return (np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks]))
+
+    def _snap(self, edges, offsets):
+        """``_canonical`` on every row: the low bound first, then the high bound."""
+        low = offsets <= self._low_arr[edges]
+        snapped = low | (offsets >= self._high_arr[edges])
+        v = np.where(low, self._ends[edges, 0], self._ends[edges, 1])
+        return (np.where(snapped, self._vertex_edge[v], edges),
+                np.where(snapped, self._vertex_offset[v], offsets))
+
+    def sample_block(self, rng: np.random.Generator, n: int):
+        # Each row draws its edge, then its offset.  ``rng.uniform(0.0, L)``
+        # returns ``0.0 + L * rng.random()``, so ``L * rng.random()`` takes
+        # the same draw and gives the same double, without uniform's
+        # per-call argument handling.
+        edges, integers, random, count = self.edges, rng.integers, rng.random, len(self.edges)
+        drawn, offsets = [], []
+        for _ in range(n):
+            e = int(integers(0, count))
+            drawn.append(e)
+            offsets.append(edges[e].length * random())
+        return self._snap(np.array(drawn, dtype=np.int64), np.array(offsets, dtype=float))
+
+    def distances(self, a, b):
+        # payload_distance on every row
+        (ea, oa), (eb, ob) = a, b
+        ra = self._base_arr[ea] + self._sign_arr[ea] * oa
+        rb = self._base_arr[eb] + self._sign_arr[eb] * ob
+        meet = self._r_arr[self._lca_many(self._child_arr[ea], self._child_arr[eb])]
+        meet = np.minimum(np.minimum(meet, ra), rb)
+        return np.where(ea == eb, np.abs(oa - ob), ra + rb - 2.0 * meet)
+
     def interpolate(self, a, b, t):
-        # row by row through the scalar geodesic point, until the tree has a kernel
-        return [p if s == 0.0 else q if s == 1.0 else self.payload_interpolate(p, q, float(s))
-                for p, q, s in zip(a, b, t)]
+        # the scalar geodesic point on every row strictly inside its segment
+        (ea, oa), (eb, ob) = a, b
+        t = np.asarray(t, dtype=float)
+        at_b = t == 1.0
+        edges, offsets = np.where(at_b, eb, ea), np.where(at_b, ob, oa)
+        inside = np.flatnonzero((t != 0.0) & ~at_b)
+        rows = zip(ea[inside].tolist(), oa[inside].tolist(), eb[inside].tolist(),
+                   ob[inside].tolist(), t[inside].tolist())
+        locs = [self.payload_interpolate(TreeLocation(e, s), TreeLocation(f, u), ti)
+                for e, s, f, u, ti in rows]
+        edges[inside] = [loc.edge for loc in locs]
+        offsets[inside] = [loc.offset for loc in locs]
+        return edges, offsets
+
+    def _block_mean(self, blocks, weights, step_tol):
+        # the edge scan of _mean, one instance per row
+        return self.stack([self._mean([self.row(b, r) for b in blocks], weights[r], step_tol)
+                           for r in range(len(weights))])
 
     def _mean(self, points, weights, step_tol):
         # On each edge, every squared distance is (s - c_i)^2 for a constant
@@ -392,19 +483,6 @@ class MetricTree(SpaceModel):
         values = w @ (s_star - centers) ** 2
         idx = int(np.argmin(values))
         return Point(self, self._canonical(idx, float(s_star[idx])))
-
-    def sample_block(self, rng: np.random.Generator, n: int):
-        # Each row draws its edge, then its offset.  ``rng.uniform(0.0, L)``
-        # returns ``0.0 + L * rng.random()``, so ``L * rng.random()`` takes
-        # the same draw and gives the same double, without uniform's
-        # per-call argument handling.
-        edges, canonical = self.edges, self._canonical
-        integers, random, count = rng.integers, rng.random, len(edges)
-        out = []
-        for _ in range(n):
-            e = int(integers(0, count))
-            out.append(canonical(e, edges[e].length * random()))
-        return out
 
     def format_payload(self, payload: TreeLocation) -> str:
         v = self.location_vertex(payload)

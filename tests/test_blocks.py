@@ -1,11 +1,12 @@
 """Blocks: each row equals a one-row block bit for bit and agrees with the scalar path.
 
-Euclidean, hyperboloid and product blocks run array kernels.  Tree blocks
-are payload lists: they are sampled in one loop and projected onto subtrees
-by one gate per row, while distances and interpolation run the scalar
-methods row by row.  Hyperboloid points are compared with
-the scalar path in ambient coordinates, since the scalar ``distance``
-cannot resolve separations below about 1e-8 there.  Where a model or set
+Every model runs array kernels.  A tree block is a pair of arrays, edges
+and offsets, of canonical locations: its samples are drawn in one loop and
+snapped at once, its distances and subtree gates repeat the scalar
+arithmetic on every row, and interpolation runs the scalar geodesic point
+on the rows strictly inside their segment.  Hyperboloid points are
+compared with the scalar path in ambient coordinates, since the scalar
+``distance`` cannot resolve separations below about 1e-8 there.  Where a model or set
 derives a scalar method from its blocks (the seeded sample, the flat,
 hyperbolic and product geodesic points, the flat mean, the ball and
 product-set projections), the two agree bit for bit.
@@ -371,39 +372,127 @@ def test_rows_share_no_memory_with_their_block(model, request):
 
 
 class TestSubtreeGate:
-    """Subtree blocks go through the gate that ``project`` uses, one payload per row."""
+    """Subtree blocks move every row as the scalar gate that ``project`` uses does."""
 
-    @pytest.mark.parametrize("model", ["tripod", "caterpillar", "product"])
-    def test_rows_are_the_scalar_projections(self, model, e2, tripod, caterpillar, product):
+    @pytest.mark.parametrize("model", ["tripod", "caterpillar", "tree2000", "product"])
+    def test_rows_are_the_scalar_projections(self, model, e2, tripod, caterpillar, product,
+                                             tree2000):
         if model == "tripod":
-            space, sets = tripod, [Subtree(tripod, ["o", "a"]), Subtree(tripod, ["b"])]
+            tree, subtrees = tripod, [Subtree(tripod, ["o", "a"]), Subtree(tripod, ["b"])]
         elif model == "caterpillar":
-            space, sets = caterpillar, [Subtree(caterpillar, ["v0", "v1", "v2"]),
-                                        Subtree(caterpillar, ["v1", "v2", "v4"]),
-                                        Subtree(caterpillar, ["v3"])]
+            tree, subtrees = caterpillar, [Subtree(caterpillar, ["v0", "v1", "v2"]),
+                                           Subtree(caterpillar, ["v1", "v2", "v4"]),
+                                           Subtree(caterpillar, ["v3"])]
+        elif model == "tree2000":
+            tree, subtrees = tree2000, [Subtree(tree2000, tree2000.vertex_path("n7", "n1500")),
+                                        Subtree(tree2000, tree2000.vertex_path("n12", "n40")),
+                                        Subtree(tree2000, ["n3"])]
         else:
-            space, sets = product, [ProductSet(product, EuclideanHalfspace(e2, [0.0, 1.0], 0.0),
-                                               Subtree(tripod, ["o", "a"]))]
-        block = space.sample_block(np.random.default_rng(12), 400)
-        moved = []
-        for c in sets:
+            tree, subtrees = tripod, [Subtree(tripod, ["o", "a"]), Subtree(tripod, ["b"])]
+        # a row at every vertex, then sampled rows
+        rng = np.random.default_rng(12)
+        vertices = tree.stack([tree.vertex_point(v) for v in tree.vertices])
+        if model == "product":
+            space = product
+            half = EuclideanHalfspace(e2, [0.0, 1.0], 0.0)
+            sets = [ProductSet(product, half, sub) for sub in subtrees]
+            block = product.concat([(e2.sample_block(rng, len(tree.vertices)), vertices),
+                                    product.sample_block(rng, 400)])
+        else:
+            space, sets = tree, subtrees
+            block = tree.concat([vertices, tree.sample_block(rng, 400)])
+        rows = space.block_len(block)
+        climbed = outside = 0
+        for c, sub in zip(sets, subtrees):
             images = c.project_block(block)
-            moved.append(0)
-            for i in range(400):
+            moved = 0
+            for i in range(rows):
                 x = space.row(block, i)
                 got, want = space.row(images, i), c.project(x)
                 assert bits(got) == bits(want), (c, i)
                 if model == "product":
                     x, got, want = x.payload[1], got.payload[1], want.payload[1]
-                # members keep their payload; the rest get the shared vertex payload
-                assert got.payload is want.payload, (c, i)
-                moved[-1] += want.payload is not x.payload
-        # rows of both kinds: the first set has edges, every set misses some rows
-        assert 0 < moved[0] < 400 and all(moved)
+                # members keep their bits; the rest get the shared vertex payload
+                if bits(want) != bits(x):
+                    assert got.payload is want.payload, (c, i)
+                    moved += 1
+                    child, top = tree._child[x.payload.edge], sub._top
+                    below = top <= child <= tree._last[top]
+                    climbed += below
+                    outside += not below
+            # every set keeps its member vertices and moves some rows
+            assert 0 < moved < rows, c
+        # gate rows of both kinds: climbed to a member, or outside the top's range
+        assert climbed and outside
+
+
+# ---------------------------------------------------------------------
+# tree kernels repeat the scalar arithmetic, bit for bit
+# ---------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(shape=st.sampled_from(["random", "path"]), n=st.integers(2, 400),
+       short=st.sampled_from([0.0, 0.3]), seed=st.integers(0, 2**32 - 1))
+def test_tree_distances_are_the_scalar_distances(shape, n, short, seed):
+    """Random and deep path trees, some edges 5e-13 long, edges in both orientations."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for i in range(1, n):
+        j = i - 1 if shape == "path" else int(rng.integers(0, i))
+        length = 5e-13 if rng.uniform() < short else float(rng.uniform(0.01, 3.0))
+        ends = (f"v{j}", f"v{i}") if rng.uniform() < 0.5 else (f"v{i}", f"v{j}")
+        edges.append((*ends, length))
+    tree = MetricTree(edges)
+    a, b = tree.sample_block(rng, 50), tree.sample_block(rng, 50)
+    sampled = [(tree.row(a, i), tree.row(b, i)) for i in range(50)]
+    names = tree.vertices
+    at_vertices = [(tree.vertex_point(names[int(u)]), tree.vertex_point(names[int(v)]))
+                   for u, v in rng.integers(0, len(names), (20, 2))]
+    one_edge = []
+    for e in rng.integers(0, len(tree.edges), 20).tolist():
+        length = tree.edges[e].length
+        one_edge.append(tuple(tree.edge_point(e, float(rng.uniform(0.0, length)))
+                              for _ in range(2)))
+    pairs = (sampled + at_vertices + one_edge + [(p, p) for p, _ in sampled[:10]]
+             + [(p, v) for (p, _), (v, _) in zip(sampled, at_vertices)])
+    d = tree.distances(tree.stack([p for p, _ in pairs]), tree.stack([q for _, q in pairs]))
+    for i, (p, q) in enumerate(pairs):
+        assert float(d[i]).hex() == float(tree.payload_distance(p.payload, q.payload)).hex(), i
+
+
+def test_block_snap_is_canonical_at_the_bounds():
+    """``_snap`` picks ``_canonical``'s location within 3 ulps of every snapping bound."""
+    lengths = [5e-13, 0.3, 1.0, 7.25, 1e6]
+    tree = MetricTree([(f"v{i}", f"v{i + 1}", L) for i, L in enumerate(lengths)])
+    edges, offsets = [], []
+    for edge, length in enumerate(lengths):
+        snap = 1e-12 * max(1.0, length)
+        for bound in (0.0, snap, length - snap, length):
+            below = above = bound
+            near = [bound]
+            for _ in range(3):
+                below, above = np.nextafter(below, -1.0), np.nextafter(above, 2e6)
+                near += [below, above]
+            near = [float(s) for s in near if 0.0 <= s <= length]
+            edges += [edge] * len(near)
+            offsets += near
+    block = tree._snap(np.array(edges), np.array(offsets))
+    snapped = 0
+    for i, (edge, offset) in enumerate(zip(edges, offsets)):
+        want = tree._canonical(edge, offset)
+        got = tree.row(block, i)
+        assert (got.payload.edge, got.payload.offset.hex()) == (want.edge, want.offset.hex()), i
+        vertex = tree.location_vertex(want)
+        if vertex is not None:
+            # a vertex row is the tree's shared point at that vertex
+            assert got is tree.vertex_point(vertex)
+            snapped += 1
+    assert 0 < snapped < len(edges)
 
 
 class TestRowFallback:
-    """A model or operator without array kernels runs its scalar methods row by row."""
+    """Tree kernels give the scalar results; an operator without a kernel runs row by row."""
 
     def test_tree_rows_are_the_scalar_results(self, caterpillar):
         rng = np.random.default_rng(3)

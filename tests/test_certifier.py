@@ -23,6 +23,7 @@ from hadamard import (
     Subtree,
     WeightedPoints,
     default_suite,
+    distance,
     frechet_mean,
     minkowski,
     reevaluate_witness,
@@ -390,6 +391,35 @@ class TestBlockMeans:
         assert split.worst_defect == whole.worst_defect
         assert split.witness == whole.witness
         assert reevaluate_witness(spec, whole.witness) == whole.worst_defect
+
+
+class TestTreeBlocks:
+    """Tree checks sample through the block kernels, with no scalar call per sample."""
+
+    def test_no_scalar_distances_or_gates(self, monkeypatch):
+        def tree_part(space):
+            return space if isinstance(space, MetricTree) else getattr(space, "right", None)
+
+        kinds = (CAT0, CAUCHY_SCHWARZ, PROJECTION_INEQ)
+        specs = [s for s in default_suite(seed=1, samples=200)
+                 if s.kind in kinds and isinstance(tree_part(s.space), MetricTree)]
+        # tripod, caterpillar and E2 x tripod, and the ball, spine, branch and product-set
+        assert len(specs) == 10
+        calls = []
+        for cls, name in ((MetricTree, "payload_distance"), (Subtree, "_gate")):
+            def counted(self, *args, _method=getattr(cls, name), _name=name):
+                calls.append(_name)
+                return _method(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+        for spec in specs:
+            calls.clear()
+            assert run_check(spec).passed
+            assert calls == [], (spec.kind, spec.label)
+        # the counters see the scalar paths
+        tripod = tree_part(specs[0].space)
+        p = tripod.edge_point(1, 0.5)
+        distance(p, Subtree(tripod, ["o"]).project(p))
+        assert calls == ["_gate", "payload_distance"]
 
 
 class TestTolerances:

@@ -78,6 +78,7 @@ MALFORMED = {
                                lambda: HyperbolicHalfspace(H2, ["a", 0, 1])),
     "ball-radius-text": (ConstructionError, "radius", lambda: GeodesicBall(P, "abc")),
     "subtree-vertices-int": (ConstructionError, "list of names", lambda: Subtree(TRIPOD, 5)),
+    "subtree-vertices-str": (ConstructionError, "list of names", lambda: Subtree(TRIPOD, "oa")),
     "weights-text": (ConstructionError, "weights", lambda: WeightedPoints([P], ["a"])),
     "combination-weights-text": (ConstructionError, "weights",
                                  lambda: ConvexCombination(["a"], [Identity()])),

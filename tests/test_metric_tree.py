@@ -287,14 +287,15 @@ class TestSampleBlock:
     def test_block_is_the_reference_stream(self, sampled_tree, n):
         rng, ref = np.random.default_rng(31), np.random.default_rng(31)
         block, want = sampled_tree.sample_block(rng, n), reference_samples(sampled_tree, ref, n)
-        assert len(block) == n
-        for got, loc in zip(block, want):
+        assert sampled_tree.block_len(block) == n
+        rows = [sampled_tree.row(block, i).payload for i in range(n)]
+        for got, loc in zip(rows, want):
             assert (got.edge, got.offset.hex()) == (loc.edge, loc.offset.hex())
         assert rng.bit_generator.state == ref.bit_generator.state
         if sampled_tree.edges[1].length < 1e-12:
             # draws on the short edge snap to its ends, b or c, never inside it
-            ends = [sampled_tree.location_vertex(loc) in ("b", "c") for loc in block]
-            assert all(end for end, loc in zip(ends, block) if loc.edge == 1)
+            ends = [sampled_tree.location_vertex(loc) in ("b", "c") for loc in rows]
+            assert all(end for end, loc in zip(ends, rows) if loc.edge == 1)
             assert n < 7 or any(ends)
 
     def test_one_draw_of_each_kind_per_row(self, sampled_tree):
