@@ -30,7 +30,15 @@ from __future__ import annotations
 import math
 
 from .errors import ConstructionError, DomainError
-from .geometry import _SWEEP_LIMIT, Point, check_same_space, distance, geodesic_point
+from .geometry import (
+    _SWEEP_LIMIT,
+    Point,
+    SpaceModel,
+    _geodesic,
+    check_same_space,
+    distance,
+    geodesic_point,
+)
 
 __all__ = [
     "WeightedPoints",
@@ -50,6 +58,9 @@ _STEP_TOL = 1e-10
 def convex_weights(weights) -> tuple[float, ...]:
     """The weights as floats, checked finite, nonnegative and summing to 1."""
     try:
+        # a string is iterable, but its characters are not weights
+        if isinstance(weights, str):
+            raise TypeError
         weights = tuple(float(w) for w in weights)
     except (TypeError, ValueError, OverflowError):
         raise ConstructionError(f"weights must be real numbers, got {weights!r}") from None
@@ -127,12 +138,11 @@ def _variance(dist, points, weights, x_star, y):
     return objective(y) - objective(x_star) - dist(x_star, y) ** 2
 
 
-def _drop_zero_weights(wp: WeightedPoints) -> WeightedPoints:
-    if all(w > 0.0 for w in wp.weights):
-        return wp
-    kept = [(p, w) for p, w in zip(wp.points, wp.weights) if w > 0.0]
-    pts, ws = zip(*kept)
-    return WeightedPoints(pts, ws)
+def _drop_zero_weights(points, weights):
+    """The points with positive weights, and those weights."""
+    if all(w > 0.0 for w in weights):
+        return points, weights
+    return tuple(zip(*[(p, w) for p, w in zip(points, weights) if w > 0.0]))
 
 
 def frechet_mean(wp: WeightedPoints, step_tol: float = _STEP_TOL) -> Point:
@@ -144,13 +154,20 @@ def frechet_mean(wp: WeightedPoints, step_tol: float = _STEP_TOL) -> Point:
     objective) if it has not after 200 steps.
     """
     _check_step_tol(step_tol)
-    wp = _drop_zero_weights(wp)
-    if len(wp) == 1:
-        return wp.points[0]
-    if len(wp) == 2:
-        w1, w2 = wp.weights
-        return geodesic_point(wp.points[0], wp.points[1], w2 / (w1 + w2))
-    return wp.space._mean(wp.points, wp.weights, step_tol)
+    if not isinstance(wp, WeightedPoints):
+        raise ConstructionError(f"frechet_mean needs WeightedPoints, got {wp!r}")
+    return _mean_of(wp.space, wp.points, wp.weights, step_tol)
+
+
+def _mean_of(space: SpaceModel, points, weights, step_tol: float) -> Point:
+    """``frechet_mean`` after its checks: points of ``space`` with convex float ``weights``."""
+    points, weights = _drop_zero_weights(points, weights)
+    if len(points) == 1:
+        return points[0]
+    if len(points) == 2:
+        w1, w2 = weights
+        return _geodesic(space, points[0], points[1], w2 / (w1 + w2))
+    return space._mean(points, weights, step_tol)
 
 
 def _frechet_means(space, blocks, weights):
@@ -198,7 +215,7 @@ def inductive_mean_sweeps(wp: WeightedPoints, sweeps: int = _SWEEP_LIMIT,
     if sweeps < 1:
         raise ConstructionError("sweeps must be >= 1")
     _check_step_tol(step_tol)
-    wp = _drop_zero_weights(wp)
+    wp = WeightedPoints(*_drop_zero_weights(wp.points, wp.weights))
     if len(wp) == 1:
         return wp.points[0]
     n = len(wp)

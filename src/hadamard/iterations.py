@@ -9,6 +9,16 @@ the iterates onto the intersection of the sets) through an inner
 cyclic-projection solve per iterate, and the Cauchy-type shadow
 inequality plus the monitored strong-convergence gap are exposed as
 diagnostics.
+
+A projection run checks its inputs once, on entry: the starting point
+and the witness against every set, the witness as a fixed point of each
+projection, and the weights.  Every later point is a projection or a
+weighted mean of points of that space, built by a library kernel, so
+the loop measures distances on payloads and solves each averaged
+iterate's mean without repeating those checks.  A trace's Fejer gaps
+and shadow distances likewise check their points' space once per trace.
+``fixed_point_iterate`` keeps the checked ``distance``: a user
+``Operator`` may return a point of another space.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .barycenter import WeightedPoints, convex_weights, frechet_mean
+from .barycenter import _STEP_TOL, _mean_of, convex_weights
 from .convex_sets import ConvexSet, halfspace_residual
 from .errors import ConstructionError, ConvergenceFailureError, DomainError
 from .geometry import EQ_TOL, Point, check_same_space, distance, geodesic_point
@@ -109,7 +119,9 @@ class IterationTrace:
     @cached_property
     def fejer_gaps(self) -> list[float]:
         """d(x_{n-1}, y) - d(x_n, y) against the witness y, for n >= 1."""
-        dists = [distance(x, self.witness) for x in self.points]
+        dist = check_same_space(*self.points, self.witness).payload_distance
+        y = self.witness.payload
+        dists = [dist(x.payload, y) for x in self.points]
         return [dists[n - 1] - dists[n] for n in range(1, len(dists))]
 
     def fejer_violations(self) -> int:
@@ -119,7 +131,8 @@ class IterationTrace:
     def shadow_distances(self) -> list[float] | None:
         if self.shadows is None:
             return None
-        return [distance(x, s) for x, s in zip(self.points, self.shadows)]
+        dist = check_same_space(*self.points, *self.shadows).payload_distance
+        return [dist(x.payload, s.payload) for x, s in zip(self.points, self.shadows)]
 
     def to_csv(self, stream) -> None:
         """Write the trace: n, residual, fejer_gap, step, shadow_dist.
@@ -151,6 +164,8 @@ def fixed_point_iterate(
     is declared converged at the first step of at most
     max(residual_tol, stall_tol).  Residuals record d(x_n, T x_n).
     """
+    _require(op, Operator, "operator")
+    _require(rule, StopRule, "stop rule")
     if witness is not None:
         check_same_space(x0, witness)
         _require_fixed(op, witness)
@@ -170,12 +185,21 @@ def fixed_point_iterate(
     return IterationTrace(points, residuals, steps, stop_reason, witness)
 
 
+def _require(value, kind: type, label: str) -> None:
+    if not isinstance(value, kind):
+        raise ConstructionError(f"{label} must be of type {kind.__name__}, got {value!r}")
+
+
 def _run_sets(sets, x0: Point, witness: Point | None) -> list[ConvexSet]:
     """The sets of a projection run, checked against x0 and the witness."""
-    sets = list(sets)
+    try:
+        sets = list(sets)
+    except TypeError:
+        raise ConstructionError(f"sets must be a list of convex sets, got {sets!r}") from None
     if not sets:
         raise DomainError("need at least one set")
     for c in sets:
+        _require(c, ConvexSet, "each set")
         c._check_point(x0)
     if witness is not None:
         check_same_space(x0, witness)
@@ -198,14 +222,20 @@ def _projection_run(sets, x0: Point, rule: StopRule, witness: Point | None,
     cyclic iterates, or one averaged iterate) moved the iterate by at most
     ``rule.stall_tol``.
     """
+    _require(rule, StopRule, "stop rule")
     flat_residual = halfspace_residual(sets)
+    # x0, the sets, the witness and the weights were checked on entry, and
+    # every later point is a projection or a mean of earlier ones, so the
+    # loop measures payloads of this one space
+    space = x0.space
+    dist = space.payload_distance
 
     def measure(x):
         """x's residual, and its images under the projections when formed."""
         if flat_residual is not None:
             return flat_residual(x), None
         images = [c.project(x) for c in sets]
-        return max(distance(x, y) for y in images), images
+        return max(dist(x.payload, y.payload) for y in images), images
 
     def advance(n, x, images):
         if weights is None:
@@ -213,7 +243,7 @@ def _projection_run(sets, x0: Point, rule: StopRule, witness: Point | None,
             return sets[i].project(x) if images is None else images[i]
         if images is None:
             images = [c.project(x) for c in sets]
-        return frechet_mean(WeightedPoints(images, weights))
+        return _mean_of(space, images, weights, _STEP_TOL)
 
     residual, images = measure(x0)
     points = [x0]
@@ -230,7 +260,7 @@ def _projection_run(sets, x0: Point, rule: StopRule, witness: Point | None,
             raise ConvergenceFailureError(f"iteration {n} failed: {exc}",
                                           last_point=exc.last_point,
                                           objective=exc.objective) from exc
-        steps.append(distance(points[-1], nxt))
+        steps.append(dist(points[-1].payload, nxt.payload))
         points.append(nxt)
         residual, images = measure(nxt)
         residuals.append(residual)
@@ -239,7 +269,7 @@ def _projection_run(sets, x0: Point, rule: StopRule, witness: Point | None,
             break
         if n % k == 0:
             # With one map the cycle's displacement is the step just taken.
-            moved = steps[-1] if k == 1 else distance(points[-1], points[-1 - k])
+            moved = steps[-1] if k == 1 else dist(points[-1].payload, points[-1 - k].payload)
             if moved <= rule.stall_tol:
                 stop_reason = STALLED
                 break

@@ -1,0 +1,248 @@
+"""The projection drivers check their inputs once, at the boundary.
+
+Inside the loop every point is a projection or a mean that a library
+kernel built from checked inputs, so the loop measures payloads and
+solves means without repeating the space, point and weight checks.
+These tests hold it to the public checked calls bit for bit, show that
+the checks are not repeated per iterate, and show that the checks a
+kernel output still needs (the coordinate bound) are still made.
+"""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+
+import hadamard.barycenter as barycenter
+import hadamard.geometry as geometry
+from hadamard import (
+    Euclidean,
+    EuclideanHalfspace,
+    EuclideanHyperplane,
+    HyperbolicHalfspace,
+    ProductSet,
+    StopRule,
+    Subtree,
+    WeightedPoints,
+    approximate_shadows,
+    averaged_projections,
+    cyclic_projections,
+    distance,
+    frechet_mean,
+    halfspace_residual,
+)
+from hadamard.cli import main
+from hadamard.errors import InvalidPointError
+from hadamard.metric_tree import TreeLocation
+
+
+def reference_run(sets, x0, rule, weights=None):
+    """``_projection_run`` step by step through ``project``, ``distance`` and ``frechet_mean``.
+
+    Returns the points, residuals and steps.  Each image is projected
+    again rather than reused; a projection is deterministic, so that
+    changes no bit.
+    """
+    flat = halfspace_residual(sets)
+
+    def measure(x):
+        if flat is not None:
+            return flat(x)
+        return max(distance(x, c.project(x)) for c in sets)
+
+    points, residuals, steps = [x0], [measure(x0)], []
+    if residuals[0] <= rule.residual_tol:
+        return points, residuals, steps
+    k = len(sets) if weights is None else 1
+    for n in range(1, rule.max_iter + 1):
+        x = points[-1]
+        if weights is None:
+            nxt = sets[(n - 1) % len(sets)].project(x)
+        else:
+            nxt = frechet_mean(WeightedPoints([c.project(x) for c in sets], weights))
+        steps.append(distance(x, nxt))
+        points.append(nxt)
+        residuals.append(measure(nxt))
+        if residuals[-1] <= rule.residual_tol:
+            break
+        if n % k == 0:
+            moved = steps[-1] if k == 1 else distance(points[-1], points[-1 - k])
+            if moved <= rule.stall_tol:
+                break
+    return points, residuals, steps
+
+
+def bits(point):
+    """A point's payload in a form whose ``==`` compares every bit."""
+    payload = point.payload
+    if isinstance(payload, np.ndarray):
+        return payload.dtype, payload.shape, payload.tobytes()
+    if isinstance(payload, TreeLocation):
+        return payload.edge, payload.offset.hex()
+    return tuple(bits(p) for p in payload)
+
+
+def hex_list(values):
+    return [float(v).hex() for v in values]
+
+
+def _wedge_h2(h2, theta=1.0):
+    """Three halfspaces through the apex; x0 violates the first two."""
+    n1 = np.array([0.0, 1.0, 0.0])
+    n2 = np.array([0.0, -math.cos(theta), math.sin(theta)])
+    sets = [HyperbolicHalfspace(h2, n1, "S1"), HyperbolicHalfspace(h2, n2, "S2"),
+            HyperbolicHalfspace(h2, -(0.6 * n1 + 0.4 * n2), "S3")]
+    inside = math.pi / 2 - theta / 2
+    x0 = h2.exp_from_base([math.cos(inside), math.sin(inside)])
+    return sets, x0
+
+
+@pytest.fixture
+def runs(e2, e3, h2, tripod, product):
+    """Five runs: (algorithm, sets, x0, witness, rule, weights)."""
+    planes = [EuclideanHyperplane(e3, [0, 1, 0], 0.0, name="P1"),
+              EuclideanHyperplane(e3, [-math.sin(0.5), math.cos(0.5), 0], 0.0, name="P2"),
+              EuclideanHalfspace(e3, [0, 0, 1], 0.0, name="z<=0"),
+              EuclideanHalfspace(e3, [1, 1, 1], 0.5, name="sum<=0.5")]
+    lines = [EuclideanHyperplane(e2, [0, 1], 0.0, name="L1"),
+             EuclideanHyperplane(e2, [-math.sin(0.7), math.cos(0.7)], 0.0, name="L2")]
+    h2_sets, h2_x0 = _wedge_h2(h2)
+    legs = [Subtree(tripod, ["o", "a"], name="leg-a"), Subtree(tripod, ["o", "b"], name="leg-b")]
+    o = tripod.vertex_point("o")
+    factors = [(EuclideanHyperplane(e2, [0, 1], 0.0), Subtree(tripod, ["o", "a"])),
+               (EuclideanHyperplane(e2, [-math.sin(0.9), math.cos(0.9)], 0.0),
+                Subtree(tripod, ["o", "b"])),
+               (EuclideanHalfspace(e2, [1, 0], 0.0), Subtree(tripod, ["o", "a", "c"]))]
+    product_sets = [ProductSet(product, left, right) for left, right in factors]
+    return {
+        "e3-halfspaces-cyclic": ("cyclic", planes, e3.point([2.0, 1.5, 1.0]),
+                                 e3.point([0, 0, 0]), StopRule(max_iter=500), None),
+        "e2-lines-averaged": ("averaged", lines, e2.point([1.0, 2.0]), e2.point([0, 0]),
+                              StopRule(max_iter=500, residual_tol=1e-10), (0.3, 0.7)),
+        "h2-halfspaces-averaged": ("averaged", h2_sets, h2_x0, h2.base_point(),
+                                   StopRule(max_iter=500, residual_tol=1e-6), (0.25, 0.25, 0.5)),
+        "tripod-subtrees-cyclic": ("cyclic", legs, tripod.point((0, 0.75)), o,
+                                   StopRule(max_iter=50), None),
+        "product-sets-averaged": ("averaged", product_sets,
+                                  product.point((e2.point([1.5, 0.5]), tripod.point((0, 0.8)))),
+                                  product.point((e2.point([0, 0]), o)),
+                                  StopRule(max_iter=500), (0.5, 0.25, 0.25)),
+    }
+
+
+def _run(algorithm, sets, x0, witness, rule, weights):
+    if algorithm == "cyclic":
+        return cyclic_projections(sets, x0, rule, witness=witness)
+    return averaged_projections(sets, x0, rule, weights=weights, witness=witness)
+
+
+class TestCheckedReference:
+    """Every number of a run equals the public checked calls' bit for bit."""
+
+    @pytest.mark.parametrize("case", ["e3-halfspaces-cyclic", "e2-lines-averaged",
+                                      "h2-halfspaces-averaged", "tripod-subtrees-cyclic",
+                                      "product-sets-averaged"])
+    def test_run_is_the_checked_reference(self, runs, case):
+        algorithm, sets, x0, witness, rule, weights = runs[case]
+        trace = _run(algorithm, sets, x0, witness, rule, weights)
+        # the tripod run stops after a zero step and a step to the centre
+        assert trace.iterations >= 2
+        points, residuals, steps = reference_run(sets, x0, rule, weights)
+        assert [bits(p) for p in trace.points] == [bits(p) for p in points]
+        assert hex_list(trace.residuals) == hex_list(residuals)
+        assert hex_list(trace.steps) == hex_list(steps)
+        dists = [distance(x, witness) for x in points]
+        assert hex_list(trace.fejer_gaps) == hex_list(
+            [dists[n - 1] - dists[n] for n in range(1, len(dists))])
+
+        approximate_shadows(trace, sets)
+        inner_rule = StopRule(max_iter=100000, residual_tol=1e-10)
+        shadows = [reference_run(sets, x, inner_rule)[0][-1] for x in points]
+        assert [bits(s) for s in trace.shadows] == [bits(s) for s in shadows]
+        assert hex_list(trace.shadow_distances()) == hex_list(
+            [distance(x, s) for x, s in zip(points, shadows)])
+
+
+class TestChecksOnce:
+    """Counters show that no check runs once per iterate."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"point": 0, "check_same_space": 0, "convex_weights": 0}
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(geometry.SpaceModel, "point",
+                            counted("point", geometry.SpaceModel.point))
+        # the functions are bound by name in each module that imports them
+        modules = [m for n, m in sys.modules.items() if n.startswith("hadamard.")]
+        for name, original in (("check_same_space", geometry.check_same_space),
+                               ("convex_weights", barycenter.convex_weights)):
+            wrapper = counted(name, original)
+            for module in modules:
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, wrapper)
+        return counts
+
+    @pytest.fixture
+    def flat(self, e2):
+        lines = [EuclideanHyperplane(e2, [0, 1], 0.0, name="L1"),
+                 EuclideanHyperplane(e2, [-math.sin(0.5), math.cos(0.5)], 0.0, name="L2")]
+        return cyclic_projections, lines, e2.point([1, 2]), e2.point([0, 0])
+
+    @pytest.fixture
+    def hyperbolic(self, h2):
+        sets, x0 = _wedge_h2(h2)
+        return averaged_projections, sets, x0, h2.base_point()
+
+    @pytest.mark.parametrize("run", ["flat", "hyperbolic"])
+    def test_no_check_per_iterate(self, run, counts, request):
+        driver, sets, x0, witness = request.getfixturevalue(run)
+        seen = []
+        for max_iter in (3, 500):
+            for key in counts:
+                counts[key] = 0
+            trace = driver(sets, x0, StopRule(max_iter=max_iter, residual_tol=1e-6),
+                           witness=witness)
+            trace.fejer_gaps
+            seen.append(dict(counts))
+        assert trace.stop_reason == "converged" and trace.iterations > 10
+        # a long run makes the same checks as a 3-iterate one
+        assert seen[0] == seen[1]
+        assert seen[1]["point"] == 0
+        assert seen[1]["convex_weights"] == (driver is averaged_projections)
+        # the witness against x0, the witness fixed by each projection, the gaps
+        assert seen[1]["check_same_space"] <= 2 + len(sets)
+
+
+class TestKernelOutputBound:
+    """A kernel output past the coordinate bound still raises, as a checked point did."""
+
+    @pytest.fixture
+    def far(self):
+        e2 = Euclidean(2)
+        return ([EuclideanHyperplane(e2, [1, 0], 1e200, name="far"),
+                 EuclideanHyperplane(e2, [0, 1], 0.0, name="axis")], e2.point([0.0, 1.0]))
+
+    @pytest.mark.parametrize("driver", [cyclic_projections, averaged_projections])
+    def test_drivers_raise(self, far, driver):
+        sets, x0 = far
+        with pytest.raises(InvalidPointError, match="at most 1e[+]150"):
+            driver(sets, x0, StopRule(max_iter=10))
+
+    def test_cli_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        scn = tmp_path / "far.scn"
+        scn.write_text("[space]\nkind = euclidean\ndim = 2\n\n"
+                       "[set far]\nkind = hyperplane\nnormal = 1,0\noffset = 1e200\n\n"
+                       "[set axis]\nkind = hyperplane\nnormal = 0,1\noffset = 0\n\n"
+                       "[run]\nalgorithm = cyclic\nsets = far,axis\nx0 = 0,1\n"
+                       "max_iter = 10\noutput = far.csv\n", encoding="utf-8")
+        assert main(["run", str(scn)]) == 2
+        assert "at most 1e+150" in capsys.readouterr().err
+        assert not (tmp_path / "far.csv").exists()

@@ -27,10 +27,12 @@ from hadamard import (
     StopRule,
     Subtree,
     WeightedPoints,
+    approximate_shadows,
     averaged_projections,
     cat0_defect,
     cyclic_projections,
     distance,
+    fixed_point_iterate,
     fold_composition_alpha,
     frechet_mean,
     frechet_objective,
@@ -103,6 +105,19 @@ MALFORMED = {
     "project-point-text": (SpaceMismatchError, "not a point", lambda: HALF.project("a")),
     "cyclic-start-text": (SpaceMismatchError, "not a point", lambda: cyclic_projections(
         [HALF], "a", StopRule(max_iter=5))),
+    "cyclic-set-text": (ConstructionError, "of type ConvexSet", lambda: cyclic_projections(
+        [HALF, "b"], P, StopRule(max_iter=5))),
+    "cyclic-sets-int": (ConstructionError, "list of convex sets", lambda: cyclic_projections(
+        5, P, StopRule(max_iter=5))),
+    "cyclic-rule-int": (ConstructionError, "of type StopRule",
+                        lambda: cyclic_projections([HALF], P, 10)),
+    "shadow-set-text": (ConstructionError, "of type ConvexSet", lambda: approximate_shadows(
+        IterationTrace([P], [0.0], [], "converged"), ["s"])),
+    "fixed-point-op-text": (ConstructionError, "of type Operator",
+                            lambda: fixed_point_iterate("op", P, StopRule(max_iter=5))),
+    "mean-of-list": (ConstructionError, "WeightedPoints", lambda: frechet_mean([P])),
+    "averaged-weights-str": (ConstructionError, "weights", lambda: averaged_projections(
+        [HALF], P, StopRule(max_iter=5), weights="1")),
 }
 
 
