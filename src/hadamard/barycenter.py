@@ -55,13 +55,21 @@ _WEIGHT_SUM_TOL = 1e-12
 _STEP_TOL = 1e-10
 
 
-def convex_weights(weights) -> tuple[float, ...]:
-    """The weights as floats, checked finite, nonnegative and summing to 1."""
+def _weight_tuple(weights) -> tuple:
+    """The weights as a tuple, not yet converted or checked."""
     try:
         # a string is iterable, but its characters are not weights
         if isinstance(weights, str):
             raise TypeError
-        weights = tuple(float(w) for w in weights)
+        return tuple(weights)
+    except TypeError:
+        raise ConstructionError(f"weights must be real numbers, got {weights!r}") from None
+
+
+def convex_weights(weights) -> tuple[float, ...]:
+    """The weights as floats, checked finite, nonnegative and summing to 1."""
+    try:
+        weights = tuple(float(w) for w in _weight_tuple(weights))
     except (TypeError, ValueError, OverflowError):
         raise ConstructionError(f"weights must be real numbers, got {weights!r}") from None
     if not all(0.0 <= w < math.inf for w in weights):
@@ -79,7 +87,7 @@ class WeightedPoints:
 
     def __init__(self, points, weights):
         points = tuple(points)
-        weights = tuple(weights)
+        weights = _weight_tuple(weights)
         if not points:
             raise ConstructionError("need at least one point")
         if len(points) != len(weights):

@@ -20,13 +20,14 @@ from .geometry import (
     Point,
     ProductSpace,
     SpaceModel,
+    _minkowski,
     _normalize,
+    _normalized,
     _pairing,
     _rowdot,
     _same_space,
     check_same_space,
     distance,
-    minkowski,
 )
 from .metric_tree import MetricTree
 
@@ -191,7 +192,7 @@ class HyperbolicHalfspace(ConvexSet):
     normalized at construction.
     """
 
-    __slots__ = ("normal",)
+    __slots__ = ("normal", "_coords")
 
     def __init__(self, space: Hyperboloid, normal, name: str = "hyperbolic-halfspace"):
         if not isinstance(space, Hyperboloid):
@@ -203,20 +204,25 @@ class HyperbolicHalfspace(ConvexSet):
             raise ConstructionError(f"normal must be real numbers, got {normal!r}") from None
         if arr.shape != (space.dim + 1,):
             raise ConstructionError(f"normal must have {space.dim + 1} ambient coordinates")
-        mm = minkowski(arr, arr)
+        coords = arr.tolist()
+        mm = _minkowski(coords, coords)
         if not (math.isfinite(mm) and mm > 0):
             raise ConstructionError("normal must be spacelike: m(u, u) > 0")
         arr = arr / math.sqrt(mm)
         arr.setflags(write=False)
         object.__setattr__(self, "normal", arr)
+        # the scalar twins' copy of the normal, as Python floats
+        object.__setattr__(self, "_coords", arr.tolist())
 
-    # Scalar twin kept: the drivers' hyperbolic runs, where a one-row block costs 12x.
+    # Scalar twin kept: the drivers' hyperbolic runs, where a one-row block costs 2.6x to 27x.
     def project(self, x: Point) -> Point:
         self._check_point(x)
-        s = minkowski(self.normal, x.payload)
+        p = x.payload.tolist()
+        s = _minkowski(self._coords, p)
         if s <= 0.0:
             return x
-        return self.space._wrap(self.space.normalize(x.payload - s * self.normal))
+        moved = _normalized([a - s * u for a, u in zip(p, self._coords)])
+        return self.space._wrap(np.array(moved))
 
     def project_block(self, block):
         s = _pairing(self.normal, block)
@@ -227,7 +233,7 @@ class HyperbolicHalfspace(ConvexSet):
 
     def contains(self, x: Point) -> bool:
         self._check_point(x)
-        return minkowski(self.normal, x.payload) <= EQ_TOL
+        return _minkowski(self._coords, x.payload.tolist()) <= EQ_TOL
 
     def describe(self) -> str:
         return f"hyperbolic halfspace m({self.space.format_payload(self.normal)}, x) <= 0"

@@ -19,7 +19,13 @@ import numbers
 
 import numpy as np
 
-from .barycenter import WeightedPoints, _frechet_means, convex_weights, frechet_mean
+from .barycenter import (
+    WeightedPoints,
+    _frechet_means,
+    _weight_tuple,
+    convex_weights,
+    frechet_mean,
+)
 from .convex_sets import ConvexSet
 from .errors import ConstructionError, DomainError, NotAFixedPointError, SpaceMismatchError
 from .geometry import (
@@ -178,7 +184,7 @@ class ConvexCombination(Operator):
     __slots__ = ("weights", "operators")
 
     def __init__(self, weights, operators):
-        weights = tuple(weights)
+        weights = _weight_tuple(weights)
         operators = tuple(operators)
         if len(weights) != len(operators) or not operators:
             raise ConstructionError("need matching, nonempty weights and operators")

@@ -9,14 +9,17 @@ compared with the scalar path in ambient coordinates, since the scalar
 ``distance`` cannot resolve separations below about 1e-8 there.  Where a model or set
 derives a scalar method from its blocks (the seeded sample, the flat,
 hyperbolic and product geodesic points, the flat mean, the ball and
-product-set projections), the two agree bit for bit.
+product-set projections), the two agree bit for bit.  The hyperboloid's
+scalar pairing, normalisation and halfspace projection sum in the
+blocks' column order and agree with them bit for bit too; its distance
+and mean differ only through ``math``'s ``acosh`` and ``sinh``.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hadamard import (
@@ -42,7 +45,9 @@ from hadamard import (
     distance,
     frechet_mean,
     geodesic_point,
+    minkowski,
 )
+from hadamard.geometry import _normalize, _pairing
 
 ROWS = 1000
 # Block and scalar kernels round differently, by far less than this.
@@ -237,9 +242,14 @@ class TestBlocksAgreeWithScalars:
         a = blocks[0]
         for c in sets:
             images = c.project_block(a)
+            # only the flat halfspace twin still rounds through NumPy's dot
+            exact = not isinstance(c, EuclideanHalfspace)
             for i in range(ROWS):
                 want = c.project(space.row(a, i))
-                assert gap(space.row(images, i), want) <= SCALAR_TOL, (c, i)
+                if exact:
+                    assert bits(space.row(images, i)) == bits(want), (c, i)
+                else:
+                    assert gap(space.row(images, i), want) <= SCALAR_TOL, (c, i)
 
     def test_composition(self, case, blocks):
         space, sets = case
@@ -361,6 +371,56 @@ class TestHyperboloidBlocks:
         normals = np.random.default_rng(6).standard_normal((100, 2))
         for i in range(100):
             assert gap(h2.row(block, i), h2.exp_from_base(normals[i])) <= SCALAR_TOL, i
+
+
+class TestHyperboloidTwins:
+    """The scalar twins compute on Python floats in the blocks' summation order."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_pairing_normalize_and_projection_are_one_row_blocks(self, dim):
+        space = Hyperboloid(dim)
+        rng = np.random.default_rng(dim)
+        a, b = space.sample_block(rng, ROWS), space.sample_block(rng, ROWS)
+        # spacelike normals, most of them cutting the sampled cloud
+        normals = rng.standard_normal((ROWS, dim + 1))
+        normals[:, 0] = rng.uniform(-0.5, 0.5, ROWS) * np.linalg.norm(normals[:, 1:], axis=1)
+        moved = 0
+        for i in range(ROWS):
+            u, v = a[i], b[i]
+            assert minkowski(u, v).hex() == float(_pairing(u[None], v[None])[0]).hex(), i
+            w = u + 0.5 * v  # future timelike
+            assert np.array_equal(space.normalize(w), _normalize(w[None])[0]), i
+            c = HyperbolicHalfspace(space, normals[i])
+            x = space.row(a, i)
+            got = c.project(x)
+            assert bits(got) == bits(space.row(c.project_block(a[i:i + 1]), 0)), i
+            moved += got is not x
+        assert 0 < moved < ROWS
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([2, 3, 5]),
+           radii=st.lists(st.floats(0.0, 7.0), min_size=3, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_outputs_are_valid_points(self, dim, radii, seed):
+        """Projections and means of valid points at radii 0 to 7 are valid points."""
+        space = Hyperboloid(dim)
+        rng = np.random.default_rng(seed)
+        points = []
+        for r in radii:
+            u = rng.standard_normal(dim)
+            points.append(space.exp_from_base(r * u / np.linalg.norm(u)))
+        # exp_from_base leaves the sheet's tolerance in some directions from
+        # radius 7 on; such an input is no valid point to start from
+        try:
+            points = [space.point(p.payload) for p in points]
+        except InvalidPointError:
+            assume(False)
+        raw = rng.uniform(0.05, 1.0, len(points))
+        mean = space._mean(points, tuple(raw / raw.sum()), 1e-10)
+        space.validate_payload(mean.payload)
+        c = HyperbolicHalfspace(space, [0.0, *rng.standard_normal(dim)])
+        for p in points + [mean]:
+            space.validate_payload(c.project(p).payload)
 
 
 @pytest.mark.parametrize("model", ["e3", "h2"])

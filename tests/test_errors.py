@@ -37,6 +37,7 @@ from hadamard import (
     frechet_mean,
     frechet_objective,
     geodesic_point,
+    minkowski,
     parse_edge_list,
     parse_scenario,
     reevaluate_witness,
@@ -118,6 +119,15 @@ MALFORMED = {
     "mean-of-list": (ConstructionError, "WeightedPoints", lambda: frechet_mean([P])),
     "averaged-weights-str": (ConstructionError, "weights", lambda: averaged_projections(
         [HALF], P, StopRule(max_iter=5), weights="1")),
+    "weights-str": (ConstructionError, "weights", lambda: WeightedPoints([P], "1")),
+    "weights-int": (ConstructionError, "weights", lambda: WeightedPoints([P], 1)),
+    "combination-weights-str": (ConstructionError, "weights",
+                                lambda: ConvexCombination("1", [Identity()])),
+    "combination-weights-int": (ConstructionError, "weights",
+                                lambda: ConvexCombination(1, [Identity()])),
+    "normalize-spacelike": (DomainError, "timelike", lambda: H2.normalize([0.0, 1.0, 0.0])),
+    "minkowski-lengths": (DomainError, "one length",
+                          lambda: minkowski([1.0, 0.0, 0.0], [1.0, 0.0])),
 }
 
 
