@@ -35,6 +35,8 @@ from .geometry import (
     Point,
     SpaceModel,
     _geodesic,
+    _is_bool,
+    _is_tolerance,
     check_same_space,
     distance,
     geodesic_point,
@@ -69,7 +71,11 @@ def _weight_tuple(weights) -> tuple:
 def convex_weights(weights) -> tuple[float, ...]:
     """The weights as floats, checked finite, nonnegative and summing to 1."""
     try:
-        weights = tuple(float(w) for w in _weight_tuple(weights))
+        values = _weight_tuple(weights)
+        # float() takes a bool, but a bool is not a weight
+        if any(_is_bool(w) for w in values):
+            raise TypeError
+        weights = tuple(float(w) for w in values)
     except (TypeError, ValueError, OverflowError):
         raise ConstructionError(f"weights must be real numbers, got {weights!r}") from None
     if not all(0.0 <= w < math.inf for w in weights):
@@ -108,11 +114,7 @@ class WeightedPoints:
 
 
 def _check_step_tol(step_tol: float) -> None:
-    try:
-        ok = 0.0 <= step_tol < math.inf
-    except TypeError:
-        ok = False
-    if not ok:
+    if not _is_tolerance(step_tol):
         raise DomainError(f"step_tol must be finite and >= 0, got {step_tol}")
 
 

@@ -21,13 +21,14 @@ import numbers
 import time
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .barycenter import _frechet_means, _variance
 from .convex_sets import ConvexSet, _projection
 from .errors import CheckSpecError, DomainError
-from .geometry import Point, SpaceModel, _cat0, _quasilinear
+from .geometry import Point, SpaceModel, _cat0, _is_integer, _quasilinear
 from .iterations import (
     StopRule,
     approximate_shadows,
@@ -84,49 +85,45 @@ VARIANCE_INEQ = "variance_ineq"
 FEJER_RUN = "fejer_run"
 COMPOSITION_CONDITION = "composition_condition"
 
-# Checks whose inputs pass through an iterative barycenter solve get the
-# looser tolerance; everything else uses the model's own.
-_BARYCENTER_BOUND_KINDS = {COMBINATION_THEOREM, VARIANCE_INEQ}
+# The tolerance floor of a kind whose inputs pass through a barycenter solve.
 _BARYCENTER_TOL = 1e-6
 
-# Each kind's witness, one letter per entry: "p" a point of the check's
-# space, "t" a number, "-" anything else.
-_WITNESS = {
-    CAT0: "pppt",
-    CAUCHY_SCHWARZ: "pppp",
-    PROJECTION_FIRM: "pp",
-    PROJECTION_INEQ: "pp",
-    QUASI_FIRM: "pp",
-    COMPOSITION_THEOREM: "pp",
-    COMBINATION_THEOREM: "pp",
-    FIX_CONVEXITY: "pp",
-    VARIANCE_INEQ: "--p",
-    FEJER_RUN: "p",
-    COMPOSITION_CONDITION: "pp",
-}
-CHECK_KINDS = tuple(_WITNESS)
 
-# The payload keys each kind reads; a projection_firm check takes "op" or "set".
-_PAYLOAD_KEYS = {
-    CAT0: (),
-    CAUCHY_SCHWARZ: (),
-    PROJECTION_FIRM: ("op", "set", "alpha"),
-    PROJECTION_INEQ: ("set",),
-    QUASI_FIRM: ("op", "alpha", "fixed_points"),
-    COMPOSITION_THEOREM: ("factors", "witness"),
-    COMBINATION_THEOREM: ("ops", "alphas", "weights", "witness"),
-    FIX_CONVEXITY: ("set",),
-    VARIANCE_INEQ: ("instance_size", "challengers"),
-    FEJER_RUN: ("algorithm", "sets", "witness", "rule"),
-    COMPOSITION_CONDITION: ("factors",),
+class _Kind(NamedTuple):
+    """One check kind, as the certifier reads it.
+
+    ``witness`` has one letter per witness entry: "p" a point of the
+    check's space, "t" a number, "-" anything else.  Unless the kind draws
+    its own, a sample is one ``sample_block`` per "p" and one ``uniform``
+    per "t", in this order.  ``payload_keys`` are the payload keys the
+    kind reads; a projection_firm check takes "op" or "set".  A
+    ``barycenter`` kind's inputs pass through an iterative barycenter
+    solve, so it gets the looser tolerance; every other kind uses the
+    model's own.
+    """
+
+    witness: str
+    payload_keys: tuple[str, ...] = ()
+    barycenter: bool = False
+
+
+_KINDS = {
+    CAT0: _Kind("pppt"),
+    CAUCHY_SCHWARZ: _Kind("pppp"),
+    PROJECTION_FIRM: _Kind("pp", ("op", "set", "alpha")),
+    PROJECTION_INEQ: _Kind("pp", ("set",)),
+    QUASI_FIRM: _Kind("pp", ("op", "alpha", "fixed_points")),
+    COMPOSITION_THEOREM: _Kind("pp", ("factors", "witness")),
+    COMBINATION_THEOREM: _Kind("pp", ("ops", "alphas", "weights", "witness"), True),
+    FIX_CONVEXITY: _Kind("pp", ("set",)),
+    VARIANCE_INEQ: _Kind("--p", ("instance_size", "challengers"), True),
+    FEJER_RUN: _Kind("p", ("algorithm", "sets", "witness", "rule")),
+    COMPOSITION_CONDITION: _Kind("pp", ("factors",)),
 }
+CHECK_KINDS = tuple(_KINDS)
 
 # Samples drawn and evaluated at once, which bounds a check's memory.
 _CHUNK = 4096
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, numbers.Integral)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -150,14 +147,14 @@ class CheckSpec:
         if not isinstance(self.payload, dict):
             raise CheckSpecError(f"payload must be a dict, got {self.payload!r}")
         for key in self.payload:
-            if key not in _PAYLOAD_KEYS[self.kind]:
+            if key not in _KINDS[self.kind].payload_keys:
                 raise CheckSpecError(f"check '{self.kind}' does not read payload key {key!r}")
         if "op" in self.payload and "set" in self.payload:
             raise CheckSpecError(f"check '{self.kind}' takes an 'op' or a 'set', not both")
 
     @property
     def tolerance(self) -> float:
-        if self.kind in _BARYCENTER_BOUND_KINDS:
+        if _KINDS[self.kind].barycenter:
             return max(_BARYCENTER_TOL, self.space.defect_tolerance)
         return self.space.defect_tolerance
 
@@ -283,11 +280,13 @@ def _block_kernel(spec: CheckSpec):
     """``(draw, defect, admit)`` for the check's kind.
 
     ``draw(rng, n)`` returns or yields the witness columns of n samples as
-    batches, consuming ``rng`` in a fixed order.  ``defect(*columns)``
-    returns one defect per row, nonnegative (up to the check's tolerance)
-    wherever the sampled inequality holds.  ``admit(witness)`` raises for a
-    witness outside the inequality's scope: a challenge point outside the
-    set, a point the operator moves, or t outside [0, 1].
+    batches, consuming ``rng`` in a fixed order; unless the kind defines
+    its own, it draws them as the kind's witness layout says.
+    ``defect(*columns)`` returns one defect per row, nonnegative (up to
+    the check's tolerance) wherever the sampled inequality holds.
+    ``admit(witness)`` raises for a witness outside the inequality's
+    scope: a challenge point outside the set, a point the operator moves,
+    or t outside [0, 1].
 
     A column of "p" entries is a block of the check's space; a column of
     "-" entries is a list.  The barycenters of a batch are solved in one
@@ -299,14 +298,16 @@ def _block_kernel(spec: CheckSpec):
     kind = spec.kind
     dist = space.distances
     sample = space.sample_block
+    layout = _KINDS[kind].witness
+
+    def draw(rng, n):
+        return [tuple(sample(rng, n) if entry == "p" else rng.uniform(size=n)
+                      for entry in layout)]
 
     def admit(witness):
         pass
 
     if kind == CAT0:
-        def draw(rng, n):
-            return [(sample(rng, n), sample(rng, n), sample(rng, n), rng.uniform(size=n))]
-
         def defect(x, y, z, t):
             return _cat0(dist, x, y, z, space.interpolate(x, y, t), t)
 
@@ -314,9 +315,6 @@ def _block_kernel(spec: CheckSpec):
             if not 0.0 <= witness[3] <= 1.0:
                 raise DomainError(f"interpolation parameter must be in [0, 1], got {witness[3]}")
     elif kind == CAUCHY_SCHWARZ:
-        def draw(rng, n):
-            return [tuple(sample(rng, n) for _ in range(4))]
-
         def defect(x, z, y, w):
             return dist(x, z) * dist(y, w) - np.abs(_quasilinear(dist, x, z, y, w))
     elif kind == PROJECTION_FIRM:
@@ -324,9 +322,6 @@ def _block_kernel(spec: CheckSpec):
         op = (_payload(spec, "op", Operator) if "op" in spec.payload
               else Projection(_payload(spec, "set", ConvexSet)))
         alpha = _check_alpha(spec.payload.get("alpha", 0.5))
-
-        def draw(rng, n):
-            return [(sample(rng, n), sample(rng, n))]
 
         def defect(x, y):
             return _alpha_firm(dist, alpha, x, y, op.apply_block(space, x),
@@ -372,9 +367,6 @@ def _block_kernel(spec: CheckSpec):
                                  f"got {len(factors)}")
         (s, a_s), (t, a_t) = factors
         a_s, a_t = _check_alpha(a_s, "alpha_s"), _check_alpha(a_t, "alpha_t")
-
-        def draw(rng, n):
-            return [(sample(rng, n), sample(rng, n))]
 
         def defect(x, y):
             sx, sy = s.apply_block(space, x), s.apply_block(space, y)
@@ -436,9 +428,6 @@ def _block_kernel(spec: CheckSpec):
             worst = min(trace.fejer_gaps, default=0.0)
             return min(worst, shadow_cauchy_worst_defect(approximate_shadows(trace, sets)))
 
-        def draw(rng, n):
-            return [(sample(rng, n),)]
-
         def defect(x0):
             return np.array([fejer(space.row(x0, i)) for i in range(space.block_len(x0))],
                             dtype=float)
@@ -448,7 +437,7 @@ def _block_kernel(spec: CheckSpec):
 def _batches(spec: CheckSpec, rng: np.random.Generator):
     """Yield ``(defects, witness_at)`` for successive batches of at most ``_CHUNK`` samples."""
     draw, defect, _ = _block_kernel(spec)
-    space, layout = spec.space, _WITNESS[spec.kind]
+    space, layout = spec.space, _KINDS[spec.kind].witness
 
     def witness_at(columns, i):
         return tuple(space.row(col, i) if entry == "p" else
@@ -489,7 +478,7 @@ def run_check(spec: CheckSpec) -> CheckResult:
 
 def _one_row(spec: CheckSpec, witness) -> list:
     """The witness as columns of one row, after checking its length and points."""
-    layout = _WITNESS[spec.kind]
+    layout = _KINDS[spec.kind].witness
     if not isinstance(witness, (tuple, list)) or len(witness) != len(layout):
         raise CheckSpecError(
             f"a '{spec.kind}' witness has {len(layout)} entries, got {witness!r}")

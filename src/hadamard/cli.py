@@ -24,7 +24,7 @@ from .iterations import (
     technical_condition_gaps,
 )
 from .operators import Composition, Projection
-from .scenario import Scenario, parse_scenario, point_spec
+from .scenario import _FLAGS, Scenario, parse_scenario, point_spec
 
 __all__ = ["main", "run_scenario"]
 
@@ -40,15 +40,6 @@ _SHADOW_LIMIT = 400
 
 # The scenario algorithm each subcommand accepts; ``run`` takes any.
 _COMMAND_ALGORITHM = {"run": None, "certify": "certify", "mean": "barycenter"}
-
-# The flags that override a [run] key, with their help; ``parse_scenario``
-# maps each to its key and checks its value.
-_FLAGS = {
-    "--seed": "override the scenario seed (certify)",
-    "--max-iter": "override the iteration cap (cyclic, averaged, fixedpoint)",
-    "--tol": "override the residual tolerance (cyclic, averaged, fixedpoint) "
-             "or the step tolerance (barycenter)",
-}
 
 
 @functools.cache
@@ -67,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("scenario", help="path to the scenario file")
-        for flag, flag_help in _FLAGS.items():
+        for flag, (_, flag_help) in _FLAGS.items():
             p.add_argument(flag, dest=flag, metavar="VALUE", help=flag_help)
     sub.add_parser("version", help="print the package version")
     return parser
@@ -122,7 +113,10 @@ def _run_trace(scenario: Scenario) -> int:
         else:
             try:
                 gaps = technical_condition_gaps(approximate_shadows(trace, run_sets))
-                gap_note = f"  monitored shadow gap at termination: {gaps[-1]:.3e}\n"
+                # the probes start at the last shadow, so the last gap is 0
+                largest = max(gaps)
+                gap_note = (f"  largest monitored shadow gap: {largest:.3e} "
+                            f"at iterate {gaps.index(largest)}\n")
             except HadamardError as exc:
                 gap_note = f"  shadow diagnostics skipped: inner solve failed: {exc}\n"
 

@@ -19,6 +19,7 @@ immutable after construction and every operation is pure.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -62,6 +63,24 @@ _COORD_LIMIT = 1e150
 # Sweep cap of the iterative mean solvers; the hyperboloid iteration
 # contracts linearly and stabilizes well within it.
 _SWEEP_LIMIT = 200
+
+
+def _is_bool(value) -> bool:
+    """Whether ``value`` is a Python or NumPy bool, which no numeric argument takes."""
+    return isinstance(value, (bool, np.bool_))
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or NumPy integer; a bool is not one."""
+    return type(value) is int or (isinstance(value, numbers.Integral) and not _is_bool(value))
+
+
+def _is_tolerance(value) -> bool:
+    """Whether ``value`` is a finite number >= 0; a bool is not one."""
+    try:
+        return not _is_bool(value) and 0.0 <= value < math.inf
+    except TypeError:
+        return False
 
 
 def _readonly(values) -> np.ndarray:
@@ -250,11 +269,7 @@ class CoordinateSpace(SpaceModel):
     _extra = 0
 
     def __init__(self, dim: int):
-        try:
-            ok = int(dim) == dim and dim >= 1
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
+        if not (_is_integer(dim) and dim >= 1):
             raise ConstructionError(f"{type(self).__name__} dimension must be a positive integer")
         object.__setattr__(self, "dim", int(dim))
 

@@ -24,14 +24,21 @@ and shadow distances likewise check their points' space once per trace.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .barycenter import _STEP_TOL, _mean_of, convex_weights
 from .convex_sets import ConvexSet, halfspace_residual
 from .errors import ConstructionError, ConvergenceFailureError, DomainError
-from .geometry import EQ_TOL, Point, check_same_space, distance, geodesic_point
+from .geometry import (
+    EQ_TOL,
+    Point,
+    _is_integer,
+    _is_tolerance,
+    check_same_space,
+    distance,
+    geodesic_point,
+)
 from .operators import Operator, Projection, _require_fixed
 
 __all__ = [
@@ -60,17 +67,13 @@ class StopRule:
     stall_tol: float = 1e-12
 
     def __post_init__(self):
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+        if not _is_integer(self.max_iter):
             raise ConstructionError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ConstructionError("max_iter must be >= 1")
         for name in ("residual_tol", "stall_tol"):
             value = getattr(self, name)
-            try:
-                ok = 0.0 <= value < math.inf
-            except TypeError:
-                ok = False
-            if not ok:
+            if not _is_tolerance(value):
                 raise ConstructionError(f"{name} must be finite and >= 0, got {value}")
 
 

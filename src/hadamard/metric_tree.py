@@ -22,13 +22,12 @@ parent id found among ids u+1..v is the LCA's id.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConstructionError, EdgeListError, InvalidPointError
-from .geometry import Point, SpaceModel
+from .geometry import Point, SpaceModel, _is_integer
 
 __all__ = ["TreeEdge", "TreeLocation", "MetricTree", "parse_edge_list"]
 
@@ -318,11 +317,9 @@ class MetricTree(SpaceModel):
                     "tree payload must be a TreeLocation or an (edge, offset) pair"
                 )
         try:
-            # index() takes Python and NumPy integers and refuses floats and
-            # text; a bool is an int to it, so it is refused first
-            if isinstance(edge, bool):
+            if not _is_integer(edge):
                 raise TypeError
-            edge, offset = operator.index(edge), float(offset)
+            edge, offset = int(edge), float(offset)
         except (TypeError, ValueError, OverflowError):
             raise InvalidPointError(f"tree payload needs an integer edge and a numeric offset, "
                                     f"got {payload!r}") from None

@@ -342,10 +342,16 @@ _RUN_KEYS = {
     "barycenter": {"algorithm", "point", "weights", "step_tol", "output"},
 }
 
-# The [run] keys each command-line flag may stand for; a flag sets the
-# first of its keys that the scenario's algorithm reads.
-_FLAG_KEYS = {"--seed": ("seed",), "--max-iter": ("max_iter",),
-              "--tol": ("residual_tol", "step_tol")}
+# The command-line flags: the [run] keys each may stand for, and its help.
+# A flag sets the first of its keys that the scenario's algorithm reads.
+_FLAGS = {
+    "--seed": (("seed",), "override the scenario seed (certify)"),
+    "--max-iter": (("max_iter",),
+                   "override the iteration cap (cyclic, averaged, fixedpoint)"),
+    "--tol": (("residual_tol", "step_tol"),
+              "override the residual tolerance (cyclic, averaged, fixedpoint) "
+              "or the step tolerance (barycenter)"),
+}
 
 
 def _parse_weights(hit, count: int, what: str) -> list[float]:
@@ -398,9 +404,9 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None) -> Scenar
                             line_no=algorithm_ln, key="algorithm")
     allowed = _RUN_KEYS[algorithm_v]
     for flag, value in (overrides or {}).items():
-        if flag not in _FLAG_KEYS:
+        if flag not in _FLAGS:
             raise ScenarioError(f"unknown flag {flag}")
-        key = next((k for k in _FLAG_KEYS[flag] if k in allowed), None)
+        key = next((k for k in _FLAGS[flag][0] if k in allowed), None)
         if key is None:
             raise ScenarioError(f"flag {flag} does not apply to algorithm '{algorithm_v}'")
         run.override(key, str(value), flag)

@@ -387,11 +387,11 @@ def test_criterion_09_fejer_and_shadow_diagnostics():
         assert all(g >= -1e-10 for g in trace.fejer_gaps), name
         assert shadow_cauchy_worst_defect(approximate_shadows(trace, sets)) >= -1e-9, name
         gaps = technical_condition_gaps(trace)
-        assert gaps[-1] <= 1e-6, f"{name}: terminal monitored gap {gaps[-1]}"
+        assert max(gaps) <= 1e-6, f"{name}: largest monitored gap {max(gaps)}"
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     report("9 fejer-shadow-diagnostics", elapsed, 1,
-           "3 traces: gaps >= -1e-10, shadow Cauchy >= -1e-9, terminal gap <= 1e-6")
+           "3 traces: gaps >= -1e-10, shadow Cauchy >= -1e-9, every gap <= 1e-6")
 
 
 def test_criterion_10_determinism():

@@ -488,8 +488,27 @@ class TestShadowDiagnostics:
         out = tmp_path / "trace.csv"
         assert main(["run", write(tmp_path, "s.scn", CYCLIC_DOC.format(out=out))]) == 0
         report = capsys.readouterr().out
-        assert "monitored shadow gap at termination" in report
+        assert "largest monitored shadow gap" in report
         assert "skipped" not in report
+
+    def test_prints_the_largest_gap_of_the_run(self, tmp_path, capsys):
+        # skewed halfspaces: some gaps are positive, but the last is only the
+        # segment search's residue
+        doc = (CYCLIC_DOC.replace("normal = 1,0", "normal = 1,1")
+               .replace("algorithm = cyclic", "algorithm = averaged")
+               .replace("x0 = 1,1\nwitness = 0,0", "x0 = 2,1\nwitness = -1,-1\n"
+                        "residual_tol = 1e-12"))
+        out = tmp_path / "trace.csv"
+        assert main(["run", write(tmp_path, "s.scn", doc.format(out=out))]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if "shadow" in ln]
+        scenario = parse_scenario(doc.format(out=out))
+        sets = [scenario.sets[n] for n in scenario.run_sets]
+        trace = hadamard.averaged_projections(sets, scenario.x0, scenario.stop,
+                                              witness=scenario.witness)
+        gaps = hadamard.technical_condition_gaps(hadamard.approximate_shadows(trace, sets))
+        assert gaps[-1] < max(gaps)
+        assert lines == [f"  largest monitored shadow gap: {max(gaps):.3e} "
+                         f"at iterate {gaps.index(max(gaps))}"]
 
     def test_long_trace_names_the_limit(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"

@@ -2,11 +2,13 @@
 
 Each table row names the error type and a fragment of its message.  The
 first table holds inputs whose conversion or comparison used to end in a
-bare ``ValueError``, ``TypeError``, ``OverflowError`` or ``AttributeError``;
-the second holds typed branches that no other test reaches, and the
+bare ``ValueError``, ``TypeError``, ``OverflowError`` or ``AttributeError``,
+or that used to be read as another type (a bool as a number); the second
+holds typed branches that no other test reaches, and the
 hyperbolic halfspace's space check beside its flat twin.
 """
 
+import numpy as np
 import pytest
 
 import hadamard.geometry as geometry
@@ -26,6 +28,7 @@ from hadamard import (
     ProductSpace,
     StopRule,
     Subtree,
+    TreeEdge,
     WeightedPoints,
     approximate_shadows,
     averaged_projections,
@@ -128,6 +131,23 @@ MALFORMED = {
     "normalize-spacelike": (DomainError, "timelike", lambda: H2.normalize([0.0, 1.0, 0.0])),
     "minkowski-lengths": (DomainError, "one length",
                           lambda: minkowski([1.0, 0.0, 0.0], [1.0, 0.0])),
+    # a bool is not a number argument, nor a float a dimension
+    "euclidean-dim-bool": (ConstructionError, "dimension", lambda: Euclidean(True)),
+    "euclidean-dim-numpy-bool": (ConstructionError, "dimension", lambda: Euclidean(np.True_)),
+    "euclidean-dim-float": (ConstructionError, "dimension", lambda: Euclidean(2.0)),
+    "hyperboloid-dim-bool": (ConstructionError, "dimension", lambda: Hyperboloid(True)),
+    "stoprule-residual-tol-bool": (ConstructionError, "residual_tol",
+                                   lambda: StopRule(max_iter=3, residual_tol=True)),
+    "stoprule-stall-tol-bool": (ConstructionError, "stall_tol",
+                                lambda: StopRule(max_iter=3, stall_tol=False)),
+    "step-tol-bool": (DomainError, "step_tol", lambda: frechet_mean(
+        WeightedPoints([P, Q], [0.5, 0.5]), step_tol=True)),
+    "weights-bool": (ConstructionError, "weights",
+                     lambda: WeightedPoints([P, Q], [True, False])),
+    "weights-numpy-bool": (ConstructionError, "weights",
+                           lambda: WeightedPoints([P, Q], [np.True_, np.False_])),
+    "combination-weights-bool": (ConstructionError, "weights", lambda: ConvexCombination(
+        [True, False], [Identity(), Identity()])),
 }
 
 
@@ -206,6 +226,11 @@ UNREACHED = {
                             lambda: Pointwise("bad", lambda x: 1.0).apply(P)),
     "tangent-length": (InvalidPointError, "must have 2 coordinates",
                        lambda: H2.exp_from_base([1.0, 2.0, 3.0])),
+    "minkowski-short": (DomainError, "at least 2 coordinates",
+                        lambda: minkowski([1.0], [1.0])),
+    "minkowski-text": (DomainError, "real numbers", lambda: minkowski(["a", 0], [1, 0])),
+    "tree-point-scalar": (InvalidPointError, "TreeLocation or an (edge, offset) pair",
+                          lambda: TRIPOD.point(5)),
     "product-factor": (ConstructionError, "must be space models",
                        lambda: ProductSpace(E2, "tripod")),
     "objective-space": (SpaceMismatchError, "different space", lambda: frechet_objective(
@@ -216,3 +241,12 @@ UNREACHED = {
 @pytest.mark.parametrize("case", sorted(UNREACHED))
 def test_typed_error_branch(case):
     assert_raises(*UNREACHED[case])
+
+
+def test_tree_from_edge_records():
+    """``TreeEdge`` records build the tree their ``(a, b, length)`` triples build."""
+    edges = [TreeEdge("o", "a", 1.0), TreeEdge("o", "b", 1.0), TreeEdge("o", "c", 1.0)]
+    tree = MetricTree(edges)
+    assert tree.edges == TRIPOD.edges
+    assert tree.vertices == TRIPOD.vertices
+    assert distance(tree.vertex_point("a"), tree.edge_point(1, 0.25)) == 1.25
