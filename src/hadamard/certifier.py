@@ -292,7 +292,9 @@ def _block_kernel(spec: CheckSpec):
     "-" entries is a list.  The barycenters of a batch are solved in one
     block mean inside ``defect``: the convex combination's through its
     ``apply_block``, ``variance_ineq``'s once per drawn instance for a
-    batch of whole instances.  ``fejer_run`` runs once per start.
+    batch of whole instances.  The flat block mean is vectorised; every
+    other model's solves its rows one ``_mean`` at a time.  ``fejer_run``
+    runs once per start.
     """
     space = spec.space
     kind = spec.kind

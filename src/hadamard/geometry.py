@@ -196,6 +196,8 @@ class SpaceModel:
     # same inputs bit for bit.  Every model brings its own block layout and
     # kernels; ``interpolate`` in particular is never derived, so that the
     # derived ``payload_interpolate`` above never calls back into itself.
+    # The block mean is the one exception: it loops ``_mean`` below, and
+    # only the flat model, whose ``_mean`` is its one-row case, replaces it.
 
     def _payloads(self, points) -> list:
         out = []
@@ -240,10 +242,13 @@ class SpaceModel:
         """Rowwise ``_mean``: row r is the mean of row r of the k ``blocks``.
 
         ``weights`` is an (m, k) array of positive rows, row r weighting
-        the points of row r.  A row that reaches ``_SWEEP_LIMIT`` raises
-        as ``_mean`` does for it.
+        the points of row r.  Each row is solved by the model's own
+        ``_mean``, on Python-float weights as ``frechet_mean`` passes them,
+        so the first row that reaches ``_SWEEP_LIMIT`` raises as ``_mean``
+        does for it.
         """
-        raise NotImplementedError
+        return self.stack([self._mean([self.row(b, r) for b in blocks], weights[r].tolist(),
+                                      step_tol) for r in range(len(weights))])
 
     @property
     def involves_hyperboloid(self) -> bool:
@@ -601,13 +606,11 @@ class Hyperboloid(CoordinateSpace):
         out = np.where((near | (t == 0.0))[:, None], a, _normalize(w))
         return np.where((t == 1.0)[:, None], b, out)
 
-    # Scalar twin kept: one mean per drivers iterate, where a one-row block costs 11x.
     def _mean(self, points, weights, step_tol):
         # Fixed point of the stationarity condition: the mean satisfies
         # x = normalize(sum_i w_i (theta_i / sinh theta_i) x_i) with
         # theta_i = d(x, x_i).  The map contracts near the mean, so plain
         # iteration from the normalized ambient average converges linearly.
-        # _block_mean's arithmetic on Python floats, but for acosh and sinh.
         payloads = [p.payload.tolist() for p in points]
         current = _normalized(_combine(weights, payloads))
         for _ in range(_SWEEP_LIMIT):
@@ -622,38 +625,11 @@ class Hyperboloid(CoordinateSpace):
             current = candidate
             if math.sqrt(_dot(diff, diff)) <= step_tol:
                 return self._wrap(np.array(current))
-        raise self._capped(np.array(current), weights, [p.payload for p in points])
-
-    def _block_mean(self, blocks, weights, step_tol):
-        # _mean's iteration on all rows at once.  A row stops at its own
-        # step, so each row equals its one-row block bit for bit.
-        current = _normalize(sum(weights[:, j, None] * b for j, b in enumerate(blocks)))
-        live = np.arange(len(weights))
-        for _ in range(_SWEEP_LIMIT):
-            x = current[live]
-            acc = 0.0
-            for j, block in enumerate(blocks):
-                q = block[live]
-                theta = self.distances(x, q)
-                small = theta < 1e-8
-                coeff = np.where(small, 1.0, theta / np.sinh(np.where(small, 1.0, theta)))
-                acc = acc + (weights[live, j] * coeff)[:, None] * q
-            candidate = _normalize(acc)
-            diff = x - candidate
-            current[live] = candidate
-            live = live[~(np.sqrt(_rowdot(diff, diff)) <= step_tol)]
-            if not live.size:
-                return current
-        r = live[0]
-        raise self._capped(current[r], weights[r], [block[r] for block in blocks])
-
-    def _capped(self, current, weights, payloads) -> ConvergenceFailureError:
-        """The failure of a mean solve that stopped at ``current`` after ``_SWEEP_LIMIT`` steps."""
         # the objective is barycenter.frechet_objective at the last iterate
-        return ConvergenceFailureError(
+        raise ConvergenceFailureError(
             f"hyperboloid mean did not stabilize in {_SWEEP_LIMIT} iterations",
             last_point=self.point(current),
-            objective=math.fsum(w * self.payload_distance(current, q) ** 2
+            objective=math.fsum(w * _sheet_distance(current, q) ** 2
                                 for w, q in zip(weights, payloads)),
         )
 
@@ -725,16 +701,11 @@ class ProductSpace(SpaceModel):
     def concat(self, blocks):
         return (self.left.concat([b[0] for b in blocks]), self.right.concat([b[1] for b in blocks]))
 
-    # Scalar twin kept: the drivers' product means, where a one-row block costs 9.4x.
     def _mean(self, points, weights, step_tol):
         # the objective separates, so the mean is the pair of factor means
         left = self.left._mean([p.payload[0] for p in points], weights, step_tol)
         right = self.right._mean([p.payload[1] for p in points], weights, step_tol)
         return Point(self, (left, right))
-
-    def _block_mean(self, blocks, weights, step_tol):
-        return (self.left._block_mean([b[0] for b in blocks], weights, step_tol),
-                self.right._block_mean([b[1] for b in blocks], weights, step_tol))
 
     def format_payload(self, payload) -> str:
         return (f"({self.left.format_payload(payload[0].payload)}; "

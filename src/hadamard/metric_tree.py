@@ -457,11 +457,6 @@ class MetricTree(SpaceModel):
         offsets[inside] = [loc.offset for loc in locs]
         return edges, offsets
 
-    def _block_mean(self, blocks, weights, step_tol):
-        # the edge scan of _mean, one instance per row
-        return self.stack([self._mean([self.row(b, r) for b in blocks], weights[r], step_tol)
-                           for r in range(len(weights))])
-
     def _mean(self, points, weights, step_tol):
         # On each edge, every squared distance is (s - c_i)^2 for a constant
         # c_i, so F restricted to the edge is one quadratic in the offset s,

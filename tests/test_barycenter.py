@@ -196,9 +196,9 @@ class TestFrechetMean:
             h2._mean(rows[1].points, rows[1].weights, 1e-16)
         assert str(block_err.value) == str(err.value)
         last = block_err.value.last_point
-        assert np.max(np.abs(last.payload - err.value.last_point.payload)) <= 1e-12
+        assert last == err.value.last_point
         assert block_err.value.objective == frechet_objective(rows[1], last)
-        assert block_err.value.objective == pytest.approx(err.value.objective, rel=1e-12)
+        assert block_err.value.objective == err.value.objective
 
 
 class TestVarianceDefect:

@@ -9,10 +9,12 @@ compared with the scalar path in ambient coordinates, since the scalar
 ``distance`` cannot resolve separations below about 1e-8 there.  Where a model or set
 derives a scalar method from its blocks (the seeded sample, the flat,
 hyperbolic and product geodesic points, the flat mean, the ball and
-product-set projections), the two agree bit for bit.  The hyperboloid's
-scalar pairing, normalisation and halfspace projection sum in the
-blocks' column order and agree with them bit for bit too; its distance
-and mean differ only through ``math``'s ``acosh`` and ``sinh``.
+product-set projections), the two agree bit for bit.  Every other
+model's block mean solves each row with the model's own ``_mean``, so
+block and scalar means agree bit for bit in every model.  The
+hyperboloid's scalar pairing, normalisation and halfspace projection sum
+in the blocks' column order and agree with them bit for bit too; its
+distance differs only through ``math``'s ``acosh``.
 """
 
 import math
@@ -40,6 +42,7 @@ from hadamard import (
     ProductSet,
     ProductSpace,
     Projection,
+    SpaceModel,
     Subtree,
     WeightedPoints,
     distance,
@@ -54,9 +57,6 @@ ROWS = 1000
 SCALAR_TOL = 1e-12
 # Rows of the mean tests, which solve one scalar mean per row to compare.
 MEAN_ROWS = 100
-# Block and scalar hyperboloid means stop within one step of 1e-10 of
-# each other, on the same fixed-point iteration.
-MEAN_TOL = 1e-9
 
 
 def bits(point):
@@ -144,14 +144,6 @@ def one_row(space, block, i):
 
 def head(space, block, n=MEAN_ROWS):
     return space.stack([space.row(block, i) for i in range(n)])
-
-
-def same_or_near(p, q):
-    """Bit for bit in models without a hyperboloid part, else within MEAN_TOL."""
-    if p.space.involves_hyperboloid:
-        assert gap(p, q) <= MEAN_TOL
-    else:
-        assert bits(p) == bits(q)
 
 
 def gap(p, q):
@@ -266,7 +258,7 @@ class TestBlocksAgreeWithScalars:
         means = space._block_mean(pts, w, 1e-10)
         for i in range(MEAN_ROWS):
             want = space._mean([space.row(p, i) for p in pts], w[i], 1e-10)
-            same_or_near(space.row(means, i), want)
+            assert bits(space.row(means, i)) == bits(want), i
 
     def test_convex_combination(self, case, blocks):
         space, sets = case
@@ -274,9 +266,8 @@ class TestBlocksAgreeWithScalars:
         images = combo.apply_block(space, a)
         # the images round as the block projections do (test_set_projections);
         # with exact images the rows are bit for bit, see the test below
-        tol = MEAN_TOL if space.involves_hyperboloid else SCALAR_TOL
         for i in range(MEAN_ROWS):
-            assert gap(space.row(images, i), combo.apply(space.row(a, i))) <= tol, i
+            assert gap(space.row(images, i), combo.apply(space.row(a, i))) <= SCALAR_TOL, i
 
 
 @settings(max_examples=30, deadline=None)
@@ -292,7 +283,7 @@ def test_combination_block_keeps_frechet_mean_semantics(all_models, model, raw, 
     x = space.sample_block(rng, 6)
     images = combo.apply_block(space, x)
     for i in range(6):
-        same_or_near(space.row(images, i), combo.apply(space.row(x, i)))
+        assert bits(space.row(images, i)) == bits(combo.apply(space.row(x, i))), i
 
 
 # The scalar methods each model derives from its blocks; it defines the rest itself.
@@ -327,6 +318,18 @@ def test_derived_scalars_are_one_row_blocks(all_models, model):
                  for i in range(20)]
         assert_rows_match(space, space.stack(means), lambda i: space._block_mean(
             [one_row(space, p, i) for p in pts], w[i:i + 1], 1e-10), 20)
+
+
+def test_only_the_flat_model_vectorises_its_block_mean():
+    """Every other model's block mean is ``SpaceModel``'s loop over its own ``_mean``."""
+    models, todo = [], [SpaceModel]
+    while todo:
+        subclasses = [c for c in todo.pop().__subclasses__() if c.__module__.startswith("hadamard.")]
+        models += subclasses
+        todo += subclasses
+    assert {cls.__name__ for cls in models} == {
+        "CoordinateSpace", "Euclidean", "Hyperboloid", "ProductSpace", "MetricTree"}
+    assert [cls for cls in models if "_block_mean" in vars(cls)] == [Euclidean]
 
 
 # The sets that derive ``project`` from a one-row ``project_block``; the
