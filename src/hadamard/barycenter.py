@@ -16,10 +16,11 @@ go to the model's own solver, its ``_mean`` method:
 * Hyperboloid: a Weiszfeld-style fixed point of the stationarity
   condition, renormalizing the tangent-weighted ambient average.
 
-Each model also solves many instances at once in ``_block_mean``, the
-rowwise form of its ``_mean`` (row by row in trees); ``_frechet_means``
-is the block form of ``frechet_mean`` that the certifier and
-``ConvexCombination.apply_block`` call.
+Each model has one mean solver.  ``_block_mean`` solves many instances
+at once: the flat one is vectorised, and every other model's loops its
+``_mean`` over the rows.  ``_frechet_means`` is the block form of
+``frechet_mean`` that the certifier and ``ConvexCombination.apply_block``
+call.
 
 ``inductive_mean_sweeps`` keeps a slower interpolation-only reference
 iteration around; the tests use it as an independent cross-check.
@@ -36,6 +37,7 @@ from .geometry import (
     SpaceModel,
     _geodesic,
     _is_bool,
+    _is_integer,
     _is_tolerance,
     check_same_space,
     distance,
@@ -222,8 +224,8 @@ def inductive_mean_sweeps(wp: WeightedPoints, sweeps: int = _SWEEP_LIMIT,
     the best sweep endpoint by objective is returned once the sweep
     endpoints move by at most ``step_tol`` or ``sweeps`` sweeps are done.
     """
-    if sweeps < 1:
-        raise ConstructionError("sweeps must be >= 1")
+    if not (_is_integer(sweeps) and sweeps >= 1):
+        raise ConstructionError(f"sweeps must be an integer >= 1, got {sweeps!r}")
     _check_step_tol(step_tol)
     wp = WeightedPoints(*_drop_zero_weights(wp.points, wp.weights))
     if len(wp) == 1:

@@ -76,11 +76,13 @@ def _is_integer(value) -> bool:
 
 
 def _is_tolerance(value) -> bool:
-    """Whether ``value`` is a finite number >= 0; a bool is not one."""
-    try:
-        return not _is_bool(value) and 0.0 <= value < math.inf
-    except TypeError:
-        return False
+    """Whether ``value`` is a finite real number >= 0; a bool or an array is not one."""
+    return isinstance(value, numbers.Real) and not _is_bool(value) and 0.0 <= value < math.inf
+
+
+def _require(value, kind: type, label: str) -> None:
+    if not isinstance(value, kind):
+        raise ConstructionError(f"{label} must be of type {kind.__name__}, got {value!r}")
 
 
 def _readonly(values) -> np.ndarray:

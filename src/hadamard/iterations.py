@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .barycenter import _STEP_TOL, _mean_of, convex_weights
+from .barycenter import _STEP_TOL, _mean_of, _weight_tuple, convex_weights
 from .convex_sets import ConvexSet, halfspace_residual
 from .errors import ConstructionError, ConvergenceFailureError, DomainError
 from .geometry import (
@@ -35,6 +35,7 @@ from .geometry import (
     Point,
     _is_integer,
     _is_tolerance,
+    _require,
     check_same_space,
     distance,
     geodesic_point,
@@ -188,11 +189,6 @@ def fixed_point_iterate(
     return IterationTrace(points, residuals, steps, stop_reason, witness)
 
 
-def _require(value, kind: type, label: str) -> None:
-    if not isinstance(value, kind):
-        raise ConstructionError(f"{label} must be of type {kind.__name__}, got {value!r}")
-
-
 def _run_sets(sets, x0: Point, witness: Point | None) -> list[ConvexSet]:
     """The sets of a projection run, checked against x0 and the witness."""
     try:
@@ -301,8 +297,7 @@ def averaged_projections(
     solve failure aborts the run with the iteration index attached.
     """
     sets = _run_sets(sets, x0, witness)
-    if weights is None:
-        weights = [1.0 / len(sets)] * len(sets)
+    weights = [1.0 / len(sets)] * len(sets) if weights is None else _weight_tuple(weights)
     if len(weights) != len(sets):
         raise DomainError(f"{len(sets)} sets but {len(weights)} weights")
     return _projection_run(sets, x0, rule, witness, convex_weights(weights))

@@ -33,6 +33,7 @@ from .geometry import (
     Point,
     SpaceModel,
     _quasilinear,
+    _require,
     _same_space,
     check_same_space,
     distance,
@@ -121,12 +122,24 @@ class Constant(Operator):
         return f"const({self.value.space.format_payload(self.value.payload)})"
 
 
+def _operators(ops, label: str) -> tuple:
+    """The operators of a composite as a tuple, each checked to be an ``Operator``."""
+    try:
+        ops = tuple(ops)
+    except TypeError:
+        raise ConstructionError(f"{label}s must be a list of operators, got {ops!r}") from None
+    for op in ops:
+        _require(op, Operator, f"each {label}")
+    return ops
+
+
 class Projection(Operator):
     """Metric projection onto a closed convex set; firmly nonexpansive."""
 
     __slots__ = ("set",)
 
     def __init__(self, convex_set: ConvexSet):
+        _require(convex_set, ConvexSet, "projection set")
         object.__setattr__(self, "set", convex_set)
 
     def apply(self, x: Point) -> Point:
@@ -154,7 +167,7 @@ class Composition(Operator):
     __slots__ = ("factors",)
 
     def __init__(self, factors):
-        factors = tuple(factors)
+        factors = _operators(factors, "factor")
         if not factors:
             raise ConstructionError("composition needs at least one factor")
         object.__setattr__(self, "factors", factors)
@@ -185,7 +198,7 @@ class ConvexCombination(Operator):
 
     def __init__(self, weights, operators):
         weights = _weight_tuple(weights)
-        operators = tuple(operators)
+        operators = _operators(operators, "operator")
         if len(weights) != len(operators) or not operators:
             raise ConstructionError("need matching, nonempty weights and operators")
         object.__setattr__(self, "weights", convex_weights(weights))

@@ -324,7 +324,8 @@ def test_only_the_flat_model_vectorises_its_block_mean():
     """Every other model's block mean is ``SpaceModel``'s loop over its own ``_mean``."""
     models, todo = [], [SpaceModel]
     while todo:
-        subclasses = [c for c in todo.pop().__subclasses__() if c.__module__.startswith("hadamard.")]
+        subclasses = [c for c in todo.pop().__subclasses__()
+                      if c.__module__.startswith("hadamard.")]
         models += subclasses
         todo += subclasses
     assert {cls.__name__ for cls in models} == {

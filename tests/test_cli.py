@@ -551,6 +551,17 @@ class TestShippedScenarios:
         assert main([command, str(path)]) == 0
         assert out.read_bytes() == first
 
+    def test_skewed_halfspaces_reach_the_shadow_probes(self):
+        # a gap is positive only where a segment probe of
+        # technical_condition_gaps ran, which orthogonal normals never need
+        scenario = parse_scenario(
+            (SCENARIO_DIR / "averaged_skewed_halfspaces.scn").read_text(encoding="utf-8"))
+        sets = [scenario.sets[n] for n in scenario.run_sets]
+        trace = hadamard.averaged_projections(sets, scenario.x0, scenario.stop,
+                                              witness=scenario.witness)
+        gaps = hadamard.technical_condition_gaps(hadamard.approximate_shadows(trace, sets))
+        assert max(gaps) > 0.0
+
 
 class TestVersion:
     def test_prints_version(self, capsys):

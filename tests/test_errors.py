@@ -2,11 +2,15 @@
 
 Each table row names the error type and a fragment of its message.  The
 first table holds inputs whose conversion or comparison used to end in a
-bare ``ValueError``, ``TypeError``, ``OverflowError`` or ``AttributeError``,
-or that used to be read as another type (a bool as a number); the second
+bare ``ValueError``, ``TypeError``, ``OverflowError``, ``AttributeError`` or
+``KeyError``, or that used to be accepted as another type (a bool as a
+number, an array or a ``Decimal`` as a tolerance); the second
 holds typed branches that no other test reaches, and the
 hyperbolic halfspace's space check beside its flat twin.
 """
+
+import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ import pytest
 import hadamard.geometry as geometry
 from hadamard import (
     CheckSpec,
+    Composition,
     ConvexCombination,
     Euclidean,
     EuclideanHalfspace,
@@ -26,6 +31,7 @@ from hadamard import (
     Pointwise,
     ProductSet,
     ProductSpace,
+    Projection,
     StopRule,
     Subtree,
     TreeEdge,
@@ -40,6 +46,7 @@ from hadamard import (
     frechet_mean,
     frechet_objective,
     geodesic_point,
+    inductive_mean_sweeps,
     minkowski,
     parse_edge_list,
     parse_scenario,
@@ -65,6 +72,7 @@ H2 = Hyperboloid(2)
 TRIPOD = MetricTree([("o", "a", 1.0), ("o", "b", 1.0), ("o", "c", 1.0)])
 P, Q = E2.point([0.0, 0.0]), E2.point([1.0, 0.0])
 HALF = EuclideanHalfspace(E2, [0.0, 1.0], 0.0)
+PQ = WeightedPoints([P, Q], [0.5, 0.5])
 
 MALFORMED = {
     "stoprule-tol-text": (ConstructionError, "residual_tol",
@@ -148,6 +156,33 @@ MALFORMED = {
                            lambda: WeightedPoints([P, Q], [np.True_, np.False_])),
     "combination-weights-bool": (ConstructionError, "weights", lambda: ConvexCombination(
         [True, False], [Identity(), Identity()])),
+    # a tolerance is one real number, not an array or a Decimal
+    "stoprule-tol-array": (ConstructionError, "residual_tol", lambda: StopRule(
+        max_iter=3, residual_tol=np.array([1e-3, 1e-3]))),
+    "stoprule-tol-0d-array": (ConstructionError, "residual_tol",
+                              lambda: StopRule(max_iter=3, residual_tol=np.array(1e-3))),
+    "stoprule-tol-decimal": (ConstructionError, "residual_tol",
+                             lambda: StopRule(max_iter=3, residual_tol=Decimal("1e-3"))),
+    "step-tol-array": (DomainError, "step_tol",
+                       lambda: frechet_mean(PQ, np.array([1e-3, 1e-3]))),
+    "sweeps-text": (ConstructionError, "sweeps", lambda: inductive_mean_sweeps(PQ, sweeps="3")),
+    "sweeps-fraction": (ConstructionError, "sweeps",
+                        lambda: inductive_mean_sweeps(PQ, sweeps=2.5)),
+    "sweeps-nan": (ConstructionError, "sweeps",
+                   lambda: inductive_mean_sweeps(PQ, sweeps=math.nan)),
+    "sweeps-bool": (ConstructionError, "sweeps", lambda: inductive_mean_sweeps(PQ, sweeps=True)),
+    "vertex-distance-unknown": (InvalidPointError, "unknown vertex 'zz'",
+                                lambda: TRIPOD.vertex_distance("o", "zz")),
+    "vertex-path-unknown": (InvalidPointError, "unknown vertex 'zz'",
+                            lambda: TRIPOD.vertex_path("o", "zz")),
+    "averaged-weights-int": (ConstructionError, "weights", lambda: averaged_projections(
+        [HALF], P, StopRule(max_iter=5), weights=5)),
+    "composition-factor-int": (ConstructionError, "of type Operator", lambda: Composition([1])),
+    "composition-factors-none": (ConstructionError, "list of operators",
+                                 lambda: Composition(None)),
+    "combination-operator-int": (ConstructionError, "of type Operator",
+                                 lambda: ConvexCombination([1.0], [1])),
+    "projection-set-text": (ConstructionError, "of type ConvexSet", lambda: Projection("x")),
 }
 
 

@@ -1,8 +1,12 @@
-"""Every public export of every submodule exists; no module imports a name it never uses."""
+"""Every public export of every submodule exists; no module imports a name it never uses;
+the package and its command line import nothing beyond NumPy and the standard library."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,3 +70,25 @@ def test_barycenter_imports_no_space_model():
             names.update(alias.name for alias in node.names)
     models = {"Euclidean", "Hyperboloid", "ProductSpace", "MetricTree", "metric_tree", "numpy"}
     assert names & models == set()
+
+
+# Run in a fresh interpreter, so that the modules the test session has
+# already imported (pytest, hypothesis, networkx) do not hide an import.
+_NEW_TOP_LEVEL = """
+import sys
+before = set(sys.modules)
+import hadamard, hadamard.cli
+new = {name.split(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(new - set(sys.stdlib_module_names))))
+"""
+
+
+def test_runtime_imports_are_the_declared_dependencies():
+    """``pyproject.toml`` declares NumPy alone, so the package imports nothing else."""
+    src = str(Path(hadamard.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    done = subprocess.run([sys.executable, "-c", _NEW_TOP_LEVEL], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["hadamard", "numpy"]
