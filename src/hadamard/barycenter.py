@@ -142,10 +142,14 @@ def _variance(dist, points, weights, x_star, y):
     """The variance defect through ``dist``; ``points`` are the instance's points.
 
     With a block's ``distances``, ``points`` and ``x_star`` are blocks that
-    repeat one point per row.  F is summed in order, the same in both forms.
+    repeat one point per row.  F is summed left to right, the same in both
+    forms: the builtin ``sum`` compensates float sums from Python 3.12 on.
     """
     def objective(x):
-        return sum(w * dist(x, p) ** 2 for w, p in zip(weights, points))
+        total = 0.0
+        for w, p in zip(weights, points):
+            total = total + w * dist(x, p) ** 2
+        return total
 
     return objective(y) - objective(x_star) - dist(x_star, y) ** 2
 

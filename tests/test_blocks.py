@@ -7,9 +7,10 @@ arithmetic on every row, and interpolation runs the scalar geodesic point
 on the rows strictly inside their segment.  Hyperboloid points are
 compared with the scalar path in ambient coordinates, since the scalar
 ``distance`` cannot resolve separations below about 1e-8 there.  Where a model or set
-derives a scalar method from its blocks (the seeded sample, the flat,
-hyperbolic and product geodesic points, the flat mean, the ball and
-product-set projections), the two agree bit for bit.  Every other
+derives a scalar method from its blocks (the seeded sample, the
+hyperboloid's exponential map, the flat, hyperbolic and product geodesic
+points, the flat mean, the ball and product-set projections, the convex
+combination), the two agree bit for bit.  Every other
 model's block mean solves each row with the model's own ``_mean``, so
 block and scalar means agree bit for bit in every model.  The
 hyperboloid's scalar pairing, normalisation and halfspace projection sum
@@ -264,10 +265,9 @@ class TestBlocksAgreeWithScalars:
         space, sets = case
         a, combo = head(space, blocks[0]), combination(sets)
         images = combo.apply_block(space, a)
-        # the images round as the block projections do (test_set_projections);
-        # with exact images the rows are bit for bit, see the test below
+        # apply is the one-row block
         for i in range(MEAN_ROWS):
-            assert gap(space.row(images, i), combo.apply(space.row(a, i))) <= SCALAR_TOL, i
+            assert bits(space.row(images, i)) == bits(combo.apply(space.row(a, i))), i
 
 
 @settings(max_examples=30, deadline=None)
@@ -370,11 +370,11 @@ class TestHyperboloidBlocks:
             h2.sample_block(FarRow(), 8)
 
     def test_samples_are_the_scalar_draws(self, h2):
-        """Each sampled row is ``exp_from_base`` of the normal draw it consumed."""
+        """Each sampled row is ``exp_from_base`` of the normal draw it consumed, bit for bit."""
         block = h2.sample_block(np.random.default_rng(6), 100)
         normals = np.random.default_rng(6).standard_normal((100, 2))
         for i in range(100):
-            assert gap(h2.row(block, i), h2.exp_from_base(normals[i])) <= SCALAR_TOL, i
+            assert bits(h2.row(block, i)) == bits(h2.exp_from_base(normals[i])), i
 
 
 class TestHyperboloidTwins:

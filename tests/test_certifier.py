@@ -375,13 +375,10 @@ class TestBlockMeans:
         for spec in specs:
             calls.clear()
             assert run_check(spec).passed
-            # the flat samples make no scalar solve, and a theorem check confirms
-            # that its witness is fixed through the scalar apply, one mean per
-            # check; the hyperbolic block mean solves each of its 4 instances
-            if spec.label == "hyperbolic2":
-                assert len(calls) == 4
-            else:
-                assert len(calls) == (spec.kind == COMBINATION_THEOREM)
+            # the flat samples make no scalar solve, and neither does the flat
+            # theorem check's witness, whose apply is a one-row block mean; the
+            # hyperbolic block mean solves each of its 4 instances
+            assert len(calls) == (4 if spec.label == "hyperbolic2" else 0)
         calls.clear()
         e3 = Euclidean(3)
         frechet_mean(WeightedPoints([e3.point([0, 0, i]) for i in range(3)], [0.2, 0.3, 0.5]))

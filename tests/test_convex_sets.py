@@ -242,6 +242,23 @@ def _product():
     return ProductSpace(Euclidean(2), MetricTree(TRIPOD))
 
 
+# One set of each family, named "A", with its repr: the description, then the name.
+SETS = {
+    "halfspace": (lambda: EuclideanHalfspace(Euclidean(2), [0, 1], 0.0, name="A"),
+                  "halfspace <(0, 1), x> <= 0 [A]"),
+    "hyperplane": (lambda: EuclideanHyperplane(Euclidean(2), [0, 1], 0.0, name="A"),
+                   "hyperplane <(0, 1), x> = 0 [A]"),
+    "hyperbolic-halfspace": (lambda: HyperbolicHalfspace(Hyperboloid(2), [0, 1, 0], name="A"),
+                             "hyperbolic halfspace m((0, 1, 0), x) <= 0 [A]"),
+    "ball": (lambda: GeodesicBall(Euclidean(2).point([0, 0]), 1.0, name="A"),
+             "ball(center=(0, 0), r=1) [A]"),
+    "subtree": (lambda: Subtree(MetricTree(TRIPOD), ["o", "a"], name="A"), "subtree(a, o) [A]"),
+    "product": (lambda: ProductSet(_product(), EuclideanHalfspace(Euclidean(2), [0, 1], 0.0),
+                                   Subtree(MetricTree(TRIPOD), ["o", "a"]), name="A"),
+                "product(halfspace <(0, 1), x> <= 0, subtree(a, o)) [A]"),
+}
+
+
 class TestEqualityContract:
     """Spaces, points and tree locations are values; convex sets are identities."""
 
@@ -265,20 +282,18 @@ class TestEqualityContract:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
-    @pytest.mark.parametrize("build", [
-        lambda: EuclideanHalfspace(Euclidean(2), [0, 1], 0.0, name="A"),
-        lambda: EuclideanHyperplane(Euclidean(2), [0, 1], 0.0, name="A"),
-        lambda: HyperbolicHalfspace(Hyperboloid(2), [0, 1, 0], name="A"),
-        lambda: GeodesicBall(Euclidean(2).point([0, 0]), 1.0, name="A"),
-        lambda: Subtree(MetricTree(TRIPOD), ["o", "a"], name="A"),
-        lambda: ProductSet(_product(), EuclideanHalfspace(Euclidean(2), [0, 1], 0.0),
-                           Subtree(MetricTree(TRIPOD), ["o", "a"]), name="A"),
-    ], ids=["halfspace", "hyperplane", "hyperbolic-halfspace", "ball", "subtree", "product"])
+    @pytest.mark.parametrize("build", [build for build, _ in SETS.values()], ids=list(SETS))
     def test_sets_compare_by_identity(self, build):
         a, b = build(), build()
         assert a == a and hash(a) == hash(a)
         assert a != b
         assert len({a, b}) == 2
+
+    @pytest.mark.parametrize("build, text", list(SETS.values()), ids=list(SETS))
+    def test_repr_is_description_and_name(self, build, text):
+        c = build()
+        assert repr(c) == text
+        assert c.describe() == text.removesuffix(" [A]")
 
 
 def _flat_family(space, rng, count, plane_share, offset_for):

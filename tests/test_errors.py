@@ -65,7 +65,8 @@ from hadamard.errors import (
     ScenarioError,
     SpaceMismatchError,
 )
-from hadamard.scenario import parse_point_spec
+from hadamard.geometry import Point, SpaceModel
+from hadamard.scenario import parse_point_spec, point_spec
 
 E2 = Euclidean(2)
 H2 = Hyperboloid(2)
@@ -73,6 +74,16 @@ TRIPOD = MetricTree([("o", "a", 1.0), ("o", "b", 1.0), ("o", "c", 1.0)])
 P, Q = E2.point([0.0, 0.0]), E2.point([1.0, 0.0])
 HALF = EuclideanHalfspace(E2, [0.0, 1.0], 0.0)
 PQ = WeightedPoints([P, Q], [0.5, 0.5])
+
+
+class Opaque(SpaceModel):
+    """A space model that the scenario format has no point syntax for."""
+
+    __slots__ = ()
+
+    def describe(self):
+        return "Opaque"
+
 
 MALFORMED = {
     "stoprule-tol-text": (ConstructionError, "residual_tol",
@@ -242,6 +253,10 @@ UNREACHED = {
         parse_point_spec(ProductSpace(E2, TRIPOD), "1,1"))),
     "tree-point-malformed": (ScenarioError, "tree point must be",
                              lambda: parse_point_spec(TRIPOD, "vertex")),
+    "point-text-unknown-model": (ScenarioError, "no point syntax for space Opaque",
+                                 lambda: parse_point_spec(Opaque(), "1")),
+    "point-spec-unknown-model": (ScenarioError, "no point syntax for space Opaque",
+                                 lambda: point_spec(Point(Opaque(), 1.0))),
     # constructors
     "halfspace-space": (ConstructionError, "requires a Euclidean space",
                         lambda: EuclideanHalfspace(H2, [1.0, 0.0], 0.0)),

@@ -9,10 +9,14 @@ import pytest
 
 from hadamard import (
     DomainError,
+    Euclidean,
+    EuclideanHalfspace,
     Hyperboloid,
+    Identity,
     InvalidPointError,
     ProductSpace,
     SpaceMismatchError,
+    WeightedPoints,
     cat0_defect,
     distance,
     geodesic_point,
@@ -206,6 +210,13 @@ class TestProductSpace:
         with pytest.raises(InvalidPointError):
             product.point(e2.point([0, 0]))
 
+    def test_points_spell_both_factors(self, e2, tripod):
+        product = ProductSpace(e2, tripod)
+        p = product.point((e2.point([1, 2]), tripod.vertex_point("a")))
+        assert product.format_payload(p.payload) == "((1, 2); vertex,a)"
+        assert repr(p) == "Point(Product(Euclidean(2), MetricTree(4 vertices, 3 edges)), " \
+                          "((1, 2); vertex,a))"
+
     def test_nested_product(self, e2, tripod):
         outer = ProductSpace(ProductSpace(e2, e2), tripod)
         rng = np.random.default_rng(3)
@@ -232,6 +243,23 @@ class TestToleranceConfig:
             p.payload = None
         with pytest.raises(ValueError):
             p.payload[0] = 5.0
+
+    @pytest.mark.parametrize("build", [
+        lambda: Euclidean(2),
+        lambda: EuclideanHalfspace(Euclidean(2), [0.0, 1.0], 0.0),
+        lambda: Identity(),
+        lambda: WeightedPoints([Euclidean(2).point([0.0, 0.0])], [1.0]),
+    ], ids=["space", "set", "operator", "weighted-points"])
+    def test_library_objects_are_immutable(self, build):
+        obj = build()
+        with pytest.raises(AttributeError, match="is immutable"):
+            obj.name = "changed"
+
+    def test_point_is_never_equal_to_a_non_point(self, e2):
+        p = e2.point([1, 2])
+        assert p.__eq__((1.0, 2.0)) is NotImplemented
+        assert p != (1.0, 2.0)
+        assert p != p.payload.tolist()
 
     def test_hyperboloid_needs_positive_dim(self):
         with pytest.raises(ConstructionError):

@@ -9,12 +9,14 @@ from hadamard import (
     Constant,
     ConvexCombination,
     DomainError,
+    Euclidean,
     EuclideanHalfspace,
     GeodesicBall,
     Identity,
     NotAFixedPointError,
     Pointwise,
     Projection,
+    SpaceMismatchError,
     Subtree,
     alpha_firm_defect,
     combination_alpha,
@@ -100,6 +102,38 @@ class TestApply:
     def test_pointwise_map(self, e2):
         halver = Pointwise("halver", lambda p: e2.point(0.5 * p.payload))
         assert np.allclose(halver.apply(e2.point([2, 4])).payload, [1, 2])
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda e2, half: Identity(), "identity"),
+        (lambda e2, half: Constant(e2.point([5, 5])), "const((5, 5))"),
+        (lambda e2, half: Projection(half), "P[v<=0]"),
+        (lambda e2, half: Composition([Projection(half), Identity()]), "(P[v<=0] o identity)"),
+        (lambda e2, half: ConvexCombination([0.25, 0.75], [Identity(), Projection(half)]),
+         "avg(0.25*identity, 0.75*P[v<=0])"),
+        (lambda e2, half: Pointwise("halver", lambda p: p), "halver"),
+    ], ids=["identity", "constant", "projection", "composition", "combination", "pointwise"])
+    def test_names(self, e2, half_v, build, name):
+        op = build(e2, half_v)
+        assert op.name == name
+        assert repr(op) == name
+
+    @pytest.mark.parametrize("ops, x, match", [
+        (lambda e2, h2: [Identity(), Identity()], "x", "is not a point"),
+        (lambda e2, h2: [Projection(EuclideanHalfspace(e2, [0, 1], 0.0)), Identity()], None,
+         "is not a point"),
+        (lambda e2, h2: [Identity(), Constant(h2.base_point())], [1, 1], "different spaces"),
+        (lambda e2, h2: [Identity(), Pointwise("away", lambda p: h2.base_point())], [1, 1],
+         "different spaces"),
+        (lambda e2, h2: [Identity(), Projection(EuclideanHalfspace(Euclidean(3), [0, 1, 0], 0.0))],
+         [1, 1], "Euclidean.* vs set"),
+    ], ids=["non-point", "non-point-projected", "constant-elsewhere", "map-elsewhere",
+            "set-elsewhere"])
+    def test_combination_rejects_points_of_other_spaces(self, e2, h2, ops, x, match):
+        """A non-point, or an image in another space, raises ``SpaceMismatchError``."""
+        combo = ConvexCombination([0.5, 0.5], ops(e2, h2))
+        x = e2.point(x) if isinstance(x, list) else x
+        with pytest.raises(SpaceMismatchError, match=match):
+            combo.apply(x)
 
 
 class TestDiscrepancy:

@@ -381,3 +381,8 @@ class TestRoundTrip:
             for _ in range(25):
                 p = space.sample(rng)
                 assert parse_point_spec(space, point_spec(p)) == p
+
+    def test_product_factors_without_parentheses(self, product):
+        p = parse_point_spec(product, "0.5,-1;vertex,a")
+        assert p == parse_point_spec(product, "(0.5,-1);(vertex,a)")
+        assert point_spec(p) == "(0.5,-1);(vertex,a)"
