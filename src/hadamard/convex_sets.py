@@ -20,6 +20,8 @@ from .geometry import (
     Point,
     ProductSpace,
     SpaceModel,
+    _COORD_LIMIT,
+    _bounded,
     _minkowski,
     _normalize,
     _normalized,
@@ -110,9 +112,13 @@ class EuclideanHalfspace(ConvexSet):
                                     f"got {normal!r} and {offset!r}") from None
         if arr.shape != (space.dim,):
             raise ConstructionError(f"normal must have {space.dim} coordinates")
+        # bounded as a point's coordinates are, so that arr @ arr stays finite
+        if not _bounded(arr.tolist()):
+            raise ConstructionError(f"{self.kind} normal must be finite and at most "
+                                    f"{_COORD_LIMIT:g} in magnitude")
         norm_sq = float(arr @ arr)
-        if norm_sq <= 0 or not math.isfinite(norm_sq):
-            raise ConstructionError(f"{self.kind} normal must be nonzero and finite")
+        if norm_sq <= 0:
+            raise ConstructionError(f"{self.kind} normal must be nonzero")
         if not math.isfinite(offset):
             raise ConstructionError(f"{self.kind} offset must be finite, got {offset}")
         arr.setflags(write=False)

@@ -85,6 +85,16 @@ def _require(value, kind: type, label: str) -> None:
         raise ConstructionError(f"{label} must be of type {kind.__name__}, got {value!r}")
 
 
+def _bounded(values: list) -> bool:
+    """Whether every float of ``values`` is at most ``_COORD_LIMIT`` in magnitude."""
+    # The norm is at least each |v|, and NaN or inf with any of them, so
+    # only a norm past the bound needs the coordinatewise test.  There a
+    # NaN fails both comparisons at any position (Python's max would pass
+    # over one that does not come first).
+    return (math.hypot(*values) <= _COORD_LIMIT
+            or all(-_COORD_LIMIT <= v <= _COORD_LIMIT for v in values))
+
+
 def _readonly(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
@@ -291,12 +301,16 @@ class CoordinateSpace(SpaceModel):
         self._check_coordinates(arr)
         return arr
 
-    def _check_coordinates(self, arr) -> None:
-        """The checks of a payload past conversion and shape: bounded, finite coordinates."""
-        # NaN fails the comparison too
-        if not np.abs(arr).max() <= _COORD_LIMIT:
+    def _check_coordinates(self, arr) -> list:
+        """The checks of a payload past conversion and shape: bounded, finite coordinates.
+
+        Returns the coordinates as Python floats, for a model's own checks.
+        """
+        x = arr.tolist()
+        if not _bounded(x):
             raise InvalidPointError(
                 f"coordinates must be finite and at most {_COORD_LIMIT:g} in magnitude")
+        return x
 
     def _wrap(self, arr) -> Point:
         """A kernel's fresh float array of the right shape as a point of this space.
@@ -494,11 +508,13 @@ def _exp_rows(v):
     out[:, 0] = 1.0
     out[moved, 0] = np.cosh(rm)
     out[moved, 1:] = (np.sinh(rm) / rm)[:, None] * v[moved]
-    bad = ~(in_range & (np.abs(-_pairing(out, out) - 1.0) <= 2.0 * HYPERBOLIC_TOL))
+    # -m(out, out) serves the check and then ``_normalize``'s division
+    norm_sq = -_pairing(out, out)
+    bad = ~(in_range & (np.abs(norm_sq - 1.0) <= 2.0 * HYPERBOLIC_TOL))
     if bad.any():
         raise InvalidPointError(f"exponential map at radius {r[bad][0]:g} "
                                 f"is not representable in floating point")
-    return _normalize(out)
+    return out / np.sqrt(norm_sq)[:, None]
 
 
 class Hyperboloid(CoordinateSpace):
@@ -525,9 +541,8 @@ class Hyperboloid(CoordinateSpace):
         v[0] = 1.0
         return Point(self, _readonly(v))
 
-    def _check_coordinates(self, arr) -> None:
-        super()._check_coordinates(arr)
-        x = arr.tolist()
+    def _check_coordinates(self, arr) -> list:
+        x = super()._check_coordinates(arr)
         gap = abs(_minkowski(x, x) + 1.0)
         if gap > ON_MANIFOLD_TOL:
             raise InvalidPointError(
@@ -535,6 +550,7 @@ class Hyperboloid(CoordinateSpace):
             )
         if x[0] <= 0:
             raise InvalidPointError("point must lie on the upper sheet (v[0] > 0)")
+        return x
 
     @staticmethod
     def normalize(v) -> np.ndarray:

@@ -24,6 +24,7 @@ and shadow distances likewise check their points' space once per trace.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -209,20 +210,32 @@ def _run_sets(sets, x0: Point, witness: Point | None) -> list[ConvexSet]:
 
 def _projection_run(sets, x0: Point, rule: StopRule, witness: Point | None,
                     weights=None) -> IterationTrace:
-    """Cyclic projections, or with ``weights`` their barycenter, recording set residuals.
-
-    Each residual max_i d(x_n, C_i) is one matrix-vector product when every
-    set is a Euclidean halfspace (``halfspace_residual``); otherwise it is
-    read off the images P_i x_n, which the next step reuses.  So no
-    projection is computed twice at one iterate: a cyclic iterate costs
-    one projection on a flat family and K on any other, and an averaged
-    iterate costs K.  Converged means the
-    residual reached ``rule.residual_tol``; stalled means a full cycle (K
-    cyclic iterates, or one averaged iterate) moved the iterate by at most
-    ``rule.stall_tol``.
-    """
+    """Cyclic projections, or with ``weights`` their barycenter, recording set residuals."""
     _require(rule, StopRule, "stop rule")
-    flat_residual = halfspace_residual(sets)
+    points, residuals, steps, stop_reason = _iterate(sets, halfspace_residual(sets), x0, rule,
+                                                     weights, True)
+    return IterationTrace(points, residuals, steps, stop_reason, witness)
+
+
+def _iterate(sets, flat_residual, x0: Point, rule: StopRule, weights, record: bool):
+    """The loop of every projection run: iterate from x0 until ``rule`` stops it.
+
+    Returns the points, the residuals, the steps and the stop reason.
+    With ``record`` false it keeps only what the stop rules read: the
+    points of the last cycle, the last residual, and no steps.
+
+    Each residual max_i d(x_n, C_i) is ``flat_residual`` (one matrix-vector
+    product, ``halfspace_residual``) when the sets are Euclidean halfspaces;
+    otherwise it is read off the images P_i x_n, which the next step reuses.
+    So no projection is computed twice at one iterate: a cyclic iterate
+    costs one projection on a flat family and K on any other, and an
+    averaged iterate costs K.  A projection that returns its input object
+    (the iterate lies in the set) takes a step of exactly 0.0, which is
+    d(x, x) in every model, and leaves the residual and the images as they
+    were.  Converged means the residual reached ``rule.residual_tol``;
+    stalled means a full cycle (K cyclic iterates, or one averaged
+    iterate) moved the iterate by at most ``rule.stall_tol``.
+    """
     # x0, the sets, the witness and the weights were checked on entry, and
     # every later point is a projection or a mean of earlier ones, so the
     # loop measures payloads of this one space
@@ -245,34 +258,43 @@ def _projection_run(sets, x0: Point, rule: StopRule, witness: Point | None,
         return _mean_of(space, images, weights, _STEP_TOL)
 
     residual, images = measure(x0)
-    points = [x0]
+    k = len(sets) if weights is None else 1
+    points = [x0] if record else deque([x0], maxlen=k + 1)
     residuals = [residual]
     steps: list[float] = []
     stop_reason = MAX_ITER
     if residual <= rule.residual_tol:
-        return IterationTrace(points, residuals, steps, CONVERGED, witness)
-    k = len(sets) if weights is None else 1
+        return points, residuals, steps, CONVERGED
     for n in range(1, rule.max_iter + 1):
+        x = points[-1]
         try:
-            nxt = advance(n, points[-1], images)
+            nxt = advance(n, x, images)
         except ConvergenceFailureError as exc:
             raise ConvergenceFailureError(f"iteration {n} failed: {exc}",
                                           last_point=exc.last_point,
                                           objective=exc.objective) from exc
-        steps.append(dist(points[-1].payload, nxt.payload))
+        if nxt is x:
+            step = 0.0
+        else:
+            # a cycle of several maps reads its displacement, not its steps
+            step = dist(x.payload, nxt.payload) if record or k == 1 else None
+            residual, images = measure(nxt)
         points.append(nxt)
-        residual, images = measure(nxt)
-        residuals.append(residual)
+        if record:
+            steps.append(step)
+            residuals.append(residual)
         if residual <= rule.residual_tol:
             stop_reason = CONVERGED
             break
         if n % k == 0:
             # With one map the cycle's displacement is the step just taken.
-            moved = steps[-1] if k == 1 else dist(points[-1].payload, points[-1 - k].payload)
+            moved = step if k == 1 else dist(nxt.payload, points[-1 - k].payload)
             if moved <= rule.stall_tol:
                 stop_reason = STALLED
                 break
-    return IterationTrace(points, residuals, steps, stop_reason, witness)
+    if not record:
+        residuals = [residual]
+    return points, residuals, steps, stop_reason
 
 
 def cyclic_projections(
@@ -308,19 +330,26 @@ def approximate_shadows(trace: IterationTrace, sets) -> IterationTrace:
 
     Each iterate is projected by running cyclic projections from it
     until the inner residual drops below 1e-10, for at most 100 000
-    iterations.
+    iterations.  The sets are checked once per trace, and each inner
+    solve runs the drivers' loop without recording its trace: its final
+    point is the one ``cyclic_projections`` from that iterate ends at.
     """
+    points = trace.points
+    sets = _run_sets(sets, points[0], None)
+    check_same_space(*points)
+    flat_residual = halfspace_residual(sets)
     inner_rule = StopRule(max_iter=100000, residual_tol=1e-10)
     shadows = []
-    for x in trace.points:
-        inner = cyclic_projections(sets, x, inner_rule)
-        if inner.stop_reason != CONVERGED:
+    for x in points:
+        last, residuals, _, stop_reason = _iterate(sets, flat_residual, x, inner_rule, None,
+                                                   False)
+        if stop_reason != CONVERGED:
             raise ConvergenceFailureError(
-                f"inner shadow solve stopped with '{inner.stop_reason}' "
-                f"at residual {inner.final_residual:.3e}",
-                last_point=inner.final_point,
+                f"inner shadow solve stopped with '{stop_reason}' "
+                f"at residual {residuals[-1]:.3e}",
+                last_point=last[-1],
             )
-        shadows.append(inner.final_point)
+        shadows.append(last[-1])
     trace.shadows = shadows
     return trace
 

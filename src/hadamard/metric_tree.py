@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, EdgeListError, InvalidPointError
-from .geometry import Point, SpaceModel, _is_integer
+from .geometry import _COORD_LIMIT, Point, SpaceModel, _is_integer
 
 __all__ = ["TreeEdge", "TreeLocation", "MetricTree", "parse_edge_list"]
 
@@ -90,9 +90,11 @@ class MetricTree(SpaceModel):
             total += length
         if not edge_objs:
             raise ConstructionError("a metric tree needs at least one edge")
-        # Root distances and their pairwise sums stay below twice the total length.
-        if not 2.0 * total < math.inf:
-            raise ConstructionError(f"edge lengths total {total:g}: distances overflow")
+        # Every distance is at most the total length, so within the
+        # coordinate bound the certifier's sums of squared distances stay finite.
+        if not total <= _COORD_LIMIT:
+            raise ConstructionError(f"edge lengths total {total:g}, above {_COORD_LIMIT:g}: "
+                                    f"squared distances overflow")
         vertex_list = list(dict.fromkeys(names))
 
         object.__setattr__(self, "vertices", tuple(vertex_list))

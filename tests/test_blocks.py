@@ -51,7 +51,7 @@ from hadamard import (
     geodesic_point,
     minkowski,
 )
-from hadamard.geometry import _normalize, _pairing
+from hadamard.geometry import _normalize, _pairing, _rowdot
 
 ROWS = 1000
 # Block and scalar kernels round differently, by far less than this.
@@ -375,6 +375,26 @@ class TestHyperboloidBlocks:
         normals = np.random.default_rng(6).standard_normal((100, 2))
         for i in range(100):
             assert bits(h2.row(block, i)) == bits(h2.exp_from_base(normals[i])), i
+
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_one_pairing_keeps_the_bits(self, dim):
+        """``_exp_rows`` divides by the root of the pairing its sheet check used.
+
+        Before, ``_normalize`` computed that pairing a second time; the
+        samples and ``exp_from_base`` equal that two-pairing map bit for bit.
+        """
+        space = Hyperboloid(dim)
+        tangents = np.random.default_rng(26).standard_normal((200, dim))
+        r = np.sqrt(_rowdot(tangents, tangents))
+        out = np.empty((200, dim + 1))
+        out[:, 0] = np.cosh(r)
+        out[:, 1:] = (np.sinh(r) / r)[:, None] * tangents
+        want = _normalize(out)
+        block = space.sample_block(np.random.default_rng(26), 200)
+        assert [float(v).hex() for v in block.ravel()] == [float(v).hex() for v in want.ravel()]
+        for i in range(200):
+            assert bits(space.exp_from_base(tangents[i])) == bits(space.row(want, i)), i
 
 
 class TestHyperboloidTwins:

@@ -417,10 +417,14 @@ class TestInvalidValues:
          "halfspace offset must be finite, got nan"),
         ("run", CYCLIC_DOC.replace("x0 = 1,1", "x0 = 1e200,1e200"), [],
          "key 'x0': coordinates must be finite and at most 1e+150 in magnitude"),
+        ("run", CYCLIC_DOC.replace("normal = 0,1", "normal = 1e160,1e160"), [],
+         "halfspace normal must be finite and at most 1e+150 in magnitude"),
+        ("certify", CERTIFY_DOC.replace("edge = o,c,1", "edge = o,c,1e300"), [],
+         "edge lengths total 1e+300, above 1e+150: squared distances overflow"),
     ], ids=["max-iter-0", "tol-negative", "tol-nan", "seed-negative", "mean-tol-nan",
             "mean-tol-negative", "scenario-residual-tol-nan", "scenario-seed-negative",
             "mean-weights-nan", "averaged-weights-nan", "halfspace-offset-nan",
-            "x0-overflows-distances"])
+            "x0-overflows-distances", "normal-overflows-norm", "tree-squares-overflow"])
     def test_exit_2_without_artifact(self, tmp_path, capsys, command, doc, flags, message):
         out = tmp_path / "out.csv"
         scn = write(tmp_path, "s.scn", doc.format(out=out))

@@ -13,15 +13,23 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hadamard.barycenter as barycenter
 import hadamard.geometry as geometry
+import hadamard.iterations as iterations
 from hadamard import (
+    ConvergenceFailureError,
     Euclidean,
     EuclideanHalfspace,
     EuclideanHyperplane,
     HyperbolicHalfspace,
+    Hyperboloid,
+    IterationTrace,
     ProductSet,
+    ProductSpace,
+    SpaceMismatchError,
     StopRule,
     Subtree,
     WeightedPoints,
@@ -40,9 +48,10 @@ from hadamard.metric_tree import TreeLocation
 def reference_run(sets, x0, rule, weights=None):
     """``_projection_run`` step by step through ``project``, ``distance`` and ``frechet_mean``.
 
-    Returns the points, residuals and steps.  Each image is projected
-    again rather than reused; a projection is deterministic, so that
-    changes no bit.
+    Returns the points, residuals, steps and stop reason.  Each image is
+    projected again rather than reused, and every iterate measures its
+    step and residual, also when the projection returned its input; a
+    projection is deterministic, so that changes no bit.
     """
     flat = halfspace_residual(sets)
 
@@ -53,7 +62,7 @@ def reference_run(sets, x0, rule, weights=None):
 
     points, residuals, steps = [x0], [measure(x0)], []
     if residuals[0] <= rule.residual_tol:
-        return points, residuals, steps
+        return points, residuals, steps, "converged"
     k = len(sets) if weights is None else 1
     for n in range(1, rule.max_iter + 1):
         x = points[-1]
@@ -65,12 +74,12 @@ def reference_run(sets, x0, rule, weights=None):
         points.append(nxt)
         residuals.append(measure(nxt))
         if residuals[-1] <= rule.residual_tol:
-            break
+            return points, residuals, steps, "converged"
         if n % k == 0:
             moved = steps[-1] if k == 1 else distance(points[-1], points[-1 - k])
             if moved <= rule.stall_tol:
-                break
-    return points, residuals, steps
+                return points, residuals, steps, "stalled"
+    return points, residuals, steps, "maxiter"
 
 
 def bits(point):
@@ -148,7 +157,8 @@ class TestCheckedReference:
         trace = _run(algorithm, sets, x0, witness, rule, weights)
         # the tripod run stops after a zero step and a step to the centre
         assert trace.iterations >= 2
-        points, residuals, steps = reference_run(sets, x0, rule, weights)
+        points, residuals, steps, stop_reason = reference_run(sets, x0, rule, weights)
+        assert trace.stop_reason == stop_reason
         assert [bits(p) for p in trace.points] == [bits(p) for p in points]
         assert hex_list(trace.residuals) == hex_list(residuals)
         assert hex_list(trace.steps) == hex_list(steps)
@@ -246,3 +256,170 @@ class TestKernelOutputBound:
         assert main(["run", str(scn)]) == 2
         assert "at most 1e+150" in capsys.readouterr().err
         assert not (tmp_path / "far.csv").exists()
+
+
+def _family(kind, rng, caterpillar, tripod):
+    """Sets and a start of one family; many sets hold the start or later iterates.
+
+    Flat: halfspaces that mostly hold the origin, and hyperplanes through
+    it.  Hyperbolic: halfspaces whose boundaries pass near the apex.
+    Subtrees: connected vertex sets of the caterpillar.  Products: a flat
+    halfspace times a tripod leg, whose projection never returns its input.
+    """
+    if kind == "flat":
+        space = Euclidean(int(rng.integers(2, 5)))
+        sets = []
+        for k in range(int(rng.integers(1, 5))):
+            normal = rng.standard_normal(space.dim)
+            if rng.uniform() < 0.4:
+                sets.append(EuclideanHyperplane(space, normal, 0.0, name=f"P{k}"))
+            else:
+                sets.append(EuclideanHalfspace(space, normal, rng.uniform(-0.5, 2.0),
+                                               name=f"H{k}"))
+        return sets, space.point(2.0 * rng.standard_normal(space.dim))
+    if kind == "hyperbolic":
+        space = Hyperboloid(int(rng.integers(2, 4)))
+        sets = []
+        for k in range(int(rng.integers(1, 4))):
+            u = rng.standard_normal(space.dim)
+            u /= np.linalg.norm(u)
+            sets.append(HyperbolicHalfspace(space, [rng.uniform(-0.3, 0.8), *u], name=f"S{k}"))
+        return sets, space.exp_from_base(rng.standard_normal(space.dim))
+    if kind == "subtree":
+        tree = caterpillar
+        choices = [["v0", "v1"], ["v1", "v2", "v4"], ["v2", "v3"], ["v1", "v5"], ["v2"],
+                   ["v0", "v1", "v2", "v3"], ["v4"]]
+        picks = rng.choice(len(choices), size=int(rng.integers(1, 4)), replace=False)
+        sets = [Subtree(tree, choices[i], name=f"T{i}") for i in picks]
+        return sets, tree.sample(rng)
+    flat = Euclidean(2)
+    space = ProductSpace(flat, tripod)
+    legs = [["o", "a"], ["o", "b"], ["o", "a", "c"]]
+    sets = [ProductSet(space, EuclideanHalfspace(flat, rng.standard_normal(2), rng.uniform(0, 1)),
+                       Subtree(tripod, legs[k % 3]), name=f"Q{k}")
+            for k in range(int(rng.integers(1, 4)))]
+    return sets, space.point((flat.point(rng.standard_normal(2)), tripod.sample(rng)))
+
+
+class TestUnchangedInput:
+    """A projection that returns its input costs no step and no residual.
+
+    The loop then records a step of exactly 0.0, which ``distance(x, x)``
+    is in every model, and keeps the residual and images it has; the
+    traces equal a reference that measures every iterate.
+    """
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(["flat", "hyperbolic", "subtree", "product"]),
+           algorithm=st.sampled_from(["cyclic", "averaged"]), seed=st.integers(0, 2**32 - 1))
+    def test_trace_is_the_reference(self, caterpillar, tripod, kind, algorithm, seed):
+        rng = np.random.default_rng(seed)
+        sets, x0 = _family(kind, rng, caterpillar, tripod)
+        rule = StopRule(max_iter=int(rng.integers(1, 60)),
+                        residual_tol=float(rng.choice([0.0, 1e-9, 1e-6])),
+                        stall_tol=float(rng.choice([0.0, 1e-12, 1e-4])))
+        weights = None
+        if algorithm == "averaged":
+            raw = rng.uniform(0.1, 1.0, len(sets))
+            weights = tuple((raw / raw.sum()).tolist())
+        try:
+            trace = _run(algorithm, sets, x0, None, rule, weights)
+        except ConvergenceFailureError:
+            # a hyperbolic mean at its sweep cap fails the reference too
+            with pytest.raises(ConvergenceFailureError):
+                reference_run(sets, x0, rule, weights)
+            return
+        points, residuals, steps, stop_reason = reference_run(sets, x0, rule, weights)
+        assert trace.stop_reason == stop_reason
+        assert [bits(p) for p in trace.points] == [bits(p) for p in points]
+        assert hex_list(trace.residuals) == hex_list(residuals)
+        assert hex_list(trace.steps) == hex_list(steps)
+
+    @pytest.fixture
+    def wedge(self):
+        """Two planes through the origin of E4 and three halfspaces holding a ball around it."""
+        e4 = Euclidean(4)
+        rng = np.random.default_rng(26)
+        planes = [EuclideanHyperplane(e4, [0, 1, 0, 0], 0.0, name="P1"),
+                  EuclideanHyperplane(e4, [-math.sin(0.8), math.cos(0.8), 0, 0], 0.0, name="P2")]
+        halves = [EuclideanHalfspace(e4, rng.standard_normal(4), 50.0, name=f"H{k}")
+                  for k in range(3)]
+        return [planes[0], halves[0], halves[1], planes[1], halves[2]], e4.point([1, 2, 0.5, 0])
+
+    def test_unchanged_iterates_skip_the_residual_and_step(self, wedge, monkeypatch):
+        sets, x0 = wedge
+        counts = {"residual": 0, "distance": 0}
+
+        def counted_residual(family):
+            residual = halfspace_residual(family)
+
+            def wrapper(x):
+                counts["residual"] += 1
+                return residual(x)
+            return wrapper
+
+        def counted_distance(self, a, b, original=Euclidean.payload_distance):
+            counts["distance"] += 1
+            return original(self, a, b)
+
+        monkeypatch.setattr(iterations, "halfspace_residual", counted_residual)
+        monkeypatch.setattr(Euclidean, "payload_distance", counted_distance)
+        trace = cyclic_projections(sets, x0, StopRule(max_iter=2000))
+        assert trace.stop_reason == "converged"
+        moved = sum(1 for a, b in zip(trace.points, trace.points[1:]) if b is not a)
+        # three of every five iterates already lie in their set
+        assert trace.steps.count(0.0) == trace.iterations - moved > trace.iterations // 2
+        assert counts["residual"] == 1 + moved
+        # one step per moved iterate, and one displacement per full cycle
+        # but the converged last one
+        cycles = trace.iterations // len(sets) - (trace.iterations % len(sets) == 0)
+        assert counts["distance"] == moved + cycles
+
+        points, residuals, steps, stop_reason = reference_run(sets, x0, StopRule(max_iter=2000))
+        assert [bits(p) for p in trace.points] == [bits(p) for p in points]
+        assert hex_list(trace.residuals) == hex_list(residuals)
+        assert hex_list(trace.steps) == hex_list(steps)
+
+
+class TestShadowSolves:
+    """Shadow solves run the drivers' loop once per iterate, checking the sets once per trace."""
+
+    @pytest.mark.parametrize("case", ["e3-halfspaces-cyclic", "e2-lines-averaged",
+                                      "h2-halfspaces-averaged", "tripod-subtrees-cyclic",
+                                      "product-sets-averaged"])
+    def test_shadow_is_the_cyclic_run_from_the_iterate(self, runs, case):
+        algorithm, sets, x0, witness, rule, weights = runs[case]
+        trace = approximate_shadows(_run(algorithm, sets, x0, witness, rule, weights), sets)
+        inner_rule = StopRule(max_iter=100000, residual_tol=1e-10)
+        for x, shadow in zip(trace.points, trace.shadows):
+            assert bits(shadow) == bits(cyclic_projections(sets, x, inner_rule).final_point)
+
+    def test_one_check_and_one_residual_per_trace(self, runs, monkeypatch):
+        algorithm, sets, x0, witness, rule, weights = runs["e2-lines-averaged"]
+        trace = _run(algorithm, sets, x0, witness, rule, weights)
+        calls = {"cyclic_projections": 0, "_run_sets": 0, "halfspace_residual": 0}
+        for name in calls:
+            def counted(*args, name=name, original=getattr(iterations, name)):
+                calls[name] += 1
+                return original(*args)
+            monkeypatch.setattr(iterations, name, counted)
+        approximate_shadows(trace, sets)
+        assert trace.iterations > 10
+        assert calls == {"cyclic_projections": 0, "_run_sets": 1, "halfspace_residual": 1}
+
+    def test_inner_solve_that_stalls_raises(self, e2):
+        """Disjoint lines: the inner solve stalls, and the error carries its last point."""
+        lines = [EuclideanHyperplane(e2, [0, 1], 0.0), EuclideanHyperplane(e2, [0, 1], 1.0)]
+        trace = IterationTrace([e2.point([0.0, 3.0])], [0.0], [], "converged")
+        with pytest.raises(ConvergenceFailureError, match="stopped with 'stalled' at residual "
+                                                          "1.000e[+]00") as info:
+            approximate_shadows(trace, lines)
+        assert info.value.last_point == e2.point([0.0, 1.0])
+        assert trace.shadows is None
+
+    def test_points_of_another_space_rejected(self, e2, e3):
+        half = EuclideanHalfspace(e2, [0, 1], 0.0)
+        trace = IterationTrace([e2.point([0, 0]), e3.point([0, 0, 0])], [0.0, 0.0], [0.0],
+                               "converged")
+        with pytest.raises(SpaceMismatchError):
+            approximate_shadows(trace, [half])

@@ -99,6 +99,9 @@ MALFORMED = {
                               lambda: EuclideanHalfspace(E2, ["a", 1], 0)),
     "halfspace-offset-text": (ConstructionError, "real numbers",
                               lambda: EuclideanHalfspace(E2, [0, 1], "x")),
+    # the normal's squared norm overflowed, with a RuntimeWarning, before its check
+    "halfspace-normal-overflow": (ConstructionError, "at most 1e+150 in magnitude",
+                                  lambda: EuclideanHalfspace(E2, [1e160, 1e160], 0)),
     "hyperbolic-normal-text": (ConstructionError, "real numbers",
                                lambda: HyperbolicHalfspace(H2, ["a", 0, 1])),
     "ball-radius-text": (ConstructionError, "radius", lambda: GeodesicBall(P, "abc")),

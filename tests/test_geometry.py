@@ -71,6 +71,22 @@ class TestDistance:
                                match="finite and at most 1e\\+150 in magnitude"):
                 e2.point(bad)
 
+    @pytest.mark.parametrize("space", [Euclidean(5), Hyperboloid(4)], ids=["flat", "hyperbolic"])
+    @pytest.mark.parametrize("position", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1.1e150, -1.1e150])
+    def test_bound_holds_at_every_position(self, space, position, bad):
+        """A NaN, an infinity or a coordinate past the bound fails wherever it sits.
+
+        Both doors check it: ``point`` for input and ``_wrap`` for kernel
+        output.  The bound is tested before the sheet.
+        """
+        coords = [1.0, 0.0, 0.0, 0.0, 0.0]
+        coords[position] = bad
+        with pytest.raises(InvalidPointError, match="finite and at most 1e\\+150 in magnitude"):
+            space.point(coords)
+        with pytest.raises(InvalidPointError, match="finite and at most 1e\\+150 in magnitude"):
+            space._wrap(np.array(coords))
+
 
 class TestGeodesicPoint:
     def test_euclidean_midpoint(self, e2):

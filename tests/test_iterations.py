@@ -251,8 +251,9 @@ class TestProjectionCount:
     """No projection is computed twice at one iterate.
 
     A flat family's residual needs no projection, so a flat cyclic
-    iterate costs one; any other family projects each iterate onto all K
-    sets once, and the next step reuses those images.
+    iterate costs one; any other family projects each new iterate onto
+    all K sets once, and the next step reuses those images.  An iterate
+    that a projection returned unchanged keeps its images.
     """
 
     @pytest.fixture
@@ -284,6 +285,15 @@ class TestProjectionCount:
                                    StopRule(max_iter=50))
         assert trace.stop_reason == "stalled" and trace.iterations == 4
         assert len(count) == 2 * len(trace.points)
+
+    def test_unchanged_iterate_keeps_its_images(self, tripod, count):
+        legs = [Subtree(tripod, ["o", "a"], name="leg-a"),
+                Subtree(tripod, ["o", "b"], name="leg-b")]
+        trace = cyclic_projections(legs, tripod.point((0, 0.75)), StopRule(max_iter=50))
+        # x0 lies on leg a, so the first step returns it; the second reaches o
+        assert trace.points[1] is trace.points[0] and trace.steps == [0.0, 0.75]
+        assert trace.stop_reason == "converged"
+        assert count == ["leg-a", "leg-b", "leg-a", "leg-b"]
 
     def test_one_ball_takes_the_projection_path(self, e2, count):
         sets = [EuclideanHalfspace(e2, [1, 0], 0.0, name="u<=0"),

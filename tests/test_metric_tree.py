@@ -12,6 +12,7 @@ from hadamard import (
     MetricTree,
     Subtree,
     WeightedPoints,
+    cat0_defect,
     distance,
     frechet_mean,
     frechet_objective,
@@ -65,10 +66,18 @@ class TestConstruction:
     @pytest.mark.parametrize("edges", [
         [("o", "a", 1e308), ("a", "b", 1e308), ("o", "c", 1.0)],
         [("o", "a", 1e308)],
-    ], ids=["sum-overflows", "doubled-overflows"])
+        [("o", "a", 1.0), ("o", "c", 1e300)],
+        [("o", "a", 6e149), ("o", "b", 6e149)],
+    ], ids=["sum-overflows", "doubled-overflows", "square-overflows", "total-past-bound"])
     def test_total_length_that_overflows_rejected(self, edges):
-        with pytest.raises(ConstructionError, match="overflow"):
+        with pytest.raises(ConstructionError, match="above 1e[+]150: squared distances overflow"):
             MetricTree(edges)
+
+    def test_total_length_at_the_bound_keeps_squares_finite(self):
+        tree = MetricTree([("o", "a", 5e149), ("o", "b", 5e149)])
+        a, b = tree.vertex_point("a"), tree.vertex_point("b")
+        assert distance(a, b) == 1e150
+        assert math.isfinite(cat0_defect(a, b, tree.vertex_point("o"), 0.5))
 
     def test_needs_an_edge(self):
         with pytest.raises(ConstructionError):
