@@ -22,11 +22,10 @@ from .geometry import (
     SpaceModel,
     _COORD_LIMIT,
     _bounded,
+    _dot,
     _minkowski,
     _normalize,
     _normalized,
-    _pairing,
-    _rowdot,
     _same_space,
     check_same_space,
     distance,
@@ -118,7 +117,8 @@ class EuclideanHalfspace(ConvexSet):
                                     f"{_COORD_LIMIT:g} in magnitude")
         norm_sq = float(arr @ arr)
         if norm_sq <= 0:
-            raise ConstructionError(f"{self.kind} normal must be nonzero")
+            cause = "has a squared norm that underflows to 0" if arr.any() else "must be nonzero"
+            raise ConstructionError(f"{self.kind} normal {cause}")
         if not math.isfinite(offset):
             raise ConstructionError(f"{self.kind} offset must be finite, got {offset}")
         arr.setflags(write=False)
@@ -135,7 +135,7 @@ class EuclideanHalfspace(ConvexSet):
         return self.space._wrap(x.payload - (gap / self._norm_sq) * self.normal)
 
     def project_block(self, block):
-        gap = _rowdot(block, self.normal) - self.offset
+        gap = _dot(block.T, self.normal) - self.offset
         kept = (self._lowest_gap <= gap) & (gap <= 0.0)
         return np.where(kept[:, None], block, block - (gap / self._norm_sq)[:, None] * self.normal)
 
@@ -213,7 +213,7 @@ class HyperbolicHalfspace(ConvexSet):
         coords = arr.tolist()
         mm = _minkowski(coords, coords)
         if not (math.isfinite(mm) and mm > 0):
-            raise ConstructionError("normal must be spacelike: m(u, u) > 0")
+            raise ConstructionError(f"normal {_spacelike_cause(coords, mm)}")
         arr = arr / math.sqrt(mm)
         arr.setflags(write=False)
         object.__setattr__(self, "normal", arr)
@@ -231,7 +231,7 @@ class HyperbolicHalfspace(ConvexSet):
         return self.space._wrap(np.array(moved))
 
     def project_block(self, block):
-        s = _pairing(self.normal, block)
+        s = _minkowski(self.normal, block.T)
         outside = s > 0.0
         # rows inside subtract nothing, so every row stays timelike
         moved = _normalize(block - np.where(outside, s, 0.0)[:, None] * self.normal)
@@ -243,6 +243,18 @@ class HyperbolicHalfspace(ConvexSet):
 
     def describe(self) -> str:
         return f"hyperbolic halfspace m({self.space.format_payload(self.normal)}, x) <= 0"
+
+
+def _spacelike_cause(coords, mm) -> str:
+    """Why a normal with Minkowski square ``mm`` (not positive and finite) is refused."""
+    if not all(map(math.isfinite, coords)):
+        return "must be finite"
+    if not math.isfinite(mm):
+        return "has a Minkowski square m(u, u) that overflows"
+    # every square underflowed, so the computed m(u, u) = 0 says nothing
+    if any(coords) and _dot(coords, coords) == 0.0:
+        return "has a Minkowski square m(u, u) that underflows to 0"
+    return "must be spacelike: m(u, u) > 0"
 
 
 class GeodesicBall(ConvexSet):
@@ -288,8 +300,7 @@ class Subtree(ConvexSet):
     otherwise the first member on the way up from the point.
     """
 
-    __slots__ = ("vertex_set", "edge_set", "vertex_order", "_members", "_top", "_member_mask",
-                 "_edge_mask")
+    __slots__ = ("vertex_set", "edge_set", "_members", "_top", "_member_mask", "_edge_mask")
 
     def __init__(self, tree: MetricTree, vertices, name: str = "subtree"):
         if not isinstance(tree, MetricTree):
@@ -322,7 +333,6 @@ class Subtree(ConvexSet):
         eset = frozenset(tree._parent_edge[v] for v in members if v != top)
         object.__setattr__(self, "vertex_set", vset)
         object.__setattr__(self, "edge_set", eset)
-        object.__setattr__(self, "vertex_order", tuple(sorted(vset)))
         object.__setattr__(self, "_members", members)
         object.__setattr__(self, "_top", top)
         member_mask = np.zeros(len(tree.vertices), dtype=bool)
@@ -337,17 +347,18 @@ class Subtree(ConvexSet):
         tree: MetricTree = self.space
         if loc.edge in self.edge_set:
             return None
-        v = tree.location_vertex(loc)
-        if v is not None and v in self.vertex_set:
+        members = self._members
+        # a location at a member vertex is a member; None, inside an edge, is no member
+        if tree._at_vertex(loc.edge, loc.offset) in members:
             return None
         c = tree._child[loc.edge]
         top = self._top
         if not top <= c <= tree._last[top]:
-            return tree.vertex_point(tree._names[top])
-        members, parent = self._members, tree._parent
+            return tree._vertex(top)
+        parent = tree._parent
         while c not in members:
             c = parent[c]
-        return tree.vertex_point(tree._names[c])
+        return tree._vertex(c)
 
     # Scalar twin kept: the trees workload's projections, where a one-row block costs 24x.
     def project(self, x: Point) -> Point:
@@ -374,7 +385,7 @@ class Subtree(ConvexSet):
         return distance(x, self.project(x)) <= EQ_TOL
 
     def describe(self) -> str:
-        return f"subtree({', '.join(self.vertex_order)})"
+        return f"subtree({', '.join(sorted(self.vertex_set))})"
 
 
 class ProductSet(ConvexSet):

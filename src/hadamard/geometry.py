@@ -175,7 +175,7 @@ class SpaceModel:
         return a == b
 
     def format_payload(self, payload) -> str:
-        return repr(payload)
+        raise NotImplementedError
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -362,18 +362,6 @@ class CoordinateSpace(SpaceModel):
         return hash((type(self).__name__, self.dim))
 
 
-def _rowdot(a, b, start=0):
-    """Dot products of matching rows over columns ``start:``, summed in column order.
-
-    Either argument may be one vector.  The fixed order keeps each row's
-    sum independent of the block it sits in.
-    """
-    total = a[..., start] * b[..., start]
-    for k in range(start + 1, a.shape[-1]):
-        total = total + a[..., k] * b[..., k]
-    return total
-
-
 class Euclidean(CoordinateSpace):
     """Flat n-dimensional space with the usual metric."""
 
@@ -389,8 +377,8 @@ class Euclidean(CoordinateSpace):
         return rng.standard_normal((n, self.dim))
 
     def distances(self, a, b):
-        diff = a - b
-        return np.sqrt(_rowdot(diff, diff))
+        diff = (a - b).T
+        return np.sqrt(_dot(diff, diff))
 
     def interpolate(self, a, b, t):
         t = np.asarray(t, dtype=float)[:, None]
@@ -428,21 +416,24 @@ def _ambient(v) -> list:
     return arr.tolist()
 
 
-# The hyperboloid's scalar twins compute on lists of Python floats, one
-# ``tolist`` per payload, through the helpers below.  Each sum runs in the
-# column order of ``_rowdot``, so a pairing and a normalisation equal their
-# one-row blocks bit for bit.
+# The block kernels and the hyperboloid's scalar twins sum coordinates
+# only through ``_dot`` and ``_minkowski``.  Their arguments are coordinate
+# sequences: ``u[k]`` is coordinate k, a float when a scalar twin passes a
+# list (one ``tolist`` per payload), or a block's column when a kernel
+# passes ``block.T``.  The one loop sums in column order either way, so
+# each row of a block's sum depends on that row alone, and a twin that
+# calls it equals its one-row block bit for bit.
 
-def _dot(u, v, start=0) -> float:
-    """``_rowdot`` of two coordinate lists: columns ``start:``, summed in column order."""
+def _dot(u, v, start=0):
+    """sum_{k >= start} u[k] * v[k] of two coordinate sequences, summed in column order."""
     total = u[start] * v[start]
     for k in range(start + 1, len(u)):
         total += u[k] * v[k]
     return total
 
 
-def _minkowski(u, v) -> float:
-    """``_pairing`` of two coordinate lists, unchecked."""
+def _minkowski(u, v):
+    """The Minkowski pairing -u[0]*v[0] + sum_{k >= 1} u[k]*v[k] of two coordinate sequences."""
     return _dot(u, v, 1) - u[0] * v[0]
 
 
@@ -472,18 +463,9 @@ def _sheet_distance(x, y) -> float:
     return math.acosh(c)
 
 
-# The hyperboloid's block kernels reach the representation only through
-# the three rowwise helpers below, written with elementwise operations so
-# that each row of a result depends on that row's inputs alone.
-
-def _pairing(u, v):
-    """The Minkowski pairing of matching rows of ambient blocks (either may be one vector)."""
-    return _rowdot(u, v, 1) - u[..., 0] * v[..., 0]
-
-
 def _normalize(w):
     """Each timelike row of an ambient block scaled onto its sheet."""
-    return w / np.sqrt(-_pairing(w, w))[:, None]
+    return w / np.sqrt(-_minkowski(w.T, w.T))[:, None]
 
 
 # Beyond this radius no exponential map is representable: from r = 19.1
@@ -498,7 +480,7 @@ def _exp_rows(v):
     Raises ``InvalidPointError`` when any row's image is not representable
     in floating point.  ``Hyperboloid.exp_from_base`` is its one-row case.
     """
-    r = np.sqrt(_rowdot(v, v))
+    r = np.sqrt(_dot(v.T, v.T))
     in_range = r <= _EXP_RADIUS
     # rows within 1e-300 of the apex stay on it, and so do the rows out of
     # range, which fail the check below
@@ -509,7 +491,7 @@ def _exp_rows(v):
     out[moved, 0] = np.cosh(rm)
     out[moved, 1:] = (np.sinh(rm) / rm)[:, None] * v[moved]
     # -m(out, out) serves the check and then ``_normalize``'s division
-    norm_sq = -_pairing(out, out)
+    norm_sq = -_minkowski(out.T, out.T)
     bad = ~(in_range & (np.abs(norm_sq - 1.0) <= 2.0 * HYPERBOLIC_TOL))
     if bad.any():
         raise InvalidPointError(f"exponential map at radius {r[bad][0]:g} "
@@ -589,7 +571,7 @@ class Hyperboloid(CoordinateSpace):
     def distances(self, a, b):
         # identical rows read an exact zero, as in payload_distance
         same = np.all(a == b, axis=1)
-        return np.where(same, 0.0, np.arccosh(np.maximum(-_pairing(a, b), 1.0)))
+        return np.where(same, 0.0, np.arccosh(np.maximum(-_minkowski(a.T, b.T), 1.0)))
 
     def interpolate(self, a, b, t):
         t = np.asarray(t, dtype=float)

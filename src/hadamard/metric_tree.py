@@ -61,7 +61,7 @@ class MetricTree(SpaceModel):
 
     __slots__ = (
         "vertices", "edges", "_index", "_names", "_parent", "_parent_edge", "_last",
-        "_r", "_home", "_child", "_base", "_sign", "_rows", "_r_arr", "_table",
+        "_r", "_child", "_base", "_sign", "_rows", "_r_arr", "_table",
         "_log2", "_ends", "_lengths", "_snap_low", "_snap_high", "_vertex_points",
         "_parent_arr", "_child_arr", "_base_arr", "_sign_arr", "_low_arr", "_high_arr",
         "_vertex_edge", "_vertex_offset",
@@ -193,7 +193,6 @@ class MetricTree(SpaceModel):
         setattr_(self, "_parent_edge", parent_edge_arr.tolist())
         setattr_(self, "_last", last)
         setattr_(self, "_r", r)
-        setattr_(self, "_home", home.tolist())
         setattr_(self, "_child", child.tolist())
         setattr_(self, "_base", base.tolist())
         setattr_(self, "_sign", sign.tolist())
@@ -208,7 +207,8 @@ class MetricTree(SpaceModel):
         setattr_(self, "_snap_low", snap.tolist())
         high = lengths - snap
         setattr_(self, "_snap_high", high.tolist())
-        setattr_(self, "_vertex_points", {})
+        # the shared vertex points, by preorder id, built on first use
+        setattr_(self, "_vertex_points", [None] * n)
         # the same data as arrays, for the block kernels
         setattr_(self, "_parent_arr", parent_arr)
         setattr_(self, "_child_arr", child)
@@ -278,32 +278,39 @@ class MetricTree(SpaceModel):
         Projections onto subtrees and snapped locations land on vertices,
         so sharing keeps a run's stored iterates from holding a copy each.
         """
-        name = str(name)
-        point = self._vertex_points.get(name)
+        return self._vertex(self._vertex_id(name))
+
+    def _vertex(self, v: int) -> Point:
+        """The shared point at the vertex of preorder id ``v``, in its canonical form."""
+        point = self._vertex_points[v]
         if point is None:
-            idx = self._home[self._vertex_id(name)]
-            e = self.edges[idx]
-            point = Point(self, TreeLocation(idx, 0.0 if e.a == name else e.length))
-            self._vertex_points[name] = point
+            point = Point(self, TreeLocation(int(self._vertex_edge[v]),
+                                             float(self._vertex_offset[v])))
+            self._vertex_points[v] = point
         return point
+
+    def _at_vertex(self, edge: int, offset: float) -> int | None:
+        """The preorder id of the vertex at ``offset`` on ``edge``, or None inside the edge."""
+        far = offset != 0.0
+        if far and offset != self.edges[edge].length:
+            return None
+        # the edge's child is its second end when the edge points down (sign +1)
+        c = self._child[edge]
+        return c if (self._sign[edge] > 0) == far else self._parent[c]
 
     def edge_point(self, edge: int, offset: float) -> Point:
         return self.point((edge, offset))
 
     def location_vertex(self, loc: TreeLocation) -> str | None:
         """Vertex name if the location sits on one, else None."""
-        e = self.edges[loc.edge]
-        if loc.offset == 0.0:
-            return e.a
-        if loc.offset == e.length:
-            return e.b
-        return None
+        v = self._at_vertex(loc.edge, loc.offset)
+        return None if v is None else self._names[v]
 
     def _canonical(self, edge: int, offset: float) -> TreeLocation:
         if offset <= self._snap_low[edge]:
-            return self.vertex_location(self.edges[edge].a)
+            return self._vertex(self._at_vertex(edge, 0.0)).payload
         if offset >= self._snap_high[edge]:
-            return self.vertex_location(self.edges[edge].b)
+            return self._vertex(self._at_vertex(edge, self.edges[edge].length)).payload
         return TreeLocation(edge, offset)
 
     def validate_payload(self, payload):
@@ -412,12 +419,8 @@ class MetricTree(SpaceModel):
     def row(self, block, i):
         # a row at a vertex is the vertex's shared point, as in _canonical
         edge, offset = int(block[0][i]), float(block[1][i])
-        e = self.edges[edge]
-        if offset == 0.0:
-            return self.vertex_point(e.a)
-        if offset == e.length:
-            return self.vertex_point(e.b)
-        return Point(self, TreeLocation(edge, offset))
+        v = self._at_vertex(edge, offset)
+        return Point(self, TreeLocation(edge, offset)) if v is None else self._vertex(v)
 
     def concat(self, blocks):
         return (np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks]))

@@ -375,7 +375,8 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None) -> Scenar
     written in the document would be.  A flag the scenario's algorithm does
     not read is an error, and so is a flag's bad value; both name the flag.
     """
-    sections = _split_document(text)
+    # an editor's UTF-8 byte-order mark decodes to one leading U+FEFF
+    sections = _split_document(text.removeprefix("\ufeff"))
     space_sections = [s for s in sections if s.header == "space"]
     run_sections = [s for s in sections if s.header == "run"]
     set_sections = [s for s in sections if s.header.startswith("set ")]

@@ -13,9 +13,9 @@ points, the flat mean, the ball and product-set projections, the convex
 combination), the two agree bit for bit.  Every other
 model's block mean solves each row with the model's own ``_mean``, so
 block and scalar means agree bit for bit in every model.  The
-hyperboloid's scalar pairing, normalisation and halfspace projection sum
-in the blocks' column order and agree with them bit for bit too; its
-distance differs only through ``math``'s ``acosh``.
+hyperboloid's scalar pairing, normalisation and halfspace projection call
+the blocks' own sums on coordinate lists and agree with them bit for bit
+too; its distance differs only through ``math``'s ``acosh``.
 """
 
 import math
@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hadamard import (
     Composition,
@@ -51,7 +52,7 @@ from hadamard import (
     geodesic_point,
     minkowski,
 )
-from hadamard.geometry import _normalize, _pairing, _rowdot
+from hadamard.geometry import _dot, _minkowski, _normalize
 
 ROWS = 1000
 # Block and scalar kernels round differently, by far less than this.
@@ -386,7 +387,7 @@ class TestHyperboloidBlocks:
         """
         space = Hyperboloid(dim)
         tangents = np.random.default_rng(26).standard_normal((200, dim))
-        r = np.sqrt(_rowdot(tangents, tangents))
+        r = np.sqrt(_dot(tangents.T, tangents.T))
         out = np.empty((200, dim + 1))
         out[:, 0] = np.cosh(r)
         out[:, 1:] = (np.sinh(r) / r)[:, None] * tangents
@@ -398,7 +399,7 @@ class TestHyperboloidBlocks:
 
 
 class TestHyperboloidTwins:
-    """The scalar twins compute on Python floats in the blocks' summation order."""
+    """The scalar twins compute on Python floats through the blocks' own sums."""
 
     @pytest.mark.parametrize("dim", [2, 3, 5])
     def test_pairing_normalize_and_projection_are_one_row_blocks(self, dim):
@@ -411,7 +412,7 @@ class TestHyperboloidTwins:
         moved = 0
         for i in range(ROWS):
             u, v = a[i], b[i]
-            assert minkowski(u, v).hex() == float(_pairing(u[None], v[None])[0]).hex(), i
+            assert minkowski(u, v).hex() == float(_minkowski(u[None].T, v[None].T)[0]).hex(), i
             w = u + 0.5 * v  # future timelike
             assert np.array_equal(space.normalize(w), _normalize(w[None])[0]), i
             c = HyperbolicHalfspace(space, normals[i])
@@ -445,6 +446,31 @@ class TestHyperboloidTwins:
         c = HyperbolicHalfspace(space, [0.0, *rng.standard_normal(dim)])
         for p in points + [mean]:
             space.validate_payload(c.project(p).payload)
+
+
+# coordinates from subnormals to 1e150, signed zeros included: no sum of
+# six products overflows
+COORDINATES = st.just(-0.0) | st.floats(-1e150, 1e150)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 64), cols=st.integers(1, 6))
+def test_column_sums_are_the_list_sums(data, rows, cols):
+    """``_dot`` and ``_minkowski`` on a block's columns give each row's list sum, in hex.
+
+    The block kernels pass ``block.T``, the scalar twins ``tolist()`` rows.
+    """
+    a, b = data.draw(arrays(float, (2, rows, cols), elements=COORDINATES))
+    v = data.draw(arrays(float, cols, elements=COORDINATES))
+    sums = [(_dot(a.T, b.T), _dot),
+            (_dot(a.T, v), lambda x, _: _dot(x, v.tolist()))]
+    if cols > 1:
+        sums += [(_dot(a.T, b.T, 1), lambda x, y: _dot(x, y, 1)),
+                 (_minkowski(a.T, b.T), _minkowski),
+                 (_minkowski(v, a.T), lambda x, _: _minkowski(v.tolist(), x))]
+    for got, one in sums:
+        for i in range(rows):
+            assert float(got[i]).hex() == one(a[i].tolist(), b[i].tolist()).hex(), i
 
 
 @pytest.mark.parametrize("model", ["e3", "h2"])

@@ -555,6 +555,23 @@ class TestShippedScenarios:
         assert main([command, str(path)]) == 0
         assert out.read_bytes() == first
 
+    def test_byte_order_mark_is_read(self, tmp_path, monkeypatch):
+        """A file saved with a UTF-8 byte-order mark runs as the file without it."""
+        path = SCENARIO_DIR / "cyclic_halfspaces.scn"
+        marked = tmp_path / "marked.scn"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        text = marked.read_text(encoding="utf-8")
+        assert text.startswith("\ufeff")
+        scenario = parse_scenario(text)
+        assert scenario.run_sets == parse_scenario(text[1:]).run_sets
+        monkeypatch.chdir(tmp_path)
+        out = Path(scenario.output_path)
+        assert main(["run", str(path)]) == 0
+        plain = out.read_bytes()
+        out.unlink()
+        assert main(["run", str(marked)]) == 0
+        assert out.read_bytes() == plain
+
     def test_skewed_halfspaces_reach_the_shadow_probes(self):
         # a gap is positive only where a segment probe of
         # technical_condition_gaps ran, which orthogonal normals never need

@@ -104,6 +104,20 @@ MALFORMED = {
                                   lambda: EuclideanHalfspace(E2, [1e160, 1e160], 0)),
     "hyperbolic-normal-text": (ConstructionError, "real numbers",
                                lambda: HyperbolicHalfspace(H2, ["a", 0, 1])),
+    # a normal whose squared norm rounds to 0 or overflows was called zero or not spacelike
+    "halfspace-normal-underflow": (ConstructionError, "squared norm that underflows to 0",
+                                   lambda: EuclideanHalfspace(E2, [1e-300, 1e-300], 1)),
+    "hyperbolic-normal-overflow": (ConstructionError, "m(u, u) that overflows",
+                                   lambda: HyperbolicHalfspace(H2, [0, 1e200, 0])),
+    "hyperbolic-normal-underflow": (ConstructionError, "m(u, u) that underflows to 0",
+                                    lambda: HyperbolicHalfspace(H2, [0, 1e-200, 0])),
+    "hyperbolic-normal-nan": (ConstructionError, "normal must be finite",
+                              lambda: HyperbolicHalfspace(H2, [0, math.nan, 1])),
+    # and the causes those messages still name
+    "halfspace-normal-zero": (ConstructionError, "normal must be nonzero",
+                              lambda: EuclideanHalfspace(E2, [0.0, -0.0], 1)),
+    "hyperbolic-normal-lightlike": (ConstructionError, "must be spacelike",
+                                    lambda: HyperbolicHalfspace(H2, [1, 1, 0])),
     "ball-radius-text": (ConstructionError, "radius", lambda: GeodesicBall(P, "abc")),
     "subtree-vertices-int": (ConstructionError, "list of names", lambda: Subtree(TRIPOD, 5)),
     "subtree-vertices-str": (ConstructionError, "list of names", lambda: Subtree(TRIPOD, "oa")),

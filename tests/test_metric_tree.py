@@ -119,14 +119,26 @@ class TestEdgeListParsing:
             parse_edge_list("a b 1\nb c 1\nc a 1")
 
 
+@pytest.fixture(scope="module")
+def tree2000():
+    return random_tree(np.random.default_rng(2000), 2000)
+
+
 class TestCanonicalization:
-    def test_vertex_forms_coincide(self, tripod):
+    def test_vertex_forms_coincide(self, tripod, tree2000):
         # the center is incident to all three edges; offset-0 payloads on
         # any of them must canonicalize to one representative
         via_edge0 = tripod.edge_point(0, 0.0)
         via_edge1 = tripod.edge_point(1, 0.0)
         via_edge2 = tripod.edge_point(2, 0.0)
         assert via_edge0 == via_edge1 == via_edge2 == tripod.vertex_point("o")
+        # so does either end of every edge, to the vertex's shared payload
+        for tree in (tripod, tree2000):
+            for k, e in enumerate(tree.edges):
+                for offset, name in ((0.0, e.a), (e.length, e.b)):
+                    p = tree.edge_point(k, offset)
+                    assert p == tree.vertex_point(name), (k, offset)
+                    assert p.payload is tree.vertex_location(name), (k, offset)
 
     def test_full_offset_snaps_to_far_vertex(self, tripod):
         assert tripod.edge_point(0, 1.0) == tripod.vertex_point("a")
@@ -149,13 +161,41 @@ class TestCanonicalization:
         for edge in (1, np.int64(1), np.int32(1), np.uint8(1)):
             assert tripod.point((edge, 0.25)) == tripod.edge_point(1, 0.25)
 
-    def test_vertex_points_are_shared(self, tripod):
+    def test_vertex_points_are_shared(self, tripod, tree2000):
         o = tripod.vertex_point("o")
         assert tripod.vertex_point("o") is o
         assert tripod.vertex_location("o") is o.payload
         assert Subtree(tripod, ["o", "a"]).project(tripod.edge_point(1, 0.5)) is o
         with pytest.raises(InvalidPointError):
             tripod.vertex_location("zz")
+        # every vertex row of a block, both snapped ends of every edge and
+        # every subtree gate is the one shared point of its vertex
+        for tree in (tripod, tree2000):
+            names = tree.vertices
+            shared = [tree.vertex_point(v) for v in names]
+            assert all(tree.vertex_point(v) is p for v, p in zip(names, shared))
+            assert all(tree.vertex_location(v) is p.payload for v, p in zip(names, shared))
+            block = tree.stack(shared)
+            assert all(tree.row(block, i) is p for i, p in enumerate(shared))
+            edges = np.repeat(np.arange(len(tree.edges)), 2)
+            offsets = np.array([s for e in tree.edges for s in (0.0, e.length)])
+            ends = tree._snap(edges, offsets)
+            for k, e in enumerate(tree.edges):
+                assert tree.row(ends, 2 * k) is tree.vertex_point(e.a), k
+                assert tree.row(ends, 2 * k + 1) is tree.vertex_point(e.b), k
+            points = shared + [tree.edge_point(k, e.length / 2) for k, e in enumerate(tree.edges)]
+            subtrees = [Subtree(tree, tree.vertex_path(names[1], names[-1])),
+                        Subtree(tree, [names[len(names) // 2]])]
+            for sub in subtrees:
+                images = sub.project_block(tree.stack(points))
+                moved = 0
+                for i, x in enumerate(points):
+                    gate = sub.project(x)
+                    if gate is not x:
+                        want = tree.vertex_point(tree.location_vertex(gate.payload))
+                        assert gate is want and tree.row(images, i) is want, (sub.describe(), i)
+                        moved += 1
+                assert moved, sub.describe()
 
     def test_snaps_at_the_bounds_of_each_edge(self):
         """Offsets snap to a vertex within 1e-12 * max(1, length) of an end, bounds included."""
