@@ -159,6 +159,20 @@ class EuclideanHyperplane(EuclideanHalfspace):
     _lowest_gap = 0.0
 
 
+def _flat_rows(sets: list):
+    """The stacked normals and offsets of a flat family, or None.
+
+    A flat family is a nonempty list of ``EuclideanHalfspace``s
+    (hyperplanes included) of one space; None for any other list, and
+    ``SpaceMismatchError`` for halfspaces of different spaces.
+    """
+    if not sets or not all(isinstance(c, EuclideanHalfspace) for c in sets):
+        return None
+    if any(c.space != sets[0].space for c in sets):
+        raise SpaceMismatchError("the halfspaces live in different spaces")
+    return np.stack([c.normal for c in sets]), np.array([c.offset for c in sets])
+
+
 def halfspace_residual(sets):
     """x -> max_k d(x, C_k) as one matrix-vector product, or None.
 
@@ -169,12 +183,10 @@ def halfspace_residual(sets):
     projection takes, without forming the image.
     """
     sets = list(sets)
-    if not sets or not all(isinstance(c, EuclideanHalfspace) for c in sets):
+    rows = _flat_rows(sets)
+    if rows is None:
         return None
-    if any(c.space != sets[0].space for c in sets):
-        raise SpaceMismatchError("the halfspaces live in different spaces")
-    normals = np.stack([c.normal for c in sets])
-    offsets = np.array([c.offset for c in sets])
+    normals, offsets = rows
     lowest = np.array([c._lowest_gap for c in sets])
     norms = np.sqrt([c._norm_sq for c in sets])
 
@@ -187,6 +199,100 @@ def halfspace_residual(sets):
         return 0.0 if worst <= 0.0 else worst
 
     return residual
+
+
+def _halfspace_sweep(sets):
+    """x -> P_K(... P_2(P_1 x)), the projections onto the sets in turn, or None.
+
+    Defined for a flat family (see ``_flat_rows``) whose sets keep
+    ``EuclideanHalfspace.project``; None for any other family, halfspaces
+    of different spaces included.  The sweep returns what the loop
+    ``for c in sets: x = c.project(x)`` returns, bit for bit, the same
+    object when no projection moves x, and raises what that loop raises:
+    every projection that runs is that scalar twin, and a screen skips
+    only twins that provably return their input.
+
+    The screen takes the slacks s = b - A p at p = x.payload in one
+    matrix-vector product, and the length v = fl(sqrt(fl(p . p))).  It
+    counts a halfspace row r as held when s_r >= fl(w_r v), where
+    w_r = fl(c fl(|a_r|_1)), c = 8 (n + 1) u, n is the dimension and
+    u = 2^-53.  It runs only while 2^-400 <= v <= 2^1020 / max(1, |a|_1)
+    over the rows; a NaN or infinite coordinate fails that too.
+
+    Proof that the twin's gap fl(fl(a_r . p) - b_r) is then <= 0, so
+    that the twin returns x.  Let S = sum_k |a_rk p_k| <= |a_r|_1 |p|_2,
+    and eta = 2^-1074.  A dot product of length n, summed in any order,
+    with or without fused multiply-adds, errs by at most gamma_n S + n eta,
+    gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 3; under gradual underflow each product
+    rounding adds at most eta / 2, and a sum that lands among the
+    subnormals is exact).  This holds for the matrix-vector row d and for
+    the twin's dot d' alike, so |d - d'| <= 2 gamma_n S + 2 n eta.  The
+    slack s_r = (b_r - d)(1 + delta), |delta| <= u, so
+
+        b_r - d' >= s_r / (1 + u) - 2 gamma_n S - 2 n eta.
+
+    Since v >= 2^-400, fl(p . p) >= 2^-801 dwarfs its n eta, so
+    |p|_2 <= v (1 + (n + 2) u); |a_r|_1 is a sum of nonnegative terms,
+    low by at most a factor 1 - gamma_n; each product loses a factor
+    1 - u, the last one eta / 2 more.  So the threshold fl(w_r v) is at
+    least half of c |a_r|_1 |p|_2 (1 - (2n + 8) u), which exceeds
+    (1 + u) 2 gamma_n S by a factor near 2 while n u <= 2^-20 (any
+    dimension below 2^33), plus half of c |a_r|_1 2^-400 (1 - (n + 4) u)
+    - eta / 2 >= (n + 1) 2^-990, which exceeds (1 + u) 2 n eta, since a
+    positive squared norm needs a square of at least eta / 2, and so
+    |a_r|_1 >= 2^-538.  Hence b_r - d' >= 0, the gap rounds d' - b_r <= 0
+    to a value <= 0, and the halfspace's lowest gap is -inf.
+
+    The bound needs finite arithmetic.  With v at most the upper limit,
+    every partial sum of either dot stays below 2^1021 in magnitude, and
+    rows with |b_r| > 2^1021 are never screened, so every slack compared
+    is finite.  Hyperplanes are never screened (their w_r is NaN, which
+    no slack reaches): the twin decides each of them.
+
+    The slacks cannot stand in for the twin's gaps: a matrix-vector row
+    and a one-row dot differ in the last bits on a third to a half of the
+    rows of the drivers' wedges, which would move the digits of an image.
+    So every factor not proven held runs the twin.  When the twin moves x,
+    the screen is taken again at the new point if the last one held a
+    later row; otherwise every later twin runs.
+    """
+    sets = list(sets)
+    try:
+        rows = _flat_rows(sets)
+    except SpaceMismatchError:
+        return None  # the loop raises where a point meets the first foreign set
+    if rows is None or any(type(c).project is not EuclideanHalfspace.project for c in sets):
+        return None
+    normals, offsets = rows
+    l1 = np.abs(normals).sum(axis=1)
+    screened = [c._lowest_gap == -math.inf and abs(c.offset) <= 2.0 ** 1021 for c in sets]
+    weights = np.where(screened, (normals.shape[1] + 1) * 2.0 ** -50 * l1, math.nan)
+    reach = 2.0 ** 1020 / max(float(l1.max()), 1.0)
+    count, first = len(sets), sets[0]
+    none_held = [False] * count
+
+    def screen(p) -> list:
+        """Whether each row provably holds p; the rows decided by the twin read False."""
+        size = math.sqrt(p.dot(p))
+        if 2.0 ** -400 <= size <= reach:
+            return (offsets - normals.dot(p) >= weights * size).tolist()
+        return none_held
+
+    def sweep(x: Point) -> Point:
+        first._check_point(x)
+        held = screen(x.payload)
+        for j in range(count):
+            if held[j]:
+                continue
+            y = sets[j].project(x)
+            if y is not x:
+                x = y
+                # the new point needs its own screen, taken where the last one held a later row
+                held = screen(x.payload) if True in held[j + 1:] else none_held
+        return x
+
+    return sweep
 
 
 class HyperbolicHalfspace(ConvexSet):

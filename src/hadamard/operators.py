@@ -20,7 +20,7 @@ import numbers
 import numpy as np
 
 from .barycenter import _frechet_means, _weight_tuple, convex_weights
-from .convex_sets import ConvexSet
+from .convex_sets import ConvexSet, _halfspace_sweep
 from .errors import ConstructionError, DomainError, NotAFixedPointError, SpaceMismatchError
 from .geometry import (
     EQ_TOL,
@@ -136,7 +136,7 @@ class Projection(Operator):
         _require(convex_set, ConvexSet, "projection set")
         object.__setattr__(self, "set", convex_set)
 
-    # Scalar twin kept: the drivers' projection runs, where a one-row block costs 2.5x.
+    # Scalar twin kept: projection runs' witness checks, where a one-row block costs 4x to 25x.
     def apply(self, x: Point) -> Point:
         return self.set.project(x)
 
@@ -159,16 +159,22 @@ class Composition(Operator):
     product notation TS.
     """
 
-    __slots__ = ("factors",)
+    __slots__ = ("factors", "_sweep")
 
     def __init__(self, factors):
         factors = _operators(factors, "factor")
         if not factors:
             raise ConstructionError("composition needs at least one factor")
         object.__setattr__(self, "factors", factors)
+        # projections onto flat halfspaces skip the factors a screen proves held
+        sets = [op.set for op in reversed(factors) if type(op) is Projection]
+        object.__setattr__(self, "_sweep",
+                           _halfspace_sweep(sets) if len(sets) == len(factors) else None)
 
-    # Scalar twin kept: the drivers' fixed-point runs, where a one-row block costs 2.2x.
+    # Scalar twin kept: the drivers' fixed-point runs, where a one-row block costs 2.4x to 140x.
     def apply(self, x: Point) -> Point:
+        if self._sweep is not None:
+            return self._sweep(x)
         for op in reversed(self.factors):
             x = op.apply(x)
         return x

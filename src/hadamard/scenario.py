@@ -31,6 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .barycenter import _STEP_TOL, _check_step_tol, convex_weights
 from .certifier import _check_count, _check_seed
 from .convex_sets import (
@@ -43,7 +45,7 @@ from .convex_sets import (
     Subtree,
 )
 from .errors import ConstructionError, HadamardError, InvalidPointError, ScenarioError
-from .geometry import Euclidean, Hyperboloid, Point, ProductSpace, SpaceModel
+from .geometry import Euclidean, Hyperboloid, Point, ProductSpace, SpaceModel, _exp_rows
 from .iterations import StopRule
 from .metric_tree import MetricTree
 from .operators import _check_alpha
@@ -269,6 +271,43 @@ def parse_point_spec(space: SpaceModel, text: str, line_no: int = 0, key: str = 
                         line_no=line_no, key=key)
 
 
+def _parse_points(space: SpaceModel, items) -> list[Point]:
+    """``parse_point_spec`` of each (text, line) item, in order, with one exp block.
+
+    The ``exp:`` tangents of a hyperboloid, or of a product's hyperboloid
+    factor, go through one ``_exp_rows`` call, whose rows equal
+    ``exp_from_base`` bit for bit.  If anything fails, the items are
+    parsed one by one, so that the error names the first bad line.
+    """
+    try:
+        return _block_points(space, items)
+    except (HadamardError, ValueError):
+        return [parse_point_spec(space, text, line_no, "point") for text, line_no in items]
+
+
+def _block_points(space: SpaceModel, items) -> list[Point]:
+    """The points of ``_parse_points``, raising at any bad item."""
+    if isinstance(space, ProductSpace):
+        halves = [(_split_product_spec(text.strip(), ln, "point"), ln) for text, ln in items]
+        left = _block_points(space.left, [(_strip_parens(a), ln) for (a, _), ln in halves])
+        right = _block_points(space.right, [(_strip_parens(b), ln) for (_, b), ln in halves])
+        return [space.point(pair) for pair in zip(left, right)]
+    # the tangent text of each exp: item, by its position
+    exps = {i: text.strip()[4:] for i, (text, _) in enumerate(items)
+            if isinstance(space, Hyperboloid) and text.strip().startswith("exp:")}
+    points = [None if i in exps else parse_point_spec(space, text, ln, "point")
+              for i, (text, ln) in enumerate(items)]
+    if exps:
+        # a bad token or a ragged list raises ValueError, and so does a wrong width
+        tangents = np.array([[float(tok) for tok in t.split(",")] for t in exps.values()])
+        if tangents.shape[1] != space.dim:
+            raise ValueError(f"tangents need {space.dim} coordinates")
+        block = _exp_rows(tangents)
+        for k, i in enumerate(exps):
+            points[i] = space.row(block, k)
+    return points
+
+
 def point_spec(point: Point) -> str:
     """Full-precision textual form of a point, inverse to parse_point_spec."""
     space = point.space
@@ -467,9 +506,7 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None) -> Scenar
         if not point_items:
             raise ScenarioError("barycenter needs at least one 'point' line",
                                 line_no=run.line_no, key="point")
-        scenario.mean_points = [
-            parse_point_spec(space, v, ln, "point") for v, ln in point_items
-        ]
+        scenario.mean_points = _parse_points(space, point_items)
         weights = run.get("weights")
         if weights is not None:
             scenario.weights = _parse_weights(weights, len(scenario.mean_points), "points")

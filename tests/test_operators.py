@@ -1,7 +1,12 @@
 """Operator descriptors, the discrepancy, and the alpha-firm calculus."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadamard import (
     CheckSpec,
@@ -11,9 +16,12 @@ from hadamard import (
     DomainError,
     Euclidean,
     EuclideanHalfspace,
+    EuclideanHyperplane,
     GeodesicBall,
+    HadamardError,
     Identity,
     NotAFixedPointError,
+    Point,
     Pointwise,
     Projection,
     SpaceMismatchError,
@@ -487,3 +495,169 @@ class TestCertificates:
         by_set = self.check(PROJECTION_FIRM, e2, 200, 4, set=half_v)
         by_op = self.check(PROJECTION_FIRM, e2, 200, 4, op=Projection(half_v))
         assert by_set == by_op
+
+
+# ---------------------------------------------------------------------
+# compositions of flat projections: the screen against the factor loop
+# ---------------------------------------------------------------------
+
+
+def factor_loop(comp, x):
+    """Composition.apply as the plain loop over its factors."""
+    for op in reversed(comp.factors):
+        x = op.apply(x)
+    return x
+
+
+def outcome(apply, x):
+    """The payload in hex and whether it is x itself, or the error's type and message."""
+    try:
+        y = apply(x)
+    except HadamardError as exc:
+        return type(exc), str(exc)
+    return [v.hex() for v in y.payload.tolist()], y is x
+
+
+@contextlib.contextmanager
+def twin_calls():
+    """Record (set, payload bytes) of every EuclideanHalfspace.project call."""
+    calls = []
+    project = EuclideanHalfspace.project
+
+    def spy(self, x):
+        calls.append((self, x.payload.tobytes()))
+        return project(self, x)
+
+    with mock.patch.object(EuclideanHalfspace, "project", spy):
+        yield calls
+
+
+def flat_composition(sets):
+    """The composition applying the sets' projections in list order."""
+    return Composition([Projection(c) for c in reversed(sets)])
+
+
+def wedge(rng, dim=42, halfspaces=33):
+    """Halfspaces that hold a disc around x0's plane, and two hyperplanes
+    through the origin meeting at 0.8 rad in that plane, in a random order."""
+    space = Euclidean(dim)
+    basis, _ = np.linalg.qr(rng.standard_normal((dim, 3)))
+    v1, v2, w = basis.T
+    sets = [EuclideanHyperplane(space, v1, 0.0, name="P"),
+            EuclideanHyperplane(space, -np.cos(0.8) * v1 + np.sin(0.8) * v2, 0.0, name="Q")]
+    for k in range(halfspaces):
+        g = rng.standard_normal(dim)
+        a = g - (g @ w - rng.uniform(0.2, 1.0)) * w     # <a, w> in [0.2, 1]
+        sets.append(EuclideanHalfspace(space, a, 0.0, name=f"H{k}"))
+    order = rng.permutation(len(sets))
+    x0 = space.point(-100.0 * w + 1.5 * v1 - 0.5 * v2)
+    return [sets[k] for k in order], x0
+
+
+class TestFlatComposition:
+    """A composition of flat projections skips the factors a screen proves held,
+    and returns what the factor loop returns, bit for bit."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(dim=st.integers(1, 64), count=st.integers(1, 60), plane_share=st.floats(0.0, 1.0),
+           log_scale=st.floats(-300.0, 150.0), seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_factor_loop(self, dim, count, plane_share, log_scale, seed):
+        space = Euclidean(dim)
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** log_scale
+        p = scale * rng.uniform(-1.0, 1.0, dim)
+        sets = []
+        for k in range(count):
+            normal = rng.standard_normal(dim) * 10.0 ** rng.uniform(-3.0, 3.0)
+            cls = EuclideanHyperplane if rng.uniform() < plane_share else EuclideanHalfspace
+            kind = rng.uniform()
+            if kind < 0.5:
+                # the boundary a few ulps from p, as the twin's own dot sees it
+                offset = float(normal @ p)
+                for _ in range(int(rng.integers(0, 4))):
+                    offset = float(np.nextafter(offset, rng.choice([-np.inf, np.inf])))
+            elif kind < 0.95:
+                offset = float(np.linalg.norm(normal)) * scale * rng.uniform(-2.0, 2.0)
+            else:
+                # a boundary past the coordinate bound: an image there raises
+                offset = float(np.linalg.norm(normal)) * rng.choice([-3e150, 3e150])
+            sets.append(cls(space, normal, offset, name=f"C{k}"))
+        comp = flat_composition(sets)
+        assert comp._sweep is not None
+        x = space.point(p)
+        for _ in range(2):
+            with twin_calls() as calls:
+                got = outcome(comp.apply, x)
+            assert got == outcome(lambda x: factor_loop(comp, x), x)
+            # every twin the screen skipped returns its input
+            ran = {(id(c), data) for c, data in calls}
+            y = x
+            for c in sets:
+                try:
+                    image = c.project(y)
+                except HadamardError:
+                    break
+                if (id(c), y.payload.tobytes()) not in ran:
+                    assert image is y
+                y = image
+            if isinstance(got[0], type):
+                break
+            x = comp.apply(x)
+
+    def test_wedge_runs_only_the_hyperplanes(self, rng):
+        sets, x0 = wedge(rng)
+        comp = flat_composition(sets)
+        trace = fixed_point_iterate(comp, x0, StopRule(max_iter=200))
+        assert trace.stop_reason == "converged"
+        with twin_calls() as calls:
+            for x in trace.points:
+                comp.apply(x)
+        # the factor loop runs all 35 projections at every point
+        assert len(calls) == 2 * len(trace.points)
+        assert {c.name for c, _ in calls} == {"P", "Q"}
+
+    def test_points_it_cannot_bound_run_the_loops_twins(self, rng):
+        sets, _ = wedge(rng, dim=5, halfspaces=6)
+        comp = flat_composition(sets)
+        space = sets[0].space
+        near_origin = space.point(np.full(5, 2.0 ** -410))
+        unvalidated = [Point(space, np.array([np.inf, 0, 0, 0, 0])),
+                       Point(space, np.array([np.nan, 0, 0, 0, 0]))]
+        for x in [near_origin] + unvalidated:
+            # the twins warn on the unvalidated coordinates, in either path
+            with np.errstate(invalid="ignore"):
+                with twin_calls() as loop_calls:
+                    want = outcome(lambda x: factor_loop(comp, x), x)
+                with twin_calls() as calls:
+                    assert outcome(comp.apply, x) == want
+            assert calls == loop_calls
+        assert len(loop_calls) == 1  # the first twin raises on the NaN coordinate
+
+    def test_errors_are_the_loops(self, e2, e3):
+        sets = [EuclideanHalfspace(e2, [0, 1], 0.0, name="low"),
+                EuclideanHyperplane(e2, [1, 0], 2e150, name="far")]
+        comp = flat_composition(sets)
+        # the image on "far" is past the coordinate bound
+        for x in (e2.point([1.0, 1.0]), e3.point([0, 0, 0]), "x"):
+            want = outcome(lambda x: factor_loop(comp, x), x)
+            assert isinstance(want[0], type)
+            assert outcome(comp.apply, x) == want
+
+    def test_other_compositions_keep_the_loop(self, e2, e3, half_v):
+        ball = GeodesicBall(e2.point([0, 0]), 1.0)
+
+        class Overriding(EuclideanHalfspace):
+            __slots__ = ()
+
+            def project(self, x):
+                return x
+
+        others = [
+            Composition([Projection(ball), Projection(half_v)]),
+            Composition([Identity(), Projection(half_v)]),
+            flat_composition([half_v, EuclideanHalfspace(e3, [0, 0, 1], 0.0)]),
+            flat_composition([half_v, Overriding(e2, [1, 0], 0.0)]),
+        ]
+        assert all(comp._sweep is None for comp in others)
+        with pytest.raises(SpaceMismatchError):
+            others[2].apply(e2.point([0, 1]))

@@ -1,5 +1,8 @@
 """Scenario parsing, validation errors, and the point-spec round trip."""
 
+from unittest import mock
+
+import numpy as np
 import pytest
 
 from hadamard import (
@@ -386,3 +389,81 @@ class TestRoundTrip:
         p = parse_point_spec(product, "0.5,-1;vertex,a")
         assert p == parse_point_spec(product, "(0.5,-1);(vertex,a)")
         assert point_spec(p) == "(0.5,-1);(vertex,a)"
+
+
+def mean_doc(space: str, points: list[str]) -> str:
+    """A barycenter document over ``space`` (its [space] lines) with these point texts."""
+    return ("[space]\n" + space + "\n\n[run]\nalgorithm = barycenter\n"
+            + "".join(f"point = {p}\n" for p in points) + "output = mean.csv\n")
+
+
+def bits(point) -> list:
+    """The payload of a point, or of each factor of a product point, floats in hex."""
+    if isinstance(point.payload, tuple):
+        return [h for part in point.payload for h in bits(part)]
+    if isinstance(point.payload, np.ndarray):
+        return [v.hex() for v in point.payload.tolist()]
+    return [point.payload]
+
+
+H2 = "kind = hyperboloid\ndim = 2"
+E2_H2 = ("kind = product\nleft.kind = euclidean\nleft.dim = 2\n"
+         "right.kind = hyperboloid\nright.dim = 2")
+H3_TREE = ("kind = product\nleft.kind = hyperboloid\nleft.dim = 3\n"
+           "right.kind = tree\nright.edge = o,a,1\nright.edge = o,b,2")
+
+
+def tangents(rng, count, dim):
+    return ["exp:" + ",".join(f"{v:.17g}" for v in 0.8 * rng.standard_normal(dim))
+            for _ in range(count)]
+
+
+class TestMeanPoints:
+    """A barycenter's exp: points are one exp block, and a bad one still names its line."""
+
+    def test_block_rows_equal_exp_from_base(self, rng):
+        hyperbolic = tangents(rng, 14, 2) + ["1,0,0"]
+        flat_first = [f"(0.5,{k});({t})" for k, t in enumerate(tangents(rng, 9, 2))]
+        flat_first.insert(4, "(0.5,-1);(1,0,0)")
+        tree_second = [f"({t});(edge,{k % 2},0.5)" for k, t in enumerate(tangents(rng, 9, 3))]
+        for space, points in ((H2, hyperbolic), (E2_H2, flat_first), (H3_TREE, tree_second)):
+            # the block path makes no per-point call
+            with mock.patch.object(Hyperboloid, "exp_from_base", side_effect=AssertionError):
+                scenario = parse_scenario(mean_doc(space, points))
+            assert len(scenario.mean_points) == len(points)
+            for point, text in zip(scenario.mean_points, points):
+                # parse_point_spec maps each tangent through exp_from_base on its own
+                assert bits(point) == bits(parse_point_spec(scenario.space, text))
+
+    @pytest.mark.parametrize("space, bad, match", [
+        (H2, "exp:0.3", "tangent vector must have 2 coordinates"),
+        (H2, "exp:800,0.4", "exponential map at radius 800 is not representable"),
+        (H2, "exp:nan,0.4", "exponential map at radius nan is not representable"),
+        (H2, "exp:0.3,zero", "expected comma-separated reals"),
+        (H2, "exp:", "expected comma-separated reals"),
+        (H2, "1,0", "expected 3 coordinates"),
+        (E2_H2, "(0,0);(exp:0.3,0.1,0.2)", "tangent vector must have 2 coordinates"),
+        (E2_H2, "(0,0),(exp:0.3,0.1)", "product point needs 'left;right'"),
+        (H3_TREE, "(exp:900,0,0);(edge,0,0.5)", "exponential map at radius 900"),
+    ], ids=["width", "radius", "nan", "token", "empty", "ambient", "product-width",
+            "product-split", "product-radius"])
+    def test_bad_point_names_its_line(self, rng, space, bad, match):
+        good = tangents(rng, 5, 3 if space == H3_TREE else 2)
+        if space == E2_H2:
+            good = [f"(1,2);({t})" for t in good]
+        elif space == H3_TREE:
+            good = [f"({t});(vertex,a)" for t in good]
+        doc = mean_doc(space, good[:3] + [bad] + good[3:])
+        with pytest.raises(ScenarioError, match=match) as err:
+            parse_scenario(doc)
+        assert (err.value.line_no, err.value.key) == (doc.splitlines().index(f"point = {bad}") + 1,
+                                                      "point")
+
+    def test_first_bad_line_is_named(self):
+        for points, first in ((["exp:0.1,0.2", "1,0", "exp:900,0"], 2),
+                              (["exp:0.1,0.2", "exp:900,0", "1,0"], 2),
+                              (["exp:0.1", "exp:0.1,0.2,0.3"], 1)):
+            doc = mean_doc(H2, points)
+            with pytest.raises(ScenarioError) as err:
+                parse_scenario(doc)
+            assert err.value.line_no == doc.splitlines().index(f"point = {points[first - 1]}") + 1
