@@ -9,6 +9,11 @@ files the run writes, its exit code and its printed text without the
 timing figures.  Two checkouts that print the same lines computed the
 same bits.  Each suite line also counts the witnesses that reproduce
 their defect through ``reevaluate_witness``; all of them should.
+
+``tests/golden/fingerprints.txt`` holds the committed printout, and
+``tests/test_golden.py`` compares it with a fresh one.  A change that
+moves a line rewrites the file with
+``python tests/fingerprint.py > tests/golden/fingerprints.txt``.
 """
 
 import contextlib
@@ -86,11 +91,14 @@ def scenario_line(path: Path) -> str:
     return f"{path.name}: {digest.hexdigest()} (exit {status}, {len(files)} file(s))"
 
 
+def lines() -> list[str]:
+    """The printed lines: the suite seeds in order, then the scenarios by file name."""
+    return ([suite_line(seed) for seed in SEEDS]
+            + [scenario_line(path) for path in sorted((ROOT / "scenarios").glob("*.scn"))])
+
+
 def main() -> None:
-    for seed in SEEDS:
-        print(suite_line(seed))
-    for path in sorted((ROOT / "scenarios").glob("*.scn")):
-        print(scenario_line(path))
+    print("\n".join(lines()))
 
 
 if __name__ == "__main__":
