@@ -36,9 +36,9 @@ from .geometry import (
     Point,
     SpaceModel,
     _geodesic,
-    _is_bool,
     _is_integer,
     _is_tolerance,
+    _real_vector,
     check_same_space,
     distance,
     geodesic_point,
@@ -60,32 +60,22 @@ _STEP_TOL = 1e-10
 
 
 def _weight_tuple(weights) -> tuple:
-    """The weights as a tuple, not yet converted or checked."""
-    try:
-        # a string is iterable, but its characters are not weights
-        if isinstance(weights, str):
-            raise TypeError
-        return tuple(weights)
-    except TypeError:
-        raise ConstructionError(f"weights must be real numbers, got {weights!r}") from None
+    """The weights, a real vector of one axis, as a tuple of floats not yet range-checked."""
+    values = _real_vector(weights, ConstructionError, "weights must be real numbers")
+    if values.ndim != 1:
+        raise ConstructionError(f"weights must be one list of real numbers, got {weights!r}")
+    return tuple(values.tolist())
 
 
 def convex_weights(weights) -> tuple[float, ...]:
-    """The weights as floats, checked finite, nonnegative and summing to 1."""
-    try:
-        values = _weight_tuple(weights)
-        # float() takes a bool, but a bool is not a weight
-        if any(_is_bool(w) for w in values):
-            raise TypeError
-        weights = tuple(float(w) for w in values)
-    except (TypeError, ValueError, OverflowError):
-        raise ConstructionError(f"weights must be real numbers, got {weights!r}") from None
-    if not all(0.0 <= w < math.inf for w in weights):
+    """A real vector of weights as floats, checked finite, nonnegative and summing to 1."""
+    values = _weight_tuple(weights)
+    if not all(0.0 <= w < math.inf for w in values):
         raise ConstructionError("weights must be finite and nonnegative")
-    total = math.fsum(weights)
+    total = math.fsum(values)
     if abs(total - 1.0) > _WEIGHT_SUM_TOL:
         raise ConstructionError(f"weights must sum to 1, got {total!r}")
-    return weights
+    return values
 
 
 class WeightedPoints:
@@ -99,9 +89,7 @@ class WeightedPoints:
         if not points:
             raise ConstructionError("need at least one point")
         if len(points) != len(weights):
-            raise ConstructionError(
-                f"{len(points)} points but {len(weights)} weights"
-            )
+            raise ConstructionError(f"{len(points)} points but {len(weights)} weights")
         weights = convex_weights(weights)
         space = check_same_space(*points)
         object.__setattr__(self, "points", points)

@@ -18,7 +18,6 @@ recorded witness can always be re-evaluated to reproduce its defect.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -29,7 +28,7 @@ import numpy as np
 from .barycenter import _frechet_means, _variance
 from .convex_sets import ConvexSet, _projection
 from .errors import CheckSpecError, DomainError
-from .geometry import Point, SpaceModel, _cat0, _is_integer, _quasilinear
+from .geometry import Point, SpaceModel, _cat0, _is_integer, _quasilinear, _real, _real_vector
 from .iterations import (
     StopRule,
     approximate_shadows,
@@ -253,11 +252,12 @@ def _theorem_subjects(spec: CheckSpec):
     """The composed or combined operator of a theorem check and its certified constant."""
     if spec.kind == COMBINATION_THEOREM:
         ops = _payload(spec, "ops", Operator, True)
-        alphas = _payload(spec, "alphas", numbers.Real, True)
+        alphas, weights = (_real_vector(_payload(spec, key), CheckSpecError,
+                                        f"combination payload '{key}' must be real numbers")
+                           for key in ("alphas", "weights"))
         if len(alphas) != len(ops):
             raise CheckSpecError(
                 f"combination check has {len(ops)} operators but {len(alphas)} constants")
-        weights = _payload(spec, "weights", numbers.Real, True)
         return ConvexCombination(weights, ops), combination_alpha(alphas)
     factors = _factors(spec)
     composed = Composition(tuple(reversed([op for op, _ in factors])))
@@ -490,9 +490,8 @@ def _one_row(spec: CheckSpec, witness) -> list:
         if entry == "p":
             value = spec.space.stack([value])
         elif entry == "t":
-            if not isinstance(value, numbers.Real):
-                raise CheckSpecError(f"a '{spec.kind}' witness needs a number, got {value!r}")
-            value = np.array([value], dtype=float)
+            what = f"a '{spec.kind}' witness needs a number"
+            value = np.array([_real(value, CheckSpecError, what)])
         else:
             value = [value]
         columns.append(value)

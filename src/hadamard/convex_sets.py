@@ -26,6 +26,8 @@ from .geometry import (
     _minkowski,
     _normalize,
     _normalized,
+    _real,
+    _real_vector,
     _same_space,
     check_same_space,
     distance,
@@ -103,12 +105,9 @@ class EuclideanHalfspace(ConvexSet):
         if not isinstance(space, Euclidean):
             raise ConstructionError(f"{type(self).__name__} requires a Euclidean space")
         super().__init__(space, self.kind if name is None else name)
-        try:
-            arr = np.array(normal, dtype=float)
-            offset = float(offset)
-        except (TypeError, ValueError, OverflowError):
-            raise ConstructionError(f"{self.kind} normal and offset must be real numbers, "
-                                    f"got {normal!r} and {offset!r}") from None
+        what = f"{self.kind} normal and offset must be real numbers"
+        arr = _real_vector(normal, ConstructionError, what)
+        offset = _real(offset, ConstructionError, what)
         if arr.shape != (space.dim,):
             raise ConstructionError(f"normal must have {space.dim} coordinates")
         # bounded as a point's coordinates are, so that arr @ arr stays finite
@@ -310,10 +309,7 @@ class HyperbolicHalfspace(ConvexSet):
         if not isinstance(space, Hyperboloid):
             raise ConstructionError("HyperbolicHalfspace requires a Hyperboloid space")
         super().__init__(space, name)
-        try:
-            arr = np.array(normal, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise ConstructionError(f"normal must be real numbers, got {normal!r}") from None
+        arr = _real_vector(normal, ConstructionError, "normal must be real numbers")
         if arr.shape != (space.dim + 1,):
             raise ConstructionError(f"normal must have {space.dim + 1} ambient coordinates")
         coords = arr.tolist()
@@ -372,10 +368,7 @@ class GeodesicBall(ConvexSet):
         if not isinstance(center, Point):
             raise ConstructionError(f"ball center must be a point, got {center!r}")
         super().__init__(center.space, name)
-        try:
-            radius = float(radius)
-        except (TypeError, ValueError, OverflowError):
-            raise ConstructionError(f"ball radius must be a real number, got {radius!r}") from None
+        radius = _real(radius, ConstructionError, "ball radius must be a real number")
         if not (math.isfinite(radius) and radius > 0):
             raise ConstructionError(f"ball radius must be positive, got {radius}")
         object.__setattr__(self, "center", center)

@@ -63,21 +63,53 @@ _COORD_LIMIT = 1e150
 # Sweep cap of the iterative mean solvers; the hyperboloid iteration
 # contracts linearly and stabilizes well within it.
 _SWEEP_LIMIT = 200
-
-
-def _is_bool(value) -> bool:
-    """Whether ``value`` is a Python or NumPy bool, which no numeric argument takes."""
-    return isinstance(value, (bool, np.bool_))
+# The array types of a real vector: every integer, and floats up to float64.
+_REAL_ARRAY_CODES = np.typecodes["AllInteger"] + "efd"
 
 
 def _is_integer(value) -> bool:
     """Whether ``value`` is a Python or NumPy integer; a bool is not one."""
-    return type(value) is int or (isinstance(value, numbers.Integral) and not _is_bool(value))
+    return type(value) is int or (isinstance(value, numbers.Integral) and type(value) is not bool)
+
+
+# The one rule for the numbers a caller passes.  A real number is an int, a
+# float, a ``Fraction``, a NumPy integer or floating scalar or any other real
+# of the ``numbers`` tower, never a bool.  A real vector is an integer or float
+# array (float64 at most), or a list or tuple of real numbers.  Anything else,
+# a real beyond float range included, raises the site's ``error`` with ``what``.
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number; a float passes the first test."""
+    return type(value) is float or (isinstance(value, numbers.Real) and type(value) is not bool)
+
+
+def _real(value, error: type, what: str) -> float:
+    """A real number as a float."""
+    if _is_real(value):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise error(f"{what}, got {value!r}")
+
+
+def _real_vector(values, error: type, what: str) -> np.ndarray:
+    """A real vector as a new float64 array of its shape."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.char in _REAL_ARRAY_CODES:
+            return values.astype(float)
+    elif isinstance(values, (list, tuple)) and all(map(_is_real, values)):
+        try:
+            # float() of each entry, as ``_real`` takes it, so that no NumPy cast warns
+            return np.array(list(map(float, values)))
+        except OverflowError:
+            pass
+    raise error(f"{what}, got {values!r}")
 
 
 def _is_tolerance(value) -> bool:
-    """Whether ``value`` is a finite real number >= 0; a bool or an array is not one."""
-    return isinstance(value, numbers.Real) and not _is_bool(value) and 0.0 <= value < math.inf
+    """Whether ``value`` is a finite real number >= 0."""
+    return _is_real(value) and 0.0 <= value < math.inf
 
 
 def _require(value, kind: type, label: str) -> None:
@@ -291,14 +323,12 @@ class CoordinateSpace(SpaceModel):
         object.__setattr__(self, "dim", int(dim))
 
     def validate_payload(self, payload):
-        try:
-            arr = _readonly(payload)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidPointError(f"coordinates must be real numbers, got {payload!r}") from None
+        arr = _real_vector(payload, InvalidPointError, "coordinates must be real numbers")
         n = self.dim + self._extra
         if arr.shape != (n,):
             raise InvalidPointError(f"expected {n} coordinates, got shape {arr.shape}")
         self._check_coordinates(arr)
+        arr.setflags(write=False)
         return arr
 
     def _check_coordinates(self, arr) -> list:
@@ -325,11 +355,6 @@ class CoordinateSpace(SpaceModel):
 
     def payloads_equal(self, a, b) -> bool:
         return bool(np.array_equal(a, b))
-
-    # The flat mean is the one-row case of the block mean.
-    def _mean(self, points, weights, step_tol):
-        blocks = [p.payload[None] for p in points]
-        return self.row(self._block_mean(blocks, np.array([weights]), step_tol), 0)
 
     # Blocks are (n, dim + _extra) float arrays.
 
@@ -384,6 +409,11 @@ class Euclidean(CoordinateSpace):
         t = np.asarray(t, dtype=float)[:, None]
         return (1.0 - t) * a + t * b
 
+    # The flat mean is the one-row case of the block mean.
+    def _mean(self, points, weights, step_tol):
+        blocks = [p.payload[None] for p in points]
+        return self.row(self._block_mean(blocks, np.array([weights]), step_tol), 0)
+
     def _block_mean(self, blocks, weights, step_tol):
         # the coordinate-wise weighted average, summed in point order
         acc = np.zeros((len(weights), self.dim))
@@ -406,10 +436,7 @@ def minkowski(u, v) -> float:
 
 def _ambient(v) -> list:
     """An ambient vector as a list of floats, for the public helpers' checks."""
-    try:
-        arr = np.asarray(v, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"Minkowski vector must be real numbers, got {v!r}") from None
+    arr = _real_vector(v, DomainError, "Minkowski vector must be real numbers")
     if arr.ndim != 1 or len(arr) < 2:
         raise DomainError(f"Minkowski vector must have at least 2 coordinates, got shape "
                           f"{arr.shape}")
@@ -480,6 +507,11 @@ def _exp_rows(v):
     Raises ``InvalidPointError`` when any row's image is not representable
     in floating point.  ``Hyperboloid.exp_from_base`` is its one-row case.
     """
+    # a row with a coordinate past the radius bound, or a NaN one, is refused before its squares
+    wide = ~(np.abs(v) <= _EXP_RADIUS).all(axis=1)
+    if wide.any():
+        raise InvalidPointError(f"exponential map at radius {math.hypot(*v[wide][0]):g} "
+                                f"is not representable in floating point")
     r = np.sqrt(_dot(v.T, v.T))
     in_range = r <= _EXP_RADIUS
     # rows within 1e-300 of the apex stay on it, and so do the rows out of
@@ -556,11 +588,7 @@ class Hyperboloid(CoordinateSpace):
 
     def exp_from_base(self, tangent) -> Point:
         """Exponential map at the apex of a tangent vector in R^dim: one row of ``_exp_rows``."""
-        try:
-            v = np.asarray(tangent, dtype=float)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidPointError(f"tangent coordinates must be real numbers, "
-                                    f"got {tangent!r}") from None
+        v = _real_vector(tangent, InvalidPointError, "tangent coordinates must be real numbers")
         if v.shape != (self.dim,):
             raise InvalidPointError(f"tangent vector must have {self.dim} coordinates")
         return self.row(_exp_rows(v[None]), 0)
@@ -740,11 +768,8 @@ def geodesic_point(p: Point, q: Point, t: float) -> Point:
     endpoints are returned exactly at t = 0 and t = 1.
     """
     space = check_same_space(p, q)
-    try:
-        ok = 0.0 <= t <= 1.0
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
+    # the rule's float test inline: the trees workload makes 16 calls per query
+    if not ((type(t) is float or _is_real(t)) and 0.0 <= t <= 1.0):
         raise DomainError(f"interpolation parameter must be in [0, 1], got {t}")
     return _geodesic(space, p, q, t)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, EdgeListError, InvalidPointError
-from .geometry import _COORD_LIMIT, Point, SpaceModel, _is_integer
+from .geometry import _COORD_LIMIT, Point, SpaceModel, _is_integer, _real
 
 __all__ = ["TreeEdge", "TreeLocation", "MetricTree", "parse_edge_list"]
 
@@ -73,14 +73,11 @@ class MetricTree(SpaceModel):
         total = 0.0
         for spec in edges:
             try:
-                if isinstance(spec, TreeEdge):
-                    a, b, length = spec.a, spec.b, spec.length
-                else:
-                    a, b, length = spec
-                a, b, length = str(a), str(b), float(length)
-            except (TypeError, ValueError, OverflowError):
-                raise ConstructionError(f"edge {spec!r} is not an (a, b, length) triple "
-                                        f"with a numeric length") from None
+                a, b, length = (spec.a, spec.b, spec.length) if isinstance(spec, TreeEdge) else spec
+            except (TypeError, ValueError):
+                raise ConstructionError(f"edge {spec!r} is not an (a, b, length) triple") from None
+            a, b = str(a), str(b)
+            length = _real(length, ConstructionError, f"edge ({a}, {b}) needs a numeric length")
             if a == b:
                 raise ConstructionError(f"self-loop at vertex '{a}'")
             if not 0.0 < length < math.inf:
@@ -323,13 +320,10 @@ class MetricTree(SpaceModel):
                 raise InvalidPointError(
                     "tree payload must be a TreeLocation or an (edge, offset) pair"
                 )
-        try:
-            if not _is_integer(edge):
-                raise TypeError
-            edge, offset = int(edge), float(offset)
-        except (TypeError, ValueError, OverflowError):
-            raise InvalidPointError(f"tree payload needs an integer edge and a numeric offset, "
-                                    f"got {payload!r}") from None
+        what = "tree payload needs an integer edge and a numeric offset"
+        if not _is_integer(edge):
+            raise InvalidPointError(f"{what}, got {payload!r}")
+        edge, offset = int(edge), _real(offset, InvalidPointError, what)
         if not 0 <= edge < len(self.edges):
             raise InvalidPointError(f"edge index {edge!r} out of range")
         if not 0.0 <= offset <= self.edges[edge].length:

@@ -15,7 +15,7 @@ samples the defects, the composition condition among them.
 
 from __future__ import annotations
 
-import numbers
+from functools import reduce
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .geometry import (
     Point,
     SpaceModel,
     _quasilinear,
+    _real,
+    _real_vector,
     _require,
     _same_space,
     check_same_space,
@@ -52,9 +54,7 @@ __all__ = [
 
 
 def _check_alpha(alpha: float, label: str = "alpha") -> float:
-    if not isinstance(alpha, numbers.Real):
-        raise DomainError(f"{label} must be a real number, got {alpha!r}")
-    alpha = float(alpha)
+    alpha = _real(alpha, DomainError, f"{label} must be a real number")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"{label} must lie in (0, 1), got {alpha}")
     return alpha
@@ -312,23 +312,23 @@ def composition_alpha(alpha_s: float, alpha_t: float) -> float:
     return (a_s + a_t - 2.0 * a_s * a_t) / (1.0 - a_s * a_t)
 
 
-def fold_composition_alpha(alphas) -> float:
-    """Left-to-right fold of ``composition_alpha`` over a list of constants."""
-    alphas = [_check_alpha(a) for a in alphas]
+def _alphas(alphas) -> list:
+    """The constants of a fold, a real vector, each checked; at least one."""
+    alphas = [_check_alpha(a) for a in _real_vector(alphas, DomainError,
+                                                       "constants must be real numbers")]
     if not alphas:
         raise DomainError("need at least one constant")
-    acc = alphas[0]
-    for a in alphas[1:]:
-        acc = composition_alpha(acc, a)
-    return acc
+    return alphas
+
+
+def fold_composition_alpha(alphas) -> float:
+    """Left-to-right fold of ``composition_alpha`` over a list of constants."""
+    return reduce(composition_alpha, _alphas(alphas))
 
 
 def combination_alpha(alphas) -> float:
     """Constant certified for a convex combination: the largest input."""
-    alphas = [_check_alpha(a) for a in alphas]
-    if not alphas:
-        raise DomainError("need at least one constant")
-    return max(alphas)
+    return max(_alphas(alphas))
 
 
 def _composition_condition(dist, a_s, a_t, x, y, sx, sy, tsx, tsy):

@@ -166,9 +166,9 @@ def _checked(at, key: str | None, check, *args, **kwargs):
         raise _error(str(exc), at, key)
 
 
-def _floats(value: str, line_no: int, key: str) -> list[float]:
+def _floats(value: str, line_no: int, key: str) -> np.ndarray:
     try:
-        return [float(tok) for tok in value.split(",")]
+        return np.array([float(tok) for tok in value.split(",")])
     except ValueError:
         raise ScenarioError(f"expected comma-separated reals, got {value!r}",
                             line_no=line_no, key=key)

@@ -421,10 +421,15 @@ class TestInvalidValues:
          "halfspace normal must be finite and at most 1e+150 in magnitude"),
         ("certify", CERTIFY_DOC.replace("edge = o,c,1", "edge = o,c,1e300"), [],
          "edge lengths total 1e+300, above 1e+150: squared distances overflow"),
+        # the suite turns warnings into errors, as CI's scenario step does: the
+        # tangent's square used to overflow with a RuntimeWarning
+        ("mean", HYPERBOLIC_MEAN_DOC.replace("exp:-0.4,1.1", "exp:1e200,0"), [],
+         "key 'point': exponential map at radius 1e+200 is not representable"),
     ], ids=["max-iter-0", "tol-negative", "tol-nan", "seed-negative", "mean-tol-nan",
             "mean-tol-negative", "scenario-residual-tol-nan", "scenario-seed-negative",
             "mean-weights-nan", "averaged-weights-nan", "halfspace-offset-nan",
-            "x0-overflows-distances", "normal-overflows-norm", "tree-squares-overflow"])
+            "x0-overflows-distances", "normal-overflows-norm", "tree-squares-overflow",
+            "exp-tangent-overflows"])
     def test_exit_2_without_artifact(self, tmp_path, capsys, command, doc, flags, message):
         out = tmp_path / "out.csv"
         scn = write(tmp_path, "s.scn", doc.format(out=out))

@@ -11,6 +11,7 @@ hyperbolic halfspace's space check beside its flat twin.
 
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +40,8 @@ from hadamard import (
     approximate_shadows,
     averaged_projections,
     cat0_defect,
+    combination_alpha,
+    composition_alpha,
     cyclic_projections,
     distance,
     fixed_point_iterate,
@@ -211,6 +214,48 @@ MALFORMED = {
     "combination-operator-int": (ConstructionError, "of type Operator",
                                  lambda: ConvexCombination([1.0], [1])),
     "projection-set-text": (ConstructionError, "of type ConvexSet", lambda: Projection("x")),
+    # one rule for every number: a real number is never a bool, a string, a
+    # Decimal, a complex or an array, and a real vector holds only real numbers.
+    # Each of these was accepted, or ended in a bare exception or warning.
+    "tree-geodesic-t-decimal": (DomainError, "[0, 1]", lambda: geodesic_point(
+        TRIPOD.vertex_point("a"), TRIPOD.vertex_point("b"), Decimal("0.5"))),
+    "tree-cat0-t-decimal": (DomainError, "[0, 1]", lambda: cat0_defect(
+        TRIPOD.vertex_point("a"), TRIPOD.vertex_point("b"), TRIPOD.vertex_point("a"),
+        Decimal("0.5"))),
+    "geodesic-t-array": (DomainError, "[0, 1]", lambda: geodesic_point(P, Q, np.array([0.5]))),
+    "euclidean-point-complex": (InvalidPointError, "real numbers",
+                                lambda: E2.point(np.array([1 + 0j, 0]))),
+    "ball-radius-str": (ConstructionError, "radius", lambda: GeodesicBall(P, "1.5")),
+    "ball-radius-bool": (ConstructionError, "radius", lambda: GeodesicBall(P, True)),
+    "halfspace-offset-str": (ConstructionError, "real numbers",
+                             lambda: EuclideanHalfspace(E2, [0, 1], "2")),
+    "euclidean-point-str": (InvalidPointError, "real numbers", lambda: E2.point(["1", "2"])),
+    "euclidean-point-bool": (InvalidPointError, "real numbers", lambda: E2.point([True, False])),
+    "tree-length-str": (ConstructionError, "numeric length",
+                        lambda: MetricTree([("a", "b", "2")])),
+    "tree-offset-str": (InvalidPointError, "numeric offset", lambda: TRIPOD.point((0, "0.5"))),
+    "weights-str-entry": (ConstructionError, "weights", lambda: WeightedPoints([P], ["1"])),
+    "tangent-str": (InvalidPointError, "real numbers", lambda: H2.exp_from_base(["0.1", "0.2"])),
+    "euclidean-point-bool-array": (InvalidPointError, "real numbers",
+                                   lambda: E2.point(np.array([True, False]))),
+    "halfspace-normal-bool": (ConstructionError, "real numbers",
+                              lambda: EuclideanHalfspace(E2, [True, False], 0)),
+    "hyperbolic-normal-str": (ConstructionError, "real numbers",
+                              lambda: HyperbolicHalfspace(H2, ["0", "1", "0"])),
+    "minkowski-bool": (DomainError, "real numbers", lambda: minkowski([True, False], [1, 0])),
+    "tree-length-bool": (ConstructionError, "numeric length",
+                         lambda: MetricTree([("a", "b", True)])),
+    "alpha-huge-int": (DomainError, "real number", lambda: composition_alpha(10**400, 0.5)),
+    "combination-alpha-scalar": (DomainError, "constants must be real numbers",
+                                 lambda: combination_alpha(0.5)),
+    "fold-alpha-bools": (DomainError, "constants must be real numbers",
+                         lambda: fold_composition_alpha([True, 0.5])),
+    "witness-t-bool": (CheckSpecError, "needs a number", lambda: reevaluate_witness(
+        CheckSpec(kind=CAT0, space=E2, samples=1, seed=0), (P, Q, P, True))),
+    # a tangent coordinate past the radius bound overflowed, with a
+    # RuntimeWarning, in the squared radius before its typed error
+    "tangent-overflow": (InvalidPointError, "radius 1e+200 is not representable",
+                         lambda: H2.exp_from_base([1e200, 0.0])),
 }
 
 
@@ -223,6 +268,60 @@ def assert_raises(error, fragment, call):
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_raises_typed_error(case):
     assert_raises(*MALFORMED[case])
+
+
+REAL = [0, 2, 0.5, -0.0, math.inf, Fraction(1, 3), np.float16(0.5), np.float32(0.1),
+        np.float64(0.25), np.int8(-3), np.int64(7), np.uint64(2**63)]
+NOT_REAL = [True, False, np.True_, "1", Decimal("0.5"), 1j, np.complex128(1), None,
+            np.array(0.5), np.array([0.5]), [0.5], 10**400]
+
+
+@pytest.mark.parametrize("value", REAL, ids=repr)
+def test_real_numbers_convert_to_their_float(value):
+    assert geometry._is_real(value)
+    x = geometry._real(value, DomainError, "t must be a real number")
+    assert x == float(value) and type(x) is float
+    vector = geometry._real_vector([value, value], DomainError, "v must be real numbers")
+    assert vector.dtype == np.float64 and vector.tolist() == [x, x]
+
+
+@pytest.mark.parametrize("value", NOT_REAL, ids=lambda v: type(v).__name__)
+def test_other_values_are_not_real(value):
+    # a too large int is a real number, but no float
+    assert geometry._is_real(value) == (type(value) is int)
+    assert_raises(DomainError, "t must be a real number, got",
+                  lambda: geometry._real(value, DomainError, "t must be a real number"))
+    assert_raises(DomainError, "v must be real numbers, got", lambda: geometry._real_vector(
+        [0.5, value], DomainError, "v must be real numbers"))
+
+
+def test_fractions_numpy_scalars_and_integer_arrays_are_accepted():
+    """Every site takes each real number and real vector, as the bits of its float form."""
+    half = Fraction(1, 2)
+    a, b = TRIPOD.vertex_point("a"), TRIPOD.vertex_point("b")
+    assert geodesic_point(P, Q, half) == geodesic_point(P, Q, np.float64(0.5)) == Q.space.point(
+        [0.5, 0.0])
+    assert geodesic_point(a, b, half) == geodesic_point(a, b, 0.5)
+    assert cat0_defect(a, b, a, half) == cat0_defect(a, b, a, 0.5)
+    assert TRIPOD.point((np.int64(1), half)) == TRIPOD.point((1, 0.5))
+    assert E2.point(np.array([1, 2])) == E2.point((Fraction(1), np.int32(2))) == E2.point(
+        [1.0, 2.0])
+    assert E2.point(np.array([0.5, 2], dtype=np.float32)).payload.dtype == np.float64
+    half_plane = EuclideanHalfspace(E2, np.array([0, 2], dtype=np.int16), np.int64(3))
+    assert half_plane.normal.tolist() == [0.0, 2.0] and type(half_plane.offset) is float
+    assert half_plane.offset == 3.0
+    assert np.array_equal(HyperbolicHalfspace(H2, (0, np.uint8(1), half)).normal,
+                          HyperbolicHalfspace(H2, [0.0, 1.0, 0.5]).normal)
+    ball = GeodesicBall(P, Fraction(3, 2))
+    assert type(ball.radius) is float and ball.radius == 1.5
+    tree = MetricTree([("a", "b", half), ("b", "c", np.int64(2))])
+    assert tree.edges == MetricTree([("a", "b", 0.5), ("b", "c", 2.0)]).edges
+    assert WeightedPoints([P, Q], [Fraction(1, 4), np.float32(0.75)]).weights == (0.25, 0.75)
+    assert H2.exp_from_base(np.array([1, 0])) == H2.exp_from_base([1.0, 0.0])
+    assert minkowski(np.array([1, 0]), (half, 0)) == -0.5
+    assert composition_alpha(half, np.float64(0.5)) == composition_alpha(0.5, 0.5)
+    spec = CheckSpec(kind=CAT0, space=E2, samples=1, seed=0)
+    assert reevaluate_witness(spec, (P, Q, P, half)) == reevaluate_witness(spec, (P, Q, P, 0.5))
 
 
 def _capped_averaged_run():
