@@ -507,12 +507,11 @@ def _exp_rows(v):
     Raises ``InvalidPointError`` when any row's image is not representable
     in floating point.  ``Hyperboloid.exp_from_base`` is its one-row case.
     """
-    # a row with a coordinate past the radius bound, or a NaN one, is refused before its squares
-    wide = ~(np.abs(v) <= _EXP_RADIUS).all(axis=1)
-    if wide.any():
-        raise InvalidPointError(f"exponential map at radius {math.hypot(*v[wide][0]):g} "
-                                f"is not representable in floating point")
-    r = np.sqrt(_dot(v.T, v.T))
+    if np.abs(v).max(initial=0.0) <= _EXP_RADIUS:
+        r = np.sqrt(_dot(v.T, v.T))
+    else:  # a coordinate past the bound, or NaN: squares may overflow, and the check raises
+        with np.errstate(over="ignore"):  # a radius past float range reads inf
+            r = np.hypot.reduce(v, axis=1)
     in_range = r <= _EXP_RADIUS
     # rows within 1e-300 of the apex stay on it, and so do the rows out of
     # range, which fail the check below
