@@ -507,11 +507,7 @@ def _exp_rows(v):
     Raises ``InvalidPointError`` when any row's image is not representable
     in floating point.  ``Hyperboloid.exp_from_base`` is its one-row case.
     """
-    if np.abs(v).max(initial=0.0) <= _EXP_RADIUS:
-        r = np.sqrt(_dot(v.T, v.T))
-    else:  # a coordinate past the bound, or NaN: squares may overflow, and the check raises
-        with np.errstate(over="ignore"):  # a radius past float range reads inf
-            r = np.hypot.reduce(v, axis=1)
+    r = np.sqrt(_dot(v.T, v.T))
     in_range = r <= _EXP_RADIUS
     # rows within 1e-300 of the apex stay on it, and so do the rows out of
     # range, which fail the check below
@@ -590,6 +586,9 @@ class Hyperboloid(CoordinateSpace):
         v = _real_vector(tangent, InvalidPointError, "tangent coordinates must be real numbers")
         if v.shape != (self.dim,):
             raise InvalidPointError(f"tangent vector must have {self.dim} coordinates")
+        if not np.abs(v).max() <= _EXP_RADIUS:  # past the bound, or NaN: refused before squares
+            raise InvalidPointError(f"exponential map at radius {math.hypot(*v):g} "
+                                    f"is not representable in floating point")
         return self.row(_exp_rows(v[None]), 0)
 
     def sample_block(self, rng, n):

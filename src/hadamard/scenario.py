@@ -45,7 +45,8 @@ from .convex_sets import (
     Subtree,
 )
 from .errors import ConstructionError, HadamardError, InvalidPointError, ScenarioError
-from .geometry import Euclidean, Hyperboloid, Point, ProductSpace, SpaceModel, _exp_rows
+from .geometry import Euclidean, Hyperboloid, Point, ProductSpace, SpaceModel
+from .geometry import _EXP_RADIUS, _exp_rows
 from .iterations import StopRule
 from .metric_tree import MetricTree
 from .operators import _check_alpha
@@ -298,10 +299,11 @@ def _block_points(space: SpaceModel, items) -> list[Point]:
     points = [None if i in exps else parse_point_spec(space, text, ln, "point")
               for i, (text, ln) in enumerate(items)]
     if exps:
-        # a bad token or a ragged list raises ValueError, and so does a wrong width
+        # a bad token or a ragged list raises ValueError, and so do a wrong width and a
+        # coordinate that ``exp_from_base`` refuses before its squares can overflow
         tangents = np.array([[float(tok) for tok in t.split(",")] for t in exps.values()])
-        if tangents.shape[1] != space.dim:
-            raise ValueError(f"tangents need {space.dim} coordinates")
+        if tangents.shape[1] != space.dim or not np.abs(tangents).max() <= _EXP_RADIUS:
+            raise ValueError(f"tangents need {space.dim} coordinates within the radius bound")
         block = _exp_rows(tangents)
         for k, i in enumerate(exps):
             points[i] = space.row(block, k)
