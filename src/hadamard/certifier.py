@@ -28,7 +28,16 @@ import numpy as np
 from .barycenter import _frechet_means, _variance
 from .convex_sets import ConvexSet, _projection
 from .errors import CheckSpecError, DomainError
-from .geometry import Point, SpaceModel, _cat0, _is_integer, _quasilinear, _real, _real_vector
+from .geometry import (
+    Point,
+    SpaceModel,
+    _cat0,
+    _check_parameter,
+    _is_integer,
+    _quasilinear,
+    _real,
+    _real_vector,
+)
 from .iterations import (
     StopRule,
     approximate_shadows,
@@ -315,8 +324,7 @@ def _block_kernel(spec: CheckSpec):
             return _cat0(dist, x, y, z, space.interpolate(x, y, t), t)
 
         def admit(witness):
-            if not 0.0 <= witness[3] <= 1.0:
-                raise DomainError(f"interpolation parameter must be in [0, 1], got {witness[3]}")
+            _check_parameter(witness[3])
     elif kind == CAUCHY_SCHWARZ:
         def defect(x, z, y, w):
             return dist(x, z) * dist(y, w) - np.abs(_quasilinear(dist, x, z, y, w))

@@ -128,15 +128,28 @@ class EuclideanHalfspace(ConvexSet):
     # Scalar twin kept: the drivers' flat runs, where a one-row block costs 2.5x.
     def project(self, x: Point) -> Point:
         self._check_point(x)
-        gap = float(self.normal @ x.payload) - self.offset
+        p = self._project_payload(x.payload)
+        return x if p is x.payload else self.space._wrap(p)
+
+    def _project_payload(self, p):
+        """The projection of a coordinate array: ``p`` itself when it lies in the set.
+
+        The scalar twin's arithmetic, which the drivers' shadow solves run
+        on payloads without making a point of each image.
+        """
+        gap = float(self.normal @ p) - self.offset
         if self._lowest_gap <= gap <= 0.0:
-            return x
-        return self.space._wrap(x.payload - (gap / self._norm_sq) * self.normal)
+            return p
+        return self._moved(p, gap)
+
+    def _moved(self, p, gap):
+        """The image p - (gap / |a|^2) a of a point, or of block rows with a gap column."""
+        return p - (gap / self._norm_sq) * self.normal
 
     def project_block(self, block):
         gap = _dot(block.T, self.normal) - self.offset
         kept = (self._lowest_gap <= gap) & (gap <= 0.0)
-        return np.where(kept[:, None], block, block - (gap / self._norm_sq)[:, None] * self.normal)
+        return np.where(kept[:, None], block, self._moved(block, gap[:, None]))
 
     def contains(self, x: Point) -> bool:
         self._check_point(x)
@@ -173,31 +186,58 @@ def _flat_rows(sets: list):
 
 
 def halfspace_residual(sets):
-    """x -> max_k d(x, C_k) as one matrix-vector product, or None.
+    """p -> max_k d(p, C_k) on coordinate arrays, from one matrix-vector product, or None.
 
     Defined when every set is an ``EuclideanHalfspace`` (hyperplanes
-    included) of one space; None for any other family.  With gaps
-    g = A x - b, the distance to C_k is max(g_k, _lowest_gap_k - g_k) / |a_k|
+    included) of one space; None for any other family.  Like
+    ``SpaceModel.payload_distance`` it takes a payload and checks none:
+    a caller passes the coordinates of a point of the sets' space.  With
+    gaps g = A p - b, the distance to C_k is max(g_k, _lowest_gap_k - g_k) / |a_k|
     clipped at zero, which is the length |gap| / |a| of the step the
     projection takes, without forming the image.
+
+    After ``A @ p`` the residual runs on Python floats, and equals
+    ``max(np.fmax(g, lowest - g) / norms)`` clipped at zero bit for bit:
+    Python's ``max(g, lo - g)`` keeps g when the right side is NaN (an
+    infinite halfspace gap gives -inf - -inf), as ``np.fmax`` does, and a
+    NaN distance wins the maximum, as it does in ``np.max``.
     """
     sets = list(sets)
     rows = _flat_rows(sets)
     if rows is None:
         return None
     normals, offsets = rows
-    lowest = np.array([c._lowest_gap for c in sets])
-    norms = np.sqrt([c._norm_sq for c in sets])
+    # each row's offset, lowest gap and norm, as Python floats
+    terms = list(zip(offsets.tolist(), [c._lowest_gap for c in sets],
+                     np.sqrt([c._norm_sq for c in sets]).tolist()))
 
-    def residual(x: Point) -> float:
-        sets[0]._check_point(x)
-        gap = normals @ x.payload - offsets
-        # fmax: an infinite halfspace gap gives -inf - -inf = nan on the right
-        worst = float((np.fmax(gap, lowest - gap) / norms).max())
-        # also maps -0.0 (a signed zero on a hyperplane) to +0.0
-        return 0.0 if worst <= 0.0 else worst
+    def residual(p) -> float:
+        # starting at +0.0 clips at zero, and maps -0.0 (a signed zero on a
+        # hyperplane) to +0.0
+        worst = 0.0
+        for d, (b, lo, norm) in zip((normals @ p).tolist(), terms):
+            g = d - b
+            r = max(g, lo - g) / norm
+            if r > worst:
+                worst = r
+            elif r != r:
+                return r
+        return worst
 
     return residual
+
+
+def _halfspace_moves(sets):
+    """Each set's ``_project_payload``, for a flat family keeping the scalar twin; or None.
+
+    None unless every set is an ``EuclideanHalfspace`` (hyperplanes
+    included) whose ``project`` is that class's own: a subclass that
+    overrides it is projected through its override.
+    """
+    if not all(isinstance(c, EuclideanHalfspace)
+               and type(c).project is EuclideanHalfspace.project for c in sets):
+        return None
+    return [c._project_payload for c in sets]
 
 
 def _halfspace_sweep(sets):
@@ -261,7 +301,7 @@ def _halfspace_sweep(sets):
         rows = _flat_rows(sets)
     except SpaceMismatchError:
         return None  # the loop raises where a point meets the first foreign set
-    if rows is None or any(type(c).project is not EuclideanHalfspace.project for c in sets):
+    if rows is None or _halfspace_moves(sets) is None:
         return None
     normals, offsets = rows
     l1 = np.abs(normals).sum(axis=1)

@@ -766,10 +766,15 @@ def geodesic_point(p: Point, q: Point, t: float) -> Point:
     endpoints are returned exactly at t = 0 and t = 1.
     """
     space = check_same_space(p, q)
+    _check_parameter(t)
+    return _geodesic(space, p, q, t)
+
+
+def _check_parameter(t) -> None:
+    """Raise ``DomainError`` unless t is a real number in [0, 1]: a geodesic's parameter."""
     # the rule's float test inline: the trees workload makes 16 calls per query
     if not ((type(t) is float or _is_real(t)) and 0.0 <= t <= 1.0):
         raise DomainError(f"interpolation parameter must be in [0, 1], got {t}")
-    return _geodesic(space, p, q, t)
 
 
 def _geodesic(space: SpaceModel, p: Point, q: Point, t: float) -> Point:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .barycenter import _STEP_TOL, _mean_of, _weight_tuple, convex_weights
-from .convex_sets import ConvexSet, halfspace_residual
+from .convex_sets import ConvexSet, _halfspace_moves, halfspace_residual
 from .errors import ConstructionError, ConvergenceFailureError, DomainError
 from .geometry import (
     EQ_TOL,
@@ -221,50 +221,74 @@ def _iterate(sets, flat_residual, x0: Point, rule: StopRule, weights, record: bo
     """The loop of every projection run: iterate from x0 until ``rule`` stops it.
 
     Returns the points, the residuals, the steps and the stop reason.
-    With ``record`` false it keeps only what the stop rules read: the
-    points of the last cycle, the last residual, and no steps.
+    With ``record`` false it keeps only what the stop rules read (the
+    iterates of the last cycle and the last residual), and returns the
+    last point alone and no steps.
 
     Each residual max_i d(x_n, C_i) is ``flat_residual`` (one matrix-vector
-    product, ``halfspace_residual``) when the sets are Euclidean halfspaces;
-    otherwise it is read off the images P_i x_n, which the next step reuses.
-    So no projection is computed twice at one iterate: a cyclic iterate
-    costs one projection on a flat family and K on any other, and an
-    averaged iterate costs K.  A projection that returns its input object
-    (the iterate lies in the set) takes a step of exactly 0.0, which is
-    d(x, x) in every model, and leaves the residual and the images as they
-    were.  Converged means the residual reached ``rule.residual_tol``;
-    stalled means a full cycle (K cyclic iterates, or one averaged
-    iterate) moved the iterate by at most ``rule.stall_tol``.
+    product on the payload, ``halfspace_residual``) when the sets are
+    Euclidean halfspaces; otherwise it is read off the images P_i x_n,
+    which the next step reuses.  So no projection is computed twice at one
+    iterate: a cyclic iterate costs one projection on a flat family and K
+    on any other, and an averaged iterate costs K.  A projection that
+    returns its input object (the iterate lies in the set) takes a step of
+    exactly 0.0, which is d(x, x) in every model, and leaves the residual
+    and the images as they were.  Converged means the residual reached
+    ``rule.residual_tol``; stalled means a full cycle (K cyclic iterates, or
+    one averaged iterate) moved the iterate by at most ``rule.stall_tol``.
+
+    An unrecorded cyclic run over a flat family, as a shadow solve is,
+    iterates coordinate arrays: each step is the halfspace's own payload
+    arithmetic, which its ``project`` runs too, so the run takes the same
+    floating-point operations in the same order.  Only its last iterate
+    becomes a point, through ``_wrap``, which keeps the coordinate bound.
+    Every other run iterates points, and makes one of each iterate.
     """
     # x0, the sets, the witness and the weights were checked on entry, and
     # every later point is a projection or a mean of earlier ones, so the
     # loop measures payloads of this one space
     space = x0.space
-    dist = space.payload_distance
-
-    def measure(x):
-        """x's residual, and its images under the projections when formed."""
-        if flat_residual is not None:
-            return flat_residual(x), None
-        images = [c.project(x) for c in sets]
-        return max(dist(x.payload, y.payload) for y in images), images
-
-    def advance(n, x, images):
-        if weights is None:
-            i = (n - 1) % len(sets)
-            return sets[i].project(x) if images is None else images[i]
-        if images is None:
-            images = [c.project(x) for c in sets]
-        return _mean_of(space, images, weights, _STEP_TOL)
-
-    residual, images = measure(x0)
+    payload_distance = space.payload_distance
     k = len(sets) if weights is None else 1
-    points = [x0] if record else deque([x0], maxlen=k + 1)
+    moves = None if record or weights is not None else _halfspace_moves(sets)
+
+    if moves is not None:
+        start, dist = x0.payload, payload_distance
+
+        def measure(p):
+            return flat_residual(p), None
+
+        def advance(n, p, images):
+            return moves[(n - 1) % k](p)
+    else:
+        start = x0
+
+        def dist(x, y):
+            return payload_distance(x.payload, y.payload)
+
+        def measure(x):
+            """x's residual, and its images under the projections when formed."""
+            if flat_residual is not None:
+                return flat_residual(x.payload), None
+            images = [c.project(x) for c in sets]
+            p = x.payload
+            return max(payload_distance(p, y.payload) for y in images), images
+
+        def advance(n, x, images):
+            if weights is None:
+                i = (n - 1) % k
+                return sets[i].project(x) if images is None else images[i]
+            if images is None:
+                images = [c.project(x) for c in sets]
+            return _mean_of(space, images, weights, _STEP_TOL)
+
+    residual, images = measure(start)
+    points = [start] if record else deque([start], maxlen=k + 1)
     residuals = [residual]
     steps: list[float] = []
     stop_reason = MAX_ITER
     if residual <= rule.residual_tol:
-        return points, residuals, steps, CONVERGED
+        return [x0], residuals, steps, CONVERGED
     for n in range(1, rule.max_iter + 1):
         x = points[-1]
         try:
@@ -277,7 +301,7 @@ def _iterate(sets, flat_residual, x0: Point, rule: StopRule, weights, record: bo
             step = 0.0
         else:
             # a cycle of several maps reads its displacement, not its steps
-            step = dist(x.payload, nxt.payload) if record or k == 1 else None
+            step = dist(x, nxt) if record or k == 1 else None
             residual, images = measure(nxt)
         points.append(nxt)
         if record:
@@ -288,12 +312,16 @@ def _iterate(sets, flat_residual, x0: Point, rule: StopRule, weights, record: bo
             break
         if n % k == 0:
             # With one map the cycle's displacement is the step just taken.
-            moved = step if k == 1 else dist(nxt.payload, points[-1 - k].payload)
+            moved = step if k == 1 else dist(nxt, points[-1 - k])
             if moved <= rule.stall_tol:
                 stop_reason = STALLED
                 break
     if not record:
-        residuals = [residual]
+        last = points[-1]
+        if moves is not None:
+            # the one point the run keeps; x0 is already one
+            last = x0 if last is start else space._wrap(last)
+        points, residuals = [last], [residual]
     return points, residuals, steps, stop_reason
 
 
@@ -333,6 +361,9 @@ def approximate_shadows(trace: IterationTrace, sets) -> IterationTrace:
     iterations.  The sets are checked once per trace, and each inner
     solve runs the drivers' loop without recording its trace: its final
     point is the one ``cyclic_projections`` from that iterate ends at.
+    Over a flat family the inner solves step coordinate arrays by the
+    halfspaces' own arithmetic and make a point only of their last
+    iterate (see ``_iterate``).
     """
     points = trace.points
     sets = _run_sets(sets, points[0], None)

@@ -1,12 +1,14 @@
 """Convex set descriptors: membership, projections, and the projection inequality."""
 
 import io
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hadamard import (
     DomainError,
@@ -310,8 +312,63 @@ FAMILY_SHAPES = dict(count=st.integers(1, 60), dim=st.integers(1, 50),
                      plane_share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 
 
+def _fmax_residual(sets, p) -> float:
+    """The flat residual as one NumPy formula: max_k fmax(g_k, lowest_k - g_k) / |a_k|, clipped."""
+    normals = np.stack([c.normal for c in sets])
+    gap = normals @ p - np.array([c.offset for c in sets])
+    lowest = np.array([c._lowest_gap for c in sets])
+    worst = float((np.fmax(gap, lowest - gap) / np.sqrt([c._norm_sq for c in sets])).max())
+    return 0.0 if worst <= 0.0 else worst
+
+
 class TestHalfspaceResidual:
     """The flat kernel against max_k d(x, P_k x) from the projections."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(count=st.integers(1, 60), dim=st.integers(1, 64), plane_share=st.floats(0.0, 1.0),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_is_the_fmax_formula_bit_for_bit(self, count, dim, plane_share, seed, data):
+        """On any coordinates, infinite, NaN and huge ones included."""
+        space = Euclidean(dim)
+        rng = np.random.default_rng(seed)
+
+        def offset_for(cls, normal):
+            return float(rng.choice([0.0, -0.0, 1.0])) * float(rng.standard_normal())
+
+        sets = _flat_family(space, rng, count, plane_share, offset_for)
+        residual = halfspace_residual(sets)
+        payloads = [np.zeros(dim), -np.zeros(dim), rng.standard_normal(dim),
+                    sets[0].project(space.point(rng.standard_normal(dim))).payload,
+                    data.draw(arrays(np.float64, dim, elements=st.floats(width=64)))]
+        with np.errstate(all="ignore"):
+            for p in payloads:
+                assert residual(p).hex() == _fmax_residual(sets, p).hex()
+
+    @pytest.mark.parametrize("length", [1, 2, 3])
+    def test_infinite_and_nan_gaps(self, length):
+        """Every ordered choice of rows, at points where gaps are +inf, -inf, NaN or finite.
+
+        At (1e300, 1) the first two normals' products overflow to +inf and
+        -inf, and the last two gaps are finite; at (+-inf, 1) the third
+        normal's gap is 0 * inf = NaN.  Each row is a halfspace (lowest gap
+        -inf, so a -inf gap puts -inf - -inf = NaN on the right of the
+        fmax) or a hyperplane (lowest gap 0).
+        """
+        e2 = Euclidean(2)
+        normals = [[1e10, 0.0], [-1e10, 0.0], [0.0, 1.0], [1e-150, 0.0]]
+        rows = [(cls, normal) for cls in (EuclideanHalfspace, EuclideanHyperplane)
+                for normal in normals]
+        points = [np.array([1e300, 1.0]), np.array([math.inf, 1.0]), np.array([-math.inf, 1.0])]
+        seen = set()
+        with np.errstate(all="ignore"):
+            for choice in itertools.permutations(rows, length):
+                sets = [cls(e2, normal, 0.5) for cls, normal in choice]
+                residual = halfspace_residual(sets)
+                for p in points:
+                    gaps = np.stack([c.normal for c in sets]) @ p - 0.5
+                    seen.update(str(g) for g in gaps if not math.isfinite(g))
+                    assert residual(p).hex() == _fmax_residual(sets, p).hex()
+        assert seen == {"inf", "-inf", "nan"}
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(**FAMILY_SHAPES)
@@ -337,7 +394,7 @@ class TestHalfspaceResidual:
             points += [on, space.point(on.payload - rng.uniform(0.1, 1.0) * unit)]
         for x in points:
             want = max(distance(x, c.project(x)) for c in sets)
-            got = residual(x)
+            got = residual(x.payload)
             assert got >= 0.0
             assert abs(got - want) <= 1e-14 * (1.0 + np.linalg.norm(x.payload))
 
@@ -355,14 +412,14 @@ class TestHalfspaceResidual:
 
         residual = halfspace_residual(_flat_family(space, rng, count, plane_share, offset_for))
         for x in (np.zeros(dim), -np.zeros(dim), rng.choice([-0.0, 0.0], dim)):
-            got = residual(space.point(x))
+            got = residual(space.point(x).payload)
             assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
     def test_signed_zero_on_a_hyperplane_prints_zero(self):
         e1 = Euclidean(1)
         line = EuclideanHyperplane(e1, [1.0], 0.0, name="origin")
         x = e1.point([-0.0])
-        assert math.copysign(1.0, halfspace_residual([line])(x)) == 1.0
+        assert math.copysign(1.0, halfspace_residual([line])(x.payload)) == 1.0
         trace = cyclic_projections([line], x, StopRule(max_iter=5))
         out = io.StringIO()
         trace.to_csv(out)
@@ -378,5 +435,7 @@ class TestHalfspaceResidual:
         with pytest.raises(SpaceMismatchError):
             halfspace_residual([EuclideanHalfspace(e2, [0, 1], 0.0),
                                 EuclideanHalfspace(e3, [0, 1, 0], 0.0)])
+        # the residual takes payloads; a run checks its start against the sets on entry
         with pytest.raises(SpaceMismatchError):
-            halfspace_residual([EuclideanHalfspace(e2, [0, 1], 0.0)])(e3.point([0, 0, 0]))
+            cyclic_projections([EuclideanHalfspace(e2, [0, 1], 0.0)], e3.point([0, 0, 0]),
+                               StopRule(max_iter=5))

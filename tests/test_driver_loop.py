@@ -10,6 +10,7 @@ kernel output still needs (the coordinate bound) are still made.
 
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from hadamard import (
     distance,
     frechet_mean,
     halfspace_residual,
+    parse_scenario,
 )
 from hadamard.cli import main
 from hadamard.errors import InvalidPointError
@@ -57,7 +59,7 @@ def reference_run(sets, x0, rule, weights=None):
 
     def measure(x):
         if flat is not None:
-            return flat(x)
+            return flat(x.payload)
         return max(distance(x, c.project(x)) for c in sets)
 
     points, residuals, steps = [x0], [measure(x0)], []
@@ -392,6 +394,58 @@ class TestShadowSolves:
         trace = approximate_shadows(_run(algorithm, sets, x0, witness, rule, weights), sets)
         inner_rule = StopRule(max_iter=100000, residual_tol=1e-10)
         for x, shadow in zip(trace.points, trace.shadows):
+            assert bits(shadow) == bits(cyclic_projections(sets, x, inner_rule).final_point)
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_unrecorded_flat_run_is_the_cyclic_run(self, seed):
+        """As ``approximate_shadows`` calls it: the same last point, stop reason and residual.
+
+        The run steps payloads: no set's ``project`` runs, and it makes at
+        most one point, its last iterate.
+        """
+        rng = np.random.default_rng(seed)
+        sets, x0 = _family("flat", rng, None, None)
+        if rng.uniform() < 0.2:
+            # parallel hyperplanes 1 apart: the run stalls or hits the cap
+            normal = rng.standard_normal(x0.space.dim)
+            sets = [EuclideanHyperplane(x0.space, normal, c * np.linalg.norm(normal))
+                    for c in (0.0, 1.0)]
+        rule = StopRule(max_iter=int(rng.integers(1, 300)),
+                        residual_tol=float(rng.choice([0.0, 1e-10, 1e-6])),
+                        stall_tol=float(rng.choice([0.0, 1e-12, 1e-4])))
+        want = cyclic_projections(sets, x0, rule)
+        calls = {"project": 0, "_wrap": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(EuclideanHalfspace, "project",
+                          counted("project", EuclideanHalfspace.project))
+            patch.setattr(geometry.CoordinateSpace, "_wrap",
+                          counted("_wrap", geometry.CoordinateSpace._wrap))
+            last, residuals, steps, stop_reason = iterations._iterate(
+                sets, halfspace_residual(sets), x0, rule, None, False)
+        assert stop_reason == want.stop_reason
+        assert len(last) == 1 and bits(last[0]) == bits(want.final_point)
+        assert hex_list(residuals) == hex_list([want.final_residual])
+        assert steps == []
+        assert calls["project"] == 0 and calls["_wrap"] <= 1
+
+    def test_narrow_lines_shadows_are_the_cyclic_runs(self):
+        """The shipped scenario whose shadow solves run up to about 200 iterates."""
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "cyclic_two_lines_narrow.scn"
+        scenario = parse_scenario(path.read_text(encoding="utf-8"))
+        sets = [scenario.sets[n] for n in scenario.run_sets]
+        trace = cyclic_projections(sets, scenario.x0, scenario.stop)
+        assert trace.iterations > 200
+        approximate_shadows(trace, sets)
+        inner_rule = StopRule(max_iter=100000, residual_tol=1e-10)
+        for x, shadow in zip(trace.points[::10], trace.shadows[::10]):
             assert bits(shadow) == bits(cyclic_projections(sets, x, inner_rule).final_point)
 
     def test_one_check_and_one_residual_per_trace(self, runs, monkeypatch):
