@@ -35,7 +35,6 @@ from .geometry import (
     _SWEEP_LIMIT,
     Point,
     SpaceModel,
-    _geodesic,
     _is_integer,
     _is_tolerance,
     _real_vector,
@@ -160,18 +159,36 @@ def frechet_mean(wp: WeightedPoints, step_tol: float = _STEP_TOL) -> Point:
     _check_step_tol(step_tol)
     if not isinstance(wp, WeightedPoints):
         raise ConstructionError(f"frechet_mean needs WeightedPoints, got {wp!r}")
-    return _mean_of(wp.space, wp.points, wp.weights, step_tol)
+    space = wp.space
+    payloads = [space._loop_payload(p) for p in wp.points]
+    mean = _mean_of(space, payloads, wp.weights, step_tol)
+    # a mean that is one of the points (one point, or an end of a geodesic) is that point
+    for p, q in zip(wp.points, payloads):
+        if q is mean:
+            return p
+    return space._loop_point(mean)
 
 
-def _mean_of(space: SpaceModel, points, weights, step_tol: float) -> Point:
-    """``frechet_mean`` after its checks: points of ``space`` with convex float ``weights``."""
-    points, weights = _drop_zero_weights(points, weights)
-    if len(points) == 1:
-        return points[0]
-    if len(points) == 2:
+def _mean_of(space: SpaceModel, payloads, weights, step_tol: float):
+    """``frechet_mean`` on loop payloads of ``space`` with convex float ``weights``.
+
+    Returns one of the payloads itself when the mean is that point: the
+    only one of positive weight, or an end of the geodesic between two.
+    """
+    payloads, weights = _drop_zero_weights(payloads, weights)
+    if len(payloads) == 1:
+        return payloads[0]
+    if len(payloads) == 2:
+        p, q = payloads
         w1, w2 = weights
-        return _geodesic(space, points[0], points[1], w2 / (w1 + w2))
-    return space._mean(points, weights, step_tol)
+        t = w2 / (w1 + w2)
+        # the geodesic point, as ``geodesic_point`` takes it: the ends themselves at t = 0, 1
+        if t == 0.0:
+            return p
+        if t == 1.0:
+            return q
+        return space._loop_interpolate(p, q, t)
+    return space._mean(payloads, weights, step_tol)
 
 
 def _frechet_means(space, blocks, weights):

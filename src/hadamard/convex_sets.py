@@ -9,6 +9,7 @@ nonexpansive.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -77,6 +78,20 @@ class ConvexSet:
         # stack raises SpaceMismatchError for x outside the set's space
         return self.space.row(self.project_block(self.space.stack([x])), 0)
 
+    def _project_payload(self, p):
+        """The projection of a payload of the set's space in its loop form.
+
+        Returns ``p`` itself where ``project`` returns its input, and runs
+        the checks ``project`` runs on its image.  A projection run steps
+        by it (see ``SpaceModel._loop_payload``).  A set with a scalar twin
+        computes it on the payload, and its ``project`` calls it; here it
+        is ``project`` on the payload's point.
+        """
+        space = self.space
+        x = space._loop_point(p)
+        y = self.project(x)
+        return p if y is x else space._loop_payload(y)
+
     def project_block(self, block):
         """Projections of a block of points of the set's space, rowwise."""
         raise NotImplementedError
@@ -125,18 +140,25 @@ class EuclideanHalfspace(ConvexSet):
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "_norm_sq", norm_sq)
 
-    # Scalar twin kept: the drivers' flat runs, where a one-row block costs 2.5x.
+    # Scalar twin kept: projection runs' witness checks and certify's projections, where a
+    # one-row block costs 2.5x; the drivers' flat runs step its ``_project_payload``.
     def project(self, x: Point) -> Point:
         self._check_point(x)
         p = self._project_payload(x.payload)
-        return x if p is x.payload else self.space._wrap(p)
+        return x if p is x.payload else self.space._loop_point(p)
 
     def _project_payload(self, p):
         """The projection of a coordinate array: ``p`` itself when it lies in the set.
 
-        The scalar twin's arithmetic, which the drivers' shadow solves run
-        on payloads without making a point of each image.
+        A moved image passes ``_wrap``'s check, the coordinate bound.
         """
+        q = self._image(p)
+        if q is not p:
+            self.space._check_coordinates(q.tolist())
+        return q
+
+    def _image(self, p):
+        """``_project_payload`` without the check: the steps of the flat shadow solves."""
         gap = float(self.normal @ p) - self.offset
         if self._lowest_gap <= gap <= 0.0:
             return p
@@ -227,8 +249,22 @@ def halfspace_residual(sets):
     return residual
 
 
+def _payload_projections(sets) -> list:
+    """Each set's ``_project_payload``, by which a projection run steps.
+
+    A set whose class overrides ``project`` without ``_project_payload``
+    is projected through its override.
+    """
+    def own(c):
+        owner = next(k for k in type(c).__mro__ if "project" in vars(k))
+        return "_project_payload" in vars(owner)
+
+    return [c._project_payload if own(c) else partial(ConvexSet._project_payload, c)
+            for c in sets]
+
+
 def _halfspace_moves(sets):
-    """Each set's ``_project_payload``, for a flat family keeping the scalar twin; or None.
+    """Each set's unchecked ``_image``, for a flat family keeping the scalar twin; or None.
 
     None unless every set is an ``EuclideanHalfspace`` (hyperplanes
     included) whose ``project`` is that class's own: a subclass that
@@ -237,7 +273,7 @@ def _halfspace_moves(sets):
     if not all(isinstance(c, EuclideanHalfspace)
                and type(c).project is EuclideanHalfspace.project for c in sets):
         return None
-    return [c._project_payload for c in sets]
+    return [c._image for c in sets]
 
 
 def _halfspace_sweep(sets):
@@ -320,16 +356,17 @@ def _halfspace_sweep(sets):
 
     def sweep(x: Point) -> Point:
         first._check_point(x)
-        held = screen(x.payload)
+        p = x.payload
+        held = screen(p)
         for j in range(count):
             if held[j]:
                 continue
-            y = sets[j].project(x)
-            if y is not x:
-                x = y
+            q = sets[j]._project_payload(p)
+            if q is not p:
+                p = q
                 # the new point needs its own screen, taken where the last one held a later row
-                held = screen(x.payload) if True in held[j + 1:] else none_held
-        return x
+                held = screen(p) if True in held[j + 1:] else none_held
+        return x if p is x.payload else first.space._loop_point(p)
 
     return sweep
 
@@ -362,15 +399,26 @@ class HyperbolicHalfspace(ConvexSet):
         # the scalar twins' copy of the normal, as Python floats
         object.__setattr__(self, "_coords", arr.tolist())
 
-    # Scalar twin kept: the drivers' hyperbolic runs, where a one-row block costs 2.6x to 26x.
+    # Scalar twin kept: projection runs' witness checks, where a one-row block costs 2.6x to
+    # 26x; the drivers' hyperbolic runs step its ``_project_payload``.
     def project(self, x: Point) -> Point:
         self._check_point(x)
         p = x.payload.tolist()
+        q = self._project_payload(p)
+        return x if q is p else self.space._loop_point(q)
+
+    def _project_payload(self, p):
+        """The projection of a coordinate list: ``p`` itself when it lies in the set.
+
+        A moved image passes ``_wrap``'s checks: the coordinate bound, the
+        sheet gap and the upper sheet.
+        """
         s = _minkowski(self._coords, p)
         if s <= 0.0:
-            return x
+            return p
         moved = _normalized([a - s * u for a, u in zip(p, self._coords)])
-        return self.space._wrap(np.array(moved))
+        self.space._check_coordinates(moved)
+        return moved
 
     def project_block(self, block):
         s = _minkowski(self.normal, block.T)
@@ -502,8 +550,12 @@ class Subtree(ConvexSet):
     # Scalar twin kept: the trees workload's projections, where a one-row block costs 24x.
     def project(self, x: Point) -> Point:
         self._check_point(x)
-        gate = self._gate(x.payload)
-        return x if gate is None else gate
+        loc = self._project_payload(x.payload)
+        return x if loc is x.payload else self.space._loop_point(loc)
+
+    def _project_payload(self, loc):
+        gate = self._gate(loc)
+        return loc if gate is None else gate.payload
 
     def project_block(self, block):
         # _gate on every row: rows on the subtree's edges stay, the rest move

@@ -143,7 +143,9 @@ class Point:
     library goes through ``SpaceModel.point``, which converts, copies and
     checks it.  A coordinate array that a kernel has just built goes
     through ``CoordinateSpace._wrap``, which skips only the conversion,
-    copy and shape check and keeps every other check.
+    copy and shape check and keeps every other check; a kernel that
+    builds a loop payload (``SpaceModel._loop_payload``) runs those checks
+    on its floats, and the point is made of it later, unchecked.
     """
 
     __slots__ = ("space", "payload")
@@ -212,15 +214,42 @@ class SpaceModel:
     def describe(self) -> str:
         raise NotImplementedError
 
-    def _mean(self, points, weights, step_tol: float) -> Point:
-        """The weighted Frechet mean of three or more points with positive weights.
+    def _mean(self, payloads, weights, step_tol: float):
+        """The weighted Frechet mean of three or more loop payloads with positive weights.
 
+        Takes and returns payloads in the loop form (``_loop_payload``).
         An iterative solver stops once a step moves its iterate by at
         most ``step_tol``, and after ``_SWEEP_LIMIT`` steps raises
-        ``ConvergenceFailureError`` with its last iterate and objective.
-        ``barycenter.frechet_mean`` is the public entry.
+        ``ConvergenceFailureError`` with its last iterate, as a point, and
+        its objective.  ``barycenter.frechet_mean`` is the public entry.
         """
         raise NotImplementedError
+
+    # -- the loop form --------------------------------------------------
+    #
+    # A projection run steps payloads in the form its model's scalar
+    # kernels compute on, and makes a point only of each iterate it keeps.
+    # That form is the point's payload, except on the hyperboloid, whose
+    # kernels compute on lists of Python floats.  A kernel that builds a
+    # loop payload runs the checks ``_wrap`` would run on its point, where
+    # its point-level twin runs them.
+
+    def _loop_payload(self, point: Point):
+        """A point's payload in the loop form."""
+        return point.payload
+
+    def _loop_point(self, payload) -> Point:
+        """The point of a loop payload that a kernel made, without further checks."""
+        return Point(self, payload)
+
+    @property
+    def _loop_distance(self):
+        """``payload_distance`` on loop payloads."""
+        return self.payload_distance
+
+    def _loop_interpolate(self, a, b, t: float):
+        """``payload_interpolate`` on loop payloads."""
+        return self.payload_interpolate(a, b, t)
 
     # -- point-level convenience ------------------------------------
 
@@ -291,8 +320,9 @@ class SpaceModel:
         so the first row that reaches ``_SWEEP_LIMIT`` raises as ``_mean``
         does for it.
         """
-        return self.stack([self._mean([self.row(b, r) for b in blocks], weights[r].tolist(),
-                                      step_tol) for r in range(len(weights))])
+        return self.stack([self._loop_point(self._mean(
+            [self._loop_payload(self.row(b, r)) for b in blocks], weights[r].tolist(), step_tol))
+            for r in range(len(weights))])
 
     @property
     def involves_hyperboloid(self) -> bool:
@@ -327,20 +357,16 @@ class CoordinateSpace(SpaceModel):
         n = self.dim + self._extra
         if arr.shape != (n,):
             raise InvalidPointError(f"expected {n} coordinates, got shape {arr.shape}")
-        self._check_coordinates(arr)
+        self._check_coordinates(arr.tolist())
         arr.setflags(write=False)
         return arr
 
-    def _check_coordinates(self, arr) -> list:
-        """The checks of a payload past conversion and shape: bounded, finite coordinates.
-
-        Returns the coordinates as Python floats, for a model's own checks.
-        """
-        x = arr.tolist()
+    def _check_coordinates(self, x: list) -> None:
+        """The checks of a payload past conversion and shape, on its coordinates as Python
+        floats: bounded, finite coordinates."""
         if not _bounded(x):
             raise InvalidPointError(
                 f"coordinates must be finite and at most {_COORD_LIMIT:g} in magnitude")
-        return x
 
     def _wrap(self, arr) -> Point:
         """A kernel's fresh float array of the right shape as a point of this space.
@@ -349,7 +375,11 @@ class CoordinateSpace(SpaceModel):
         becomes the read-only payload itself, after every other check of
         ``validate_payload``.
         """
-        self._check_coordinates(arr)
+        self._check_coordinates(arr.tolist())
+        return self._loop_point(arr)
+
+    def _loop_point(self, arr) -> Point:
+        # the array itself becomes the read-only payload
         arr.setflags(write=False)
         return Point(self, arr)
 
@@ -410,9 +440,9 @@ class Euclidean(CoordinateSpace):
         return (1.0 - t) * a + t * b
 
     # The flat mean is the one-row case of the block mean.
-    def _mean(self, points, weights, step_tol):
-        blocks = [p.payload[None] for p in points]
-        return self.row(self._block_mean(blocks, np.array([weights]), step_tol), 0)
+    def _mean(self, payloads, weights, step_tol):
+        blocks = [p[None] for p in payloads]
+        return self._block_mean(blocks, np.array([weights]), step_tol)[0]
 
     def _block_mean(self, blocks, weights, step_tol):
         # the coordinate-wise weighted average, summed in point order
@@ -550,8 +580,8 @@ class Hyperboloid(CoordinateSpace):
         v[0] = 1.0
         return Point(self, _readonly(v))
 
-    def _check_coordinates(self, arr) -> list:
-        x = super()._check_coordinates(arr)
+    def _check_coordinates(self, x):
+        super()._check_coordinates(x)
         gap = abs(_minkowski(x, x) + 1.0)
         if gap > ON_MANIFOLD_TOL:
             raise InvalidPointError(
@@ -559,7 +589,19 @@ class Hyperboloid(CoordinateSpace):
             )
         if x[0] <= 0:
             raise InvalidPointError("point must lie on the upper sheet (v[0] > 0)")
-        return x
+
+    # The loop form is the list of Python floats that the scalar twins compute on.
+
+    def _loop_payload(self, point):
+        return point.payload.tolist()
+
+    def _loop_point(self, coords):
+        return Point(self, _readonly(coords))
+
+    _loop_distance = staticmethod(_sheet_distance)
+
+    def _loop_interpolate(self, a, b, t):
+        return self.payload_interpolate(a, b, t).tolist()
 
     @staticmethod
     def normalize(v) -> np.ndarray:
@@ -612,12 +654,11 @@ class Hyperboloid(CoordinateSpace):
         out = np.where((near | (t == 0.0))[:, None], a, _normalize(w))
         return np.where((t == 1.0)[:, None], b, out)
 
-    def _mean(self, points, weights, step_tol):
+    def _mean(self, payloads, weights, step_tol):
         # Fixed point of the stationarity condition: the mean satisfies
         # x = normalize(sum_i w_i (theta_i / sinh theta_i) x_i) with
         # theta_i = d(x, x_i).  The map contracts near the mean, so plain
         # iteration from the normalized ambient average converges linearly.
-        payloads = [p.payload.tolist() for p in points]
         current = _normalized(_combine(weights, payloads))
         for _ in range(_SWEEP_LIMIT):
             coeffs = []
@@ -630,7 +671,8 @@ class Hyperboloid(CoordinateSpace):
             diff = [a - b for a, b in zip(current, candidate)]
             current = candidate
             if math.sqrt(_dot(diff, diff)) <= step_tol:
-                return self._wrap(np.array(current))
+                self._check_coordinates(current)
+                return current
         # the objective is barycenter.frechet_objective at the last iterate
         raise ConvergenceFailureError(
             f"hyperboloid mean did not stabilize in {_SWEEP_LIMIT} iterations",
@@ -707,11 +749,11 @@ class ProductSpace(SpaceModel):
     def concat(self, blocks):
         return (self.left.concat([b[0] for b in blocks]), self.right.concat([b[1] for b in blocks]))
 
-    def _mean(self, points, weights, step_tol):
+    def _mean(self, payloads, weights, step_tol):
         # the objective separates, so the mean is the pair of factor means
-        left = self.left._mean([p.payload[0] for p in points], weights, step_tol)
-        right = self.right._mean([p.payload[1] for p in points], weights, step_tol)
-        return Point(self, (left, right))
+        return tuple(space._loop_point(space._mean([space._loop_payload(p[i]) for p in payloads],
+                                                   weights, step_tol))
+                     for i, space in enumerate((self.left, self.right)))
 
     def format_payload(self, payload) -> str:
         return (f"({self.left.format_payload(payload[0].payload)}; "

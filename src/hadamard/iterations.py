@@ -12,11 +12,14 @@ diagnostics.
 
 A projection run checks its inputs once, on entry: the starting point
 and the witness against every set, the witness as a fixed point of each
-projection, and the weights.  Every later point is a projection or a
-weighted mean of points of that space, built by a library kernel, so
-the loop measures distances on payloads and solves each averaged
-iterate's mean without repeating those checks.  A trace's Fejer gaps
-and shadow distances likewise check their points' space once per trace.
+projection, and the weights.  Every run and every shadow solve is then
+one loop, ``_iterate``, over payloads: each later iterate is a
+projection or a weighted mean of payloads of that space, built by a
+library kernel that runs the checks its point-level twin runs, so the
+loop steps, measures and averages payloads without repeating the entry
+checks, and makes a ``Point`` only of each iterate it keeps, at the end.
+A trace's Fejer gaps and shadow distances likewise check their points'
+space once per trace.
 ``fixed_point_iterate`` keeps the checked ``distance``: a user
 ``Operator`` may return a point of another space.
 """
@@ -29,7 +32,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .barycenter import _STEP_TOL, _mean_of, _weight_tuple, convex_weights
-from .convex_sets import ConvexSet, _halfspace_moves, halfspace_residual
+from .convex_sets import (
+    ConvexSet,
+    _halfspace_moves,
+    _payload_projections,
+    halfspace_residual,
+)
 from .errors import ConstructionError, ConvergenceFailureError, DomainError
 from .geometry import (
     EQ_TOL,
@@ -103,8 +111,11 @@ class IterationTrace:
         n = len(self.points)
         if len(self.residuals) != n or len(self.steps) != n - 1:
             raise ConstructionError("trace lengths are inconsistent")
-        if any(r < 0 for r in self.residuals):
-            raise ConstructionError("residuals must be nonnegative")
+        # ``not v >= 0`` refuses a NaN, which ``v < 0`` lets through
+        for name, values in (("residuals", self.residuals), ("steps", self.steps)):
+            bad = [v for v in values if not v >= 0]
+            if bad:
+                raise ConstructionError(f"{name} must be nonnegative, got {bad[0]!r}")
         self.witness_is_proxy = self.witness is None
         if self.witness_is_proxy:
             self.witness = self.points[-1]
@@ -225,85 +236,79 @@ def _iterate(sets, flat_residual, x0: Point, rule: StopRule, weights, record: bo
     iterates of the last cycle and the last residual), and returns the
     last point alone and no steps.
 
+    The loop steps payloads in their model's loop form
+    (``SpaceModel._loop_payload``): coordinate arrays in flat space, lists
+    of Python floats on the hyperboloid, tree locations, and pairs of
+    factor points in a product.  Each projection is its set's
+    ``_project_payload`` and each mean ``barycenter._mean_of``, which take
+    the operations their point-level twins take, in the same order, and
+    run the checks those twins run on each image and mean they make.  The
+    loop makes a point only of each iterate it keeps, at the end: x0
+    itself, and one point per iterate that moved.
+
     Each residual max_i d(x_n, C_i) is ``flat_residual`` (one matrix-vector
     product on the payload, ``halfspace_residual``) when the sets are
     Euclidean halfspaces; otherwise it is read off the images P_i x_n,
     which the next step reuses.  So no projection is computed twice at one
     iterate: a cyclic iterate costs one projection on a flat family and K
     on any other, and an averaged iterate costs K.  A projection that
-    returns its input object (the iterate lies in the set) takes a step of
+    returns its input (the iterate lies in the set) takes a step of
     exactly 0.0, which is d(x, x) in every model, and leaves the residual
     and the images as they were.  Converged means the residual reached
     ``rule.residual_tol``; stalled means a full cycle (K cyclic iterates, or
     one averaged iterate) moved the iterate by at most ``rule.stall_tol``.
 
     An unrecorded cyclic run over a flat family, as a shadow solve is,
-    iterates coordinate arrays: each step is the halfspace's own payload
-    arithmetic, which its ``project`` runs too, so the run takes the same
-    floating-point operations in the same order.  Only its last iterate
-    becomes a point, through ``_wrap``, which keeps the coordinate bound.
-    Every other run iterates points, and makes one of each iterate.
+    steps by the halfspaces' unchecked arithmetic and checks only the one
+    iterate it keeps, its last, through ``_wrap``.
     """
     # x0, the sets, the witness and the weights were checked on entry, and
-    # every later point is a projection or a mean of earlier ones, so the
+    # every later payload is a projection or a mean of earlier ones, so the
     # loop measures payloads of this one space
     space = x0.space
-    payload_distance = space.payload_distance
+    dist = space._loop_distance
     k = len(sets) if weights is None else 1
-    moves = None if record or weights is not None else _halfspace_moves(sets)
+    unchecked = None if record or weights is not None else _halfspace_moves(sets)
+    project = unchecked or _payload_projections(sets)
 
-    if moves is not None:
-        start, dist = x0.payload, payload_distance
-
-        def measure(p):
+    def measure(p):
+        """p's residual, and its images under the projections when formed."""
+        if flat_residual is not None:
             return flat_residual(p), None
+        images = [f(p) for f in project]
+        return max(dist(p, y) for y in images), images
 
-        def advance(n, p, images):
-            return moves[(n - 1) % k](p)
-    else:
-        start = x0
+    def advance(n, p, images):
+        if weights is None:
+            i = (n - 1) % k
+            return project[i](p) if images is None else images[i]
+        if images is None:
+            images = [f(p) for f in project]
+        return _mean_of(space, images, weights, _STEP_TOL)
 
-        def dist(x, y):
-            return payload_distance(x.payload, y.payload)
-
-        def measure(x):
-            """x's residual, and its images under the projections when formed."""
-            if flat_residual is not None:
-                return flat_residual(x.payload), None
-            images = [c.project(x) for c in sets]
-            p = x.payload
-            return max(payload_distance(p, y.payload) for y in images), images
-
-        def advance(n, x, images):
-            if weights is None:
-                i = (n - 1) % k
-                return sets[i].project(x) if images is None else images[i]
-            if images is None:
-                images = [c.project(x) for c in sets]
-            return _mean_of(space, images, weights, _STEP_TOL)
-
+    start = space._loop_payload(x0)
     residual, images = measure(start)
-    points = [start] if record else deque([start], maxlen=k + 1)
+    payloads = [start] if record else deque([start], maxlen=k + 1)
     residuals = [residual]
     steps: list[float] = []
     stop_reason = MAX_ITER
     if residual <= rule.residual_tol:
         return [x0], residuals, steps, CONVERGED
     for n in range(1, rule.max_iter + 1):
-        x = points[-1]
+        p = payloads[-1]
         try:
-            nxt = advance(n, x, images)
+            nxt = advance(n, p, images)
         except ConvergenceFailureError as exc:
             raise ConvergenceFailureError(f"iteration {n} failed: {exc}",
                                           last_point=exc.last_point,
                                           objective=exc.objective) from exc
-        if nxt is x:
+        if nxt is p:
             step = 0.0
         else:
             # a cycle of several maps reads its displacement, not its steps
-            step = dist(x, nxt) if record or k == 1 else None
+            step = dist(p, nxt) if record or k == 1 else None
             residual, images = measure(nxt)
-        points.append(nxt)
+        payloads.append(nxt)
         if record:
             steps.append(step)
             residuals.append(residual)
@@ -312,16 +317,23 @@ def _iterate(sets, flat_residual, x0: Point, rule: StopRule, weights, record: bo
             break
         if n % k == 0:
             # With one map the cycle's displacement is the step just taken.
-            moved = step if k == 1 else dist(nxt, points[-1 - k])
+            moved = step if k == 1 else dist(nxt, payloads[-1 - k])
             if moved <= rule.stall_tol:
                 stop_reason = STALLED
                 break
     if not record:
-        last = points[-1]
-        if moves is not None:
-            # the one point the run keeps; x0 is already one
-            last = x0 if last is start else space._wrap(last)
-        points, residuals = [last], [residual]
+        last = payloads[-1]
+        if last is start:
+            point = x0
+        elif unchecked is not None:
+            point = space._wrap(last)
+        else:
+            point = space._loop_point(last)
+        return [point], [residual], steps, stop_reason
+    # the points: x0, then one per iterate that moved, shared by the iterates that did not
+    points = [x0]
+    for prev, p in zip(payloads, payloads[1:]):
+        points.append(points[-1] if p is prev else space._loop_point(p))
     return points, residuals, steps, stop_reason
 
 

@@ -464,12 +464,11 @@ class MetricTree(SpaceModel):
         offsets[inside] = [loc.offset for loc in locs]
         return edges, offsets
 
-    def _mean(self, points, weights, step_tol):
+    def _mean(self, locs, weights, step_tol):
         # On each edge, every squared distance is (s - c_i)^2 for a constant
         # c_i, so F restricted to the edge is one quadratic in the offset s,
         # and the global minimizer is found exactly by scanning edges.
         # Rows are points, columns edges; argmin keeps the first minimal edge.
-        locs = [p.payload for p in points]
         w = np.array(weights)
         dist = self._vertex_distances(locs)
         da = dist[:, self._ends[:, 0]]
@@ -481,7 +480,12 @@ class MetricTree(SpaceModel):
         s_star = np.clip(w @ centers, 0.0, lengths)
         values = w @ (s_star - centers) ** 2
         idx = int(np.argmin(values))
-        return Point(self, self._canonical(idx, float(s_star[idx])))
+        return self._canonical(idx, float(s_star[idx]))
+
+    def _loop_point(self, loc):
+        # a location at a vertex is the vertex's shared point, as in ``row``
+        v = self._at_vertex(loc.edge, loc.offset)
+        return Point(self, loc) if v is None else self._vertex(v)
 
     def format_payload(self, payload: TreeLocation) -> str:
         v = self.location_vertex(payload)

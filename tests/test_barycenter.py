@@ -194,7 +194,7 @@ class TestFrechetMean:
         with pytest.raises(ConvergenceFailureError) as block_err:
             h2._block_mean(blocks, weights, 1e-16)
         with pytest.raises(ConvergenceFailureError) as err:
-            h2._mean(rows[1].points, rows[1].weights, 1e-16)
+            h2._mean([h2._loop_payload(p) for p in rows[1].points], rows[1].weights, 1e-16)
         assert str(block_err.value) == str(err.value)
         last = block_err.value.last_point
         assert last == err.value.last_point

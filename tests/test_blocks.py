@@ -259,7 +259,8 @@ class TestBlocksAgreeWithScalars:
         pts, w = instances
         means = space._block_mean(pts, w, 1e-10)
         for i in range(MEAN_ROWS):
-            want = space._mean([space.row(p, i) for p in pts], w[i], 1e-10)
+            want = space._loop_point(space._mean(
+                [space._loop_payload(space.row(p, i)) for p in pts], w[i], 1e-10))
             assert bits(space.row(means, i)) == bits(want), i
 
     def test_convex_combination(self, case, blocks):
@@ -444,7 +445,8 @@ class TestHyperboloidTwins:
         except InvalidPointError:
             assume(False)
         raw = rng.uniform(0.05, 1.0, len(points))
-        mean = space._mean(points, tuple(raw / raw.sum()), 1e-10)
+        mean = space._loop_point(space._mean([space._loop_payload(p) for p in points],
+                                             tuple(raw / raw.sum()), 1e-10))
         space.validate_payload(mean.payload)
         c = HyperbolicHalfspace(space, [0.0, *rng.standard_normal(dim)])
         for p in points + [mean]:

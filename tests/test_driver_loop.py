@@ -21,6 +21,7 @@ import hadamard.barycenter as barycenter
 import hadamard.geometry as geometry
 import hadamard.iterations as iterations
 from hadamard import (
+    Composition,
     ConvergenceFailureError,
     Euclidean,
     EuclideanHalfspace,
@@ -30,6 +31,7 @@ from hadamard import (
     IterationTrace,
     ProductSet,
     ProductSpace,
+    Projection,
     SpaceMismatchError,
     StopRule,
     Subtree,
@@ -38,6 +40,7 @@ from hadamard import (
     averaged_projections,
     cyclic_projections,
     distance,
+    fixed_point_iterate,
     frechet_mean,
     halfspace_residual,
     parse_scenario,
@@ -232,6 +235,11 @@ class TestChecksOnce:
         assert seen[1]["check_same_space"] <= 2 + len(sets)
 
 
+def _fixed_point(sets, x0, rule):
+    """The fixed-point run of the composed projections, first set applied first."""
+    return fixed_point_iterate(Composition([Projection(c) for c in reversed(sets)]), x0, rule)
+
+
 class TestKernelOutputBound:
     """A kernel output past the coordinate bound still raises, as a checked point did."""
 
@@ -241,7 +249,7 @@ class TestKernelOutputBound:
         return ([EuclideanHyperplane(e2, [1, 0], 1e200, name="far"),
                  EuclideanHyperplane(e2, [0, 1], 0.0, name="axis")], e2.point([0.0, 1.0]))
 
-    @pytest.mark.parametrize("driver", [cyclic_projections, averaged_projections])
+    @pytest.mark.parametrize("driver", [cyclic_projections, averaged_projections, _fixed_point])
     def test_drivers_raise(self, far, driver):
         sets, x0 = far
         with pytest.raises(InvalidPointError, match="at most 1e[+]150"):
@@ -258,6 +266,103 @@ class TestKernelOutputBound:
         assert main(["run", str(scn)]) == 2
         assert "at most 1e+150" in capsys.readouterr().err
         assert not (tmp_path / "far.csv").exists()
+
+
+class TestSheetCheckFarFromApex:
+    """A hyperbolic image far from the apex that fails the sheet check raises as before.
+
+    From radius about 7 on, the rounding of m(v, v) exceeds the sheet
+    tolerance in some directions, so a projection onto a boundary there
+    can fail the check that ``_wrap`` makes.  Seed 2 of a scan over the
+    directions of two halfspaces (the apex side of a boundary at radius 7,
+    and the far side of one at radius 7.3) is such an instance: the run
+    from the apex moves to radius 7.3, and the image of that iterate on the
+    boundary at radius 7 is off the sheet.  Each driver raises the same
+    error with the same message at the same iterate as before its loop
+    stepped payloads.  ROADMAP item 5's spatial representation of the
+    hyperboloid will retire this case.
+    """
+
+    @pytest.fixture
+    def instance(self, h2):
+        rng = np.random.default_rng(2)
+        a = rng.uniform(0, 2 * math.pi)
+        b = a + rng.uniform(-0.3, 0.3)
+        e1, e2 = np.array([math.cos(a), math.sin(a)]), np.array([math.cos(b), math.sin(b)])
+        normals = {"out": [-math.sinh(7.3), *(-math.cosh(7.3) * e1)],
+                   "far": [math.sinh(7.0), *(math.cosh(7.0) * e2)]}
+        return normals, [HyperbolicHalfspace(h2, n, name) for name, n in normals.items()]
+
+    # the iterate whose residual raises, and the message
+    FAILS = {cyclic_projections: (1, "point is off the sheet: |m(v,v)+1| = 1.164e-10"),
+             averaged_projections: (2, "point is off the sheet: |m(v,v)+1| = 2.328e-10")}
+
+    @pytest.mark.parametrize("driver", [cyclic_projections, averaged_projections])
+    def test_drivers_raise_at_the_same_iterate(self, h2, instance, driver):
+        _, sets = instance
+        iterate, message = self.FAILS[driver]
+        # x0's images pass, so a run that stops at x0 ends without error
+        assert driver(sets, h2.base_point(), StopRule(max_iter=1, residual_tol=10.0)).iterations == 0
+        if iterate > 1:
+            driver(sets, h2.base_point(), StopRule(max_iter=iterate - 1, residual_tol=0.0))
+        for max_iter in (iterate, 50):
+            with pytest.raises(InvalidPointError) as info:
+                driver(sets, h2.base_point(), StopRule(max_iter=max_iter, residual_tol=0.0))
+            assert str(info.value) == message
+
+    def test_cli_exits_2(self, instance, tmp_path, monkeypatch, capsys):
+        normals, _ = instance
+        monkeypatch.chdir(tmp_path)
+        scn = tmp_path / "far.scn"
+        text = "[space]\nkind = hyperboloid\ndim = 2\n\n"
+        for name, normal in normals.items():
+            text += (f"[set {name}]\nkind = hyperbolic-halfspace\n"
+                     f"normal = {','.join(repr(float(v)) for v in normal)}\n\n")
+        text += ("[run]\nalgorithm = cyclic\nsets = out,far\nx0 = 1,0,0\nmax_iter = 50\n"
+                 "residual_tol = 0\noutput = far.csv\n")
+        scn.write_text(text, encoding="utf-8")
+        assert main(["run", str(scn)]) == 2
+        assert capsys.readouterr().err == ("error: point is off the sheet: "
+                                           "|m(v,v)+1| = 1.164e-10\n")
+        assert not (tmp_path / "far.csv").exists()
+
+
+class TestPointsAtTheBoundary:
+    """A run makes a point only of each iterate it keeps, none per projection or mean."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"Point.__init__": 0, "_wrap": 0}
+
+        def counted(name, original):
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+            return wrapper
+
+        monkeypatch.setattr(geometry.Point, "__init__",
+                            counted("Point.__init__", geometry.Point.__init__))
+        monkeypatch.setattr(geometry.CoordinateSpace, "_wrap",
+                            counted("_wrap", geometry.CoordinateSpace._wrap))
+        return counts
+
+    def test_averaged_hyperbolic_run(self, h2, counts):
+        # a narrow wedge: the run takes its 500 iterates, each a mean of three images
+        sets, x0 = _wedge_h2(h2, theta=0.3)
+        trace = averaged_projections(sets, x0, StopRule(max_iter=500),
+                                     weights=(0.25, 0.25, 0.5))
+        kept = len(trace.points)
+        assert trace.stop_reason == "maxiter" and kept == 501
+        assert counts["Point.__init__"] <= kept and counts["_wrap"] <= kept
+
+    def test_recorded_flat_cyclic_run(self, e2, counts):
+        lines = [EuclideanHyperplane(e2, [0, 1], 0.0, name="L1"),
+                 EuclideanHyperplane(e2, [-math.sin(0.5), math.cos(0.5)], 0.0, name="L2"),
+                 EuclideanHalfspace(e2, [1, 1], 10.0, name="H")]
+        trace = cyclic_projections(lines, e2.point([1.0, 2.0]), StopRule(max_iter=500))
+        kept = len(trace.points)
+        assert trace.iterations > 100
+        assert counts["Point.__init__"] <= kept and counts["_wrap"] <= kept
 
 
 def _family(kind, rng, caterpillar, tripod):

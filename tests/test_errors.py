@@ -154,6 +154,13 @@ MALFORMED = {
         5, P, StopRule(max_iter=5))),
     "cyclic-rule-int": (ConstructionError, "of type StopRule",
                         lambda: cyclic_projections([HALF], P, 10)),
+    # a NaN residual passed the check, and steps went unchecked: to_csv wrote them
+    "trace-nan-residual": (ConstructionError, "residuals must be nonnegative, got nan",
+                           lambda: IterationTrace([P, P], [math.nan, 0.0], [0.0], "converged")),
+    "trace-negative-step": (ConstructionError, "steps must be nonnegative, got -1.0",
+                            lambda: IterationTrace([P, P], [0.0, 0.0], [-1.0], "converged")),
+    "trace-nan-step": (ConstructionError, "steps must be nonnegative, got nan",
+                       lambda: IterationTrace([P, P], [0.0, 0.0], [math.nan], "converged")),
     "shadow-set-text": (ConstructionError, "of type ConvexSet", lambda: approximate_shadows(
         IterationTrace([P], [0.0], [], "converged"), ["s"])),
     "fixed-point-op-text": (ConstructionError, "of type Operator",

@@ -258,14 +258,15 @@ class TestProjectionCount:
 
     @pytest.fixture
     def count(self, monkeypatch):
+        # a run projects by each set's payload projection
         calls = []
         for cls in (EuclideanHalfspace, GeodesicBall, Subtree):
-            original = cls.project
+            original = cls._project_payload
 
-            def counted(self, x, original=original):
+            def counted(self, p, original=original):
                 calls.append(self.name)
-                return original(self, x)
-            monkeypatch.setattr(cls, "project", counted)
+                return original(self, p)
+            monkeypatch.setattr(cls, "_project_payload", counted)
         return calls
 
     @pytest.fixture

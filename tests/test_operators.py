@@ -520,15 +520,16 @@ def outcome(apply, x):
 
 @contextlib.contextmanager
 def twin_calls():
-    """Record (set, payload bytes) of every EuclideanHalfspace.project call."""
+    """Record (set, payload bytes) of every projection the scalar twin's arithmetic makes:
+    each ``EuclideanHalfspace._project_payload`` call, which its ``project`` makes too."""
     calls = []
-    project = EuclideanHalfspace.project
+    project = EuclideanHalfspace._project_payload
 
-    def spy(self, x):
-        calls.append((self, x.payload.tobytes()))
-        return project(self, x)
+    def spy(self, p):
+        calls.append((self, p.tobytes()))
+        return project(self, p)
 
-    with mock.patch.object(EuclideanHalfspace, "project", spy):
+    with mock.patch.object(EuclideanHalfspace, "_project_payload", spy):
         yield calls
 
 
