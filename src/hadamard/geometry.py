@@ -617,7 +617,8 @@ class Hyperboloid(CoordinateSpace):
                               f"got -m(v, v) = {norm_sq!r}")
         return _readonly(_normalized(w))
 
-    # Scalar twin kept: the drivers' hot path, where a one-row block costs 18x.
+    # Scalar twin kept: the drivers' Fejer gaps of hyperbolic traces, where a one-row block
+    # costs 18x.
     def payload_distance(self, a, b) -> float:
         if a is b:
             return 0.0

@@ -310,6 +310,19 @@ class TestSheetCheckFarFromApex:
                 driver(sets, h2.base_point(), StopRule(max_iter=max_iter, residual_tol=0.0))
             assert str(info.value) == message
 
+    def test_mean_raises(self, h2):
+        """A mean of three points at radius 7.3 off the sheet raises, as its ``_wrap`` did
+        (seed 2 of a scan over their directions)."""
+        rng = np.random.default_rng(2)
+        a = rng.uniform(0, 2 * math.pi)
+        points = [h2.exp_from_base([7.3 * math.cos(a + d), 7.3 * math.sin(a + d)])
+                  for d in rng.uniform(-0.002, 0.002, 3)]
+        # each is a valid point
+        assert [h2.point(p.payload) for p in points] == points
+        with pytest.raises(InvalidPointError) as info:
+            frechet_mean(WeightedPoints(points, [0.25, 0.25, 0.5]), step_tol=1e-6)
+        assert str(info.value) == "point is off the sheet: |m(v,v)+1| = 1.164e-10"
+
     def test_cli_exits_2(self, instance, tmp_path, monkeypatch, capsys):
         normals, _ = instance
         monkeypatch.chdir(tmp_path)
