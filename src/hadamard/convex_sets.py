@@ -135,8 +135,20 @@ class EuclideanHalfspace(ConvexSet):
             raise ConstructionError(f"{self.kind} normal {cause}")
         if not math.isfinite(offset):
             raise ConstructionError(f"{self.kind} offset must be finite, got {offset}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "normal", arr)
+        self._keep(arr, offset, norm_sq)
+
+    @classmethod
+    def _of_checked_row(cls, space: Euclidean, row, offset: float, norm_sq: float, name: str):
+        """The set ``cls(space, row, offset, name)``, for a float64 row that its caller has
+        checked as ``__init__`` checks a normal, with ``norm_sq = float(row @ row)``."""
+        self = cls.__new__(cls)
+        ConvexSet.__init__(self, space, name)
+        self._keep(row, offset, norm_sq)
+        return self
+
+    def _keep(self, normal, offset, norm_sq):
+        normal.setflags(write=False)
+        object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "_norm_sq", norm_sq)
 

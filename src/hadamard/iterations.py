@@ -156,19 +156,19 @@ class IterationTrace:
         Floats carry 17 significant digits; undefined cells are blank
         (the step and Fejer gap at n = 0, shadow columns when absent).
         """
-        def fmt(v):
-            return "" if v is None else f"{v:.17g}"
-
-        gaps = self.fejer_gaps
-        shadow_d = self.shadow_distances()
-        stream.write("n,residual,fejer_gap,step,shadow_dist\n")
-        for n in range(len(self.points)):
-            gap = gaps[n - 1] if n >= 1 else None
-            step = self.steps[n - 1] if n >= 1 else None
-            sd = shadow_d[n] if shadow_d is not None else None
-            stream.write(
-                f"{n},{fmt(self.residuals[n])},{fmt(gap)},{fmt(step)},{fmt(sd)}\n"
-            )
+        res, gaps, steps = self.residuals, self.fejer_gaps, self.steps
+        sd = self.shadow_distances()
+        # one format per row, written as one string; "%.17g" spells a float as
+        # f"{v:.17g}" does
+        if sd is None:
+            first, row = "0,%.17g,,,\n" % res[0], "%d,%.17g,%.17g,%.17g,\n"
+            cells = [(n, res[n], gaps[n - 1], steps[n - 1]) for n in range(1, len(self.points))]
+        else:
+            first, row = "0,%.17g,,,%.17g\n" % (res[0], sd[0]), "%d,%.17g,%.17g,%.17g,%.17g\n"
+            cells = [(n, res[n], gaps[n - 1], steps[n - 1], sd[n])
+                     for n in range(1, len(self.points))]
+        stream.write("n,residual,fejer_gap,step,shadow_dist\n" + first
+                     + "".join([row % c for c in cells]))
 
 
 def fixed_point_iterate(

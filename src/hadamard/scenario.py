@@ -29,7 +29,9 @@ not sum to 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from .convex_sets import (
 )
 from .errors import ConstructionError, HadamardError, InvalidPointError, ScenarioError
 from .geometry import Euclidean, Hyperboloid, Point, ProductSpace, SpaceModel
-from .geometry import _EXP_RADIUS, _exp_rows
+from .geometry import _COORD_LIMIT, _EXP_RADIUS, _exp_rows
 from .iterations import StopRule
 from .metric_tree import MetricTree
 from .operators import _check_alpha
@@ -137,17 +139,17 @@ def _split_document(text: str) -> list[_Section]:
     current: _Section | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             current = _Section(line[1:-1].strip(), line_no)
             sections.append(current)
             continue
-        if "=" not in line:
+        key, eq, value = line.partition("=")
+        if not eq:
             raise ScenarioError(f"expected 'key = value', got {raw!r}", line_no=line_no)
         if current is None:
             raise ScenarioError("key outside any section", line_no=line_no)
-        key, value = line.split("=", 1)
         current.items.append((key.strip(), value.strip(), line_no))
     return sections
 
@@ -169,7 +171,7 @@ def _checked(at, key: str | None, check, *args, **kwargs):
 
 def _floats(value: str, line_no: int, key: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in value.split(",")])
+        return np.array(list(map(float, value.split(","))))
     except ValueError:
         raise ScenarioError(f"expected comma-separated reals, got {value!r}",
                             line_no=line_no, key=key)
@@ -367,6 +369,59 @@ def _build_set(space: SpaceModel, name: str, sec: _Section) -> ConvexSet:
     raise ScenarioError(f"unknown set kind {kind!r}", line_no=kind_ln, key="kind")
 
 
+# The sets of a flat family by kind, and the keys each of its sections gives once.
+_FLAT_SETS = {"halfspace": EuclideanHalfspace, "hyperplane": EuclideanHyperplane}
+_FLAT_KEYS = {"kind", "normal", "offset"}
+
+
+def _flat_family(space: SpaceModel, sections: list[_Section]) -> dict[str, ConvexSet] | None:
+    """The sets of a flat family built as one block, or None.
+
+    A family is flat when the space is Euclidean and every set section is a
+    ``halfspace`` or ``hyperplane`` that gives ``kind``, ``normal`` and
+    ``offset`` once each.  Its normals are converted into one (K, d) block,
+    checked once as ``EuclideanHalfspace`` checks each normal, and every
+    set is built on its checked row, so the sets equal ``_build_set``'s bit
+    for bit.  None for any other family and at any failed check: the caller
+    then builds the sets one by one, and the first bad set raises its error.
+    """
+    if not (isinstance(space, Euclidean) and sections):
+        return None
+    classes, names, normals, offsets = [], [], [], []
+    for sec in sections:
+        fields = {key: value for key, value, _ in sec.items}
+        if len(sec.items) != 3 or fields.keys() != _FLAT_KEYS:
+            return None
+        cls = _FLAT_SETS.get(fields["kind"])
+        if cls is None:
+            return None
+        classes.append(cls)
+        names.append(sec.header[4:].strip())
+        normals.append(fields["normal"])
+        offsets.append(fields["offset"])
+    dim = space.dim
+    rows = [value.split(",") for value in normals]
+    # every row's length first, so that the block below is never ragged
+    if len(set(names)) != len(names) or any(len(row) != dim for row in rows):
+        return None
+    try:
+        # float() of each token, as ``_floats`` takes it, row after row
+        block = np.fromiter(map(float, chain.from_iterable(rows)), float,
+                            count=len(rows) * dim).reshape(-1, dim)
+        offsets = list(map(float, offsets))
+    except ValueError:
+        return None
+    # NaN fails the bound as infinity does
+    if not (np.abs(block).max() <= _COORD_LIMIT and all(map(math.isfinite, offsets))):
+        return None
+    norm_sqs = [float(row @ row) for row in block]
+    if min(norm_sqs) <= 0.0:
+        return None
+    return {name: cls._of_checked_row(space, row, offset, norm_sq, name)
+            for cls, name, row, offset, norm_sq
+            in zip(classes, names, block, offsets, norm_sqs)}
+
+
 # ---------------------------------------------------------------------
 # the run section and whole-document assembly
 # ---------------------------------------------------------------------
@@ -432,12 +487,14 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None) -> Scenar
 
     space = _build_space(space_sections[0])
 
-    sets: dict[str, ConvexSet] = {}
-    for sec in set_sections:
-        name = sec.header[4:].strip()
-        if name in sets:
-            raise ScenarioError(f"duplicate set name '{name}'", line_no=sec.line_no)
-        sets[name] = _build_set(space, name, sec)
+    sets = _flat_family(space, set_sections)
+    if sets is None:
+        sets = {}
+        for sec in set_sections:
+            name = sec.header[4:].strip()
+            if name in sets:
+                raise ScenarioError(f"duplicate set name '{name}'", line_no=sec.line_no)
+            sets[name] = _build_set(space, name, sec)
 
     run = run_sections[0]
     algorithm_v, algorithm_ln = run.require("algorithm")

@@ -452,3 +452,43 @@ class TestTraceCsv:
             assert float(row[1]) == trace.residuals[n]
             if n >= 1:
                 assert float(row[3]) == trace.steps[n - 1]
+
+    # nan, infinities, signed zeros, the least subnormal and normal, a subnormal,
+    # 17-digit values, the largest float, an integer and a NumPy scalar
+    EDGE_VALUES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072014e-308,
+                   1e-310, 0.1 + 0.2, 1 / 3, -2 / 3, 1e300, -1.7976931348623157e308, 3,
+                   np.float64(7.000000000000001)]
+
+    @staticmethod
+    def per_cell_csv(trace) -> str:
+        """The trace written cell by cell with f"{v:.17g}", blank for a missing cell."""
+        def fmt(v):
+            return "" if v is None else f"{v:.17g}"
+
+        gaps, shadows = trace.fejer_gaps, trace.shadow_distances()
+        out = ["n,residual,fejer_gap,step,shadow_dist\n"]
+        for n in range(len(trace.points)):
+            gap = gaps[n - 1] if n >= 1 else None
+            step = trace.steps[n - 1] if n >= 1 else None
+            sd = shadows[n] if shadows is not None else None
+            out.append(f"{n},{fmt(trace.residuals[n])},{fmt(gap)},{fmt(step)},{fmt(sd)}\n")
+        return "".join(out)
+
+    @pytest.mark.parametrize("with_shadows", [False, True])
+    def test_one_format_per_row_spells_every_cell_as_per_cell(self, e2, rng, with_shadows):
+        """Each column takes every edge value at some row; the cells are set after
+        construction, which refuses a NaN residual or step."""
+        values = self.EDGE_VALUES
+        n = len(values) + 1
+        points = [e2.sample(rng) for _ in range(n)]
+        trace = IterationTrace(points, [0.0] * n, [0.0] * (n - 1), "converged",
+                               shadows=points if with_shadows else None)
+        trace.residuals = values + values[:1]
+        trace.steps = values[3:] + values[:3]
+        trace.fejer_gaps = values[7:] + values[:7]
+        if with_shadows:
+            trace.shadow_distances = lambda: values[5:] + values[:6]
+        buf = io.StringIO()
+        trace.to_csv(buf)
+        assert buf.getvalue() == self.per_cell_csv(trace)
+        assert "nan" in buf.getvalue() and "-0," in buf.getvalue()

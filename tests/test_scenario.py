@@ -1,19 +1,26 @@
 """Scenario parsing, validation errors, and the point-spec round trip."""
 
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadamard import (
     Euclidean,
+    EuclideanHalfspace,
     GeodesicBall,
     Hyperboloid,
     ScenarioError,
     parse_scenario,
     run_scenario,
 )
+from hadamard import scenario
 from hadamard.scenario import parse_point_spec, point_spec
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 CYCLIC_DOC = """
 [space]
@@ -467,3 +474,128 @@ class TestMeanPoints:
             with pytest.raises(ScenarioError) as err:
                 parse_scenario(doc)
             assert err.value.line_no == doc.splitlines().index(f"point = {points[first - 1]}") + 1
+
+
+# Spellings of a seeded coordinate that float() accepts, and a few fixed tokens, all
+# finite and within the bound; a row of only zeros or 1e-300s is refused.
+GOOD_SPELLINGS = (
+    lambda v: f"{v:.17g}",
+    repr,
+    lambda v: f"{v:.3E}",
+    lambda v: f" {v:+.6f} ",
+    lambda v: f"{int(v * 1000):_}",
+)
+FIXED_TOKENS = ("-0.0", "+0", "0", ".5", "5.", "1e-300", "-1E-300", "1_0.2_5", "1E+2", "\t7")
+# A bad row: how the set at its position breaks, each with a few spellings
+BAD_ROWS = ("length", "token", "huge", "zero", "underflow", "offset", "repeat", "unknown",
+            "missing", "name", "kind")
+
+
+def flat_doc(dim, count, seed, bad, at, ball):
+    """A Euclidean document of ``count`` halfspaces and hyperplanes in R^dim, with the
+    bad row ``bad`` (or None) at set index ``at`` and a ball set after the first set if
+    ``ball``; every other token is a good spelling of a seeded coordinate."""
+    r = np.random.default_rng(seed)
+
+    def token():
+        if r.random() < 0.05:
+            return FIXED_TOKENS[r.integers(len(FIXED_TOKENS))]
+        v = float(r.standard_normal() * 10.0 ** r.integers(-3, 4))
+        return GOOD_SPELLINGS[r.integers(len(GOOD_SPELLINGS))](v)
+
+    lines = ["[space]", "kind = euclidean", f"dim = {dim}", ""]
+    names = []
+    for k in range(count):
+        name, kind = f"S{k}", ["halfspace", "hyperplane"][r.integers(2)]
+        tokens = [token() for _ in range(dim)]
+        keys = [("kind", kind), ("normal", None), ("offset", token())]
+        if k == at:
+            wrong = r.integers(3)
+            if bad == "length":
+                tokens = tokens[:-1] if wrong and dim > 1 else tokens + ["1"]
+            elif bad == "token":
+                tokens[r.integers(dim)] = ["abc", "", "1..2", "0x10", "1,5"][r.integers(5)]
+            elif bad == "huge":
+                tokens[r.integers(dim)] = ["1e300", "-2e150", "inf", "-inf", "nan",
+                                           "1e400"][r.integers(6)]
+            elif bad == "zero":
+                tokens = [["0", "-0.0", "0e5"][r.integers(3)] for _ in range(dim)]
+            elif bad == "underflow":
+                tokens = ["1e-200"] * dim
+            elif bad == "offset":
+                keys[2] = ("offset", ["inf", "-inf", "nan", "1e400", "zero"][r.integers(5)])
+            elif bad == "repeat":
+                keys.insert(r.integers(1, 4), keys[wrong])
+            elif bad == "unknown":
+                keys[wrong:wrong + r.integers(2)] = [("radius", "1")]
+            elif bad == "missing":
+                del keys[wrong]
+            elif bad == "name" and k > 0:
+                name = f"S{r.integers(k)}"
+            elif bad == "kind":
+                kind = keys[0] = ("kind", ["cone", "ball", "hyperbolic-halfspace"][wrong])
+        lines.append(f"[set {name}]")
+        lines += [f"{key} = {','.join(tokens) if value is None else value}"
+                  for key, value in keys]
+        lines.append("")
+        names.append(name)
+        if ball and k == 0:
+            lines += ["[set B]", "kind = ball", f"center = {','.join(['0'] * dim)}",
+                      "radius = 1", ""]
+    lines += ["[run]", "algorithm = cyclic", f"sets = {','.join(names)}",
+              f"x0 = {','.join(['1'] * dim)}", "max_iter = 10", "output = t.csv"]
+    return "\n".join(lines) + "\n"
+
+
+def set_bits(sets) -> list:
+    """Each set's class and name, and for a flat set its normal, offset and squared norm
+    in hex."""
+    out = []
+    for name, c in sets.items():
+        out.append((name, type(c).__name__, c.name))
+        if isinstance(c, EuclideanHalfspace):
+            out.append(([v.hex() for v in c.normal.tolist()], c.offset.hex(),
+                        c._norm_sq.hex(), c.normal.flags.writeable))
+    return out
+
+
+class TestFlatFamily:
+    """An all-flat family is built as one block, with the sets and errors of the loop."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(dim=st.integers(1, 50), count=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+           where=st.sampled_from(["start", "middle", "end"]), ball=st.booleans())
+    def test_block_equals_set_by_set(self, dim, count, seed, where, ball):
+        # the seed picks the bad row's kind, so that every kind is drawn about as often
+        bad = ((None,) + BAD_ROWS)[seed % (len(BAD_ROWS) + 1)]
+        at = {"start": 0, "middle": count // 2, "end": count - 1}[where]
+        doc = flat_doc(dim, count, seed, bad, at, ball)
+        # the reference builds every set through _build_set
+        with mock.patch.object(scenario, "_flat_family", return_value=None):
+            try:
+                expected = parse_scenario(doc)
+            except ScenarioError as exc:
+                expected = exc
+        with mock.patch.object(scenario, "_build_set", wraps=scenario._build_set) as loop:
+            try:
+                got = parse_scenario(doc)
+            except ScenarioError as exc:
+                got = exc
+        if isinstance(expected, ScenarioError):
+            assert isinstance(got, ScenarioError), doc
+            assert (str(got), got.line_no, got.key) == (str(expected), expected.line_no,
+                                                        expected.key)
+            return
+        assert set_bits(got.sets) == set_bits(expected.sets)
+        assert bits(got.x0) == bits(expected.x0)
+        # a valid all-flat family never falls back to the loop
+        assert loop.call_count == (0 if not ball else len(got.sets))
+
+    def test_shipped_wide_wedge_is_one_block(self):
+        doc = (SCENARIO_DIR / "fixedpoint_wedge_wide.scn").read_text(encoding="utf-8")
+        with mock.patch.object(scenario, "_build_set", side_effect=AssertionError):
+            got = parse_scenario(doc)
+        with mock.patch.object(scenario, "_flat_family", return_value=None):
+            expected = parse_scenario(doc)
+        assert len(got.sets) == 37
+        assert set_bits(got.sets) == set_bits(expected.sets)
