@@ -533,7 +533,7 @@ def flat_doc(dim, count, seed, bad, at, ball):
             elif bad == "name" and k > 0:
                 name = f"S{r.integers(k)}"
             elif bad == "kind":
-                kind = keys[0] = ("kind", ["cone", "ball", "hyperbolic-halfspace"][wrong])
+                keys[0] = ("kind", ["cone", "ball", "hyperbolic-halfspace"][wrong])
         lines.append(f"[set {name}]")
         lines += [f"{key} = {','.join(tokens) if value is None else value}"
                   for key, value in keys]
