@@ -137,14 +137,29 @@ class EuclideanHalfspace(ConvexSet):
             raise ConstructionError(f"{self.kind} offset must be finite, got {offset}")
         self._keep(arr, offset, norm_sq)
 
-    @classmethod
-    def _of_checked_row(cls, space: Euclidean, row, offset: float, norm_sq: float, name: str):
-        """The set ``cls(space, row, offset, name)``, for a float64 row that its caller has
-        checked as ``__init__`` checks a normal, with ``norm_sq = float(row @ row)``."""
-        self = cls.__new__(cls)
-        ConvexSet.__init__(self, space, name)
-        self._keep(row, offset, norm_sq)
-        return self
+    @staticmethod
+    def _of_block(space: Euclidean, classes, names, block, offsets) -> list | None:
+        """The sets ``cls(space, row, offset, name)`` of a float64 (K, dim) block, or None.
+
+        The block and the offsets are checked once as ``__init__`` checks
+        each normal and offset, and each set is built on its checked row
+        with ``float(row @ row)`` as its squared norm, so the sets equal
+        ``__init__``'s bit for bit.  None at any failed check: the caller
+        then builds the sets one by one, and the first bad set raises.
+        """
+        # NaN fails the bound as infinity does
+        if not (np.abs(block).max() <= _COORD_LIMIT and all(map(math.isfinite, offsets))):
+            return None
+        norm_sqs = [float(row @ row) for row in block]
+        if min(norm_sqs) <= 0.0:
+            return None
+        sets = []
+        for cls, name, row, offset, norm_sq in zip(classes, names, block, offsets, norm_sqs):
+            c = cls.__new__(cls)
+            ConvexSet.__init__(c, space, name)
+            c._keep(row, offset, norm_sq)
+            sets.append(c)
+        return sets
 
     def _keep(self, normal, offset, norm_sq):
         normal.setflags(write=False)
@@ -205,51 +220,62 @@ class EuclideanHyperplane(EuclideanHalfspace):
     _lowest_gap = 0.0
 
 
-def _flat_rows(sets: list):
-    """The stacked normals and offsets of a flat family, or None.
+class _HalfspaceFamily:
+    """A flat family, its normals and offsets stacked once: the run's ``residual``, the
+    unchecked ``images`` the flat shadow solves step by, and a composition's ``sweep``."""
 
-    A flat family is a nonempty list of ``EuclideanHalfspace``s
-    (hyperplanes included) of one space; None for any other list, and
-    ``SpaceMismatchError`` for halfspaces of different spaces.
-    """
-    if not sets or not all(isinstance(c, EuclideanHalfspace) for c in sets):
-        return None
-    if any(c.space != sets[0].space for c in sets):
-        raise SpaceMismatchError("the halfspaces live in different spaces")
-    return np.stack([c.normal for c in sets]), np.array([c.offset for c in sets])
+    @classmethod
+    def of(cls, sets):
+        """The family of ``sets``, or None; ``SpaceMismatchError`` for mixed spaces.
 
+        The one test of a flat family: a nonempty list of
+        ``EuclideanHalfspace``s (hyperplanes included) of one space, each
+        keeping that class's ``project`` (a subclass that overrides it is
+        projected through its override).
+        """
+        sets = list(sets)
+        if not sets or not all(isinstance(c, EuclideanHalfspace)
+                               and type(c).project is EuclideanHalfspace.project for c in sets):
+            return None
+        if any(c.space != sets[0].space for c in sets):
+            raise SpaceMismatchError("the halfspaces live in different spaces")
+        return cls(sets)
 
-def halfspace_residual(sets):
-    """p -> max_k d(p, C_k) on coordinate arrays, from one matrix-vector product, or None.
+    def __init__(self, sets: list):
+        self.sets = sets
+        self.normals = normals = np.stack([c.normal for c in sets])
+        self.offsets = offsets = np.array([c.offset for c in sets])
+        self.images = [c._image for c in sets]
+        # each row's offset, lowest gap and norm, as Python floats
+        self._terms = list(zip(offsets.tolist(), [c._lowest_gap for c in sets],
+                               np.sqrt([c._norm_sq for c in sets]).tolist()))
+        # the sweep's screen
+        l1 = np.abs(normals).sum(axis=1)
+        screened = [c._lowest_gap == -math.inf and abs(c.offset) <= 2.0 ** 1021 for c in sets]
+        self._weights = np.where(screened, (normals.shape[1] + 1) * 2.0 ** -50 * l1, math.nan)
+        self._reach = 2.0 ** 1020 / max(float(l1.max()), 1.0)
+        self._none_held = [False] * len(sets)
 
-    Defined when every set is an ``EuclideanHalfspace`` (hyperplanes
-    included) of one space; None for any other family.  Like
-    ``SpaceModel.payload_distance`` it takes a payload and checks none:
-    a caller passes the coordinates of a point of the sets' space.  With
-    gaps g = A p - b, the distance to C_k is max(g_k, _lowest_gap_k - g_k) / |a_k|
-    clipped at zero, which is the length |gap| / |a| of the step the
-    projection takes, without forming the image.
+    def residual(self, p) -> float:
+        """max_k d(p, C_k) on a coordinate array, from one matrix-vector product.
 
-    After ``A @ p`` the residual runs on Python floats, and equals
-    ``max(np.fmax(g, lowest - g) / norms)`` clipped at zero bit for bit:
-    Python's ``max(g, lo - g)`` keeps g when the right side is NaN (an
-    infinite halfspace gap gives -inf - -inf), as ``np.fmax`` does, and a
-    NaN distance wins the maximum, as it does in ``np.max``.
-    """
-    sets = list(sets)
-    rows = _flat_rows(sets)
-    if rows is None:
-        return None
-    normals, offsets = rows
-    # each row's offset, lowest gap and norm, as Python floats
-    terms = list(zip(offsets.tolist(), [c._lowest_gap for c in sets],
-                     np.sqrt([c._norm_sq for c in sets]).tolist()))
+        Like ``SpaceModel.payload_distance`` it takes a payload and checks
+        none: a caller passes the coordinates of a point of the sets' space.
+        With gaps g = A p - b, the distance to C_k is
+        max(g_k, _lowest_gap_k - g_k) / |a_k| clipped at zero, which is the
+        length |gap| / |a| of the step the projection takes, without forming
+        the image.
 
-    def residual(p) -> float:
+        After ``A @ p`` the residual runs on Python floats, and equals
+        ``max(np.fmax(g, lowest - g) / norms)`` clipped at zero bit for bit:
+        Python's ``max(g, lo - g)`` keeps g when the right side is NaN (an
+        infinite halfspace gap gives -inf - -inf), as ``np.fmax`` does, and a
+        NaN distance wins the maximum, as it does in ``np.max``.
+        """
         # starting at +0.0 clips at zero, and maps -0.0 (a signed zero on a
         # hyperplane) to +0.0
         worst = 0.0
-        for d, (b, lo, norm) in zip((normals @ p).tolist(), terms):
+        for d, (b, lo, norm) in zip((self.normals @ p).tolist(), self._terms):
             g = d - b
             r = max(g, lo - g) / norm
             if r > worst:
@@ -258,7 +284,91 @@ def halfspace_residual(sets):
                 return r
         return worst
 
-    return residual
+    def _screen(self, p) -> list:
+        """Whether each row provably holds p; the rows decided by the twin read False."""
+        size = math.sqrt(p.dot(p))
+        if 2.0 ** -400 <= size <= self._reach:
+            return (self.offsets - self.normals.dot(p) >= self._weights * size).tolist()
+        return self._none_held
+
+    def sweep(self, x: Point) -> Point:
+        """P_K(... P_2(P_1 x)), the projections onto the sets in turn.
+
+        The sweep returns what the loop ``for c in sets: x = c.project(x)``
+        returns, bit for bit, the same object when no projection moves x,
+        and raises what that loop raises: every projection that runs is
+        that scalar twin, and a screen skips only twins that provably
+        return their input.
+
+        The screen takes the slacks s = b - A p at p = x.payload in one
+        matrix-vector product, and the length v = fl(sqrt(fl(p . p))).  It
+        counts a halfspace row r as held when s_r >= fl(w_r v), where
+        w_r = fl(c fl(|a_r|_1)), c = 8 (n + 1) u, n is the dimension and
+        u = 2^-53.  It runs only while 2^-400 <= v <= 2^1020 / max(1, |a|_1)
+        over the rows; a NaN or infinite coordinate fails that too.
+
+        Proof that the twin's gap fl(fl(a_r . p) - b_r) is then <= 0, so
+        that the twin returns x.  Let S = sum_k |a_rk p_k| <= |a_r|_1 |p|_2,
+        and eta = 2^-1074.  A dot product of length n, summed in any order,
+        with or without fused multiply-adds, errs by at most gamma_n S + n eta,
+        gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability of Numerical
+        Algorithms, 2nd ed., ch. 3; under gradual underflow each product
+        rounding adds at most eta / 2, and a sum that lands among the
+        subnormals is exact).  This holds for the matrix-vector row d and for
+        the twin's dot d' alike, so |d - d'| <= 2 gamma_n S + 2 n eta.  The
+        slack s_r = (b_r - d)(1 + delta), |delta| <= u, so
+
+            b_r - d' >= s_r / (1 + u) - 2 gamma_n S - 2 n eta.
+
+        Since v >= 2^-400, fl(p . p) >= 2^-801 dwarfs its n eta, so
+        |p|_2 <= v (1 + (n + 2) u); |a_r|_1 is a sum of nonnegative terms,
+        low by at most a factor 1 - gamma_n; each product loses a factor
+        1 - u, the last one eta / 2 more.  So the threshold fl(w_r v) is at
+        least half of c |a_r|_1 |p|_2 (1 - (2n + 8) u), which exceeds
+        (1 + u) 2 gamma_n S by a factor near 2 while n u <= 2^-20 (any
+        dimension below 2^33), plus half of c |a_r|_1 2^-400 (1 - (n + 4) u)
+        - eta / 2 >= (n + 1) 2^-990, which exceeds (1 + u) 2 n eta, since a
+        positive squared norm needs a square of at least eta / 2, and so
+        |a_r|_1 >= 2^-538.  Hence b_r - d' >= 0, the gap rounds d' - b_r <= 0
+        to a value <= 0, and the halfspace's lowest gap is -inf.
+
+        The bound needs finite arithmetic.  With v at most the upper limit,
+        every partial sum of either dot stays below 2^1021 in magnitude, and
+        rows with |b_r| > 2^1021 are never screened, so every slack compared
+        is finite.  Hyperplanes are never screened (their w_r is NaN, which
+        no slack reaches): the twin decides each of them.
+
+        The slacks cannot stand in for the twin's gaps: a matrix-vector row
+        and a one-row dot differ in the last bits on a third to a half of the
+        rows of the drivers' wedges, which would move the digits of an image.
+        So every factor not proven held runs the twin.  When the twin moves x,
+        the screen is taken again at the new point if the last one held a
+        later row; otherwise every later twin runs.
+        """
+        sets = self.sets
+        first = sets[0]
+        first._check_point(x)
+        p = x.payload
+        held = self._screen(p)
+        for j in range(len(sets)):
+            if held[j]:
+                continue
+            q = sets[j]._project_payload(p)
+            if q is not p:
+                p = q
+                # the new point needs its own screen, taken where the last one held a later row
+                held = self._screen(p) if True in held[j + 1:] else self._none_held
+        return x if p is x.payload else first.space._loop_point(p)
+
+
+def halfspace_residual(sets):
+    """p -> max_k d(p, C_k) on coordinate arrays, or None: ``_HalfspaceFamily.residual``.
+
+    Defined for a flat family (``_HalfspaceFamily.of``), whose mixed spaces
+    raise ``SpaceMismatchError``; None for any other family.
+    """
+    family = _HalfspaceFamily.of(sets)
+    return None if family is None else family.residual
 
 
 def _payload_projections(sets) -> list:
@@ -273,114 +383,6 @@ def _payload_projections(sets) -> list:
 
     return [c._project_payload if own(c) else partial(ConvexSet._project_payload, c)
             for c in sets]
-
-
-def _halfspace_moves(sets):
-    """Each set's unchecked ``_image``, for a flat family keeping the scalar twin; or None.
-
-    None unless every set is an ``EuclideanHalfspace`` (hyperplanes
-    included) whose ``project`` is that class's own: a subclass that
-    overrides it is projected through its override.
-    """
-    if not all(isinstance(c, EuclideanHalfspace)
-               and type(c).project is EuclideanHalfspace.project for c in sets):
-        return None
-    return [c._image for c in sets]
-
-
-def _halfspace_sweep(sets):
-    """x -> P_K(... P_2(P_1 x)), the projections onto the sets in turn, or None.
-
-    Defined for a flat family (see ``_flat_rows``) whose sets keep
-    ``EuclideanHalfspace.project``; None for any other family, halfspaces
-    of different spaces included.  The sweep returns what the loop
-    ``for c in sets: x = c.project(x)`` returns, bit for bit, the same
-    object when no projection moves x, and raises what that loop raises:
-    every projection that runs is that scalar twin, and a screen skips
-    only twins that provably return their input.
-
-    The screen takes the slacks s = b - A p at p = x.payload in one
-    matrix-vector product, and the length v = fl(sqrt(fl(p . p))).  It
-    counts a halfspace row r as held when s_r >= fl(w_r v), where
-    w_r = fl(c fl(|a_r|_1)), c = 8 (n + 1) u, n is the dimension and
-    u = 2^-53.  It runs only while 2^-400 <= v <= 2^1020 / max(1, |a|_1)
-    over the rows; a NaN or infinite coordinate fails that too.
-
-    Proof that the twin's gap fl(fl(a_r . p) - b_r) is then <= 0, so
-    that the twin returns x.  Let S = sum_k |a_rk p_k| <= |a_r|_1 |p|_2,
-    and eta = 2^-1074.  A dot product of length n, summed in any order,
-    with or without fused multiply-adds, errs by at most gamma_n S + n eta,
-    gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., ch. 3; under gradual underflow each product
-    rounding adds at most eta / 2, and a sum that lands among the
-    subnormals is exact).  This holds for the matrix-vector row d and for
-    the twin's dot d' alike, so |d - d'| <= 2 gamma_n S + 2 n eta.  The
-    slack s_r = (b_r - d)(1 + delta), |delta| <= u, so
-
-        b_r - d' >= s_r / (1 + u) - 2 gamma_n S - 2 n eta.
-
-    Since v >= 2^-400, fl(p . p) >= 2^-801 dwarfs its n eta, so
-    |p|_2 <= v (1 + (n + 2) u); |a_r|_1 is a sum of nonnegative terms,
-    low by at most a factor 1 - gamma_n; each product loses a factor
-    1 - u, the last one eta / 2 more.  So the threshold fl(w_r v) is at
-    least half of c |a_r|_1 |p|_2 (1 - (2n + 8) u), which exceeds
-    (1 + u) 2 gamma_n S by a factor near 2 while n u <= 2^-20 (any
-    dimension below 2^33), plus half of c |a_r|_1 2^-400 (1 - (n + 4) u)
-    - eta / 2 >= (n + 1) 2^-990, which exceeds (1 + u) 2 n eta, since a
-    positive squared norm needs a square of at least eta / 2, and so
-    |a_r|_1 >= 2^-538.  Hence b_r - d' >= 0, the gap rounds d' - b_r <= 0
-    to a value <= 0, and the halfspace's lowest gap is -inf.
-
-    The bound needs finite arithmetic.  With v at most the upper limit,
-    every partial sum of either dot stays below 2^1021 in magnitude, and
-    rows with |b_r| > 2^1021 are never screened, so every slack compared
-    is finite.  Hyperplanes are never screened (their w_r is NaN, which
-    no slack reaches): the twin decides each of them.
-
-    The slacks cannot stand in for the twin's gaps: a matrix-vector row
-    and a one-row dot differ in the last bits on a third to a half of the
-    rows of the drivers' wedges, which would move the digits of an image.
-    So every factor not proven held runs the twin.  When the twin moves x,
-    the screen is taken again at the new point if the last one held a
-    later row; otherwise every later twin runs.
-    """
-    sets = list(sets)
-    try:
-        rows = _flat_rows(sets)
-    except SpaceMismatchError:
-        return None  # the loop raises where a point meets the first foreign set
-    if rows is None or _halfspace_moves(sets) is None:
-        return None
-    normals, offsets = rows
-    l1 = np.abs(normals).sum(axis=1)
-    screened = [c._lowest_gap == -math.inf and abs(c.offset) <= 2.0 ** 1021 for c in sets]
-    weights = np.where(screened, (normals.shape[1] + 1) * 2.0 ** -50 * l1, math.nan)
-    reach = 2.0 ** 1020 / max(float(l1.max()), 1.0)
-    count, first = len(sets), sets[0]
-    none_held = [False] * count
-
-    def screen(p) -> list:
-        """Whether each row provably holds p; the rows decided by the twin read False."""
-        size = math.sqrt(p.dot(p))
-        if 2.0 ** -400 <= size <= reach:
-            return (offsets - normals.dot(p) >= weights * size).tolist()
-        return none_held
-
-    def sweep(x: Point) -> Point:
-        first._check_point(x)
-        p = x.payload
-        held = screen(p)
-        for j in range(count):
-            if held[j]:
-                continue
-            q = sets[j]._project_payload(p)
-            if q is not p:
-                p = q
-                # the new point needs its own screen, taken where the last one held a later row
-                held = screen(p) if True in held[j + 1:] else none_held
-        return x if p is x.payload else first.space._loop_point(p)
-
-    return sweep
 
 
 class HyperbolicHalfspace(ConvexSet):

@@ -32,12 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .barycenter import _STEP_TOL, _mean_of, _weight_tuple, convex_weights
-from .convex_sets import (
-    ConvexSet,
-    _halfspace_moves,
-    _payload_projections,
-    halfspace_residual,
-)
+from .convex_sets import ConvexSet, _HalfspaceFamily, _payload_projections
 from .errors import ConstructionError, ConvergenceFailureError, DomainError
 from .geometry import (
     EQ_TOL,
@@ -223,12 +218,12 @@ def _projection_run(sets, x0: Point, rule: StopRule, witness: Point | None,
                     weights=None) -> IterationTrace:
     """Cyclic projections, or with ``weights`` their barycenter, recording set residuals."""
     _require(rule, StopRule, "stop rule")
-    points, residuals, steps, stop_reason = _iterate(sets, halfspace_residual(sets), x0, rule,
+    points, residuals, steps, stop_reason = _iterate(sets, _HalfspaceFamily.of(sets), x0, rule,
                                                      weights, True)
     return IterationTrace(points, residuals, steps, stop_reason, witness)
 
 
-def _iterate(sets, flat_residual, x0: Point, rule: StopRule, weights, record: bool):
+def _iterate(sets, family, x0: Point, rule: StopRule, weights, record: bool):
     """The loop of every projection run: iterate from x0 until ``rule`` stops it.
 
     Returns the points, the residuals, the steps and the stop reason.
@@ -246,12 +241,13 @@ def _iterate(sets, flat_residual, x0: Point, rule: StopRule, weights, record: bo
     loop makes a point only of each iterate it keeps, at the end: x0
     itself, and one point per iterate that moved.
 
-    Each residual max_i d(x_n, C_i) is ``flat_residual`` (one matrix-vector
-    product on the payload, ``halfspace_residual``) when the sets are
-    Euclidean halfspaces; otherwise it is read off the images P_i x_n,
-    which the next step reuses.  So no projection is computed twice at one
-    iterate: a cyclic iterate costs one projection on a flat family and K
-    on any other, and an averaged iterate costs K.  A projection that
+    Each residual max_i d(x_n, C_i) is ``family.residual`` (one
+    matrix-vector product on the payload) when the sets make a
+    ``_HalfspaceFamily``; otherwise ``family`` is None, and the residual is
+    read off the images P_i x_n, which the next step reuses.  So no
+    projection is computed twice at one iterate: a cyclic iterate costs one
+    projection on a flat family and K on any other, and an averaged iterate
+    costs K.  A projection that
     returns its input (the iterate lies in the set) takes a step of
     exactly 0.0, which is d(x, x) in every model, and leaves the residual
     and the images as they were.  Converged means the residual reached
@@ -259,7 +255,7 @@ def _iterate(sets, flat_residual, x0: Point, rule: StopRule, weights, record: bo
     one averaged iterate) moved the iterate by at most ``rule.stall_tol``.
 
     An unrecorded cyclic run over a flat family, as a shadow solve is,
-    steps by the halfspaces' unchecked arithmetic and checks only the one
+    steps by the family's unchecked ``images`` and checks only the one
     iterate it keeps, its last, through ``_wrap``.
     """
     # x0, the sets, the witness and the weights were checked on entry, and
@@ -268,13 +264,13 @@ def _iterate(sets, flat_residual, x0: Point, rule: StopRule, weights, record: bo
     space = x0.space
     dist = space._loop_distance
     k = len(sets) if weights is None else 1
-    unchecked = None if record or weights is not None else _halfspace_moves(sets)
-    project = unchecked or _payload_projections(sets)
+    unchecked = family is not None and not record and weights is None
+    project = family.images if unchecked else _payload_projections(sets)
 
     def measure(p):
         """p's residual, and its images under the projections when formed."""
-        if flat_residual is not None:
-            return flat_residual(p), None
+        if family is not None:
+            return family.residual(p), None
         images = [f(p) for f in project]
         return max(dist(p, y) for y in images), images
 
@@ -325,7 +321,7 @@ def _iterate(sets, flat_residual, x0: Point, rule: StopRule, weights, record: bo
         last = payloads[-1]
         if last is start:
             point = x0
-        elif unchecked is not None:
+        elif unchecked:
             point = space._wrap(last)
         else:
             point = space._loop_point(last)
@@ -373,19 +369,18 @@ def approximate_shadows(trace: IterationTrace, sets) -> IterationTrace:
     iterations.  The sets are checked once per trace, and each inner
     solve runs the drivers' loop without recording its trace: its final
     point is the one ``cyclic_projections`` from that iterate ends at.
-    Over a flat family the inner solves step coordinate arrays by the
-    halfspaces' own arithmetic and make a point only of their last
-    iterate (see ``_iterate``).
+    Over a flat family, built once per trace, the inner solves step
+    coordinate arrays by the halfspaces' own arithmetic and make a point
+    only of their last iterate (see ``_iterate``).
     """
     points = trace.points
     sets = _run_sets(sets, points[0], None)
     check_same_space(*points)
-    flat_residual = halfspace_residual(sets)
+    family = _HalfspaceFamily.of(sets)
     inner_rule = StopRule(max_iter=100000, residual_tol=1e-10)
     shadows = []
     for x in points:
-        last, residuals, _, stop_reason = _iterate(sets, flat_residual, x, inner_rule, None,
-                                                   False)
+        last, residuals, _, stop_reason = _iterate(sets, family, x, inner_rule, None, False)
         if stop_reason != CONVERGED:
             raise ConvergenceFailureError(
                 f"inner shadow solve stopped with '{stop_reason}' "

@@ -20,7 +20,7 @@ from functools import reduce
 import numpy as np
 
 from .barycenter import _frechet_means, _weight_tuple, convex_weights
-from .convex_sets import ConvexSet, _halfspace_sweep
+from .convex_sets import ConvexSet, _HalfspaceFamily
 from .errors import ConstructionError, DomainError, NotAFixedPointError, SpaceMismatchError
 from .geometry import (
     EQ_TOL,
@@ -168,8 +168,11 @@ class Composition(Operator):
         object.__setattr__(self, "factors", factors)
         # projections onto flat halfspaces skip the factors a screen proves held
         sets = [op.set for op in reversed(factors) if type(op) is Projection]
-        object.__setattr__(self, "_sweep",
-                           _halfspace_sweep(sets) if len(sets) == len(factors) else None)
+        try:
+            family = _HalfspaceFamily.of(sets) if len(sets) == len(factors) else None
+        except SpaceMismatchError:
+            family = None  # the loop raises where a point meets the first foreign set
+        object.__setattr__(self, "_sweep", None if family is None else family.sweep)
 
     # Scalar twin kept: the drivers' fixed-point runs, where a one-row block costs 2.4x to 140x.
     def apply(self, x: Point) -> Point:

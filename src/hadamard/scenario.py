@@ -29,7 +29,6 @@ not sum to 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -48,7 +47,7 @@ from .convex_sets import (
 )
 from .errors import ConstructionError, HadamardError, InvalidPointError, ScenarioError
 from .geometry import Euclidean, Hyperboloid, Point, ProductSpace, SpaceModel
-from .geometry import _COORD_LIMIT, _EXP_RADIUS, _exp_rows
+from .geometry import _EXP_RADIUS, _exp_rows
 from .iterations import StopRule
 from .metric_tree import MetricTree
 from .operators import _check_alpha
@@ -380,10 +379,10 @@ def _flat_family(space: SpaceModel, sections: list[_Section]) -> dict[str, Conve
     A family is flat when the space is Euclidean and every set section is a
     ``halfspace`` or ``hyperplane`` that gives ``kind``, ``normal`` and
     ``offset`` once each.  Its normals are converted into one (K, d) block,
-    checked once as ``EuclideanHalfspace`` checks each normal, and every
-    set is built on its checked row, so the sets equal ``_build_set``'s bit
-    for bit.  None for any other family and at any failed check: the caller
-    then builds the sets one by one, and the first bad set raises its error.
+    which ``EuclideanHalfspace._of_block`` checks and builds the sets on, so
+    the sets equal ``_build_set``'s bit for bit.  None for any other family
+    and at any failed check: the caller then builds the sets one by one,
+    and the first bad set raises its error.
     """
     if not (isinstance(space, Euclidean) and sections):
         return None
@@ -411,15 +410,8 @@ def _flat_family(space: SpaceModel, sections: list[_Section]) -> dict[str, Conve
         offsets = list(map(float, offsets))
     except ValueError:
         return None
-    # NaN fails the bound as infinity does
-    if not (np.abs(block).max() <= _COORD_LIMIT and all(map(math.isfinite, offsets))):
-        return None
-    norm_sqs = [float(row @ row) for row in block]
-    if min(norm_sqs) <= 0.0:
-        return None
-    return {name: cls._of_checked_row(space, row, offset, norm_sq, name)
-            for cls, name, row, offset, norm_sq
-            in zip(classes, names, block, offsets, norm_sqs)}
+    sets = EuclideanHalfspace._of_block(space, classes, names, block, offsets)
+    return None if sets is None else dict(zip(names, sets))
 
 
 # ---------------------------------------------------------------------

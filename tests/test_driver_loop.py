@@ -46,6 +46,7 @@ from hadamard import (
     parse_scenario,
 )
 from hadamard.cli import main
+from hadamard.convex_sets import _HalfspaceFamily
 from hadamard.errors import InvalidPointError
 from hadamard.metric_tree import TreeLocation
 
@@ -470,19 +471,15 @@ class TestUnchangedInput:
         sets, x0 = wedge
         counts = {"residual": 0, "distance": 0}
 
-        def counted_residual(family):
-            residual = halfspace_residual(family)
-
-            def wrapper(x):
-                counts["residual"] += 1
-                return residual(x)
-            return wrapper
+        def counted_residual(self, p, original=_HalfspaceFamily.residual):
+            counts["residual"] += 1
+            return original(self, p)
 
         def counted_distance(self, a, b, original=Euclidean.payload_distance):
             counts["distance"] += 1
             return original(self, a, b)
 
-        monkeypatch.setattr(iterations, "halfspace_residual", counted_residual)
+        monkeypatch.setattr(_HalfspaceFamily, "residual", counted_residual)
         monkeypatch.setattr(Euclidean, "payload_distance", counted_distance)
         trace = cyclic_projections(sets, x0, StopRule(max_iter=2000))
         assert trace.stop_reason == "converged"
@@ -547,7 +544,7 @@ class TestShadowSolves:
             patch.setattr(geometry.CoordinateSpace, "_wrap",
                           counted("_wrap", geometry.CoordinateSpace._wrap))
             last, residuals, steps, stop_reason = iterations._iterate(
-                sets, halfspace_residual(sets), x0, rule, None, False)
+                sets, _HalfspaceFamily.of(sets), x0, rule, None, False)
         assert stop_reason == want.stop_reason
         assert len(last) == 1 and bits(last[0]) == bits(want.final_point)
         assert hex_list(residuals) == hex_list([want.final_residual])
@@ -569,15 +566,21 @@ class TestShadowSolves:
     def test_one_check_and_one_residual_per_trace(self, runs, monkeypatch):
         algorithm, sets, x0, witness, rule, weights = runs["e2-lines-averaged"]
         trace = _run(algorithm, sets, x0, witness, rule, weights)
-        calls = {"cyclic_projections": 0, "_run_sets": 0, "halfspace_residual": 0}
-        for name in calls:
+        calls = {"cyclic_projections": 0, "_run_sets": 0, "of": 0}
+        for name in ("cyclic_projections", "_run_sets"):
             def counted(*args, name=name, original=getattr(iterations, name)):
                 calls[name] += 1
                 return original(*args)
             monkeypatch.setattr(iterations, name, counted)
+
+        def counted_of(cls, sets, original=_HalfspaceFamily.of.__func__):
+            calls["of"] += 1
+            return original(cls, sets)
+        monkeypatch.setattr(_HalfspaceFamily, "of", classmethod(counted_of))
         approximate_shadows(trace, sets)
         assert trace.iterations > 10
-        assert calls == {"cyclic_projections": 0, "_run_sets": 1, "halfspace_residual": 1}
+        # one family build, which serves every inner solve's residuals
+        assert calls == {"cyclic_projections": 0, "_run_sets": 1, "of": 1}
 
     def test_inner_solve_that_stalls_raises(self, e2):
         """Disjoint lines: the inner solve stalls, and the error carries its last point."""
