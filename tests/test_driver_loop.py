@@ -598,3 +598,29 @@ class TestShadowSolves:
                                "converged")
         with pytest.raises(SpaceMismatchError):
             approximate_shadows(trace, [half])
+
+
+class StaysPut(EuclideanHalfspace):
+    """A halfspace whose ``project`` returns its input: it overrides the scalar twin."""
+
+    __slots__ = ()
+
+    def project(self, x):
+        return x
+
+
+class TestOneFlatPredicate:
+    """A subclass that overrides ``project`` makes no flat family anywhere, so every run,
+    shadow solve and composition over it projects through its override."""
+
+    def test_residual_runs_shadows_and_sweep(self, e2):
+        c = StaysPut(e2, [0, 1], 0.0)
+        x0 = e2.point([0.0, 1.0])
+        assert halfspace_residual([c]) is None
+        rule = StopRule(max_iter=50)
+        for trace in (cyclic_projections([c], x0, rule), averaged_projections([c], x0, rule)):
+            assert trace.stop_reason == "converged" and trace.iterations == 0
+            assert trace.residuals == [0.0]
+        trace = approximate_shadows(cyclic_projections([c], x0, rule), [c])
+        assert len(trace.shadows) == 1 and trace.shadows[0] is x0
+        assert Composition([Projection(c)])._sweep is None
