@@ -514,10 +514,16 @@ def reevaluate_witness(spec: CheckSpec, witness: tuple) -> float:
     on that row's inputs alone.  A point outside the check's space raises
     ``SpaceMismatchError``, a witness of the wrong length ``CheckSpecError``.
     """
+    _require_spec(spec)
     columns = _one_row(spec, witness)
     _, defect, admit = _block_kernel(spec)
     admit(witness)
     return float(defect(*columns)[0])
+
+
+def _require_spec(spec) -> None:
+    if not isinstance(spec, CheckSpec):
+        raise CheckSpecError(f"a check must be a CheckSpec, got {spec!r}")
 
 
 def run_suite(specs, suite_seed: int | None = None) -> CertificateReport:
@@ -525,6 +531,8 @@ def run_suite(specs, suite_seed: int | None = None) -> CertificateReport:
     specs = list(specs)
     if not specs:
         raise CheckSpecError("suite needs at least one check")
+    for s in specs:
+        _require_spec(s)
     start = time.perf_counter()
     entries = tuple(run_check(s) for s in specs)
     elapsed = time.perf_counter() - start
@@ -577,6 +585,8 @@ def space_suite(
     whose composition theorem check passes (two balls in the hyperbolic
     plane).
     """
+    if not isinstance(sets, dict):
+        raise CheckSpecError(f"sets must be a dict of named convex sets, got {sets!r}")
     missed = [n for n, c in sets.items() if witness is not None and not c.contains(witness)]
     if missed:
         raise CheckSpecError(f"witness lies outside the declared set(s) {', '.join(missed)}")

@@ -29,6 +29,7 @@ from .geometry import (
     _normalized,
     _real,
     _real_vector,
+    _require,
     _same_space,
     check_same_space,
     distance,
@@ -602,6 +603,8 @@ class ProductSet(ConvexSet):
                  name: str = "product-set"):
         if not isinstance(space, ProductSpace):
             raise ConstructionError("ProductSet requires a ProductSpace")
+        _require(left, ConvexSet, "left factor set")
+        _require(right, ConvexSet, "right factor set")
         if left.space != space.left or right.space != space.right:
             raise ConstructionError("factor sets must live in the product's factors")
         super().__init__(space, name)
@@ -627,6 +630,7 @@ def projection_defect(c: ConvexSet, x: Point, y: Point) -> float:
     the variational inequality characterizing the metric projection.
     """
     check_same_space(x, y)
+    _require(c, ConvexSet, "projection set")
     if not c.contains(y):
         raise DomainError(f"challenge point is not in the set '{c.name}'")
     return _projection(distance, x, y, c.project(x))

@@ -117,6 +117,12 @@ def _require(value, kind: type, label: str) -> None:
         raise ConstructionError(f"{label} must be of type {kind.__name__}, got {value!r}")
 
 
+def _lines(text: str) -> list[str]:
+    r"""The lines of a document, broken only at \n, \r\n and \r, as a text-mode ``open``
+    reads them; ``str.splitlines`` also breaks at \f, \v, \x1c-\x1e, \x85, \u2028, \u2029."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _bounded(values: list) -> bool:
     """Whether every float of ``values`` is at most ``_COORD_LIMIT`` in magnitude."""
     # The norm is at least each |v|, and NaN or inf with any of them, so

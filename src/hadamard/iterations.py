@@ -373,6 +373,7 @@ def approximate_shadows(trace: IterationTrace, sets) -> IterationTrace:
     coordinate arrays by the halfspaces' own arithmetic and make a point
     only of their last iterate (see ``_iterate``).
     """
+    _require(trace, IterationTrace, "trace")
     points = trace.points
     sets = _run_sets(sets, points[0], None)
     check_same_space(*points)
@@ -399,6 +400,7 @@ def shadow_cauchy_worst_defect(trace: IterationTrace) -> float:
     this for shadows onto the limit set; a defect far below zero flags a
     broken shadow sequence.
     """
+    _require(trace, IterationTrace, "trace")
     if trace.shadows is None:
         raise DomainError("trace has no shadows attached")
     pts, sh = trace.points, trace.shadows
@@ -449,6 +451,7 @@ def technical_condition_gaps(trace: IterationTrace) -> list[float]:
     convergence of the shadows; they are reported only and never gate
     termination.
     """
+    _require(trace, IterationTrace, "trace")
     if trace.shadows is None:
         raise DomainError("trace has no shadows attached")
     pts, sh = trace.points, trace.shadows

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConstructionError, EdgeListError, InvalidPointError
-from .geometry import _COORD_LIMIT, Point, SpaceModel, _is_integer, _real
+from .geometry import _COORD_LIMIT, Point, SpaceModel, _is_integer, _lines, _real
 
 __all__ = ["TreeEdge", "TreeLocation", "MetricTree", "parse_edge_list"]
 
@@ -514,12 +514,10 @@ def parse_edge_list(text: str) -> MetricTree:
     whitespace-free tokens for the vertices.  Malformed lines raise
     ``EdgeListError`` with the 1-based line number.
     """
-    try:
-        lines = text.splitlines()
-    except AttributeError:
-        raise EdgeListError(0, f"edge list must be text, got {type(text).__name__}") from None
+    if not isinstance(text, str):
+        raise EdgeListError(0, f"edge list must be text, got {type(text).__name__}")
     edges = []
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line:
             continue

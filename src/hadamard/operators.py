@@ -260,6 +260,7 @@ def discrepancy(op: Operator, x: Point, y: Point) -> float:
     Euclidean models it is the inner product <y - x, Ty - Tx>.
     """
     check_same_space(x, y)
+    _require(op, Operator, "operator")
     tx = op.apply(x)
     ty = op.apply(y)
     return quasilinearization(x, y, tx, ty)
@@ -273,6 +274,7 @@ def alpha_firm_defect(op: Operator, alpha: float, x: Point, y: Point) -> float:
     """
     alpha = _check_alpha(alpha)
     check_same_space(x, y)
+    _require(op, Operator, "operator")
     return _alpha_firm(distance, alpha, x, y, op.apply(x), op.apply(y))
 
 
@@ -293,6 +295,7 @@ def quasi_firm_defect(op: Operator, alpha: float, x: Point, y: Point) -> float:
     """
     alpha = _check_alpha(alpha)
     check_same_space(x, y)
+    _require(op, Operator, "operator")
     _require_fixed(op, y)
     return _quasi_firm(distance, alpha, x, y, op.apply(x))
 

@@ -45,9 +45,15 @@ from .convex_sets import (
     ProductSet,
     Subtree,
 )
-from .errors import ConstructionError, HadamardError, InvalidPointError, ScenarioError
+from .errors import (
+    ConstructionError,
+    HadamardError,
+    InvalidPointError,
+    ScenarioError,
+    SpaceMismatchError,
+)
 from .geometry import Euclidean, Hyperboloid, Point, ProductSpace, SpaceModel
-from .geometry import _EXP_RADIUS, _exp_rows
+from .geometry import _EXP_RADIUS, _exp_rows, _lines
 from .iterations import StopRule
 from .metric_tree import MetricTree
 from .operators import _check_alpha
@@ -136,7 +142,7 @@ class _Section:
 def _split_document(text: str) -> list[_Section]:
     sections: list[_Section] = []
     current: _Section | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_lines(text), start=1):
         line = raw.strip()
         if not line or line[0] == "#":
             continue
@@ -313,6 +319,8 @@ def _block_points(space: SpaceModel, items) -> list[Point]:
 
 def point_spec(point: Point) -> str:
     """Full-precision textual form of a point, inverse to parse_point_spec."""
+    if not isinstance(point, Point):
+        raise SpaceMismatchError(f"{point!r} is not a point")
     space = point.space
     if isinstance(space, (Euclidean, Hyperboloid)):
         return ",".join(f"{v:.17g}" for v in point.payload)
@@ -463,6 +471,8 @@ def parse_scenario(text: str, overrides: dict[str, str] | None = None) -> Scenar
     written in the document would be.  A flag the scenario's algorithm does
     not read is an error, and so is a flag's bad value; both name the flag.
     """
+    if not isinstance(text, str):
+        raise ScenarioError(f"scenario must be text, got {type(text).__name__}")
     # an editor's UTF-8 byte-order mark decodes to one leading U+FEFF
     sections = _split_document(text.removeprefix("\ufeff"))
     space_sections = [s for s in sections if s.header == "space"]

@@ -37,12 +37,14 @@ from hadamard import (
     Subtree,
     TreeEdge,
     WeightedPoints,
+    alpha_firm_defect,
     approximate_shadows,
     averaged_projections,
     cat0_defect,
     combination_alpha,
     composition_alpha,
     cyclic_projections,
+    discrepancy,
     distance,
     fixed_point_iterate,
     fold_composition_alpha,
@@ -53,11 +55,15 @@ from hadamard import (
     minkowski,
     parse_edge_list,
     parse_scenario,
+    projection_defect,
+    quasi_firm_defect,
     reevaluate_witness,
     run_check,
+    run_suite,
+    shadow_cauchy_worst_defect,
     technical_condition_gaps,
 )
-from hadamard.certifier import CAT0, FEJER_RUN, PROJECTION_INEQ
+from hadamard.certifier import CAT0, FEJER_RUN, PROJECTION_INEQ, space_suite
 from hadamard.errors import (
     CheckSpecError,
     ConstructionError,
@@ -263,6 +269,34 @@ MALFORMED = {
     # RuntimeWarning, in the squared radius before its typed error
     "tangent-overflow": (InvalidPointError, "radius 1e+200 is not representable",
                          lambda: H2.exp_from_base([1e200, 0.0])),
+    # an argument of the wrong type ended in a bare AttributeError or TypeError
+    "product-set-factor-text": (ConstructionError, "left factor set must be of type ConvexSet",
+                                lambda: ProductSet(ProductSpace(E2, E2), "a", HALF)),
+    "alpha-firm-op-text": (ConstructionError, "of type Operator",
+                           lambda: alpha_firm_defect("op", 0.5, P, Q)),
+    "quasi-firm-op-text": (ConstructionError, "of type Operator",
+                           lambda: quasi_firm_defect("op", 0.5, P, Q)),
+    "discrepancy-op-text": (ConstructionError, "of type Operator",
+                            lambda: discrepancy("op", P, Q)),
+    "projection-defect-set-text": (ConstructionError, "of type ConvexSet",
+                                   lambda: projection_defect("c", P, Q)),
+    "shadow-trace-text": (ConstructionError, "of type IterationTrace",
+                          lambda: approximate_shadows("t", [HALF])),
+    "shadow-cauchy-trace-text": (ConstructionError, "of type IterationTrace",
+                                 lambda: shadow_cauchy_worst_defect("t")),
+    "technical-gaps-trace-text": (ConstructionError, "of type IterationTrace",
+                                  lambda: technical_condition_gaps("t")),
+    "suite-entry-text": (CheckSpecError, "must be a CheckSpec", lambda: run_suite(["x"])),
+    "witness-spec-text": (CheckSpecError, "must be a CheckSpec",
+                          lambda: reevaluate_witness("x", (P, Q, P, 0.5))),
+    "space-suite-sets-list": (CheckSpecError, "sets must be a dict",
+                              lambda: space_suite(E2, [HALF], None, 10, 0)),
+    "point-spec-text": (SpaceMismatchError, "not a point", lambda: point_spec("x")),
+    "scenario-bytes": (ScenarioError, "scenario must be text, got bytes",
+                       lambda: parse_scenario(b"[space]")),
+    # a bytes edge list was read, with vertex names that no str lookup finds
+    "edge-list-bytes": (EdgeListError, "must be text, got bytes",
+                        lambda: parse_edge_list(b"a b 1")),
 }
 
 

@@ -118,6 +118,26 @@ class TestEdgeListParsing:
         with pytest.raises(ConstructionError):
             parse_edge_list("a b 1\nb c 1\nc a 1")
 
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                      "\u2028", "\u2029"], ids=ascii)
+    def test_breaks_lines_only_at_newlines(self, char):
+        """Whitespace that ``str.splitlines`` breaks at separates tokens within a line."""
+        tree = parse_edge_list(f"a b 1\nb{char}c 2\n")
+        want = parse_edge_list("a b 1\nb c 2\n")
+        assert (tree.vertices, tree.edges) == (want.vertices, want.edges)
+        with pytest.raises(EdgeListError) as err:
+            parse_edge_list(f"a b 1\nb{char}c 2\nc d\n")
+        assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_read_as_lf(self, newline):
+        text = "o a 1\no b 1.5\n\no c 2\n"
+        tree, want = parse_edge_list(text.replace("\n", newline)), parse_edge_list(text)
+        assert (tree.vertices, tree.edges) == (want.vertices, want.edges)
+        with pytest.raises(EdgeListError) as err:
+            parse_edge_list(f"o a 1{newline}{newline}o b{newline}")
+        assert err.value.line_no == 3
+
 
 @pytest.fixture(scope="module")
 def tree2000():

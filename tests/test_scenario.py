@@ -168,6 +168,51 @@ class TestParsing:
         assert s.weights == [0.25, 0.25, 0.5]
 
 
+# str.splitlines() breaks a line at each of these; a document breaks only at \n, \r\n and \r
+NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def parsed(doc: str) -> tuple:
+    """What a cyclic scenario parses to, in comparable form."""
+    s = parse_scenario(doc)
+    return (s.space.describe(), [(name, repr(c)) for name, c in s.sets.items()], s.run_sets,
+            point_spec(s.x0), point_spec(s.witness), s.stop, s.output_path)
+
+
+def error_line(doc: str) -> int:
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    return err.value.line_no
+
+
+class TestLineBreaks:
+    """A scenario breaks lines as a text-mode ``open`` does, so that line numbers match."""
+
+    COMMENTED = CYCLIC_DOC.replace("[set B]", "# note page\n[set B]")
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=ascii)
+    def test_inside_a_comment(self, char):
+        doc = self.COMMENTED.replace("note page", f"note{char} page")
+        assert parsed(doc) == parsed(self.COMMENTED)
+        bad = "max_iter = ten"
+        assert (error_line(doc.replace("max_iter = 100", bad))
+                == error_line(self.COMMENTED.replace("max_iter = 100", bad))
+                == self.COMMENTED.splitlines().index("max_iter = 100") + 1)
+
+    @pytest.mark.parametrize("char", NOT_LINE_BREAKS, ids=ascii)
+    def test_inside_a_value(self, char):
+        doc = CYCLIC_DOC.replace("output = trace.csv", f"output = tr{char}ace.csv")
+        want = parsed(CYCLIC_DOC)[:-1] + (f"tr{char}ace.csv",)
+        assert parsed(doc) == want
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_documents_read_as_lf(self, newline):
+        doc = self.COMMENTED.replace("note page", "note\x0c page")
+        assert parsed(doc.replace("\n", newline)) == parsed(self.COMMENTED)
+        bad = doc.replace("max_iter = 100", "max_iter = ten")
+        assert error_line(bad.replace("\n", newline)) == error_line(bad)
+
+
 class TestValidationErrors:
     def test_weights_must_sum_to_one(self):
         doc = MEAN_DOC.replace("0.25,0.25,0.5", "0.25,0.25,0.4")
