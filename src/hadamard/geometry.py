@@ -120,7 +120,9 @@ def _require(value, kind: type, label: str) -> None:
 def _lines(text: str) -> list[str]:
     r"""The lines of a document, broken only at \n, \r\n and \r, as a text-mode ``open``
     reads them; ``str.splitlines`` also breaks at \f, \v, \x1c-\x1e, \x85, \u2028, \u2029."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "\r" in text:  # most documents hold none, and replacing the pair is slow
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def _bounded(values: list) -> bool:
