@@ -9,7 +9,6 @@ nonexpansive.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -74,20 +73,44 @@ class ConvexSet:
                 f"{self.space.describe()}"
             )
 
+    def __init_subclass__(cls, **kwargs):
+        """The override rule, decided once per class: a class that defines ``project``
+        without its own ``_project_payload`` gets the kernel ``_through_project``.
+
+        Every run over its sets then projects through that ``project``.  Such
+        a ``project`` computes its image itself: ``super().project`` would run
+        the kernel, and so the override, again.
+        """
+        super().__init_subclass__(**kwargs)
+        if "project" in vars(cls) and "_project_payload" not in vars(cls):
+            cls._project_payload = ConvexSet._through_project
+
     def project(self, x: Point) -> Point:
-        """The nearest point of the set to x: the one-row case of ``project_block``."""
-        # stack raises SpaceMismatchError for x outside the set's space
-        return self.space.row(self.project_block(self.space.stack([x])), 0)
+        """The nearest point of the set to x: ``_project_payload`` on x's loop payload.
+
+        Returns x itself when it lies in the set.
+        """
+        self._check_point(x)
+        space = self.space
+        p = space._loop_payload(x)
+        q = self._project_payload(p)
+        return x if q is p else space._loop_point(q)
 
     def _project_payload(self, p):
         """The projection of a payload of the set's space in its loop form.
 
-        Returns ``p`` itself where ``project`` returns its input, and runs
-        the checks ``project`` runs on its image.  A projection run steps
-        by it (see ``SpaceModel._loop_payload``).  A set with a scalar twin
-        computes it on the payload, and its ``project`` calls it; here it
-        is ``project`` on the payload's point.
+        ``project`` and every projection run step by it (see
+        ``SpaceModel._loop_payload``).  A set's own kernel returns ``p``
+        itself when it lies in the set, and runs ``_wrap``'s checks on a
+        moved image.  Here it is the one-row case of ``project_block``.
         """
+        space = self.space
+        return space._loop_payload(
+            space.row(self.project_block(space.stack([space._loop_point(p)])), 0))
+
+    def _through_project(self, p):
+        """The kernel of a class that overrides ``project`` without one: its ``project``
+        on the payload's point (see ``__init_subclass__``)."""
         space = self.space
         x = space._loop_point(p)
         y = self.project(x)
@@ -168,13 +191,8 @@ class EuclideanHalfspace(ConvexSet):
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "_norm_sq", norm_sq)
 
-    # Scalar twin kept: projection runs' witness checks and certify's projections, where a
-    # one-row block costs 2.5x; the drivers' flat runs step its ``_project_payload``.
-    def project(self, x: Point) -> Point:
-        self._check_point(x)
-        p = self._project_payload(x.payload)
-        return x if p is x.payload else self.space._loop_point(p)
-
+    # Scalar twin kept: projection runs' witness checks, certify's projections and the
+    # drivers' flat runs, where a one-row block costs 2.5x.
     def _project_payload(self, p):
         """The projection of a coordinate array: ``p`` itself when it lies in the set.
 
@@ -231,12 +249,13 @@ class _HalfspaceFamily:
 
         The one test of a flat family: a nonempty list of
         ``EuclideanHalfspace``s (hyperplanes included) of one space, each
-        keeping that class's ``project`` (a subclass that overrides it is
-        projected through its override).
+        keeping that class's ``_project_payload`` (a subclass that overrides
+        ``project`` is projected through its override).
         """
         sets = list(sets)
+        own = EuclideanHalfspace._project_payload
         if not sets or not all(isinstance(c, EuclideanHalfspace)
-                               and type(c).project is EuclideanHalfspace.project for c in sets):
+                               and type(c)._project_payload is own for c in sets):
             return None
         if any(c.space != sets[0].space for c in sets):
             raise SpaceMismatchError("the halfspaces live in different spaces")
@@ -372,20 +391,6 @@ def halfspace_residual(sets):
     return None if family is None else family.residual
 
 
-def _payload_projections(sets) -> list:
-    """Each set's ``_project_payload``, by which a projection run steps.
-
-    A set whose class overrides ``project`` without ``_project_payload``
-    is projected through its override.
-    """
-    def own(c):
-        owner = next(k for k in type(c).__mro__ if "project" in vars(k))
-        return "_project_payload" in vars(owner)
-
-    return [c._project_payload if own(c) else partial(ConvexSet._project_payload, c)
-            for c in sets]
-
-
 class HyperbolicHalfspace(ConvexSet):
     """{x : m(u, x) <= 0} for a unit spacelike Minkowski normal u.
 
@@ -414,14 +419,8 @@ class HyperbolicHalfspace(ConvexSet):
         # the scalar twins' copy of the normal, as Python floats
         object.__setattr__(self, "_coords", arr.tolist())
 
-    # Scalar twin kept: projection runs' witness checks, where a one-row block costs 2.6x to
-    # 26x; the drivers' hyperbolic runs step its ``_project_payload``.
-    def project(self, x: Point) -> Point:
-        self._check_point(x)
-        p = x.payload.tolist()
-        q = self._project_payload(p)
-        return x if q is p else self.space._loop_point(q)
-
+    # Scalar twin kept: projection runs' witness checks and the drivers' hyperbolic runs,
+    # where a one-row block costs 2.6x to 26x.
     def _project_payload(self, p):
         """The projection of a coordinate list: ``p`` itself when it lies in the set.
 
@@ -544,36 +543,27 @@ class Subtree(ConvexSet):
         object.__setattr__(self, "_member_mask", member_mask)
         object.__setattr__(self, "_edge_mask", edge_mask)
 
-    def _gate(self, loc) -> Point | None:
-        """None for a member location, else the shared point at its gate vertex."""
+    # Scalar twin kept: the trees workload's projections, where a one-row block costs 24x.
+    def _project_payload(self, loc):
+        """``loc`` itself for a member location, else the location of its gate vertex."""
         tree: MetricTree = self.space
         if loc.edge in self.edge_set:
-            return None
+            return loc
         members = self._members
         # a location at a member vertex is a member; None, inside an edge, is no member
         if tree._at_vertex(loc.edge, loc.offset) in members:
-            return None
+            return loc
         c = tree._child[loc.edge]
         top = self._top
         if not top <= c <= tree._last[top]:
-            return tree._vertex(top)
+            return tree._vertex(top).payload
         parent = tree._parent
         while c not in members:
             c = parent[c]
-        return tree._vertex(c)
-
-    # Scalar twin kept: the trees workload's projections, where a one-row block costs 24x.
-    def project(self, x: Point) -> Point:
-        self._check_point(x)
-        loc = self._project_payload(x.payload)
-        return x if loc is x.payload else self.space._loop_point(loc)
-
-    def _project_payload(self, loc):
-        gate = self._gate(loc)
-        return loc if gate is None else gate.payload
+        return tree._vertex(c).payload
 
     def project_block(self, block):
-        # _gate on every row: rows on the subtree's edges stay, the rest move
+        # _project_payload on every row: rows on the subtree's edges stay, the rest move
         # to their gate vertex; a row at a member vertex is its own gate
         tree: MetricTree = self.space
         edges, offsets = block

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .barycenter import _STEP_TOL, _mean_of, _weight_tuple, convex_weights
-from .convex_sets import ConvexSet, _HalfspaceFamily, _payload_projections
+from .convex_sets import ConvexSet, _HalfspaceFamily
 from .errors import ConstructionError, ConvergenceFailureError, DomainError
 from .geometry import (
     EQ_TOL,
@@ -265,7 +265,7 @@ def _iterate(sets, family, x0: Point, rule: StopRule, weights, record: bool):
     dist = space._loop_distance
     k = len(sets) if weights is None else 1
     unchecked = family is not None and not record and weights is None
-    project = family.images if unchecked else _payload_projections(sets)
+    project = family.images if unchecked else [c._project_payload for c in sets]
 
     def measure(p):
         """p's residual, and its images under the projections when formed."""

@@ -338,8 +338,8 @@ def test_only_the_flat_model_vectorises_its_block_mean():
     assert [cls for cls in models if "_block_mean" in vars(cls)] == [Euclidean]
 
 
-# The sets that derive ``project`` from a one-row ``project_block``; the
-# halfspaces (hyperplanes included) and subtrees define it themselves.
+# The sets whose projection kernel is a one-row ``project_block``; the
+# halfspaces (hyperplanes included) and subtrees define their own.
 DERIVED_PROJECT = {GeodesicBall, ProductSet}
 
 
@@ -347,7 +347,8 @@ def test_derived_projections_are_one_row_blocks(case, blocks):
     space, sets = case
     a = blocks[0]
     for c in sets:
-        derived = type(c).project is ConvexSet.project
+        assert type(c).project is ConvexSet.project, c
+        derived = type(c)._project_payload is ConvexSet._project_payload
         assert derived == (type(c) in DERIVED_PROJECT), c
         if derived:
             for i in range(ROWS):

@@ -411,7 +411,7 @@ class TestTreeBlocks:
         # tripod, caterpillar and E2 x tripod, and the ball, spine, branch and product-set
         assert len(specs) == 10
         calls = []
-        for cls, name in ((MetricTree, "payload_distance"), (Subtree, "_gate")):
+        for cls, name in ((MetricTree, "payload_distance"), (Subtree, "_project_payload")):
             def counted(self, *args, _method=getattr(cls, name), _name=name):
                 calls.append(_name)
                 return _method(self, *args)
@@ -424,7 +424,7 @@ class TestTreeBlocks:
         tripod = tree_part(specs[0].space)
         p = tripod.edge_point(1, 0.5)
         distance(p, Subtree(tripod, ["o"]).project(p))
-        assert calls == ["_gate", "payload_distance"]
+        assert calls == ["_project_payload", "payload_distance"]
 
 
 class TestTolerances:

@@ -29,7 +29,7 @@ def test_examples_run():
 
 # Each scalar method and the block method it is the one-row case of.
 BLOCK_OF = {"payload_distance": "distances", "payload_interpolate": "interpolate",
-            "project": "project_block", "apply": "apply_block", "sample": "sample_block",
+            "_project_payload": "project_block", "apply": "apply_block", "sample": "sample_block",
             "_mean": "_block_mean"}
 
 
