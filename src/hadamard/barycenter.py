@@ -107,8 +107,14 @@ def _check_step_tol(step_tol: float) -> None:
         raise DomainError(f"step_tol must be finite and >= 0, got {step_tol}")
 
 
+def _require_points(wp, site: str) -> None:
+    if not isinstance(wp, WeightedPoints):
+        raise ConstructionError(f"{site} needs WeightedPoints, got {wp!r}")
+
+
 def frechet_objective(wp: WeightedPoints, x: Point) -> float:
     """F(x) = sum_i w_i d(x, x_i)^2."""
+    _require_points(wp, "frechet_objective")
     check_same_space(x, wp.points[0])
     return math.fsum(
         w * distance(x, p) ** 2 for w, p in zip(wp.weights, wp.points)
@@ -121,6 +127,7 @@ def variance_defect(wp: WeightedPoints, x_star: Point, y: Point) -> float:
     Nonnegative for every challenger y exactly when x_star is the true
     minimizer, since F is strongly convex with parameter 2.
     """
+    _require_points(wp, "variance_defect")
     check_same_space(x_star, y, *wp.points)
     return _variance(distance, wp.points, wp.weights, x_star, y)
 
@@ -157,8 +164,7 @@ def frechet_mean(wp: WeightedPoints, step_tol: float = _STEP_TOL) -> Point:
     objective) if it has not after 200 steps.
     """
     _check_step_tol(step_tol)
-    if not isinstance(wp, WeightedPoints):
-        raise ConstructionError(f"frechet_mean needs WeightedPoints, got {wp!r}")
+    _require_points(wp, "frechet_mean")
     space = wp.space
     payloads = [space._loop_payload(p) for p in wp.points]
     mean = _mean_of(space, payloads, wp.weights, step_tol)
@@ -236,6 +242,7 @@ def inductive_mean_sweeps(wp: WeightedPoints, sweeps: int = _SWEEP_LIMIT,
     if not (_is_integer(sweeps) and sweeps >= 1):
         raise ConstructionError(f"sweeps must be an integer >= 1, got {sweeps!r}")
     _check_step_tol(step_tol)
+    _require_points(wp, "inductive_mean_sweeps")
     wp = WeightedPoints(*_drop_zero_weights(wp.points, wp.weights))
     if len(wp) == 1:
         return wp.points[0]

@@ -528,7 +528,10 @@ def _require_spec(spec) -> None:
 
 def run_suite(specs, suite_seed: int | None = None) -> CertificateReport:
     """Run every check and aggregate; the suite passes iff all entries pass."""
-    specs = list(specs)
+    try:
+        specs = list(specs)
+    except TypeError:
+        raise CheckSpecError(f"a suite must be a list of checks, got {specs!r}") from None
     if not specs:
         raise CheckSpecError("suite needs at least one check")
     for s in specs:
@@ -587,6 +590,9 @@ def space_suite(
     """
     if not isinstance(sets, dict):
         raise CheckSpecError(f"sets must be a dict of named convex sets, got {sets!r}")
+    for name, c in sets.items():
+        if not isinstance(c, ConvexSet):
+            raise CheckSpecError(f"set '{name}' must be a ConvexSet, got {c!r}")
     missed = [n for n, c in sets.items() if witness is not None and not c.contains(witness)]
     if missed:
         raise CheckSpecError(f"witness lies outside the declared set(s) {', '.join(missed)}")

@@ -80,6 +80,8 @@ def run_scenario(scenario: Scenario) -> int:
     the run, flag overrides included, is a field of the scenario.
     """
     try:
+        if not isinstance(scenario, Scenario):
+            raise ScenarioError(f"a run needs a parsed Scenario, got {scenario!r}")
         if scenario.algorithm == "certify":
             return _run_certify(scenario)
         if scenario.algorithm == "barycenter":

@@ -103,6 +103,10 @@ class IterationTrace:
     witness_is_proxy: bool = field(init=False)
 
     def __post_init__(self):
+        for v in (self.points, self.residuals, self.steps):
+            if not isinstance(v, (list, tuple)):
+                raise ConstructionError(f"trace points, residuals and steps must be lists, "
+                                        f"got {type(v).__name__}")
         n = len(self.points)
         if len(self.residuals) != n or len(self.steps) != n - 1:
             raise ConstructionError("trace lengths are inconsistent")

@@ -238,6 +238,8 @@ class Pointwise(Operator):
     __slots__ = ("fn", "_name")
 
     def __init__(self, name: str, fn):
+        if not callable(fn):
+            raise ConstructionError(f"user map '{name}' must be callable, got {fn!r}")
         object.__setattr__(self, "fn", fn)
         object.__setattr__(self, "_name", str(name))
 

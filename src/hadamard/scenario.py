@@ -250,6 +250,9 @@ def _strip_parens(text: str) -> str:
 
 def parse_point_spec(space: SpaceModel, text: str, line_no: int = 0, key: str = "point") -> Point:
     """Parse a textual point in the conventions of the given space."""
+    if not isinstance(text, str):
+        raise ScenarioError(f"a point must be text, got {type(text).__name__}",
+                            line_no=line_no, key=key)
     text = text.strip()
     try:
         if isinstance(space, Euclidean):
@@ -275,6 +278,9 @@ def parse_point_spec(space: SpaceModel, text: str, line_no: int = 0, key: str = 
             return space.point((pl, pr))
     except (InvalidPointError, ConstructionError) as exc:
         raise ScenarioError(str(exc), line_no=line_no, key=key)
+    if not isinstance(space, SpaceModel):
+        raise ScenarioError(f"a point needs a space model, got {space!r}",
+                            line_no=line_no, key=key)
     raise ScenarioError(f"no point syntax for space {space.describe()}",
                         line_no=line_no, key=key)
 

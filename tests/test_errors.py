@@ -62,8 +62,10 @@ from hadamard import (
     run_suite,
     shadow_cauchy_worst_defect,
     technical_condition_gaps,
+    variance_defect,
 )
 from hadamard.certifier import CAT0, FEJER_RUN, PROJECTION_INEQ, space_suite
+from hadamard.cli import run_scenario
 from hadamard.errors import (
     CheckSpecError,
     ConstructionError,
@@ -297,6 +299,29 @@ MALFORMED = {
     # a bytes edge list was read, with vertex names that no str lookup finds
     "edge-list-bytes": (EdgeListError, "must be text, got bytes",
                         lambda: parse_edge_list(b"a b 1")),
+    # an argument of the wrong type ended in a bare AttributeError or TypeError
+    "objective-points-text": (ConstructionError, "frechet_objective needs WeightedPoints",
+                              lambda: frechet_objective("wp", P)),
+    "variance-points-text": (ConstructionError, "variance_defect needs WeightedPoints",
+                             lambda: variance_defect("wp", P, P)),
+    "sweeps-points-text": (ConstructionError, "inductive_mean_sweeps needs WeightedPoints",
+                           lambda: inductive_mean_sweeps("wp")),
+    "space-suite-set-int": (CheckSpecError, "set 'a' must be a ConvexSet, got 5",
+                            lambda: space_suite(E2, {"a": 5}, P, 10, 0)),
+    # without a witness the specs were returned, and failed only in run_check
+    "space-suite-set-int-no-witness": (CheckSpecError, "set 'a' must be a ConvexSet, got 5",
+                                       lambda: space_suite(E2, {"a": 5}, None, 10, 0)),
+    "suite-int": (CheckSpecError, "suite must be a list of checks, got 5",
+                  lambda: run_suite(5)),
+    "point-text-bytes": (ScenarioError, "a point must be text, got bytes",
+                         lambda: parse_point_spec(E2, b"1,2")),
+    "point-text-space-text": (ScenarioError, "a point needs a space model, got 'E2'",
+                              lambda: parse_point_spec("E2", "1,2")),
+    # the map failed only when applied
+    "pointwise-map-int": (ConstructionError, "user map 'f' must be callable, got 5",
+                          lambda: Pointwise("f", 5)),
+    "trace-points-int": (ConstructionError, "must be lists, got int",
+                         lambda: IterationTrace(5, [0.0], [], "converged")),
 }
 
 
@@ -309,6 +334,12 @@ def assert_raises(error, fragment, call):
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_raises_typed_error(case):
     assert_raises(*MALFORMED[case])
+
+
+def test_run_of_a_non_scenario_exits_2(capsys):
+    """``run_scenario`` of anything but a ``Scenario`` ended in a bare ``AttributeError``."""
+    assert run_scenario("x") == 2
+    assert capsys.readouterr().err == "error: a run needs a parsed Scenario, got 'x'\n"
 
 
 REAL = [0, 2, 0.5, -0.0, math.inf, Fraction(1, 3), np.float16(0.5), np.float32(0.1),
