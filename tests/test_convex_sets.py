@@ -1,8 +1,10 @@
 """Convex set descriptors: membership, projections, and the projection inequality."""
 
+import ast
 import io
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import hadamard
 from hadamard import (
     DomainError,
     Euclidean,
@@ -439,3 +442,29 @@ class TestHalfspaceResidual:
         with pytest.raises(SpaceMismatchError):
             cyclic_projections([EuclideanHalfspace(e2, [0, 1], 0.0)], e3.point([0, 0, 0]),
                                StopRule(max_iter=5))
+
+
+class TestOneProject:
+    """Every set projects through ``ConvexSet.project`` over its payload kernel."""
+
+    def test_only_the_base_class_defines_project(self):
+        sources = Path(hadamard.__file__).parent
+        owners = [
+            f"{path.name}:{node.name}"
+            for path in sorted(sources.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(item, ast.FunctionDef) and item.name == "project"
+                    for item in node.body)
+        ]
+        assert owners == ["convex_sets.py:ConvexSet"]
+
+    @pytest.mark.parametrize("build", [build for build, _ in SETS.values()], ids=list(SETS))
+    def test_foreign_points_raise_the_point_check(self, build):
+        c = build()
+        with pytest.raises(SpaceMismatchError) as info:
+            c.project(Euclidean(3).point([0, 0, 0]))
+        assert str(info.value) == f"point in Euclidean(3) vs set 'A' in {c.space.describe()}"
+        with pytest.raises(SpaceMismatchError) as info:
+            c.project("x")
+        assert str(info.value) == "'x' is not a point"

@@ -46,7 +46,7 @@ from hadamard import (
     parse_scenario,
 )
 from hadamard.cli import main
-from hadamard.convex_sets import _HalfspaceFamily
+from hadamard.convex_sets import ConvexSet, _HalfspaceFamily
 from hadamard.errors import InvalidPointError
 from hadamard.metric_tree import TreeLocation
 
@@ -609,6 +609,53 @@ class StaysPut(EuclideanHalfspace):
         return x
 
 
+class StaysPutHyperplane(EuclideanHyperplane):
+    __slots__ = ()
+
+    def project(self, x):
+        return x
+
+
+class StaysPutHyperbolic(HyperbolicHalfspace):
+    __slots__ = ()
+
+    def project(self, x):
+        return x
+
+
+class StaysPutSubtree(Subtree):
+    __slots__ = ()
+
+    def project(self, x):
+        return x
+
+
+class OwnKernel(EuclideanHalfspace):
+    """A halfspace that overrides ``project`` and keeps a kernel of its own, which counts
+    its calls: its runs step by that kernel."""
+
+    __slots__ = ()
+    calls = []
+
+    def project(self, x):
+        return x
+
+    def _project_payload(self, p):
+        OwnKernel.calls.append(p)
+        return EuclideanHalfspace._project_payload(self, p)
+
+
+# An overriding set of each other model and a start outside it, which its own
+# kernel would move.
+OVERRIDES = {
+    "hyperplane": lambda e2, h2, tree: (StaysPutHyperplane(e2, [0, 1], 0.0),
+                                        e2.point([0.0, 1.0])),
+    "hyperbolic-halfspace": lambda e2, h2, tree: (StaysPutHyperbolic(h2, [0, 1, 0]),
+                                                  h2.exp_from_base([1.0, 0.0])),
+    "subtree": lambda e2, h2, tree: (StaysPutSubtree(tree, ["o", "a"]), tree.edge_point(1, 0.5)),
+}
+
+
 class TestOneFlatPredicate:
     """A subclass that overrides ``project`` makes no flat family anywhere, so every run,
     shadow solve and composition over it projects through its override."""
@@ -624,3 +671,27 @@ class TestOneFlatPredicate:
         trace = approximate_shadows(cyclic_projections([c], x0, rule), [c])
         assert len(trace.shadows) == 1 and trace.shadows[0] is x0
         assert Composition([Projection(c)])._sweep is None
+
+    @pytest.mark.parametrize("make", OVERRIDES.values(), ids=list(OVERRIDES))
+    def test_other_models_run_through_the_override(self, make, e2, h2, tripod):
+        c, x0 = make(e2, h2, tripod)
+        assert type(c)._project_payload is ConvexSet._through_project
+        assert halfspace_residual([c]) is None
+        rule = StopRule(max_iter=50)
+        for trace in (cyclic_projections([c], x0, rule), averaged_projections([c], x0, rule)):
+            assert trace.stop_reason == "converged" and trace.iterations == 0
+            assert trace.residuals == [0.0]
+        trace = approximate_shadows(cyclic_projections([c], x0, rule), [c])
+        assert len(trace.shadows) == 1 and trace.shadows[0] is x0
+
+    def test_own_kernel_is_stepped(self, e2, monkeypatch):
+        monkeypatch.setattr(OwnKernel, "calls", [])
+        c = OwnKernel(e2, [0, 1], 0.0)
+        x0 = e2.point([0.0, 1.0])
+        assert c.project(x0) is x0
+        assert halfspace_residual([c]) is None and _HalfspaceFamily.of([c]) is None
+        trace = cyclic_projections([c], x0, StopRule(max_iter=50))
+        assert OwnKernel.calls
+        assert trace.stop_reason == "converged" and trace.iterations == 1
+        assert trace.residuals == [1.0, 0.0]
+        assert bits(trace.final_point) == bits(EuclideanHalfspace(e2, [0, 1], 0.0).project(x0))
