@@ -86,10 +86,8 @@ class ConvexSet:
             cls._project_payload = ConvexSet._through_project
 
     def project(self, x: Point) -> Point:
-        """The nearest point of the set to x: ``_project_payload`` on x's loop payload.
-
-        Returns x itself when it lies in the set.
-        """
+        """The nearest point of the set to x: ``_project_payload`` on x's loop payload,
+        or x itself when the kernel returns that payload."""
         self._check_point(x)
         space = self.space
         p = space._loop_payload(x)
